@@ -1,0 +1,15 @@
+"""Tests of the benchmark's own instruments.
+
+Not collected by the repository's tier-1 run (``testpaths = ["tests"]``);
+run them with ``PYTHONPATH=src python -m pytest benchmarks/e2e/tests``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(BENCH))
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
