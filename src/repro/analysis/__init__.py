@@ -49,6 +49,7 @@ from .planner import (
     lane_counts,
     plan_queries,
     plan_query,
+    split_at_prefix,
 )
 from .preflight import ensure_preflight, preflight
 from .rewrite import (
@@ -91,6 +92,7 @@ __all__ = [
     "preflight",
     "register_code",
     "rewrite_query",
+    "split_at_prefix",
     "uses_wildcard",
     "verify_network",
 ]

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..limits import ResourceLimits
 from ..rpeq.ast import (
     Concat,
+    Empty,
     Following,
     Label,
     Plus,
@@ -45,9 +46,10 @@ from ..rpeq.ast import (
     Qualifier,
     Rpeq,
     Union,
+    concat_all,
 )
 from ..rpeq.parser import parse
-from ..rpeq.unparse import unparse
+from ..rpeq.unparse import display, unparse
 from .cost import certify_cost
 from .diagnostics import AnalysisReport, Severity, register_code
 from .metrics import analyze
@@ -88,11 +90,14 @@ _LANE_CODES = {LANE_DFA: PLAN001, LANE_HYBRID: PLAN002, LANE_NETWORK: PLAN003}
 class QueryPlan:
     """The static execution plan of one query.
 
-    ``prefix`` is the qualifier-free spine prefix a DFA could run
-    (``dfa`` lane: the whole query); it includes the qualifier-free base
-    of the first qualified step, where the network takes over.
-    ``sigma_refined`` is the planner's bound, always ``≤``
-    ``sigma_worst`` (``None`` means uncertifiable and counts as ∞).
+    ``prefix`` is the qualifier-free spine prefix a DFA runs (``dfa``
+    lane: the whole query); it includes the qualifier-free base of the
+    first qualified step, where the network takes over.  ``residual``
+    is what the network is left with — :func:`split_at_prefix`'s second
+    half, for display (``ε`` has no concrete syntax), ``None`` when the
+    prefix is the whole query.  ``sigma_refined`` is the planner's
+    bound, always ``≤`` ``sigma_worst`` (``None`` means uncertifiable
+    and counts as ∞).
     """
 
     query: str
@@ -104,6 +109,7 @@ class QueryPlan:
     sigma_worst: int | None
     sigma_refined: int | None
     rewrite_steps: int = 0
+    residual: str | None = None
 
     def to_obj(self) -> dict[str, object]:
         """JSON-serializable form (ServingReport / bench / CLI codec)."""
@@ -117,6 +123,7 @@ class QueryPlan:
             "sigma_worst": self.sigma_worst,
             "sigma_refined": self.sigma_refined,
             "rewrite_steps": self.rewrite_steps,
+            "residual": self.residual,
         }
 
     @classmethod
@@ -136,10 +143,11 @@ class QueryPlan:
             sigma_worst=_opt("sigma_worst"),
             sigma_refined=_opt("sigma_refined"),
             rewrite_steps=int(obj.get("rewrite_steps", 0)),  # type: ignore[call-overload]
+            residual=None if obj.get("residual") is None else str(obj["residual"]),
         )
 
 
-def _pure(part: Rpeq) -> bool:
+def pure(part: Rpeq) -> bool:
     """No qualifiers and no axis steps anywhere under ``part``."""
     return not any(
         isinstance(node, (Qualifier, Following, Preceding)) for node in part.walk()
@@ -162,26 +170,41 @@ def _required_concrete(part: Rpeq) -> bool:
     if isinstance(part, Union):
         return _required_concrete(part.left) and _required_concrete(part.right)
     # Star / OptionalExpr / Empty may match ε; axis steps and qualifiers
-    # never appear here (prefix parts are _pure).
+    # never appear here (prefixes are pure).
     return False
 
 
-def _spine_prefix(parts: list[Rpeq]) -> list[Rpeq]:
-    """The qualifier-free prefix of a spine, crossing into the base of
-    the first qualified part (where the network would take over)."""
+def split_at_prefix(expr: Rpeq) -> tuple[Rpeq, Rpeq]:
+    """Split a query where the network would take over.
+
+    Returns ``(prefix, residual)`` with ``expr ≡ prefix.residual``:
+    ``prefix`` is the qualifier-free part of the spine, crossing into
+    the qualifier-free base of the first qualified step; ``residual``
+    starts at that step's qualifiers (``E[F]`` splits as ``E`` and
+    ``ε[F]``) and runs to the end.  Either half may be
+    :class:`~repro.rpeq.ast.Empty`.  The planner's ``QueryPlan.prefix``
+    and the fast lane's executed split are both this function.
+    """
+    parts = concat_spine(expr)
     prefix: list[Rpeq] = []
-    for part in parts:
-        if _pure(part):
+    for index, part in enumerate(parts):
+        if pure(part):
             prefix.append(part)
             continue
-        if isinstance(part, Qualifier):
-            base = part.base
-            while isinstance(base, Qualifier):
-                base = base.base
-            if _pure(base):
-                prefix.append(base)
-        break
-    return prefix
+        residual = parts[index:]
+        conditions: list[Rpeq] = []
+        base = part
+        while isinstance(base, Qualifier):
+            conditions.append(base.condition)
+            base = base.base
+        if conditions and pure(base):
+            prefix.extend(concat_spine(base))
+            head: Rpeq = Empty()
+            for condition in reversed(conditions):
+                head = Qualifier(head, condition)
+            residual[0] = head
+        return concat_all(prefix), concat_all(residual)
+    return concat_all(prefix), Empty()
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
@@ -228,17 +251,13 @@ def plan_query(
     axis_steps = sum(
         1 for node in planned.walk() if isinstance(node, (Following, Preceding))
     )
-    parts = concat_spine(planned)
+    prefix_expr, residual_expr = split_at_prefix(planned)
     if profile.qualifiers == 0 and axis_steps == 0:
         lane = LANE_DFA
-        prefix_parts = parts
+    elif _required_concrete(prefix_expr):
+        lane = LANE_HYBRID
     else:
-        prefix_parts = _spine_prefix(parts)
-        lane = (
-            LANE_HYBRID
-            if _required_concrete_any(prefix_parts)
-            else LANE_NETWORK
-        )
+        lane = LANE_NETWORK
 
     if lane == LANE_DFA:
         # No qualifiers → no condition variables → every candidate is
@@ -249,19 +268,22 @@ def plan_query(
         refined = planned_certificate.sigma_bound
     sigma_refined = _min_bound(refined, sigma_worst)
 
-    prefix = (
-        ".".join(unparse(part) for part in prefix_parts) if prefix_parts else None
-    )
+    has_prefix = not isinstance(prefix_expr, Empty)
+    prefix = unparse(prefix_expr) if has_prefix else None
+    prefix_steps = len(concat_spine(prefix_expr)) if has_prefix else 0
     plan = QueryPlan(
         query=unparse(planned),
         lane=lane,
         prefix=prefix,
-        prefix_steps=len(prefix_parts),
+        prefix_steps=prefix_steps,
         qualifiers=profile.qualifiers,
         axis_steps=axis_steps,
         sigma_worst=sigma_worst,
         sigma_refined=sigma_refined,
         rewrite_steps=rewrite_steps,
+        residual=(
+            None if isinstance(residual_expr, Empty) else display(residual_expr)
+        ),
     )
 
     worst_text = "∞" if sigma_worst is None else str(sigma_worst)
@@ -275,7 +297,8 @@ def plan_query(
     lane_messages = {
         LANE_DFA: "qualifier-free: lazy-DFA eligible, no condition machinery",
         LANE_HYBRID: f"DFA-runnable prefix {prefix!r} "
-        f"({len(prefix_parts)} step(s)) before the first qualifier",
+        f"({prefix_steps} step(s)) before the first qualifier; the "
+        f"network is left with {plan.residual!r}",
         LANE_NETWORK: "full transducer network required",
     }
     out.add(_LANE_CODES[lane], lane_messages[lane], lane=lane)
@@ -290,10 +313,6 @@ def plan_query(
             sigma_worst=sigma_worst,
         )
     return plan, out
-
-
-def _required_concrete_any(parts: list[Rpeq]) -> bool:
-    return any(_required_concrete(part) for part in parts)
 
 
 def plan_queries(

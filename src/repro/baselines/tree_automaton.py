@@ -2,7 +2,7 @@
 
 Fxgrep evaluates regular tree expressions against a parsed document.  Our
 analog compiles the rpeq to an NFA with qualifier *guards* (see
-:mod:`repro.baselines.nfa`) and runs NFA state sets down the materialized
+:mod:`repro.rpeq.nfa`) and runs NFA state sets down the materialized
 tree: the state set of a node is derived from its parent's by one labelled
 move, guard-filtered at the node, then epsilon-closed.  A node is a match
 when its state set contains the accepting state.
@@ -21,7 +21,7 @@ from ..rpeq.ast import Rpeq
 from ..xmlstream.events import Event
 from ..xmlstream.tree import Document, Node, build_document
 from .dom_eval import _exists, _Memo
-from .nfa import Nfa, compile_nfa
+from ..rpeq.nfa import Nfa, compile_nfa
 
 
 class TreeAutomatonEvaluator:

@@ -21,7 +21,7 @@ from ..xmlstream.events import (
     StartDocument,
     StartElement,
 )
-from .nfa import Nfa, compile_nfa
+from ..rpeq.nfa import Nfa, compile_nfa
 
 
 class XScanEvaluator:

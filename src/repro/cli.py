@@ -555,6 +555,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.check_lanes and not args.plan:
         print("error: --check-lanes requires --plan", file=sys.stderr)
         return EXIT_USAGE
+    if args.sample is not None and not args.plan:
+        print("error: --sample requires --plan", file=sys.stderr)
+        return EXIT_USAGE
 
     reports = {
         name: preflight(text, limits=limits, dtd=dtd) for name, text in targets
@@ -576,6 +579,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # the JSON stays keyed per query.
             factor_common_prefixes(dict(targets), report=reports[targets[0][0]])
     failed = any(not report.ok for report in reports.values())
+
+    gate_counts: dict[str, tuple[int, int]] = {}
+    if args.sample is not None:
+        # The gate's selectivity is a property of (query, stream): run
+        # the planned lanes over the sample and read the counters.
+        from .core.multiquery import MultiQueryEngine
+
+        engine = MultiQueryEngine(
+            dict(targets), preflight=False, rewrite=args.rewrite
+        )
+        for _ in engine.run(args.sample):
+            pass
+        gate_counts = engine.gate_counts
 
     lane_problems: list[str] = []
     if args.check_lanes:
@@ -600,6 +616,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 }
                 for name, report in reports.items()
             }
+            for name, (fed, parked) in gate_counts.items():
+                payload[name]["gate"] = {"fed": fed, "parked": parked}
         else:
             payload = {name: report.to_obj() for name, report in reports.items()}
         print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
@@ -613,11 +631,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             for name, plan in plans.items():
                 sigma = "∞" if plan.sigma_refined is None else plan.sigma_refined
                 worst = "∞" if plan.sigma_worst is None else plan.sigma_worst
-                print(
+                line = (
                     f"-- plan {name}: lane={plan.lane} σ̂={sigma} "
                     f"(worst {worst}) prefix={plan.prefix or 'ε'} "
                     f"rewrites={plan.rewrite_steps}"
                 )
+                if plan.residual is not None:
+                    line += f" residual={plan.residual}"
+                if name in gate_counts:
+                    fed, parked = gate_counts[name]
+                    line += f" gate: fed={fed} parked={parked}"
+                print(line)
             counts = lane_counts(plans)
             print(
                 "-- lanes: "
@@ -1056,6 +1080,13 @@ def build_parser() -> argparse.ArgumentParser:
         "all execution lanes exercised, refined σ̂ within the "
         "worst-case bound, every rewrite certificate discharged "
         "(nonzero exit on any problem)",
+    )
+    analyze.add_argument(
+        "--sample",
+        metavar="FILE",
+        help="with --plan: run the planned lanes over this XML file and "
+        "report, per gated query, how many events its residual network "
+        "was fed and how many the DFA head withheld",
     )
     analyze.add_argument(
         "--max-depth",

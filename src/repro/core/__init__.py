@@ -37,6 +37,7 @@ from .trace import Tracer, trace_run
 from .path_transducers import (
     ChildTransducer,
     ClosureTransducer,
+    DemandInputTransducer,
     InputTransducer,
     StarTransducer,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "Close",
     "ClosureTransducer",
     "Contribute",
+    "DemandInputTransducer",
     "DispatchReport",
     "Dispatcher",
     "Doc",

@@ -13,7 +13,7 @@ zero.
 Format: a single JSON document::
 
     {
-      "version": 1,            # format version, checked on load
+      "version": 2,            # format version, checked on load
       "kind": "spex",          # which engine wrote it ("spex"/"multiquery")
       "payload": {...},        # engine-specific state (stable dict forms)
       "checksum": "sha256:..." # over the canonical encoding of the rest
@@ -39,7 +39,11 @@ from ..errors import CheckpointError
 
 #: Current checkpoint format version.  Bump on any payload shape change;
 #: loading a different version raises (no silent cross-version reads).
-CHECKPOINT_VERSION = 1
+#: Version 2: fast-lane snapshots carry the open elements' start
+#: ordinals, and a gated query's snapshot is its *residual* network plus
+#: the count of parked elements (version 1 held the full network and a
+#: subtree-skip depth).
+CHECKPOINT_VERSION = 2
 
 
 def _canonical(body: dict) -> bytes:
@@ -49,6 +53,14 @@ def _canonical(body: dict) -> bytes:
 
 def _checksum(body: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical(body)).hexdigest()
+
+
+def _require_version(version: object) -> None:
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version!r} "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,9 @@ class Checkpoint:
         return self.payload["cursor"]
 
     def require(self, kind: str) -> dict:
-        """Payload, after asserting the checkpoint came from ``kind``."""
+        """Payload, after asserting the checkpoint came from ``kind``
+        and carries the payload shapes this build restores."""
+        _require_version(self.version)
         if self.kind != kind:
             raise CheckpointError(
                 f"checkpoint was written by a {self.kind!r} engine, "
@@ -113,11 +127,7 @@ class Checkpoint:
             checksum = data["checksum"]
         except (TypeError, KeyError) as exc:
             raise CheckpointError(f"malformed checkpoint: missing {exc}") from None
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version!r} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
+        _require_version(version)
         body = {"version": version, "kind": kind, "payload": payload}
         expected = _checksum(body)
         if checksum != expected:

@@ -194,6 +194,7 @@ def compile_network(
     collect_events: bool = True,
     optimize: "bool | OptimizationFlags" = True,
     limits=None,
+    source: InputTransducer | None = None,
 ) -> tuple[Network, ConditionStore]:
     """Build a fresh SPEX network for an rpeq query.
 
@@ -210,6 +211,12 @@ def compile_network(
         limits: optional :class:`repro.limits.ResourceLimits`; arms the
             network's depth/σ/event-budget guards and the output
             transducer's buffer ceilings.
+        source: the network's input transducer; defaults to a fresh
+            :class:`~repro.core.path_transducers.InputTransducer`.  The
+            fast lane passes a
+            :class:`~repro.core.path_transducers.DemandInputTransducer`
+            to compile the *residual* of a query whose prefix it runs on
+            the shared DFA.
 
     Returns the finalized network and its condition store.  The network
     carries evaluation state, so one network evaluates one stream; the
@@ -219,7 +226,8 @@ def compile_network(
     flags = as_flags(optimize)
     store = ConditionStore()
     allocator = VariableAllocator()
-    source = InputTransducer()
+    if source is None:
+        source = InputTransducer()
     sink = OutputTransducer(store, collect_events=collect_events, limits=limits)
     network = Network(source, sink, limits=limits, flags=flags)
     compiler = _Compiler(network, allocator, store, optimize=flags.star_fusion)

@@ -101,8 +101,16 @@ class EngineStats:
             asserts this equals the planner's dfa-lane count).
         fastlane_hybrid_queries: queries executed natively on the DFA
             with per-candidate condition automata.
-        fastlane_gated_queries: network queries running behind the DFA
-            subtree gate.
+        fastlane_gated_queries: queries running as a residual network
+            behind a DFA head.
+        fastlane_gate_fed_events: events fed to residual networks,
+            summed over the gated queries (each query counts every
+            stream event once, as fed or parked).
+        fastlane_gate_parked_events: events the DFA head withheld from
+            residual networks — start tags never needed, their end tags
+            and the text between.  ``parked / (fed + parked)`` is the
+            gate's selectivity; per query it is
+            ``MultiQueryEngine.gate_counts``.
         fastlane_demotions: planned fast lanes demoted to the network at
             compile time (``PLAN005``).
         fastlane_states: interned product-DFA states.
@@ -131,6 +139,8 @@ class EngineStats:
     fastlane_dfa_queries: int = 0
     fastlane_hybrid_queries: int = 0
     fastlane_gated_queries: int = 0
+    fastlane_gate_fed_events: int = 0
+    fastlane_gate_parked_events: int = 0
     fastlane_demotions: int = 0
     fastlane_states: int = 0
     fastlane_saturated_steps: int = 0
@@ -166,6 +176,8 @@ class EngineStats:
             f"({self.fastlane_demotions} demoted)",
             f"fast-lane DFA states  : {self.fastlane_states}"
             f" ({self.fastlane_saturated_steps} saturated step(s))",
+            f"gated network events  : {self.fastlane_gate_fed_events} fed, "
+            f"{self.fastlane_gate_parked_events} parked",
         ]
         if self.query is not None:
             lines.insert(

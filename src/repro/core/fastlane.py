@@ -27,13 +27,18 @@ Three execution shapes hang off the shared core:
   witness's start tag, an undetermined candidate drops at its end tag —
   the same determination times the ``VC``/``VD`` machinery exhibits for
   this query class.
-* :class:`GatedNetworkAdapter` (other ``hybrid`` shapes) — the full
-  transducer network, behind a DFA gate.  The gate runs a sound
-  over-approximation automaton (qualifier guards erased to ε, condition
-  automata embedded as continuation branches); a subtree whose gate
-  state set is empty is skipped wholesale — cold subtrees never touch
-  the condition machinery — with the skipped start-tag count resynced
-  into the sink's position counter so match positions stay global.
+* :class:`GatedNetworkAdapter` (other ``hybrid`` shapes) — a **DFA-headed
+  residual network**.  The query is split ``P.R`` at the planner's
+  prefix (:func:`repro.analysis.planner.split_at_prefix`); ``P`` runs in
+  the shared DFA, only ``R`` is compiled into a transducer network, and
+  that network's source activates when ``P`` accepts an element instead
+  of at ``<$>``.  The slot's automaton is ``P.gate_expr(R)`` with two
+  flags per DFA state: *fire* (``P`` accepts here) and *needed* (a state
+  inside ``gate_expr(R)`` is live, so some transducer of the residual
+  network would act on this element).  The network is fed on demand — a
+  start tag that is not needed stays parked until a needed descendant
+  flushes it, and is never fed at all otherwise — with match positions
+  kept stream-global through the sink's position counter.
 
 Every adapter exposes the ``Network`` surface the multi-query drivers
 use (``process_event``/``snapshot``/``restore``/``sinks``/
@@ -49,19 +54,20 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from ..baselines.nfa import Nfa, compile_nfa
+from ..analysis.planner import pure, split_at_prefix
 from ..conditions.store import ConditionStore, VariableAllocator
 from ..errors import CheckpointError, UnsupportedFeatureError
 from ..rpeq.ast import (
     Concat,
+    Empty,
     Following,
     OptionalExpr,
     Preceding,
     Qualifier,
     Rpeq,
-    Star,
     Union,
 )
+from ..rpeq.nfa import HeadedNfa, Nfa, compile_headed_nfa, compile_nfa
 from ..rpeq.unparse import unparse
 from ..xmlstream.events import (
     DOCUMENT_LABEL,
@@ -78,6 +84,7 @@ if TYPE_CHECKING:
     from ..analysis.planner import QueryPlan
     from .network import Network
     from .optimize import OptimizationFlags
+    from .output_tx import OutputTransducer
 
 #: Interned-state budget of the shared lazy DFA (and of each per-slot
 #: condition DFA).  Generous for real query sets — the mondial/xmark
@@ -109,55 +116,34 @@ class FastLaneUnsupported(Exception):
 # query-shape analysis
 
 
-def _pure(expr: Rpeq) -> bool:
-    """No qualifiers and no axis steps anywhere under ``expr``."""
-    return not any(
-        isinstance(node, (Qualifier, Following, Preceding)) for node in expr.walk()
-    )
-
-
-def _parts(expr: Rpeq) -> list[Rpeq]:
-    """Flatten top-level concatenations into the query's step spine."""
-    if isinstance(expr, Concat):
-        return _parts(expr.left) + _parts(expr.right)
-    return [expr]
-
-
-def _concat(parts: list[Rpeq]) -> Rpeq:
-    out = parts[0]
-    for part in parts[1:]:
-        out = Concat(out, part)
-    return out
-
-
 def native_hybrid_split(expr: Rpeq) -> tuple[Rpeq, Rpeq] | None:
     """Split ``spine[condition]`` queries whose qualifier is final.
 
     Returns ``(spine, condition)`` when the query is a qualifier-free
     spine whose **last** step carries the only qualifier and the
-    condition itself is pure — the class the native hybrid evaluator
-    handles without any network.  ``None`` otherwise.
+    condition itself is pure — residual exactly ``ε[condition]``, the
+    class the native hybrid evaluator handles without any network.
+    ``None`` otherwise.
     """
-    parts = _parts(expr)
-    last = parts[-1]
-    if not isinstance(last, Qualifier) or isinstance(last.base, Qualifier):
-        return None
-    if not all(_pure(part) for part in parts[:-1]):
-        return None
-    if not _pure(last.base) or not _pure(last.condition):
-        return None
-    return _concat(parts[:-1] + [last.base]), last.condition
+    spine, residual = split_at_prefix(expr)
+    if (
+        isinstance(residual, Qualifier)
+        and isinstance(residual.base, Empty)
+        and pure(residual.condition)
+    ):
+        return spine, residual.condition
+    return None
 
 
 def gate_expr(expr: Rpeq) -> Rpeq:
     """The gate's sound over-approximation of ``expr``.
 
-    Qualifier guards are erased (the gate may never skip a subtree the
-    network would act in, so guards only *add* live runs) and each
+    Qualifier guards are erased (the gate may never withhold an element
+    the network would act on, so guards only *add* live runs) and each
     condition becomes an optional continuation branch at its guard
-    point — its states keep the gate alive exactly where the network's
-    witness search would still be walking the subtree.  Accepting more
-    paths than the query is fine: the gate reads aliveness, not accepts.
+    point — its states stay live exactly where the network's witness
+    search would still be walking the subtree.  Accepting more paths
+    than the query is fine: the gate reads liveness, not accepts.
     """
     if isinstance(expr, Qualifier):
         return Concat(
@@ -200,19 +186,24 @@ class _Candidate:
 class _DfaState:
     """One interned subset-construction state of the shared product."""
 
-    __slots__ = ("key", "trans", "accepts", "alive", "interned")
+    __slots__ = ("key", "trans", "accepts", "fire", "needed", "interned")
 
     def __init__(
         self,
         key: frozenset[tuple[int, int]],
         accepts: tuple[int, ...],
-        alive: frozenset[int],
+        fire: frozenset[int],
+        needed: frozenset[int],
         interned: bool,
     ) -> None:
         self.key = key
         self.trans: dict[str, "_DfaState"] = {}
+        #: dfa/hybrid slots whose query accepts here (candidates open)
         self.accepts = accepts
-        self.alive = alive
+        #: headed slots whose prefix accepts here (the source activates)
+        self.fire = fire
+        #: headed slots with a live state inside their residual
+        self.needed = needed
         self.interned = interned
 
 
@@ -263,6 +254,10 @@ class _Slot:
         "cond_states",
         "cond_init",
         "cond_accept",
+        "head_accept",
+        "tail_inner",
+        "fed_events",
+        "parked_events",
         "active",
         "offset",
         "queue",
@@ -297,6 +292,13 @@ class _Slot:
         self.cond_states: dict[frozenset[int], _CondState] | None = None
         self.cond_init: _CondState | None = None
         self.cond_accept = -1
+        #: the seam of a headed slot (see :class:`~repro.rpeq.nfa.HeadedNfa`)
+        self.head_accept = -1
+        self.tail_inner: frozenset[int] = frozenset()
+        #: events a headed slot's residual network was fed / never saw,
+        #: over the whole pass (kept across re-admission)
+        self.fed_events = 0
+        self.parked_events = 0
         self.active = True
         self.offset = 0
         self.queue: deque[_Candidate] = deque()
@@ -350,6 +352,10 @@ class FastLaneCore:
         self._stack: list[_DfaState] = []
         #: labels of the open elements, root child first (depth 1..)
         self._path: list[str] = []
+        #: ``ecount`` at each open element's start tag, parallel to
+        #: ``_path`` — the stream-global ordinal a headed runner needs
+        #: to feed a parked ancestor late under its true position
+        self._starts: list[int] = []
         #: StartElements seen, ever (the OU position counter, global)
         self.ecount = 0
         self.last: Event | None = None
@@ -360,7 +366,7 @@ class FastLaneCore:
         self.track_dirty = False
         #: uncached subset-construction steps past the memo bound
         self.saturated_steps = 0
-        self._restored: tuple[tuple[str, ...], int] | None = None
+        self._restored: tuple[tuple[str, ...], int, tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # registration
@@ -370,9 +376,17 @@ class FastLaneCore:
         return len(self._interned)
 
     def register(
-        self, query_id: str, kind: int, nfa: Nfa, cond: Nfa | None = None
+        self,
+        query_id: str,
+        kind: int,
+        nfa: Nfa | HeadedNfa,
+        cond: Nfa | None = None,
     ) -> _Slot:
         """Add (or re-admit) one query's automaton to the product.
+
+        A headed (``KIND_GATE``) slot registers the
+        :class:`~repro.rpeq.nfa.HeadedNfa` of ``prefix.gate_expr(residual)``
+        so the seam between the two is known to :meth:`_make`.
 
         Re-registration under the same ``query_id``/kind reuses the
         existing slot — its automaton part is identical, so every
@@ -388,6 +402,9 @@ class FastLaneCore:
             self._watchers.discard(existing)
             existing.reset(self.ecount)
             return existing
+        headed = nfa if isinstance(nfa, HeadedNfa) else None
+        if headed is not None:
+            nfa = headed.nfa
         if nfa.size > self.max_states:
             raise FastLaneUnsupported(
                 f"query automaton has {nfa.size} states, over the "
@@ -401,6 +418,9 @@ class FastLaneCore:
         slot = _Slot(len(self._slots), query_id, kind, nfa)
         if cond is not None:
             slot.attach_condition(cond)
+        if headed is not None:
+            slot.head_accept = headed.head_accept
+            slot.tail_inner = headed.tail_inner
         slot.offset = self.ecount
         self._slots.append(slot)
         self._by_query[query_id] = slot
@@ -444,12 +464,27 @@ class FastLaneCore:
 
     def _make(self, key: frozenset[tuple[int, int]]) -> _DfaState:
         slots = self._slots
-        accepts = tuple(
-            sorted(si for si, ns in key if ns == slots[si].accept)
-        )
-        alive = frozenset(si for si, _ns in key)
+        accepts: list[int] = []
+        fire: list[int] = []
+        needed: list[int] = []
+        for si, ns in key:
+            slot = slots[si]
+            if slot.kind != KIND_GATE:
+                if ns == slot.accept:
+                    accepts.append(si)
+                continue
+            if ns == slot.head_accept:
+                fire.append(si)
+            if ns in slot.tail_inner:
+                needed.append(si)
         interned = len(self._interned) < self.max_states
-        state = _DfaState(key, accepts, alive, interned)
+        state = _DfaState(
+            key,
+            tuple(sorted(accepts)),
+            frozenset(fire),
+            frozenset(needed),
+            interned,
+        )
         if interned:
             self._interned[key] = state
         else:
@@ -500,6 +535,7 @@ class FastLaneCore:
                 nxt = self._step(state, label)
             stack.append(nxt)
             self._path.append(label)
+            self._starts.append(self.ecount)
             if self._watchers:
                 self._advance_watchers(label)
             accepts = nxt.accepts
@@ -508,7 +544,7 @@ class FastLaneCore:
                 ecount = self.ecount
                 for si in accepts:
                     slot = self._slots[si]
-                    if slot.active and slot.kind != KIND_GATE:
+                    if slot.active:
                         self._open_candidate(
                             slot, ecount - slot.offset, label, depth
                         )
@@ -525,6 +561,7 @@ class FastLaneCore:
                             cand.cstack.pop()  # type: ignore[union-attr]
                 self._stack.pop()
                 path.pop()
+                self._starts.pop()
             return
         if cls is StartDocument:
             self._reset_document()
@@ -640,13 +677,14 @@ class FastLaneCore:
         self._stack.clear()
         self._stack.append(init)
         self._path.clear()
+        self._starts.clear()
         accepts = init.accepts
         if accepts:
             # The query accepts ε: the virtual root $ is a candidate at
             # position 0, completing at </$> — OU's document-root rule.
             for si in accepts:
                 slot = self._slots[si]
-                if slot.active and slot.kind != KIND_GATE:
+                if slot.active:
                     self._open_candidate(slot, 0, DOCUMENT_LABEL, 0)
 
     def drain_matches(self) -> list[tuple[str, Match]]:
@@ -663,22 +701,39 @@ class FastLaneCore:
         dirty.clear()
         return out
 
+    def gate_counts(self) -> dict[str, tuple[int, int]]:
+        """Per headed query: ``(events fed, events never fed)`` so far."""
+        return {
+            slot.query_id: (slot.fed_events, slot.parked_events)
+            for slot in self._slots
+            if slot.kind == KIND_GATE
+        }
+
     # ------------------------------------------------------------------
     # checkpointing
 
     def path_state(self) -> dict[str, object]:
-        return {"path": list(self._path), "ecount": self.ecount}
+        return {
+            "path": list(self._path),
+            "ecount": self.ecount,
+            "starts": list(self._starts),
+        }
 
-    def restore_path(self, path: list[str], ecount: int) -> None:
+    def restore_path(self, payload: dict[str, object]) -> None:
         """Rebuild the DFA stack by replaying the open-element path.
 
-        Called once per engine restore by the first adapter; later
-        adapters only verify their snapshots agree on the position.
-        Replay is side-effect free (no candidates open — those are
-        restored explicitly by each adapter).
+        ``payload`` is an adapter snapshot carrying :meth:`path_state`.
+        Called by every restoring adapter; the first call replays, later
+        ones only verify their snapshots agree on the position.  Replay
+        is side-effect free (no candidates open — those are restored
+        explicitly by each adapter).
         """
+        path = [str(p) for p in payload["path"]]  # type: ignore[union-attr]
+        ecount = int(payload["ecount"])  # type: ignore[call-overload]
+        starts = [int(n) for n in payload["starts"]]  # type: ignore[union-attr]
+        position = (tuple(path), ecount, tuple(starts))
         if self._restored is not None:
-            if self._restored != (tuple(path), ecount):
+            if self._restored != position:
                 raise CheckpointError(
                     "fast-lane snapshots disagree on the stream position"
                 )
@@ -692,9 +747,10 @@ class FastLaneCore:
             stack.append(nxt)
             state = nxt
         self._stack = stack
-        self._path = list(path)
+        self._path = path
+        self._starts = starts
         self.ecount = ecount
-        self._restored = (tuple(path), ecount)
+        self._restored = position
 
 
 # ----------------------------------------------------------------------
@@ -762,8 +818,7 @@ class _AdapterBase:
             "fastlane": {
                 "kind": slot.kind,
                 "query": unparse(self.query),
-                "path": list(core._path),
-                "ecount": core.ecount,
+                **core.path_state(),
                 "offset": slot.offset,
                 "candidates": [
                     [c.pos, c.label, c.depth, _STATE_NAMES[c.state], c.done]
@@ -786,8 +841,7 @@ class _AdapterBase:
             raise CheckpointError(
                 "fast-lane snapshot kind does not match the compiled lane"
             )
-        path = [str(p) for p in payload["path"]]  # type: ignore[index]
-        core.restore_path(path, int(payload["ecount"]))  # type: ignore[arg-type]
+        core.restore_path(payload)
         slot.reset(int(payload["offset"]))  # type: ignore[arg-type]
         open_by_depth: dict[int, _Candidate] = {}
         for pos, label, depth, state_name, done in payload["candidates"]:  # type: ignore[misc]
@@ -847,15 +901,32 @@ class HybridAdapter(_AdapterBase):
 
 
 class GatedNetworkAdapter:
-    """A full transducer network behind a DFA subtree gate.
+    """A residual transducer network behind a DFA head, fed on demand.
 
-    The wrapped network sees exactly the events of subtrees where the
-    gate's over-approximation automaton is alive.  Skipped subtrees are
-    balanced (we skip from a dead start tag to its matching end tag), so
-    the network's depth bookkeeping stays consistent; its *position*
-    counter is resynced via
+    The slot's DFA state says, per element, whether the prefix accepts
+    it (*fire*: the residual's source must activate in front of its
+    start tag) and whether the residual network would act on it
+    (*needed*).  Feeding rule:
+
+    * a start tag that is not needed is **parked** — nothing is fed.
+      Parked elements are always the innermost open ones, so the fed
+      elements form a prefix of the open path and one depth counter
+      (``_fed``) describes both;
+    * a needed start tag first flushes its parked ancestors in document
+      order (labels from the core's open path, fire bits from its DFA
+      stack, true positions from its start ordinals), then is fed
+      itself;
+    * an end tag is fed iff its start tag was; text iff the innermost
+      open element was; document boundaries always.
+
+    Deferring an unneeded start tag cannot change an emission event: no
+    residual state is live on it, so every transducer would only have
+    pushed an inert stack entry for it, and by the time anything can
+    observe that entry — a needed descendant — it has been pushed.
+    Elements never fed contribute nothing but their position, which the
+    sink receives through
     :meth:`~repro.core.output_tx.OutputTransducer.advance_positions`
-    with the count of skipped start tags before the next fed event.
+    right before the next fed start tag.
     """
 
     lane = "gated"
@@ -865,16 +936,21 @@ class GatedNetworkAdapter:
     ) -> None:
         self._core = core
         self._slot = slot
+        self._index = slot.index
         self._network = network
+        self._process = network.process_event
+        self._source = network.source
+        self._sinks = network.sinks
         self.query = query
-        #: >0 — depth inside a skipped subtree (balanced-tag counter)
-        self._skip = 0
-        #: start tags skipped and not yet resynced into the sink
-        self._skipped = 0
+        #: depth of the innermost *fed* open element
+        self._fed = 0
+        #: start tags the sink has accounted for (fed or advanced past),
+        #: i.e. the position of the last fed start tag
+        self._counted = 0
 
     @property
-    def sinks(self) -> tuple[object, ...]:
-        return self._network.sinks
+    def sinks(self) -> list["OutputTransducer"]:
+        return self._sinks
 
     @property
     def condition_store(self) -> ConditionStore:
@@ -898,45 +974,86 @@ class GatedNetworkAdapter:
 
     @property
     def buffered_events(self) -> int:
-        return sum(s.buffered_events for s in self._network.sinks)
+        return sum(s.buffered_events for s in self._sinks)
+
+    @property
+    def parked(self) -> int:
+        """Open elements whose start tag has not been fed (≤ depth)."""
+        return len(self._core._path) - self._fed
 
     def process_event(self, event: Event) -> list[Match]:
         core = self._core
         if core.last is not event:
             core.advance(event)
         cls = event.__class__
-        if self._skip:
-            if cls is StartElement:
-                self._skip += 1
-                self._skipped += 1
-            elif cls is EndElement:
-                self._skip -= 1
-            return _NO_MATCHES
         if cls is StartElement:
-            # core.advance already pushed this tag; dead here means dead
-            # for every continuation of the query, condition search
-            # included — the whole subtree is irrelevant.
-            if self._slot.index not in core._stack[-1].alive:
-                self._skip = 1
-                self._skipped += 1
+            if self._index not in core._stack[-1].needed:
                 return _NO_MATCHES
-        if self._skipped:
-            for sink in self._network.sinks:
-                sink.advance_positions(self._skipped)
-            self._skipped = 0
-        return self._network.process_event(event)
+            return self._feed_start(event)
+        if cls is EndElement:
+            # core.advance already popped: the closing element sat one
+            # level below the current path.
+            if self._fed <= len(core._path):
+                self._slot.parked_events += 2  # its start tag and this
+                return _NO_MATCHES
+            self._fed -= 1
+        elif cls is Text:
+            if self._fed < len(core._path):
+                self._slot.parked_events += 1
+                return _NO_MATCHES
+        elif cls is StartDocument:
+            self._fed = 0
+            if self._index in core._stack[0].fire:
+                # The prefix accepts ε: the root $ is a context node.
+                self._source.arm()
+        self._slot.fed_events += 1
+        return self._process(event)
 
-    def deactivate(self) -> None:
-        self._slot.active = False
+    def _feed_start(self, event: Event) -> list[Match]:
+        """Feed a needed start tag, parked ancestors first."""
+        core = self._core
+        index = self._index
+        stack = core._stack
+        starts = core._starts
+        depth = len(starts)
+        out = _NO_MATCHES
+        for level in range(self._fed + 1, depth):
+            matches = self._feed_at(
+                StartElement(core._path[level - 1]),
+                starts[level - 1],
+                index in stack[level].fire,
+            )
+            if matches:  # pragma: no cover - unneeded tags decide nothing
+                out = out + matches
+        self._fed = depth
+        matches = self._feed_at(event, starts[-1], index in stack[-1].fire)
+        return out + matches if out else matches
+
+    def _feed_at(self, event: Event, ordinal: int, fire: bool) -> list[Match]:
+        """Feed one start tag under its stream-global position."""
+        slot = self._slot
+        position = ordinal - slot.offset
+        unseen = position - 1 - self._counted
+        if unseen:
+            for sink in self._sinks:
+                sink.advance_positions(unseen)
+        self._counted = position
+        if fire:
+            self._source.arm()
+        slot.fed_events += 1
+        return self._process(event)
 
     def snapshot(self) -> dict[str, object]:
+        slot = self._slot
         return {
             "fastlane": {
                 "kind": KIND_GATE,
-                "path": list(self._core._path),
-                "ecount": self._core.ecount,
-                "skip": self._skip,
-                "skipped": self._skipped,
+                **self._core.path_state(),
+                "offset": slot.offset,
+                "parked": self.parked,
+                "counted": self._counted,
+                "fed_events": slot.fed_events,
+                "parked_events": slot.parked_events,
             },
             "network": self._network.snapshot(),
         }
@@ -947,10 +1064,16 @@ class GatedNetworkAdapter:
             raise CheckpointError(
                 "snapshot lane does not match the gated fast-lane runner"
             )
-        path = [str(p) for p in payload["path"]]  # type: ignore[index]
-        self._core.restore_path(path, int(payload["ecount"]))  # type: ignore[arg-type]
-        self._skip = int(payload["skip"])  # type: ignore[arg-type]
-        self._skipped = int(payload["skipped"])  # type: ignore[arg-type]
+        core = self._core
+        slot = self._slot
+        core.restore_path(payload)
+        slot.offset = int(payload["offset"])
+        # Which open elements are parked is all the snapshot says; their
+        # labels, fire bits and ordinals come from the replayed path.
+        self._fed = len(core._path) - int(payload["parked"])
+        self._counted = int(payload["counted"])
+        slot.fed_events = int(payload["fed_events"])
+        slot.parked_events = int(payload["parked_events"])
         self._network.restore(snap["network"])  # type: ignore[arg-type]
 
 
@@ -964,9 +1087,13 @@ def build_lane_runner(
     expr: Rpeq,
     plan: "QueryPlan | None",
     flags: "OptimizationFlags",
-    network_factory: Callable[[], "Network"],
+    network_factory: Callable[[Rpeq], "Network"],
 ) -> tuple[object | None, str, str | None]:
     """Compile one query onto its planned execution lane.
+
+    ``network_factory(residual)`` compiles the residual network of a
+    gated query: ``residual`` behind a
+    :class:`~repro.core.path_transducers.DemandInputTransducer`.
 
     Returns ``(runner, lane, demotion_reason)``: ``runner`` is ``None``
     when the query must run on the plain network (lane ``"network"``),
@@ -976,29 +1103,24 @@ def build_lane_runner(
     if plan is None:
         return None, "network", None
     lane = plan.lane
-    if lane == "dfa" and flags.dfa_lane:
-        try:
+    try:
+        if lane == "dfa" and flags.dfa_lane:
             nfa = compile_nfa(expr, allow_qualifiers=False)
             slot = core.register(query_id, KIND_DFA, nfa)
-        except (FastLaneUnsupported, UnsupportedFeatureError) as exc:
-            return None, "network", str(exc)
-        return FastLaneAdapter(core, slot, expr), "dfa", None
-    if lane == "hybrid" and flags.hybrid_gate:
-        split = native_hybrid_split(expr)
-        if split is not None:
-            spine, condition = split
-            try:
+            return FastLaneAdapter(core, slot, expr), "dfa", None
+        if lane == "hybrid" and flags.hybrid_gate:
+            native = native_hybrid_split(expr)
+            if native is not None:
+                spine, condition = native
                 nfa = compile_nfa(spine, allow_qualifiers=False)
                 cond = compile_nfa(condition, allow_qualifiers=False)
                 slot = core.register(query_id, KIND_HYBRID, nfa, cond)
-            except (FastLaneUnsupported, UnsupportedFeatureError) as exc:
-                return None, "network", str(exc)
-            return HybridAdapter(core, slot, expr), "hybrid", None
-        try:
-            over = gate_expr(expr)
-            nfa = compile_nfa(over, allow_qualifiers=False)
-            slot = core.register(query_id, KIND_GATE, nfa)
-        except (FastLaneUnsupported, UnsupportedFeatureError) as exc:
-            return None, "network", str(exc)
-        return GatedNetworkAdapter(core, slot, network_factory(), expr), "gated", None
+                return HybridAdapter(core, slot, expr), "hybrid", None
+            prefix, residual = split_at_prefix(expr)
+            headed = compile_headed_nfa(prefix, gate_expr(residual))
+            slot = core.register(query_id, KIND_GATE, headed)
+            network = network_factory(residual)
+            return GatedNetworkAdapter(core, slot, network, expr), "gated", None
+    except (FastLaneUnsupported, UnsupportedFeatureError) as exc:
+        return None, "network", str(exc)
     return None, "network", None

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping
 from ..conditions.store import ConditionStore, VariableAllocator
 from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
 from ..limits import ResourceLimits
-from ..rpeq.ast import Concat, Rpeq
+from ..rpeq.ast import Concat, Empty, Rpeq
 from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
 from ..xmlstream.events import EndDocument, Event, StartDocument
@@ -53,7 +53,7 @@ from .fastlane import (
 from .network import Network
 from .optimize import OptimizationFlags, as_flags
 from .output_tx import Match, OutputTransducer
-from .path_transducers import InputTransducer
+from .path_transducers import DemandInputTransducer, InputTransducer
 from .serving import (
     AdmissionDecision,
     AdmissionPolicy,
@@ -214,6 +214,9 @@ class MultiQueryEngine:
         if core is not None:
             stats.fastlane_states = core.states_interned
             stats.fastlane_saturated_steps = core.saturated_steps
+            for fed, parked in core.gate_counts().values():
+                stats.fastlane_gate_fed_events += fed
+                stats.fastlane_gate_parked_events += parked
         robustness = self.robustness
         stats.checkpoints_written = robustness.checkpoints_written
         stats.restores = robustness.restores
@@ -226,6 +229,13 @@ class MultiQueryEngine:
         stats.deadline_hits = robustness.deadline_hits
         stats.admissions_rejected = robustness.admissions_rejected
         return stats
+
+    @property
+    def gate_counts(self) -> dict[str, tuple[int, int]]:
+        """Per gated query, ``(events fed, events parked)`` of the most
+        recent pass: how much of the stream its residual network saw."""
+        core = self._fastlane_core
+        return {} if core is None else core.gate_counts()
 
     # ------------------------------------------------------------------
     # registration / admission
@@ -376,19 +386,22 @@ class MultiQueryEngine:
         the same driver surface.  Fast lanes require the plain-match
         configuration they were proved against: no event collection and
         no per-query resource limits (a limit-armed network must see
-        every event to count it, which the gate's subtree skipping would
-        break).
+        every event to count it, and a gated query's residual network
+        is only fed the events it needs).
         """
         collect = self.collect_events if collect_events is None else collect_events
         limits = self._effective_limits(query_id)
         query = self.queries[query_id]
 
-        def factory() -> Network:
+        def factory(
+            expr: Rpeq = query, source: InputTransducer | None = None
+        ) -> Network:
             return compile_network(
-                query,
+                expr,
                 collect_events=collect,
                 optimize=self.optimize,
                 limits=limits,
+                source=source,
             )[0]
 
         runner: Network | None = None
@@ -400,13 +413,24 @@ class MultiQueryEngine:
             and limits is None
             and (flags.dfa_lane or flags.hybrid_gate)
         ):
+            plan = self.plans.get(query_id)
+            if __debug__ and plan is not None:
+                # The executed split and the planned prefix are one
+                # function of the query; a plan computed for another
+                # expression (a stale rewrite, a hand-edited plan) must
+                # not route this one.
+                from ..analysis.planner import split_at_prefix
+
+                prefix = split_at_prefix(query)[0]
+                have = None if isinstance(prefix, Empty) else unparse(prefix)
+                assert have == plan.prefix, (query_id, have, plan.prefix)
             runner, lane, reason = build_lane_runner(
                 self._fastlane(),
                 query_id,
                 query,
-                self.plans.get(query_id),
+                plan,
                 flags,
-                factory,
+                lambda residual: factory(residual, DemandInputTransducer()),
             )
             if reason is not None:
                 self.lane_demotions[query_id] = reason

@@ -28,9 +28,10 @@ The knobs (each described where it is implemented):
   the shared lazily-determinized product DFA instead of a transducer
   network (:mod:`repro.core.fastlane`).
 * ``hybrid_gate`` — run hybrid-lane queries through the shared DFA as
-  well: final-step-qualifier queries natively, everything else behind a
-  subtree gate that skips the transducer network while the query's
-  over-approximation automaton is dead (:mod:`repro.core.fastlane`).
+  well: final-step-qualifier queries natively, everything else split at
+  the planner's prefix — the prefix runs in the DFA, and only the
+  residual is a transducer network, fed the events the DFA says it
+  needs (:mod:`repro.core.fastlane`).
 * ``fused_network`` — flatten a finalized network's per-event driver
   into one closure over an event-class table instead of the method-call
   chain through :meth:`repro.core.network.Network.process_event`

@@ -206,10 +206,10 @@ class OutputTransducer(Transducer):
     def advance_positions(self, count: int) -> None:
         """Account for ``count`` start tags this network never saw.
 
-        The fast-lane subtree gate (:mod:`repro.core.fastlane`) skips
-        whole dead subtrees in front of the network; positions are
-        stream-global, so the skipped start tags must still advance the
-        element counter before the next fed event.
+        A fast-lane residual network (:mod:`repro.core.fastlane`) is fed
+        only the elements its DFA head says it needs; positions are
+        stream-global, so the start tags withheld since the last fed
+        one must still advance the element counter before the next.
         """
         self._element_count += count
 

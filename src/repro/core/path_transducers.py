@@ -77,6 +77,50 @@ class InputTransducer(Transducer):
                           "it cannot receive activation messages")
 
 
+class DemandInputTransducer(InputTransducer):
+    """``IN`` of a residual network: activates when armed, not at ``<$>``.
+
+    A residual network evaluates only the tail ``R`` of a query ``P.R``
+    whose qualifier-free head ``P`` runs on the shared lazy DFA
+    (:mod:`repro.core.fastlane`).  The context nodes of ``R`` are the
+    elements ``P`` accepts, so the ``[true]`` activation belongs in
+    front of *their* start tags: the driver calls :meth:`arm` right
+    before feeding one.  The tape this source emits is the tape the last
+    transducer of ``C[P]`` would have handed to ``C[R]`` — a
+    qualifier-free chain only ever forwards ``[true]``.
+
+    ``armed`` never survives an event (armed and consumed inside one
+    ``process_event``), so it is not part of the snapshot.
+    """
+
+    def __init__(self, name: str | None = None) -> None:
+        super().__init__(name)
+        self.armed = False
+
+    def arm(self) -> None:
+        """Make the next start message carry the ``[true]`` activation."""
+        self.armed = True
+
+    def feed(self, messages: list[Message]) -> list[Message]:
+        # Inlined fast path, as in InputTransducer.
+        if len(messages) == 1 and messages[0].__class__ is Doc:
+            self.stats.messages += 1
+            if self.armed:
+                self.armed = False
+                self.stats.activations_emitted += 1
+                return [self._activation(TRUE), messages[0]]
+            return messages
+        return Transducer.feed(self, messages)
+
+    def on_start(
+        self, message: Doc, event: StartDocument | StartElement
+    ) -> list[Message] | None:
+        if self.armed:
+            self.armed = False
+            return [self._activation(TRUE), message]
+        return None
+
+
 class ChildTransducer(Transducer):
     """``CH(l)`` — one child step with a label test (Sec. III.3, Fig. 2)."""
 

@@ -21,7 +21,7 @@ label graph models.
 
 from __future__ import annotations
 
-from ..baselines.nfa import Nfa, compile_nfa
+from ..rpeq.nfa import Nfa, compile_nfa
 from ..errors import UnsupportedFeatureError
 from ..rpeq.ast import Rpeq
 from .model import Dtd

@@ -37,13 +37,13 @@ _PRECEDENCE = {
 }
 
 
-def _render(expr: Rpeq, parent_level: int) -> str:
+def _render(expr: Rpeq, parent_level: int, epsilon: str = "") -> str:
     level = _PRECEDENCE[type(expr)]
     if isinstance(expr, Empty):
         # Epsilon has no concrete spelling; '()' parses back to a grouped
         # empty expression only at top level, so render via '?'-free
         # equivalences where possible.  Standalone Empty renders as ''.
-        text = ""
+        text = epsilon
     elif isinstance(expr, Label):
         text = expr.name
     elif isinstance(expr, Following):
@@ -55,9 +55,12 @@ def _render(expr: Rpeq, parent_level: int) -> str:
     elif isinstance(expr, Star):
         text = f"{_render(expr.label, level)}*"
     elif isinstance(expr, OptionalExpr):
-        text = f"{_render(expr.inner, level)}?"
+        text = f"{_render(expr.inner, level, epsilon)}?"
     elif isinstance(expr, Qualifier):
-        text = f"{_render(expr.base, level)}[{_render(expr.condition, 0)}]"
+        text = (
+            f"{_render(expr.base, level, epsilon)}"
+            f"[{_render(expr.condition, 0, epsilon)}]"
+        )
     elif isinstance(expr, (Concat, Union)):
         # Flatten the left spine iteratively: long chains are the common
         # case and would otherwise recurse once per element.  Only the
@@ -73,8 +76,8 @@ def _render(expr: Rpeq, parent_level: int) -> str:
             node = node.left
         parts.append(node)
         parts.reverse()
-        rendered = [_render(parts[0], level)]
-        rendered.extend(_render(part, level + 1) for part in parts[1:])
+        rendered = [_render(parts[0], level, epsilon)]
+        rendered.extend(_render(part, level + 1, epsilon) for part in parts[1:])
         text = separator.join(rendered)
     else:  # pragma: no cover - exhaustive over AST types
         raise ReproError(f"cannot unparse {type(expr).__name__}")
@@ -101,3 +104,13 @@ def unparse(expr: Rpeq) -> str:
                 "rewrite with '?' (E|epsilon == E?)"
             )
     return _render(expr, 0)
+
+
+def display(expr: Rpeq) -> str:
+    """Render an AST for people, spelling inner epsilons as ``ε``.
+
+    Unlike :func:`unparse` this accepts hand-built trees with bare
+    :class:`Empty` sub-terms (the planner's ``ε[F].rest`` residuals);
+    the output is for messages and reports and does not re-parse.
+    """
+    return _render(expr, 0, "ε")

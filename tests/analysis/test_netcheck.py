@@ -43,6 +43,28 @@ class TestCleanNetworks:
         report = verify_network(compiled("_*.a[b]", optimize=optimize))
         assert report.ok, report.render()
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize(
+        "query",
+        ["_*.a[b].c", "a[b][c].d", "a.(b[c]|d).e", "_*.a[b].c?", "_*.a[_*.b[c]]._*.d"],
+    )
+    def test_residual_networks_verify(self, query, optimize):
+        """What the gated lane actually runs: the residual of the split
+        behind a demand-activated source is a well-formed network too."""
+        from repro.analysis import split_at_prefix
+        from repro.core.path_transducers import DemandInputTransducer
+
+        _prefix, residual = split_at_prefix(parse(query))
+        network, _store = compile_network(
+            residual,
+            collect_events=False,
+            optimize=optimize,
+            source=DemandInputTransducer(),
+        )
+        assert isinstance(network.source, DemandInputTransducer)
+        report = verify_network(network)
+        assert report.ok, report.render()
+
     def test_workload_corpus_passes(self):
         from repro.workloads import query_corpus
 

@@ -1,16 +1,25 @@
 """Tests for the execution-lane planner and its refined σ̂ bound."""
 
-from repro.analysis import lane_counts, plan_queries, plan_query
+import random
+
+import pytest
+
+from repro.analysis import lane_counts, plan_queries, plan_query, split_at_prefix
 from repro.analysis.planner import (
     LANE_DFA,
     LANE_HYBRID,
     LANE_NETWORK,
     LANES,
     QueryPlan,
+    pure,
 )
+from repro.baselines import DomEvaluator
 from repro.dtd import parse_dtd
 from repro.limits import ResourceLimits
-from repro.workloads import query_corpus
+from repro.rpeq import Concat, Empty, GeneratorConfig, parse, random_rpeq, unparse
+from repro.rpeq.unparse import display
+from repro.workloads import query_corpus, random_tree
+from repro.xmlstream.tree import build_document
 
 LIMITS = ResourceLimits(max_depth=32)
 
@@ -53,6 +62,63 @@ class TestLanes:
         _, report = plan_query("a.b")
         (diag,) = [d for d in report if d.code == "PLAN000"]
         assert diag.details["plan"]["lane"] == LANE_DFA
+
+
+class TestSplitAtPrefix:
+    """One split: what the planner reports is what the fast lane runs."""
+
+    @pytest.mark.parametrize(
+        "query, prefix, residual",
+        [
+            ("_*.item[mailbox].name", "_*.item", "ε[mailbox].name"),
+            ("a[b][c].d", "a", "ε[b][c].d"),
+            ("a.b[c]", "a.b", "ε[c]"),
+            ("(a|b).c[d].e", "(a|b).c", "ε[d].e"),
+            ("a.(b.c)[d]", "a.b.c", "ε[d]"),
+            ("a.(b[c]|d).e", "a", "(b[c]|d).e"),
+            ("(a[b].c)[d].e", "ε", "(a[b].c)[d].e"),
+            ("following::a.b", "ε", "following::a.b"),
+            ("a.b.c", "a.b.c", "ε"),
+        ],
+    )
+    def test_split(self, query, prefix, residual):
+        head, tail = split_at_prefix(parse(query))
+        assert (display(head), display(tail)) == (prefix, residual)
+        assert pure(head)
+
+    def test_plan_reports_both_halves(self):
+        plan, report = plan_query("_*.item[payment].name")
+        assert (plan.prefix, plan.residual) == ("_*.item", "ε[payment].name")
+        (diag,) = [d for d in report if d.code == "PLAN002"]
+        assert "ε[payment].name" in diag.message
+        assert plan_query("a.b")[0].residual is None
+
+    def test_prefix_of_a_union_step_reparses(self):
+        plan, _ = plan_query("(a|b).c[d].e")
+        assert plan.prefix == "(a|b).c"
+        assert parse(plan.prefix) == split_at_prefix(parse(plan.query))[0]
+
+    def test_split_preserves_the_answers(self):
+        """``expr ≡ prefix.residual`` on the DOM oracle, random queries."""
+        rng = random.Random(20260928)
+        config = GeneratorConfig(labels=("a", "b", "c"), max_depth=3)
+        documents = [
+            build_document(random_tree(seed, elements=40)) for seed in range(3)
+        ]
+
+        def answers(expr, document):
+            nodes = DomEvaluator(expr).evaluate_document(document)
+            return [node.position for node in nodes]
+
+        for _ in range(150):
+            query = random_rpeq(rng, config)
+            head, tail = split_at_prefix(query)
+            if isinstance(head, Empty) or isinstance(tail, Empty):
+                continue
+            for document in documents:
+                assert answers(Concat(head, tail), document) == answers(
+                    query, document
+                ), unparse(query)
 
 
 class TestSigmaRefined:
@@ -116,6 +182,13 @@ class TestCodec:
         obj = plan.to_obj()
         del obj["rewrite_steps"]
         assert QueryPlan.from_obj(obj).rewrite_steps == 0
+
+    def test_residual_defaults_for_old_payloads(self):
+        plan, _ = plan_query("a[b].c")
+        obj = plan.to_obj()
+        assert obj["residual"] == "ε[b].c"
+        del obj["residual"]
+        assert QueryPlan.from_obj(obj).residual is None
 
 
 class TestCorpus:

@@ -51,6 +51,23 @@ def make_random_events(
     return events
 
 
+def indexed_matches(run, events) -> list[tuple[int, str, int, str]]:
+    """``(event index, query id, position, label)`` per match of a
+    pull-mode pass ``run(source)`` — *when* each match is emitted, not
+    just what: a match is yielded before the next event is drawn, so the
+    last drawn index is the event that emitted it."""
+    at = [0]
+
+    def numbered():
+        for at[0], event in enumerate(events):
+            yield event
+
+    return [
+        (at[0], query_id, match.position, match.label)
+        for query_id, match in run(numbered())
+    ]
+
+
 @st.composite
 def event_streams(draw, max_depth: int = 4, labels: tuple[str, ...] = LABELS) -> list[Event]:
     """Hypothesis strategy: a well-formed event list (shrinks nicely)."""

@@ -332,6 +332,87 @@ class TestMultiQueryCheckpointContract:
             other.resume(checkpoint, DOC)
 
 
+class TestGatedSnapshot:
+    """The gated lane's snapshot: a residual network plus how many open
+    elements are parked — everything else is rebuilt from the replayed
+    DFA path on restore."""
+
+    QUERY = {"q": "_*.a[b].c"}
+    GATED_DOC = "<r><a><x><y/></x><b/><c/><x><a><y/><c/></a></x></a></r>"
+
+    def cut(self, events):
+        """Run the first ``events`` events; return (engine, snapshot, matches)."""
+        import itertools
+
+        engine = MultiQueryEngine(self.QUERY)
+        prefix = list(itertools.islice(iter_events(self.GATED_DOC), events))
+        got = [
+            (query_id, match.position)
+            for query_id, match in engine.run(iter(prefix), cursor=StreamCursor())
+        ]
+        checkpoint = engine.checkpoint()
+        assert engine.lane_executions == {"q": "gated"}
+        snapshot = checkpoint.payload["networks"]["q"]["network"]["fastlane"]
+        return checkpoint, snapshot, got
+
+    def resumed(self, checkpoint, got):
+        restored = Checkpoint.from_dict(json.loads(json.dumps(checkpoint.to_dict())))
+        fresh = MultiQueryEngine.from_checkpoint(restored)
+        got = got + [
+            (query_id, match.position)
+            for query_id, match in fresh.resume(restored, self.GATED_DOC)
+        ]
+        assert got == [
+            (query_id, match.position)
+            for query_id, match in MultiQueryEngine(
+                self.QUERY, optimize=False
+            ).run(self.GATED_DOC)
+        ]
+        assert got
+        return fresh
+
+    def test_cut_while_every_open_element_is_parked(self):
+        # <$> <r> <a> <x> <y> — nothing needed yet, and the parked <a>
+        # has fired: the restored runner must arm the source for it when
+        # <b> flushes the ancestors.
+        checkpoint, snapshot, got = self.cut(5)
+        assert snapshot["path"] == ["r", "a", "x", "y"]
+        assert snapshot["parked"] == 4
+        assert snapshot["counted"] == 0
+        assert "skip" not in snapshot
+        self.resumed(checkpoint, got)
+
+    def test_cut_with_fed_ancestors_and_parked_descendants(self):
+        # ... <b/> <c/> <x> <a> <y> — r and the outer a are fed, x, the
+        # inner (fired) a and y are parked.
+        checkpoint, snapshot, got = self.cut(14)
+        assert snapshot["path"] == ["r", "a", "x", "a", "y"]
+        assert snapshot["parked"] == 3
+        assert snapshot["starts"] == [1, 2, 7, 8, 9]
+        assert got == [("q", 6)]
+        fresh = self.resumed(checkpoint, got)
+        fed, parked = fresh.gate_counts["q"]
+        assert fed + parked == len(list(iter_events(self.GATED_DOC)))
+
+    def test_residual_network_is_what_is_snapshotted(self):
+        checkpoint, _, _ = self.cut(5)
+        nodes = checkpoint.payload["networks"]["q"]["network"]["network"]["nodes"]
+        assert "DS(_*)" not in nodes and "CH(a)" not in nodes
+        assert "VC(q0)" in nodes
+
+    def test_pre_headed_checkpoint_names_its_version(self):
+        """A version-1 gated snapshot holds the *full* network; it must
+        be refused by version, not by a topology mismatch deep inside."""
+        checkpoint, _, _ = self.cut(5)
+        data = checkpoint.to_dict()
+        data["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            Checkpoint.from_dict(data)
+        old = Checkpoint(kind="multiquery", payload=checkpoint.payload, version=1)
+        with pytest.raises(CheckpointError, match="version 1"):
+            MultiQueryEngine(self.QUERY).resume(old, self.GATED_DOC)
+
+
 class TestRotation:
     """keep-N generation rotation and the corruption fallback chain."""
 

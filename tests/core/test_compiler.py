@@ -21,6 +21,19 @@ def kinds(query, optimize=False):
     return [type(node).__name__ for node in network.nodes]
 
 
+def test_residual_compiles_behind_the_given_source():
+    from repro.analysis import split_at_prefix
+    from repro.core.path_transducers import DemandInputTransducer
+
+    _prefix, residual = split_at_prefix(parse("_*.a[b].c"))
+    source = DemandInputTransducer()
+    network, _ = compile_network(residual, collect_events=False, source=source)
+    assert network.source is source
+    assert [node.name for node in network.nodes] == [
+        "IN", "VC(q0)", "SP", "CH(b)", "VF(q0+)", "VD(q0)", "JO", "CH(c)", "OU",
+    ]
+
+
 class TestShapes:
     def test_label_is_child_transducer(self):
         assert kinds("a") == ["InputTransducer", "ChildTransducer", "OutputTransducer"]

@@ -8,7 +8,9 @@ three levels: the split/gate helpers (pure AST surgery), the core's
 bounded determinization memo (saturation falls back to transient states,
 never to wrong answers), and end-to-end differentials through
 :class:`~repro.core.multiquery.MultiQueryEngine` driven by the seeded
-query generator.
+query generator.  The gated lane — a residual network behind a DFA head,
+fed on demand — is held to the strictest form: the same matches *at the
+same stream events* as the pure network, not just the same final answers.
 """
 
 from __future__ import annotations
@@ -18,24 +20,36 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.nfa import compile_nfa
 from repro.core.fastlane import (
     KIND_DFA,
     FastLaneAdapter,
     FastLaneCore,
     FastLaneUnsupported,
+    GatedNetworkAdapter,
     build_lane_runner,
     gate_expr,
     native_hybrid_split,
 )
 from repro.core.multiquery import MultiQueryEngine
-from repro.core.optimize import ALL_OPTIMIZATIONS
-from repro.rpeq.ast import Qualifier, Rpeq
+from repro.core.optimize import ALL_OPTIMIZATIONS, OptimizationFlags
+from repro.rpeq.ast import Concat, Label, Qualifier, Rpeq
+from repro.rpeq.generate import GeneratorConfig, random_rpeq
+from repro.rpeq.nfa import compile_nfa
 from repro.rpeq.parser import parse
 from repro.rpeq.unparse import unparse
+from repro.workloads import random_tree, treebank
+from repro.xmlstream.parser import parse_string
 
-from ..conftest import PAPER_DOC, event_streams, make_random_events, rpeq_queries
+from ..conftest import (
+    LABELS,
+    PAPER_DOC,
+    event_streams,
+    indexed_matches,
+    make_random_events,
+    rpeq_queries,
+)
 
 # ----------------------------------------------------------------------
 # AST surgery: hybrid split and the gate over-approximation
@@ -243,6 +257,215 @@ def test_all_lanes_match_network(query, events):
     engine = MultiQueryEngine({"q": query})
     assert _fingerprints(engine, events) == reference
     assert engine.lane_executions["q"] in {"dfa", "hybrid", "gated", "network"}
+
+
+# ----------------------------------------------------------------------
+# the gated lane: DFA head, residual network fed on demand
+
+#: the pure full network — every lane knob off, the rest as in production
+PURE_NETWORK = OptimizationFlags(dfa_lane=False, hybrid_gate=False)
+
+
+def assert_headed_equals_pure(query, events):
+    """The headed runner against the pure network, event for event; the
+    number of parked elements is checked against the depth on the way."""
+    engine = MultiQueryEngine({"q": query})
+    assert indexed_matches(engine.run, events) == indexed_matches(
+        MultiQueryEngine({"q": query}, optimize=PURE_NETWORK).run, events
+    )
+    assert engine.lane_executions == {"q": "gated"}
+    fed, parked = engine.gate_counts["q"]
+    assert fed + parked == len(events)
+
+    runners = MultiQueryEngine({"q": query})._compile_all()
+    runner = runners["q"]
+    assert isinstance(runner, GatedNetworkAdapter)
+    for event in events:
+        runner.process_event(event)
+        assert 0 <= runner.parked <= len(runner._core._path)
+    return engine
+
+
+class TestHeadedRunner:
+    def test_nested_prefix_match_inside_a_not_needed_subtree(self):
+        """``a/x/a/c``: the outer ``a`` fires and parks, ``x`` is not
+        needed, the inner ``a`` fires while parked; ``c`` flushes all
+        three, arming the source for both ``a``s, in document order."""
+        events = list(parse_string("<a><x><a><c/><b/></a></x><b/><c/></a>"))
+        engine = assert_headed_equals_pure("_*.a[b].c", events)
+        assert [m.position for m in engine.evaluate(iter(events))["q"]] == [4, 7]
+
+    def test_subtrees_without_a_needed_element_are_never_fed(self):
+        events = list(
+            parse_string("<r><a><x><y/><y/></x><b/><c/></a><a><x/></a><d><a/></d></r>")
+        )
+        engine = assert_headed_equals_pure("r.a[b].c", events)
+        # fed: <$> r a b c and their end tags; the x subtrees, the
+        # second a (fired, but nothing below it is needed) and d are not
+        assert engine.gate_counts["q"] == (10, 14)
+        assert engine.stats.fastlane_gate_fed_events == 10
+        assert engine.stats.fastlane_gate_parked_events == 14
+        assert "10 fed, 14 parked" in engine.stats.summary()
+
+    def test_epsilon_accepting_residual_tail(self):
+        """``c?`` accepts ε, so the qualified ``a`` itself is an answer:
+        the residual's accept is live on it and it must be fed."""
+        events = list(parse_string("<r><a><b/></a><a><c/></a><a><c/><b/></a></r>"))
+        engine = assert_headed_equals_pure("_*.a[b].c?", events)
+        assert [m.label for m in engine.evaluate(iter(events))["q"]] == ["a", "a", "c"]
+
+    def test_closure_inside_the_condition(self):
+        events = list(
+            parse_string("<r><a><x><x><b/></x></x><c/></a><a><x/><c/></a></r>")
+        )
+        engine = assert_headed_equals_pure("_*.a[_*.b].c", events)
+        assert [m.position for m in engine.evaluate(iter(events))["q"]] == [6]
+
+    def test_stacked_and_nested_qualifiers(self):
+        events = list(
+            parse_string("<r><a><b><c/></b><d/><e/></a><a><b/><d/><e/></a></r>")
+        )
+        assert_headed_equals_pure("r.a[b[c]][d].e", events)
+
+    def test_residual_that_does_not_start_with_a_qualifier(self):
+        events = list(parse_string("<a><b><c/></b><e/><d><e/></d><b/></a>"))
+        assert_headed_equals_pure("a.(b[c]|d)._?", events)
+
+    def test_following_in_the_residual_demotes_to_the_network(self):
+        """Axis steps are not path-regular: no gate automaton, so the
+        hybrid plan falls back to the full network — ``PLAN005``."""
+        engine = MultiQueryEngine({"q": "a[following::b].c"})
+        assert engine.plans["q"].lane == "hybrid"
+        reference = MultiQueryEngine({"q": "a[following::b].c"}, optimize=False)
+        assert _fingerprints(engine, list(parse_string(PAPER_DOC))) == _fingerprints(
+            reference, list(parse_string(PAPER_DOC))
+        )
+        assert engine.lane_executions == {"q": "network"}
+        assert "axis steps" in engine.lane_demotions["q"]
+        assert engine.stats.fastlane_demotions == 1
+        assert engine.gate_counts == {}
+
+    def test_prefix_accepting_the_root_activates_at_start_document(self):
+        """The planner never routes an ε-accepting prefix here (it wants
+        a required concrete step), but the runner must not depend on
+        that: ``$`` is then a context node of the residual."""
+        engine = MultiQueryEngine({"q": "_*[b].c"})
+        assert engine.plans["q"].lane == "network"
+        engine.plans["q"] = dataclasses.replace(engine.plans["q"], lane="hybrid")
+        events = list(parse_string("<c/>")) + list(
+            parse_string("<b><c/><a><b/><c/></a></b>")
+        )
+        got = indexed_matches(engine.run, events)
+        assert engine.lane_executions == {"q": "gated"}
+        assert got == indexed_matches(
+            MultiQueryEngine({"q": "_*[b].c"}, optimize=PURE_NETWORK).run, events
+        )
+        assert got
+
+    def test_saturated_memo_keeps_the_fire_and_needed_flags(self, rng):
+        """Past the memo bound the flags ride on transient states."""
+        from repro.core.compiler import compile_network
+        from repro.core.path_transducers import DemandInputTransducer
+
+        query = parse("_*.a[b]._*.c")
+        events = []
+        for _ in range(6):
+            events.extend(make_random_events(rng, max_children=4, max_depth=6))
+        core = FastLaneCore(max_states=24)
+        for index, text in enumerate(("_*.a", "_*.b.c", "(a|b)._*.c", "_*.d.(a|b)")):
+            other = compile_nfa(parse(text), allow_qualifiers=False)
+            core.register(f"other{index}", KIND_DFA, other)
+        runner, lane, reason = build_lane_runner(
+            core,
+            "q",
+            query,
+            MultiQueryEngine({"q": query}).plans["q"],
+            ALL_OPTIMIZATIONS,
+            lambda residual: compile_network(
+                residual, collect_events=False, source=DemandInputTransducer()
+            )[0],
+        )
+        assert (lane, reason) == ("gated", None)
+        got = [
+            (index, match.position, match.label)
+            for index, event in enumerate(events)
+            for match in runner.process_event(event)
+        ]
+        assert core.saturated_steps > 0
+        assert got == [
+            row[:1] + row[2:]
+            for row in indexed_matches(
+                MultiQueryEngine({"q": query}, optimize=PURE_NETWORK).run, events
+            )
+        ]
+
+    def test_one_split_shared_with_the_planner(self):
+        """A plan whose prefix is not the executed split's is refused."""
+        engine = MultiQueryEngine({"q": "a.b[c].d"})
+        engine.plans["q"] = dataclasses.replace(engine.plans["q"], prefix="a")
+        with pytest.raises(AssertionError):
+            engine.evaluate(PAPER_DOC)
+
+
+@st.composite
+def gated_queries(draw, labels=LABELS):
+    """``P.l[F].R`` with everything but ``l`` from :func:`random_rpeq`:
+    a pure prefix ending in a concrete label (so the planner says
+    hybrid), a qualifier on it, and a non-empty rest (so the qualifier is
+    not final and the query cannot run natively)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pure = GeneratorConfig(labels=labels, allow_qualifiers=False, max_depth=2)
+    mixed = GeneratorConfig(labels=labels, max_depth=3)
+    step = Qualifier(Label(rng.choice(labels)), random_rpeq(rng, mixed))
+    query = Concat(step, random_rpeq(rng, mixed))
+    if rng.random() < 0.8:
+        query = Concat(random_rpeq(rng, pure), query)
+    return query
+
+
+@st.composite
+def multi_document_streams(draw):
+    documents = draw(st.lists(event_streams(max_depth=5), min_size=1, max_size=3))
+    return [event for document in documents for event in document]
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(gated_queries(), multi_document_streams())
+def test_headed_runner_matches_pure_network_event_for_event(query, events):
+    assert_headed_equals_pure(query, events)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    gated_queries(labels=("a", "b", "c", "d", "e")),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_headed_runner_on_random_tree_documents(query, seed):
+    events = list(random_tree(seed, elements=120, max_depth=7))
+    events += list(random_tree(seed + 1, elements=60, max_depth=4))
+    assert_headed_equals_pure(query, events)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    gated_queries(labels=("S", "NP", "VP", "PP", "NN")),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_headed_runner_on_treebank_documents(query, seed):
+    """Recursive documents: prefix matches nest inside prefix matches."""
+    assert_headed_equals_pure(query, list(treebank(seed, sentences=6, max_depth=8)))
 
 
 def test_multi_document_streams_reset_cleanly(rng):

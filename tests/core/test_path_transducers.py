@@ -10,7 +10,12 @@ import pytest
 
 from repro.conditions.formula import TRUE, Var, disj
 from repro.core.messages import Activation, Doc
-from repro.core.path_transducers import ChildTransducer, ClosureTransducer, InputTransducer
+from repro.core.path_transducers import (
+    ChildTransducer,
+    ClosureTransducer,
+    DemandInputTransducer,
+    InputTransducer,
+)
 from repro.errors import EngineError
 from repro.rpeq.ast import WILDCARD, Label
 from repro.xmlstream.events import events_from_tags
@@ -51,6 +56,33 @@ class TestInputTransducer:
     def test_rejects_incoming_activation(self):
         with pytest.raises(EngineError):
             InputTransducer().feed([Activation(TRUE)])
+
+
+class TestDemandInputTransducer:
+    def test_start_document_alone_does_not_activate(self):
+        source = DemandInputTransducer()
+        batch = [Doc(next(events_from_tags(["<$>"])))]
+        assert source.feed(batch) is batch
+
+    def test_armed_source_activates_the_next_start_tag_only(self):
+        source = DemandInputTransducer()
+        source.arm()
+        first = Doc(next(events_from_tags(["<a>"])))
+        assert source.feed([first]) == [Activation(TRUE), first]
+        second = Doc(next(events_from_tags(["<a>"])))
+        assert source.feed([second]) == [second]
+        assert source.stats.activations_emitted == 1
+
+    def test_generic_dispatch_agrees_with_the_fast_path(self):
+        source = DemandInputTransducer()
+        source.arm()
+        message = Doc(next(events_from_tags(["<a>"])))
+        assert source.on_start(message, message.event) == [Activation(TRUE), message]
+        assert source.on_start(message, message.event) is None
+
+    def test_still_a_source(self):
+        with pytest.raises(EngineError):
+            DemandInputTransducer().feed([Activation(TRUE)])
 
 
 class TestChildTransducer:

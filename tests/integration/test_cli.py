@@ -1,5 +1,7 @@
 """Integration tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -226,6 +228,27 @@ class TestAnalyzeCommand:
         total = len(query_corpus())
         assert main(["analyze", "--workloads"]) == 0
         assert f"{total}/{total}" in capsys.readouterr().out
+
+    def test_plan_shows_the_residual_and_the_gate_selectivity(self, tmp_path, capsys):
+        sample = tmp_path / "sample.xml"
+        sample.write_text("<r><a><x><y/></x><b/><c/></a><a><x/></a></r>")
+        assert main(["analyze", "r.a[b].c", "--plan"]) == 0
+        out = capsys.readouterr().out
+        assert "prefix=r.a" in out and "residual=ε[b].c" in out
+        assert "gate:" not in out
+        assert main(["analyze", "r.a[b].c", "--plan", "--sample", str(sample)]) == 0
+        assert "gate: fed=10 parked=8" in capsys.readouterr().out
+        assert (
+            main(["analyze", "r.a[b].c", "--plan", "--json", "--sample", str(sample)])
+            == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["query"]["gate"] == {"fed": 10, "parked": 8}
+        assert payload["query"]["plan"]["residual"] == "ε[b].c"
+
+    def test_sample_requires_plan(self, capsys):
+        assert main(["analyze", "a.b", "--sample", "x.xml"]) == 2
+        assert "--sample requires --plan" in capsys.readouterr().err
 
     def test_check_lanes_requires_plan(self, capsys):
         assert main(["analyze", "a.b", "--check-lanes"]) == 2

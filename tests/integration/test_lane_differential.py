@@ -14,6 +14,13 @@ The planner invariant rides along: under default flags every query the
 planner put on the ``dfa`` lane must actually have *executed* on the
 shared lazy DFA (:attr:`~repro.core.multiquery.MultiQueryEngine.stats`
 counters), so a silent demotion can never masquerade as coverage.
+
+The gated lane — a residual network fed on demand behind a DFA head —
+gets the strictest form (:class:`TestHeadedDifferential`): the stream of
+``(event index, query, position, label)`` must equal the pure network's
+under every knob combination, through ``run()``, ``serve()``, the
+push-mode pump and a checkpoint/resume cut, so deferring a start tag can
+never move a match to a later event.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from repro.core.optimize import (
     all_knob_combinations,
 )
 
+from ..conftest import indexed_matches, make_random_events
+
 #: Queries chosen so the default plan covers every execution lane.
 CORPUS = {
     "dfa-plain": "a.c",
@@ -47,7 +56,6 @@ CORPUS = {
 
 
 def _stream(seed: int = 0xC0FFEE, documents: int = 3) -> list:
-    from ..conftest import make_random_events
 
     rng = random.Random(seed)
     events = []
@@ -159,3 +167,81 @@ class TestPlannerInvariant:
         ) == planned["hybrid"]
         assert stats.fastlane_demotions == len(engine.lane_demotions)
         assert stats.fastlane_states > 0
+
+
+# ----------------------------------------------------------------------
+# headed vs. pure network, event-indexed
+
+#: Queries that run gated under default flags: qualifier mid-path,
+#: stacked and nested qualifiers, a closure inside the condition, an
+#: ε-accepting residual tail, and a residual that starts with a union.
+GATED = {
+    "mid-path": "_*.a[b].c",
+    "stacked": "a.b[c][a]._",
+    "nested": "_*.a[c[b]].c",
+    "closure-cond": "_*.a[_*.c]._*.b",
+    "nullable-tail": "_*.a[b].c?",
+    "union-residual": "a.(b[c]|c)._",
+    "never": "_*.a[e].c",
+}
+
+
+@pytest.fixture(scope="module")
+def headed_reference():
+    return indexed_matches(MultiQueryEngine(GATED, optimize=NO_OPTIMIZATIONS).run, EVENTS)
+
+
+class TestHeadedDifferential:
+    def test_the_corpus_runs_gated(self):
+        engine = MultiQueryEngine(GATED)
+        engine.evaluate(iter(EVENTS))
+        assert set(engine.lane_executions.values()) == {"gated"}
+        assert engine.lane_demotions == {}
+        for fed, parked in engine.gate_counts.values():
+            assert fed + parked == len(EVENTS)
+            assert parked > 0
+
+    def test_the_reference_has_matches_to_lose(self, headed_reference):
+        matched = {query_id for _, query_id, _, _ in headed_reference}
+        assert matched == set(GATED) - {"never"}
+
+    @pytest.mark.parametrize(
+        "flags", all_knob_combinations(), ids=lambda f: f.describe() or "none"
+    )
+    def test_run(self, flags, headed_reference):
+        engine = MultiQueryEngine(GATED, optimize=flags)
+        assert indexed_matches(engine.run, EVENTS) == headed_reference
+
+    @pytest.mark.parametrize(
+        "flags", all_knob_combinations(), ids=lambda f: f.describe() or "none"
+    )
+    def test_serve(self, flags, headed_reference):
+        engine = MultiQueryEngine(GATED, optimize=flags)
+        assert indexed_matches(engine.serve, EVENTS) == headed_reference
+        assert engine.serving.quarantines == 0
+
+    @pytest.mark.parametrize(
+        "flags", all_knob_combinations(), ids=lambda f: f.describe() or "none"
+    )
+    def test_pump(self, flags, headed_reference):
+        pump = MultiQueryEngine(GATED, optimize=flags).start_pump()
+        got = [
+            (index, query_id, m.position, m.label)
+            for index, event in enumerate(EVENTS)
+            for query_id, m in pump.feed(event)
+        ]
+        assert got == headed_reference
+
+    @pytest.mark.parametrize("cut", TestCheckpointResumeDifferential.CUTS)
+    @pytest.mark.parametrize(
+        "flags", all_knob_combinations(), ids=lambda f: f.describe() or "none"
+    )
+    def test_checkpoint_resume(self, flags, cut, headed_reference):
+        engine = MultiQueryEngine(GATED, optimize=flags)
+        cursor = StreamCursor()
+        got = indexed_matches(lambda src: engine.run(src, cursor=cursor), EVENTS[:cut])
+        restored = Checkpoint.from_dict(engine.checkpoint().to_dict())
+        fresh = MultiQueryEngine.from_checkpoint(restored)
+        got += indexed_matches(lambda src: fresh.resume(restored, src), EVENTS)
+        assert got == headed_reference
+        assert fresh.lane_executions == engine.lane_executions

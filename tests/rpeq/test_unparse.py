@@ -44,6 +44,14 @@ class TestUnparse:
         with pytest.raises(ReproError):
             unparse(Concat(Label("a"), Empty()))
 
+    def test_display_spells_embedded_epsilon(self):
+        from repro.rpeq.unparse import display
+
+        residual = Concat(Qualifier(Empty(), Label("b")), Label("c"))
+        assert display(residual) == "ε[b].c"
+        assert display(Empty()) == "ε"
+        assert display(parse("a.(b|c)[d]")) == unparse(parse("a.(b|c)[d]"))
+
     def test_qualifier_condition_not_parenthesized(self):
         assert unparse(Qualifier(Label("a"), Union(Label("b"), Label("c")))) == "a[b|c]"
 
