@@ -202,12 +202,13 @@ def compile_network(
         expr: the query AST.
         collect_events: whether the output transducer buffers result
             fragments (off: positions only).
-        optimize: optimization knobs — ``True`` (every knob of
-            :class:`repro.core.optimize.OptimizationFlags` on),
-            ``False`` (the literal Fig. 11 translation and evaluation,
-            used by the differential tests and the E10 ablation), or an
-            explicit :class:`~repro.core.optimize.OptimizationFlags`
-            for per-knob control.
+        optimize: ``True`` (the production network: fused ``DS``
+            closure steps, driven by
+            :func:`~repro.core.network.make_fused_runner`), ``False``
+            (the literal Fig. 11 translation, interpreted — the oracle
+            of the differential tests and the E10 ablation), or an
+            :class:`~repro.core.optimize.OptimizationFlags`, of which
+            only ``production_network`` matters here.
         limits: optional :class:`repro.limits.ResourceLimits`; arms the
             network's depth/σ/event-budget guards and the output
             transducer's buffer ceilings.
@@ -230,7 +231,7 @@ def compile_network(
         source = InputTransducer()
     sink = OutputTransducer(store, collect_events=collect_events, limits=limits)
     network = Network(source, sink, limits=limits, flags=flags)
-    compiler = _Compiler(network, allocator, store, optimize=flags.star_fusion)
+    compiler = _Compiler(network, allocator, store, optimize=flags.production_network)
     tape, _owned = compiler.compile(expr, source)
     network.add(sink, tape)
     network.condition_store = store

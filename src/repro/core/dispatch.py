@@ -1,4 +1,4 @@
-"""Subscription dispatch — the SDI delivery layer, and the fused driver.
+"""Subscription dispatch — the SDI delivery layer.
 
 The paper's motivating application (Sec. I): filter a stream according to
 subscriber requirements and *disseminate* the selected information.  The
@@ -6,15 +6,6 @@ engines in :mod:`repro.core.multiquery` compute the matches; this module
 adds the delivery half: callbacks per subscription, invoked progressively
 as matches are decided, with per-subscriber isolation (one failing
 callback never stalls the stream or the other subscribers).
-
-It also hosts :func:`make_fused_runner`, the last stage of dispatch
-flattening.  PR 8's ``routing`` knob compiled the *intra*-network
-topological pass into straight-line code over pre-bound feed methods;
-the ``fused_network`` knob extends that from per-node bound feeds to the
-whole per-event driver: one closure, specialized per event class through
-an event table, with the finalized network's configuration (no limits, a
-single sink, pool/store/memo presence) burned in instead of re-branched
-on every event.
 """
 
 from __future__ import annotations
@@ -22,108 +13,13 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..rpeq.ast import Rpeq
-from ..xmlstream.events import EndDocument, Event
-from .messages import Doc, Message
+from ..xmlstream.events import Event
 from .multiquery import SharedNetworkEngine
 from .output_tx import Match
 
-if TYPE_CHECKING:
-    from .network import Network
-
 logger = logging.getLogger(__name__)
-
-_NO_MATCHES: list[Match] = []
-
-
-def make_fused_runner(network: "Network") -> Callable[[Event], list[Match]]:
-    """Flatten a finalized network's per-event driver into one closure.
-
-    The returned function is a drop-in for
-    :meth:`~repro.core.network.Network.process_event`, valid only for
-    the configuration it was compiled against — no resource limits and a
-    wired sink (checked by the caller,
-    :meth:`Network._compile_exec <repro.core.network.Network>`), which
-    removes the limit guards, the σ ceiling re-check and the sink
-    ``None`` branch from the hot path.  Everything else is hoisted out
-    of the per-event call into closure locals: the source feed, the
-    pooled document message, the condition store, and the generated (or
-    interpreted) topological pass.  Dispatch runs over an event-class
-    table so the one remaining per-event branch — EndDocument's memo
-    flush — costs a dict lookup instead of a class comparison chain.
-    """
-    source_feed = network.source.feed
-    batch = network._src_batch
-    run = network._exec
-    plan = network._plan
-    node_count = len(network._nodes)
-    store = network.condition_store
-    pool = network.activation_pool
-    memo = network.formula_memo
-    sink = network.sink
-    assert sink is not None  # caller-checked; narrows for the closure
-
-    def _base(event: Event) -> list[Match]:
-        network._events += 1
-        if pool is not None:
-            pool._used = 0  # inline pool.reset()
-            doc = network._doc
-            if doc is None:
-                doc = network._doc = Doc(event)
-            else:
-                # One pooled document message per network; every slot
-                # read happens within this event (topological order),
-                # so in-place mutation is never observed across events.
-                object.__setattr__(doc, "event", event)
-        else:
-            doc = Doc(event)
-        batch[0] = doc
-        if run is not None:
-            run(source_feed(batch))
-        else:
-            # `fused_network` without `routing`: keep the interpreted
-            # topological pass (the knobs stay independently testable).
-            outputs: list[list[Message]] = [None] * node_count  # type: ignore[list-item]
-            outputs[0] = source_feed(batch)
-            slot = 1
-            for node, left, right in plan:
-                if right >= 0:
-                    outputs[slot] = node.feed2(outputs[left], outputs[right])
-                else:
-                    outputs[slot] = node.feed(outputs[left])
-                slot += 1
-        if store is not None and store._release_pending:
-            store.end_of_event()
-        results = sink.results
-        if not results:
-            return _NO_MATCHES
-        matches = list(results)
-        results.clear()
-        return matches
-
-    def _end_document(event: Event) -> list[Match]:
-        matches = _base(event)
-        if memo is not None:
-            # Nothing outlives the document that could replay these
-            # merges; dropping the strong operand refs frees the
-            # retained formula DAGs between documents.
-            memo.clear()
-        return matches
-
-    table: dict[type, Callable[[Event], list[Match]]] = {
-        cls: _base for cls in Event.__subclasses__()
-    }
-    table[EndDocument] = _end_document
-
-    def process_event(event: Event) -> list[Match]:
-        handler = table.get(event.__class__)
-        if handler is None:  # future event classes fall back gracefully
-            handler = _end_document if event.__class__ is EndDocument else _base
-        return handler(event)
-
-    return process_event
 
 #: A subscriber callback: receives each match for its subscription.
 Callback = Callable[[Match], None]

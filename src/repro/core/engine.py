@@ -211,10 +211,11 @@ class SpexEngine:
             collect_events: when ``False``, matches carry positions only
                 and the output transducer never buffers events — useful
                 for benchmarking the matching machinery in isolation.
-            optimize: optimization knobs — ``True`` (all), ``False``
-                (the literal Fig. 11 network and evaluation) or a
-                :class:`repro.core.optimize.OptimizationFlags` for
-                per-knob control.
+            optimize: ``True`` (the production network), ``False``
+                (the literal Fig. 11 network, interpreted) or a
+                :class:`repro.core.optimize.OptimizationFlags` — a
+                single-query engine reads only its
+                ``production_network`` field.
             simplify_query: apply the semantics-preserving rewriter
                 (:func:`repro.rpeq.simplify`) before compilation, so
                 redundant constructs never become transducers.
@@ -521,12 +522,14 @@ class SpexEngine:
                 f"{bool(payload['collect_events'])}, engine has "
                 f"collect_events={bool(self.collect_events)}"
             )
-        # Runtime-only knobs (routing, pooling, memoization) don't alter
-        # state layout, so only star_fusion — which changes the compiled
-        # topology and node names — must match the checkpoint.
-        if as_flags(payload["optimize"]).star_fusion != as_flags(self.optimize).star_fusion:
+        # The production and the reference network differ in compiled
+        # topology and node names (fused DS vs. split/closure/join).
+        if (
+            as_flags(payload["optimize"]).production_network
+            != as_flags(self.optimize).production_network
+        ):
             raise CheckpointError(
-                "checkpoint was taken with a different star_fusion "
+                "checkpoint was taken with a different production_network "
                 "setting; the compiled topologies are incompatible"
             )
         network, store = compile_network(

@@ -330,7 +330,6 @@ class _Slot:
         self.open.clear()
         self.watching.clear()
         self.out.clear()
-        self.dirty = False
 
 
 class FastLaneCore:
@@ -361,9 +360,9 @@ class FastLaneCore:
         self.last: Event | None = None
         self._open_slots: set[_Slot] = set()
         self._watchers: set[_Slot] = set()
-        #: slots with undrained matches (run()-style bulk drain only)
+        #: slots that emitted since the last :meth:`drain_matches` —
+        #: the driver's one truth test per event
         self._dirty: list[_Slot] = []
-        self.track_dirty = False
         #: uncached subset-construction steps past the memo bound
         self.saturated_steps = 0
         self._restored: tuple[tuple[str, ...], int, tuple[int, ...]] | None = None
@@ -659,7 +658,7 @@ class FastLaneCore:
                 emitted = True
                 continue
             break
-        if emitted and self.track_dirty and not slot.dirty:
+        if emitted and not slot.dirty:
             slot.dirty = True
             self._dirty.append(slot)
 
@@ -688,7 +687,7 @@ class FastLaneCore:
                     self._open_candidate(slot, 0, DOCUMENT_LABEL, 0)
 
     def drain_matches(self) -> list[tuple[str, Match]]:
-        """Bulk-drain all pending matches (the ``run()`` hot loop)."""
+        """Bulk-drain every slot that emitted (the driver's one drain)."""
         dirty = self._dirty
         out: list[tuple[str, Match]] = []
         for slot in dirty:
@@ -859,6 +858,9 @@ class _AdapterBase:
             self._rebuild_cstacks(open_by_depth)
         for pos, label in payload["pending_out"]:  # type: ignore[misc]
             slot.out.append(Match(int(pos), str(label), None))
+        if slot.out and not slot.dirty:
+            slot.dirty = True
+            core._dirty.append(slot)
 
     def _rebuild_cstacks(self, open_by_depth: dict[int, _Candidate]) -> None:
         """Recompute condition stacks by replaying path labels below each

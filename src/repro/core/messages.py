@@ -80,7 +80,7 @@ class ActivationPool:
     transducer, absorbed (or forwarded to a sink) before the next event
     enters the network — so the network can hand out the same small set
     of objects every event instead of allocating fresh ones
-    (``message_pool`` optimization knob).
+    (production networks only, see :mod:`repro.core.optimize`).
 
     Two properties the engine relies on:
 

@@ -20,7 +20,7 @@ Two consumption styles:
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections.abc import Callable
 from typing import Iterable, Iterator, Mapping
 
 from ..conditions.store import ConditionStore, VariableAllocator
@@ -109,11 +109,14 @@ class MultiQueryEngine:
                 step's equivalence certificate discharged, otherwise the
                 original query runs.  Results are kept in
                 :attr:`rewrites`.
-            optimize: optimization knobs, as for
-                :func:`~repro.core.compiler.compile_network`.  The
-                ``dfa_lane``/``hybrid_gate`` knobs additionally control
-                whether planned fast lanes *execute* on the shared lazy
-                DFA (:mod:`repro.core.fastlane`); with both off every
+            optimize: ``True``, ``False`` or an
+                :class:`~repro.core.optimize.OptimizationFlags`.
+                ``production_network`` selects how every transducer
+                network is compiled and driven, as for
+                :func:`~repro.core.compiler.compile_network`; the
+                ``dfa_lane``/``hybrid_gate`` knobs control whether
+                planned fast lanes *execute* on the shared lazy DFA
+                (:mod:`repro.core.fastlane`) — with both off every
                 query runs on its transducer network regardless of the
                 planner's lane.  The lanes each query actually ran on
                 are kept in :attr:`lane_executions`, compile-time
@@ -478,104 +481,60 @@ class MultiQueryEngine:
         Passing a ``cursor`` (strict mode only) makes the pass
         checkpointable via :meth:`checkpoint`, as for
         :meth:`SpexEngine.run <repro.core.engine.SpexEngine.run>`.
+
+        The pass is a :class:`ServePump` under the inert policy: no
+        bulkheads (a failing query propagates), no deadlines, no
+        shedding — the same per-event transition :meth:`serve` runs.
         """
-        policy = as_policy(on_error)
-        if policy is not RecoveryPolicy.STRICT:
-            if cursor is not None:
-                raise EngineError(
-                    "checkpoint cursors require on_error='strict' (recovery "
-                    "policies re-segment the source per document)"
-                )
-            self._last_cursor = None
-            yield from self._run_recovering(source, policy, report)
-            return
-        networks = self._compile_all()
+        recovery = _recovery(on_error, cursor)
+        pump = self._open_pump(_INERT, cursor=cursor)
+        yield from self._drive(pump, source, recovery, report, require_end=True)
+
+    def _open_pump(
+        self,
+        policy: ServingPolicy,
+        clock: Clock | None = None,
+        cursor: StreamCursor | None = None,
+        serving: ServingReport | None = None,
+        collect_events: bool | None = None,
+    ) -> "ServePump":
+        """Compile every admitted query into a fresh pump.
+
+        Without a ``serving`` report the pass is not a serving pass: it
+        leaves :attr:`serving` alone and checkpoints without breaker
+        state.
+        """
+        clock = as_clock(clock)
+        networks = self._compile_all(collect_events, clock)
+        breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in networks}
         self._last_networks = networks
         self._last_cursor = cursor
-        self._breakers = None
-        # Strict runs validate on the fly, so malformed input raises the
-        # documented StreamError instead of silently confusing every
-        # subscription's transducer stacks at once.
-        events = recovering(
-            iter_events(source), RecoveryPolicy.STRICT, require_end=False
-        )
-        if cursor is not None:
-            events = cursor.attach(events)
-        # Hoisted out of the per-event loop: the dict iteration and the
-        # process_event attribute lookup are per-pass constants.  Core-
-        # backed fast-lane queries are excluded — the shared DFA does
-        # their per-event work once in ``core.advance`` and their
-        # matches come out of one bulk drain, so per-query cost is paid
-        # only by network (and gated-network) queries.
-        pairs = [
-            (query_id, network.process_event)
-            for query_id, network in networks.items()
-            if not isinstance(network, (FastLaneAdapter, HybridAdapter))
-        ]
-        core = self._fastlane_core
-        if core is None:
-            for event in events:
-                for query_id, process_event in pairs:
-                    matches = process_event(event)
-                    if matches:
-                        for match in matches:
-                            yield query_id, match
-            return
-        core.track_dirty = True
-        advance = core.advance
-        drain = core.drain_matches
-        # Emission order within one event must be bit-identical to the
-        # pure-network pass: compile order across queries, FIFO within a
-        # query.  Fast-lane drains arrive out of that order (flush order
-        # is close order), so match-bearing events — the rare case —
-        # merge through a stable sort on the compile-order index.
-        order = {query_id: index for index, query_id in enumerate(networks)}
-        by_order = itemgetter(0)
-        for event in events:
-            advance(event)
-            batch: list[tuple[int, str, Match]] | None = None
-            for query_id, process_event in pairs:
-                matches = process_event(event)
-                if matches:
-                    if batch is None:
-                        batch = []
-                    rank = order[query_id]
-                    for match in matches:
-                        batch.append((rank, query_id, match))
-            if core._dirty:
-                if batch is None:
-                    batch = []
-                for query_id, match in drain():
-                    batch.append((order[query_id], query_id, match))
-            if batch:
-                batch.sort(key=by_order)
-                for _, query_id, match in batch:
-                    yield query_id, match
+        self._breakers = breakers if serving is not None else None
+        if serving is None:
+            serving = ServingReport()
+        return ServePump(self, networks, policy, serving, breakers, clock, cursor)
 
-    def _run_recovering(
+    def _drive(
         self,
+        pump: "ServePump",
         source: str | Iterable[Event],
-        policy: RecoveryPolicy,
+        recovery: RecoveryPolicy,
         report: ErrorReport | None,
+        parser_limits: ParserLimits | None = None,
+        require_end: bool = False,
     ) -> Iterator[tuple[str, Match]]:
+        """Pull ``source`` through ``pump`` under a recovery policy."""
+        events = iter_events(source, limits=parser_limits)
+        if recovery is RecoveryPolicy.STRICT:
+            # Strict passes validate on the fly, so malformed input raises
+            # the documented StreamError instead of silently confusing
+            # every subscription's transducer stacks at once.
+            return pump._pull(recovering(events, recovery, require_end=False))
         report = report if report is not None else ErrorReport()
-        for document in recovered_documents(iter_events(source), policy, report):
-            networks = self._compile_all()
-            core = self._fastlane_core
-            matches: list[tuple[str, Match]] = []
-            doc_index = report.documents_seen - 1
-            try:
-                for event in document:
-                    if core is not None:
-                        core.advance(event)
-                    for query_id, network in networks.items():
-                        for match in network.process_event(event):
-                            matches.append((query_id, match))
-            except ResourceLimitError as exc:
-                report.add(doc_index, str(exc), "limit")
-                report.documents_skipped += 1
-                continue
-            yield from matches
+        documents = recovered_documents(
+            events, recovery, report, require_end=require_end
+        )
+        return pump._pull_documents(documents, report)
 
     # ------------------------------------------------------------------
     # serving: bulkheads, breakers, deadlines, shedding
@@ -614,6 +573,10 @@ class MultiQueryEngine:
         untrusted-input hardening of the XML layer
         (:class:`~repro.xmlstream.parser.ParserLimits`).
 
+        Under ``on_error="skip"``/``"repair"`` every recovered document
+        runs on a fresh live set and its matches are delivered together
+        at its ``</$>``, in the order a strict pass emits them.
+
         ``quarantined`` names queries that enter the pass already
         poisoned: their breakers are latched open before the first event
         (outcome ``POISON``), so they never run and never re-admit —
@@ -621,47 +584,9 @@ class MultiQueryEngine:
         out of a freshly started worker without a checkpoint to carry
         the latch.
         """
-        policy = policy if policy is not None else ServingPolicy()
-        clock = as_clock(clock)
-        serving = ServingReport()
-        self.serving = serving
-        self._record_plans(serving)
-        for query_id in self.queries:
-            self._admission_outcome(serving, query_id)
-        recovery = as_policy(on_error)
-        if recovery is not RecoveryPolicy.STRICT:
-            if cursor is not None:
-                raise EngineError(
-                    "checkpoint cursors require on_error='strict' (recovery "
-                    "policies re-segment the source per document)"
-                )
-            self._last_networks = None
-            self._last_cursor = None
-            breakers = {
-                query_id: CircuitBreaker(policy.breaker)
-                for query_id in self.queries
-                if self._is_admitted(query_id)
-            }
-            self._breakers = breakers
-            self._latch_poisoned(None, serving, breakers, quarantined)
-            return self._serve_recovering(
-                source, recovery, policy, serving, breakers, clock, report,
-                parser_limits,
-            )
-        networks = self._compile_all(clock=clock)
-        breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in networks}
-        self._last_networks = networks
-        self._last_cursor = cursor
-        self._breakers = breakers
-        self._latch_poisoned(networks, serving, breakers, quarantined)
-        events = recovering(
-            iter_events(source, limits=parser_limits),
-            RecoveryPolicy.STRICT,
-            require_end=False,
-        )
-        if cursor is not None:
-            events = cursor.attach(events)
-        return self._serve_pump(networks, events, policy, serving, breakers, clock)
+        recovery = _recovery(on_error, cursor)
+        pump = self.start_pump(policy, clock, cursor, quarantined)
+        return self._drive(pump, source, recovery, report, parser_limits)
 
     def _record_plans(self, serving: ServingReport) -> None:
         """Mirror the registration-time query plans into the report."""
@@ -709,8 +634,8 @@ class MultiQueryEngine:
         service frontend (:mod:`repro.service`) is built on this — an
         event arriving over the network cannot be pulled by a generator,
         so the pump is the shape the state machine must have there.
-        Both entry points execute the same per-event transition
-        (:meth:`ServePump.feed`), which is what makes a served
+        :meth:`serve` is this call plus a pull loop over
+        :meth:`ServePump.feed`, which is what makes a served
         subscriber's match stream bit-identical to an offline
         :meth:`serve` pass by construction.
 
@@ -723,339 +648,14 @@ class MultiQueryEngine:
         as in :meth:`serve`.
         """
         policy = policy if policy is not None else ServingPolicy()
-        clock = as_clock(clock)
         serving = ServingReport()
         self.serving = serving
         self._record_plans(serving)
         for query_id in self.queries:
             self._admission_outcome(serving, query_id)
-        networks = self._compile_all(clock=clock)
-        breakers = {
-            query_id: CircuitBreaker(policy.breaker) for query_id in networks
-        }
-        self._last_networks = networks
-        self._last_cursor = cursor
-        self._breakers = breakers
-        self._latch_poisoned(networks, serving, breakers, quarantined)
-        return ServePump(
-            self, networks, policy, serving, breakers, clock, cursor=cursor
-        )
-
-    def _detach(
-        self,
-        live: dict[str, Network],
-        serving: ServingReport,
-        query_id: str,
-        status: str,
-        code: str,
-        reason: str,
-    ) -> list[Match]:
-        """Drop a query from the pass; return its undelivered matches.
-
-        The sub-network is unlinked (its buffers go with it) and any
-        matches it had already decided but not yet delivered are
-        returned so the caller can flush them under the now-``degraded``
-        outcome.
-        """
-        network = live.pop(query_id)
-        outcome = serving.outcome(query_id)
-        outcome.status = status
-        outcome.code = code
-        outcome.reason = reason
-        outcome.document = serving.documents_seen - 1 if serving.documents_seen else None
-        outcome.degraded = True
-        flushed: list[Match] = []
-        for sink in network.sinks:
-            flushed.extend(sink.results)
-            sink.results.clear()
-        deactivate = getattr(network, "deactivate", None)
-        if deactivate is not None:
-            # fast-lane runner: stop its slot in the shared DFA too
-            deactivate()
-        outcome.matches += len(flushed)
-        return flushed
-
-    def _readmit(
-        self,
-        live: dict[str, Network],
-        serving: ServingReport,
-        breakers: dict[str, CircuitBreaker],
-        query_id: str,
-        clock: Clock,
-    ) -> bool:
-        """Document boundary: rejoin a detached query if its breaker allows.
-
-        Shed and doc-deadline detachments carry no breaker penalty, so
-        their (closed) breakers re-admit immediately; quarantined queries
-        wait out the cooldown and come back as half-open probes.
-        """
-        outcome = serving.outcome(query_id)
-        if outcome.status == "rejected":
-            return False
-        breaker = breakers[query_id]
-        if not breaker.admits():
-            return False
-        live[query_id] = self._compile_one(query_id, clock)
-        if breaker.state is BreakerState.HALF_OPEN:
-            serving.probes += 1
-        outcome.status = "ok"
-        return True
-
-    def _latch_poisoned(
-        self,
-        live: dict[str, Network] | None,
-        serving: ServingReport,
-        breakers: dict[str, CircuitBreaker],
-        quarantined: Iterable[str],
-    ) -> None:
-        """Latch pre-convicted poison-pill queries before the first event.
-
-        Used by :meth:`serve` when the caller (the shard coordinator)
-        already knows certain queries crash the process: their breakers
-        latch open permanently, their networks (if compiled) are dropped,
-        and their outcomes read ``quarantined``/``POISON`` — the same
-        terminal state an in-pass ``max_trips`` exhaustion reaches.
-        """
-        for query_id in quarantined:
-            breaker = breakers.get(query_id)
-            if breaker is None or breaker.latched:
-                continue
-            breaker.latch()
-            if live is not None:
-                live.pop(query_id, None)
-            outcome = serving.outcome(query_id)
-            outcome.status = "quarantined"
-            outcome.code = "POISON"
-            outcome.reason = (
-                "pre-quarantined as a poison pill (crashed its shard "
-                "worker process)"
-            )
-            outcome.degraded = True
-            outcome.trips = breaker.trips
-            serving.quarantines += 1
-            self.robustness.quarantines += 1
-
-    def _quarantine(
-        self,
-        live: dict[str, Network],
-        serving: ServingReport,
-        breakers: dict[str, CircuitBreaker],
-        query_id: str,
-        exc: Exception,
-    ) -> list[Match]:
-        code = "LIMIT" if isinstance(exc, ResourceLimitError) else "ERROR"
-        flushed = self._detach(live, serving, query_id, "quarantined", code, str(exc))
-        breaker = breakers[query_id]
-        breaker.record_failure()
-        serving.outcome(query_id).trips = breaker.trips
-        serving.quarantines += 1
-        serving.breaker_trips += 1
-        self.robustness.quarantines += 1
-        self.robustness.breaker_trips += 1
-        return flushed
-
-    def _shed(
-        self,
-        live: dict[str, Network],
-        serving: ServingReport,
-        policy: ServingPolicy,
-        total: int,
-    ) -> Iterator[tuple[str, Match]]:
-        """Shed lowest-priority queries until the pass fits again."""
-        order = sorted(live, key=lambda q: (policy.priorities.get(q, 0), q))
-        for query_id in order:
-            if total <= policy.shed_buffered_events:
-                break
-            load = sum(s.buffered_events for s in live[query_id].sinks)
-            flushed = self._detach(
-                live,
-                serving,
-                query_id,
-                "shed",
-                "SHED001",
-                f"aggregate buffered events {total} over high-water mark "
-                f"{policy.shed_buffered_events}",
-            )
-            total -= load
-            serving.load_sheds += 1
-            self.robustness.load_sheds += 1
-            for match in flushed:
-                yield query_id, match
-
-    def _serve_pump(
-        self,
-        live: dict[str, Network],
-        events: Iterable[Event],
-        policy: ServingPolicy,
-        serving: ServingReport,
-        breakers: dict[str, CircuitBreaker],
-        clock: Clock,
-    ) -> Iterator[tuple[str, Match]]:
-        """Strict-mode bulkhead loop over a persistent network set.
-
-        ``live`` is mutated in place (detached queries leave it), so a
-        concurrent :meth:`checkpoint` snapshots exactly the still-live
-        sub-networks.  The per-event transition itself lives in
-        :class:`ServePump`; this is its pull-mode driver.
-        """
-        pump = ServePump(self, live, policy, serving, breakers, clock)
-        for event in events:
-            yield from pump.feed(event)
-            if pump.finished:
-                return
-
-    def _serve_recovering(
-        self,
-        source: str | Iterable[Event],
-        recovery: RecoveryPolicy,
-        policy: ServingPolicy,
-        serving: ServingReport,
-        breakers: dict[str, CircuitBreaker],
-        clock: Clock,
-        report: ErrorReport | None,
-        parser_limits: ParserLimits | None,
-    ) -> Iterator[tuple[str, Match]]:
-        """Document-wise bulkhead loop under a recovery policy.
-
-        Malformed documents are quarantined by the recovery layer
-        exactly as in :meth:`run`; on top of that, each surviving
-        document runs with per-query bulkheads, and matches of queries
-        that survive the whole document are delivered at its end (so a
-        healthy query's delivered set is per-document identical to a
-        solo run).
-        """
-        report = report if report is not None else ErrorReport()
-        robustness = self.robustness
-        stream_deadline = (
-            clock.monotonic() + policy.stream_deadline
-            if policy.stream_deadline is not None
-            else None
-        )
-
-        def expire_stream() -> None:
-            reason = str(
-                DeadlineExceeded(
-                    f"stream deadline of {policy.stream_deadline}s expired",
-                    scope="stream",
-                )
-            )
-            for query_id in breakers:
-                outcome = serving.outcome(query_id)
-                if outcome.status == "rejected":
-                    continue
-                outcome.status = "deadline"
-                outcome.code = "DEADLINE_STREAM"
-                outcome.reason = reason
-                outcome.degraded = True
-                serving.deadline_hits += 1
-                robustness.deadline_hits += 1
-
-        for document in recovered_documents(
-            iter_events(source, limits=parser_limits),
-            recovery,
-            report,
-            require_end=False,
-        ):
-            if stream_deadline is not None and clock.monotonic() > stream_deadline:
-                expire_stream()
-                return
-            serving.documents_seen += 1
-            live: dict[str, Network] = {}
-            for query_id in breakers:
-                self._readmit(live, serving, breakers, query_id, clock)
-            core = self._fastlane_core
-            doc_deadline = (
-                clock.monotonic() + policy.doc_deadline
-                if policy.doc_deadline is not None
-                else None
-            )
-            buffered: dict[str, list[Match]] = {query_id: [] for query_id in live}
-            doc_index = report.documents_seen - 1
-
-            def flush_buffered(query_id: str) -> list[Match]:
-                matches = buffered.pop(query_id, [])
-                serving.outcome(query_id).matches += len(matches)
-                return matches
-
-            try:
-                for event in document:
-                    if stream_deadline is not None and (
-                        clock.monotonic() > stream_deadline
-                    ):
-                        # flush this partial document's matches as degraded
-                        for query_id in list(live):
-                            del live[query_id]
-                            for match in flush_buffered(query_id):
-                                yield query_id, match
-                        expire_stream()
-                        return
-                    if doc_deadline is not None and (
-                        clock.monotonic() > doc_deadline and live
-                    ):
-                        reason = str(
-                            DeadlineExceeded(
-                                f"document deadline of {policy.doc_deadline}s "
-                                f"expired",
-                                scope="document",
-                            )
-                        )
-                        for query_id in list(live):
-                            flushed = self._detach(
-                                live, serving, query_id, "deadline",
-                                "DEADLINE_DOC", reason,
-                            )
-                            serving.deadline_hits += 1
-                            robustness.deadline_hits += 1
-                            for match in flush_buffered(query_id):
-                                yield query_id, match
-                            for match in flushed:
-                                yield query_id, match
-                        doc_deadline = None
-                    if core is not None:
-                        core.advance(event)
-                    for query_id in list(live):
-                        network = live[query_id]
-                        try:
-                            matches = network.process_event(event)
-                        except Exception as exc:
-                            if not policy.quarantine:
-                                raise
-                            flushed = self._quarantine(
-                                live, serving, breakers, query_id, exc
-                            )
-                            for match in flush_buffered(query_id):
-                                yield query_id, match
-                            for match in flushed:
-                                yield query_id, match
-                            continue
-                        buffered[query_id].extend(matches)
-                    if policy.shed_buffered_events is not None and live:
-                        total = sum(
-                            sum(s.buffered_events for s in network.sinks)
-                            for network in live.values()
-                        )
-                        if total > policy.shed_buffered_events:
-                            shed_before = set(live)
-                            yield from self._shed(live, serving, policy, total)
-                            for query_id in shed_before - set(live):
-                                for match in flush_buffered(query_id):
-                                    yield query_id, match
-            except ResourceLimitError as exc:
-                # raised by the recovery layer's own re-segmentation, not
-                # a query network: the whole document is quarantined
-                report.add(doc_index, str(exc), "limit")
-                report.documents_skipped += 1
-                continue
-            for query_id, network in live.items():
-                outcome = serving.outcome(query_id)
-                count = len(buffered[query_id])
-                outcome.matches += count
-                for match in buffered[query_id]:
-                    yield query_id, match
-                if breakers[query_id].record_document_success():
-                    outcome.readmissions += 1
-                    serving.readmissions += 1
-                    robustness.readmissions += 1
+        pump = self._open_pump(policy, clock, cursor, serving)
+        pump._latch_poisoned(quarantined)
+        return pump
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -1135,29 +735,20 @@ class MultiQueryEngine:
                 position.
         """
         payload = checkpoint.require("multiquery")
-        networks, cursor = self._restore_networks(payload)
-        serving_state = payload.get("serving")
+        pump = self._revive(payload, policy, clock)
         events = skip_events(
-            iter_events(source, limits=parser_limits), cursor.events_read
+            iter_events(source, limits=parser_limits), pump.cursor.events_read
         )
         # The strict validator is primed with the envelope state at the
         # cut, exactly as the uninterrupted pass would have reached it.
-        events = recovering(
-            events,
-            RecoveryPolicy.STRICT,
-            require_end=False,
-            resume=payload["cursor"],
+        return pump._pull(
+            recovering(
+                events,
+                RecoveryPolicy.STRICT,
+                require_end=False,
+                resume=payload["cursor"],
+            )
         )
-        events = cursor.attach(events)
-        if serving_state is None:
-            self._breakers = None
-            return self._pump(networks, events)
-        policy = policy if policy is not None else ServingPolicy()
-        clock = as_clock(clock)
-        serving, breakers = self._restore_serving(
-            serving_state, networks, policy, clock
-        )
-        return self._serve_pump(networks, events, policy, serving, breakers, clock)
 
     def resume_pump(
         self,
@@ -1191,35 +782,31 @@ class MultiQueryEngine:
                 no breakers or report to revive a pump from).
         """
         payload = checkpoint.require("multiquery")
-        networks, cursor = self._restore_networks(payload)
-        serving_state = payload.get("serving")
-        if serving_state is None:
+        pump = self._revive(payload, policy, clock)
+        if "serving" not in payload:
             raise CheckpointError(
                 "checkpoint carries no serving state: only checkpoints "
                 "taken from a serve()/start_pump() pass can resume as a "
                 "pump"
             )
-        policy = policy if policy is not None else ServingPolicy()
-        clock = as_clock(clock)
-        serving, breakers = self._restore_serving(
-            serving_state, networks, policy, clock
-        )
-        return ServePump(
-            self, networks, policy, serving, breakers, clock, cursor=cursor
-        )
+        return pump
 
-    def _restore_networks(
-        self, payload: dict
-    ) -> tuple[dict[str, "Network"], StreamCursor]:
+    def _revive(
+        self,
+        payload: dict,
+        policy: ServingPolicy | None,
+        clock: Clock | None,
+    ) -> "ServePump":
         """Shared state restoration of :meth:`resume`/:meth:`resume_pump`.
 
         Validates the checkpoint against this engine's registrations,
         revives every snapshotted sub-network (with its condition store
-        and allocator), and rebuilds the stream cursor.  Only the
-        sub-networks present in the checkpoint are revived: queries that
-        were quarantined, shed or rejected at the cut have no snapshot,
-        and re-admitting them is the breaker's call, not the resume
-        path's.
+        and allocator), the stream cursor and — for a serving pass —
+        the report and the breakers.  Only the sub-networks present in
+        the checkpoint are revived: queries that were quarantined, shed
+        or rejected at the cut have no snapshot, and re-admitting them
+        is the breaker's call, not the resume path's.  A checkpoint of a
+        plain :meth:`run` revives under the inert policy.
         """
         have = {
             query_id: unparse(query) for query_id, query in self.queries.items()
@@ -1242,13 +829,17 @@ class MultiQueryEngine:
         self._fastlane_core = None
         self.lane_executions = {}
         self.lane_demotions = {}
+        clock = as_clock(clock)
         compiled: list[tuple[str, Network, dict]] = []
-        for query_id, states in payload["networks"].items():
-            if not self._is_admitted(query_id):
+        for query_id in self.queries:  # the live set is kept in this order
+            states = payload["networks"].get(query_id)
+            if states is None or not self._is_admitted(query_id):
                 continue
             snap = states["network"]
             wants_fastlane = isinstance(snap, dict) and "fastlane" in snap
-            network = self._compile_one(query_id, force_network=not wants_fastlane)
+            network = self._compile_one(
+                query_id, clock, force_network=not wants_fastlane
+            )
             if wants_fastlane and isinstance(network, Network):
                 raise CheckpointError(
                     f"query {query_id!r} was checkpointed on a fast lane "
@@ -1267,43 +858,26 @@ class MultiQueryEngine:
         self._last_networks = networks
         self._last_cursor = cursor
         self.robustness.restores += 1
-        return networks, cursor
-
-    def _restore_serving(
-        self,
-        serving_state: dict,
-        networks: dict[str, "Network"],
-        policy: ServingPolicy,
-        clock: Clock,
-    ) -> tuple[ServingReport, dict[str, CircuitBreaker]]:
-        """Revive the report and breakers of a checkpointed serving pass."""
-        serving = ServingReport.from_obj(serving_state)
+        state = payload.get("serving")
+        if state is None:
+            self._breakers = None
+            breakers = {query_id: CircuitBreaker() for query_id in networks}
+            return ServePump(
+                self, networks, _INERT, ServingReport(), breakers, clock, cursor
+            )
+        policy = policy if policy is not None else ServingPolicy()
+        serving = ServingReport.from_obj(state)
         # Checkpoints written before the planner existed carry no plans;
         # re-derive them from the (restored) registrations.
         if not serving.plans:
             self._record_plans(serving)
-        breakers: dict[str, CircuitBreaker] = {}
-        for query_id, snap in serving_state["breakers"].items():
-            breaker = CircuitBreaker(policy.breaker)
-            breaker.restore(snap)
-            breakers[query_id] = breaker
-        for network in networks.values():
-            network.clock = clock
+        breakers = {}
+        for query_id, snap in state["breakers"].items():
+            breakers[query_id] = CircuitBreaker(policy.breaker)
+            breakers[query_id].restore(snap)
         self.serving = serving
         self._breakers = breakers
-        return serving, breakers
-
-    def _pump(
-        self, networks: dict[str, Network], events: Iterable[Event]
-    ) -> Iterator[tuple[str, Match]]:
-        """Generator tail of :meth:`resume` (verification stays eager)."""
-        core = self._fastlane_core
-        for event in events:
-            if core is not None:
-                core.advance(event)
-            for query_id, network in networks.items():
-                for match in network.process_event(event):
-                    yield query_id, match
+        return ServePump(self, networks, policy, serving, breakers, clock, cursor)
 
     @classmethod
     def from_checkpoint(
@@ -1354,52 +928,50 @@ class MultiQueryEngine:
         document.
         """
         policy = as_policy(on_error)
-        if policy is not RecoveryPolicy.STRICT:
-            report = report if report is not None else ErrorReport()
-            matched = {query_id: False for query_id in self.queries}
-            for document in recovered_documents(
-                iter_events(source), policy, report
-            ):
-                doc_index = report.documents_seen - 1
-                try:
-                    verdicts = self._filter_one(document)
-                except ResourceLimitError as exc:
-                    report.add(doc_index, str(exc), "limit")
-                    report.documents_skipped += 1
-                    continue
-                for query_id, hit in verdicts.items():
-                    matched[query_id] = matched[query_id] or hit
-                if all(matched.values()):
-                    break
-            return matched
-        return self._filter_one(
-            recovering(
-                iter_events(source), RecoveryPolicy.STRICT, require_end=False
+        if policy is RecoveryPolicy.STRICT:
+            return self._filter_one(
+                recovering(iter_events(source), policy, require_end=False)
             )
-        )
+        matched = {query_id: False for query_id in self.queries}
+        for verdicts in self._filter_recovered(source, policy, report, True):
+            for query_id, hit in verdicts.items():
+                matched[query_id] = matched[query_id] or hit
+            if all(matched.values()):
+                break
+        return matched
 
     def _filter_one(self, events: Iterable[Event]) -> dict[str, bool]:
-        """One first-match-short-circuit boolean pass over ``events``."""
-        networks = self._compile_all(collect_events=False)
-        core = self._fastlane_core
+        """One boolean pass over ``events``: the inert pump, with every
+        query closed at its first match."""
+        pump = self._open_pump(_INERT, collect_events=False)
         matched: dict[str, bool] = {query_id: False for query_id in self.queries}
-        live = dict(networks)
         for event in events:
-            if not live:
+            if not pump._live:
                 break
-            if core is not None:
-                core.advance(event)
-            done: list[str] = []
-            for query_id, network in live.items():
-                if network.process_event(event):
+            for query_id, _match in pump._step(event) or ():
+                if not matched[query_id]:
                     matched[query_id] = True
-                    done.append(query_id)
-            for query_id in done:
-                network = live.pop(query_id)
-                deactivate = getattr(network, "deactivate", None)
-                if deactivate is not None:
-                    deactivate()
+                    pump.close(query_id)
         return matched
+
+    def _filter_recovered(
+        self,
+        source: str | Iterable[Event],
+        policy: RecoveryPolicy,
+        report: ErrorReport | None,
+        require_end: bool,
+    ) -> Iterator[dict[str, bool]]:
+        """Per-document verdicts of the documents that survive recovery."""
+        report = report if report is not None else ErrorReport()
+        for document in recovered_documents(
+            iter_events(source), policy, report, require_end=require_end
+        ):
+            doc_index = report.documents_seen - 1
+            try:
+                yield self._filter_one(document)
+            except ResourceLimitError as exc:
+                report.add(doc_index, str(exc), "limit")
+                report.documents_skipped += 1
 
     def filter_stream(
         self,
@@ -1426,30 +998,41 @@ class MultiQueryEngine:
             for document in split_documents(iter_events(source)):
                 yield self._filter_one(document)
             return
-        report = report if report is not None else ErrorReport()
-        for document in recovered_documents(
-            iter_events(source), policy, report, require_end=False
-        ):
-            doc_index = report.documents_seen - 1
-            try:
-                yield self._filter_one(document)
-            except ResourceLimitError as exc:
-                report.add(doc_index, str(exc), "limit")
-                report.documents_skipped += 1
+        yield from self._filter_recovered(source, policy, report, False)
+
+
+#: What :meth:`MultiQueryEngine.run`, the ``filter_*`` methods and the
+#: resume of a non-serving checkpoint drive the pump with: a failing
+#: query propagates, nothing expires, nothing is shed.
+_INERT = ServingPolicy(quarantine=False)
+
+
+def _recovery(
+    on_error: RecoveryPolicy | str, cursor: StreamCursor | None
+) -> RecoveryPolicy:
+    recovery = as_policy(on_error)
+    if recovery is not RecoveryPolicy.STRICT and cursor is not None:
+        raise EngineError(
+            "checkpoint cursors require on_error='strict' (recovery "
+            "policies re-segment the source per document)"
+        )
+    return recovery
 
 
 class ServePump:
     """Push-mode bulkhead state machine: one :meth:`feed` per event.
 
-    Both serving entry points run through this class —
-    :meth:`MultiQueryEngine.serve` pulls a source iterable through it,
+    Every per-event door of :class:`MultiQueryEngine` runs through this
+    class — :meth:`~MultiQueryEngine.run`, :meth:`~MultiQueryEngine.serve`
+    and :meth:`~MultiQueryEngine.resume` pull a source iterable through
+    it, the ``filter_*`` methods close each query at its first match,
     and the asyncio service frontend (:mod:`repro.service`) pushes
-    events arriving over the network into it.  Every bulkhead semantic
+    events arriving over the network into it.  The lane advance, the
+    per-query dispatch, the emission order and every bulkhead semantic
     of the serving layer (quarantine, breakers, deadlines, shedding,
-    document-boundary re-admission) therefore has exactly one
+    document-boundary re-admission) therefore have exactly one
     implementation, and a network subscriber's match stream is
-    bit-identical to an offline :meth:`~MultiQueryEngine.serve` pass by
-    construction.
+    bit-identical to an offline pass by construction.
 
     On top of the per-event transition the pump supports the *dynamic
     subscription set* a long-lived service needs: :meth:`attach`
@@ -1472,6 +1055,8 @@ class ServePump:
         cursor: StreamCursor | None = None,
     ) -> None:
         self._engine = engine
+        #: the attached runners, always in registration order — the
+        #: cross-query emission order within one event
         self._live = live
         self.policy = policy
         self.serving = serving
@@ -1491,6 +1076,11 @@ class ServePump:
         #: the drain logic of the service uses this to stop at a
         #: document-boundary checkpoint.
         self.in_document = False
+        #: the per-event transition compiled for the current live set
+        #: (:meth:`_compile`), :meth:`_restep` while there is none;
+        #: ``None`` for an event that decided nothing
+        self._step: Callable[[Event], list[tuple[str, Match]] | None] = self._restep
+        self._reopened = False
 
     # ------------------------------------------------------------------
     # introspection
@@ -1511,7 +1101,7 @@ class ServePump:
         return self._cursor
 
     # ------------------------------------------------------------------
-    # dynamic subscription set
+    # the live set: attach / close / detach / re-admit
 
     def attach(self, query_id: str) -> bool:
         """Join a (freshly registered) query; effective next document.
@@ -1560,17 +1150,192 @@ class ServePump:
         outcome.reason = reason
         if degraded:
             outcome.degraded = True
-        network = self._live.pop(query_id, None)
+        return self._unlink(query_id) if query_id in self._live else []
+
+    def _stale(self) -> None:
+        """The live set changed: the next event compiles a new transition."""
+        self._step = self._restep
+
+    def _restep(self, event: Event) -> list[tuple[str, Match]] | None:
+        if self.finished:
+            raise EngineError("serving pass is finished (stream deadline)")
+        return self._compile()(event)
+
+    def _unlink(self, query_id: str) -> list[Match]:
+        """Drop a live query's runner; return its undelivered matches.
+
+        The sub-network is unlinked (its buffers go with it) and any
+        matches it had already decided but not yet delivered are
+        returned so the caller can flush them.
+        """
+        network = self._live.pop(query_id)
+        self._stale()
         flushed: list[Match] = []
-        if network is not None:
-            for sink in network.sinks:
-                flushed.extend(sink.results)
-                sink.results.clear()
-            deactivate = getattr(network, "deactivate", None)
-            if deactivate is not None:
-                deactivate()
-        outcome.matches += len(flushed)
+        for sink in network.sinks:
+            flushed.extend(sink.results)
+            sink.results.clear()
+        deactivate = getattr(network, "deactivate", None)
+        if deactivate is not None:
+            # fast-lane runner: stop its slot in the shared DFA too
+            deactivate()
+        self.serving.outcome(query_id).matches += len(flushed)
         return flushed
+
+    def _detach(
+        self, query_id: str, status: str, code: str, reason: str
+    ) -> list[Match]:
+        """Drop a query under a now-``degraded`` outcome; its flush."""
+        serving = self.serving
+        outcome = serving.outcome(query_id)
+        outcome.status = status
+        outcome.code = code
+        outcome.reason = reason
+        outcome.document = serving.documents_seen - 1 if serving.documents_seen else None
+        outcome.degraded = True
+        return self._unlink(query_id)
+
+    def _quarantine(self, query_id: str, exc: Exception) -> list[Match]:
+        code = "LIMIT" if isinstance(exc, ResourceLimitError) else "ERROR"
+        flushed = self._detach(query_id, "quarantined", code, str(exc))
+        breaker = self._breakers[query_id]
+        breaker.record_failure()
+        serving = self.serving
+        robustness = self._engine.robustness
+        serving.outcome(query_id).trips = breaker.trips
+        serving.quarantines += 1
+        serving.breaker_trips += 1
+        robustness.quarantines += 1
+        robustness.breaker_trips += 1
+        return flushed
+
+    def _latch_poisoned(self, quarantined: Iterable[str]) -> None:
+        """Latch pre-convicted poison-pill queries before the first event.
+
+        Used when the caller (the shard coordinator) already knows
+        certain queries crash the process: their breakers latch open
+        permanently, their networks are dropped, and their outcomes read
+        ``quarantined``/``POISON`` — the same terminal state an in-pass
+        ``max_trips`` exhaustion reaches.
+        """
+        for query_id in quarantined:
+            breaker = self._breakers.get(query_id)
+            if breaker is None or breaker.latched:
+                continue
+            breaker.latch()
+            if query_id in self._live:
+                self._unlink(query_id)
+            outcome = self.serving.outcome(query_id)
+            outcome.status = "quarantined"
+            outcome.code = "POISON"
+            outcome.reason = (
+                "pre-quarantined as a poison pill (crashed its shard "
+                "worker process)"
+            )
+            outcome.degraded = True
+            outcome.trips = breaker.trips
+            self.serving.quarantines += 1
+            self._engine.robustness.quarantines += 1
+
+    def _shed(self, total: int) -> list[tuple[str, Match]]:
+        """Shed lowest-priority queries until the pass fits again."""
+        policy = self.policy
+        live = self._live
+        out: list[tuple[str, Match]] = []
+        for query_id in sorted(live, key=lambda q: (policy.priorities.get(q, 0), q)):
+            if total <= policy.shed_buffered_events:
+                break
+            load = sum(s.buffered_events for s in live[query_id].sinks)
+            flushed = self._detach(
+                query_id,
+                "shed",
+                "SHED001",
+                f"aggregate buffered events {total} over high-water mark "
+                f"{policy.shed_buffered_events}",
+            )
+            out += [(query_id, match) for match in flushed]
+            total -= load
+            self.serving.load_sheds += 1
+            self._engine.robustness.load_sheds += 1
+        return out
+
+    def _expire(self) -> list[tuple[str, Match]] | None:
+        """Detach every live query if a deadline has passed: their
+        flushes, or ``None`` while there is time.
+
+        A stream-deadline expiry additionally ends the pass
+        (:attr:`finished`)."""
+        policy = self.policy
+        now = self._clock.monotonic()
+        if self._stream_deadline is not None and now > self._stream_deadline:
+            self.finished = True
+            code, scope = "DEADLINE_STREAM", "stream"
+            message = f"stream deadline of {policy.stream_deadline}s expired"
+        elif self._doc_deadline is not None and now > self._doc_deadline:
+            self._doc_deadline = None
+            code, scope = "DEADLINE_DOC", "document"
+            message = f"document deadline of {policy.doc_deadline}s expired"
+        else:
+            return None
+        reason = str(DeadlineExceeded(message, scope=scope))
+        out: list[tuple[str, Match]] = []
+        for query_id in list(self._live):
+            flushed = self._detach(query_id, "deadline", code, reason)
+            out += [(query_id, match) for match in flushed]
+            self.serving.deadline_hits += 1
+            self._engine.robustness.deadline_hits += 1
+        self._stale()  # a finished pump must reach the refusal
+        return out
+
+    def _open_document(self) -> bool:
+        """``<$>``: count the document, arm its deadline, and rejoin
+        every attached query whose breaker admits it.
+
+        Shed and doc-deadline detachments carry no breaker penalty, so
+        their (closed) breakers re-admit immediately; quarantined queries
+        wait out the cooldown and come back as half-open probes.
+        Returns whether the live set changed — the transition then
+        hands the ``<$>`` to a recompiled one, which asks again and is
+        told ``False``.
+        """
+        if self._reopened:
+            self._reopened = False
+            return False
+        engine = self._engine
+        serving = self.serving
+        live = self._live
+        self.in_document = True
+        serving.documents_seen += 1
+        if self.policy.doc_deadline is not None:
+            self._doc_deadline = self._clock.monotonic() + self.policy.doc_deadline
+        changed = False
+        for query_id, breaker in self._breakers.items():
+            if query_id in live:
+                continue
+            outcome = serving.outcome(query_id)
+            if outcome.status == "rejected" or not breaker.admits():
+                continue
+            live[query_id] = engine._compile_one(query_id, self._clock)
+            if breaker.state is BreakerState.HALF_OPEN:
+                serving.probes += 1
+            outcome.status = "ok"
+            changed = True
+        if changed:
+            ordered = {q: live[q] for q in engine.queries if q in live}
+            live.clear()
+            live.update(ordered)
+        self._reopened = changed
+        return changed
+
+    def _close_document(self) -> None:
+        """``</$>``: every query still live completed the document."""
+        self.in_document = False
+        self._doc_deadline = None
+        serving = self.serving
+        for query_id in self._live:
+            if self._breakers[query_id].record_document_success():
+                serving.outcome(query_id).readmissions += 1
+                serving.readmissions += 1
+                self._engine.robustness.readmissions += 1
 
     # ------------------------------------------------------------------
     # the per-event transition
@@ -1578,106 +1343,156 @@ class ServePump:
     def feed(self, event: Event) -> list[tuple[str, Match]]:
         """Process one event; return its ``(query_id, match)`` pairs.
 
-        Semantics are exactly those of the documented
-        :meth:`MultiQueryEngine.serve` loop: document boundaries
-        re-admit breakers and (re)arm the document deadline, expired
-        deadlines detach with ``DEADLINE_*`` outcomes (a stream-deadline
-        expiry additionally marks the pump :attr:`finished`), failing
-        queries are quarantined with their partial matches flushed, and
-        buffer pressure sheds the lowest-priority queries.
+        Document boundaries re-admit breakers and (re)arm the document
+        deadline, expired deadlines detach with ``DEADLINE_*`` outcomes
+        (a stream-deadline expiry additionally marks the pump
+        :attr:`finished`), failing queries are quarantined with their
+        partial matches flushed, and buffer pressure sheds the
+        lowest-priority queries.  Within one event, matches come in
+        registration order across queries (whatever a query's
+        detach/re-admit history) and in decision order within a query.
+
+        Raises:
+            EngineError: the pass is :attr:`finished`.
         """
-        if self.finished:
-            raise EngineError("serving pass is finished (stream deadline)")
+        return self._step(event) or []
+
+    def _compile(self) -> Callable[[Event], list[tuple[str, Match]] | None]:
+        """Burn the current live set and policy into one closure.
+
+        The way :func:`~repro.core.network.make_fused_runner` flattens
+        one network's driver: what is constant until the live set
+        changes — which queries need a per-event call at all (network
+        and gated runners; core-backed lanes cost one shared
+        ``advance`` and a bulk drain), whether there is a cursor, a
+        deadline, a shedding mark — is decided here, once, and whatever
+        changes the live set makes the next event compile again
+        (:meth:`_stale`).
+        """
         engine = self._engine
         live = self._live
-        policy = self.policy
         serving = self.serving
-        breakers = self._breakers
-        clock = self._clock
-        robustness = engine.robustness
-        out: list[tuple[str, Match]] = []
-        if self._cursor is not None:
-            self._cursor.advance(event)
-        cls = event.__class__
-        if cls is StartDocument:
-            self.in_document = True
-            serving.documents_seen += 1
-            if policy.doc_deadline is not None:
-                self._doc_deadline = clock.monotonic() + policy.doc_deadline
-            for query_id in breakers:
-                if query_id not in live:
-                    engine._readmit(live, serving, breakers, query_id, clock)
-        if self._stream_deadline is not None or policy.doc_deadline is not None:
-            now = clock.monotonic()
-            if self._stream_deadline is not None and now > self._stream_deadline:
-                reason = str(
-                    DeadlineExceeded(
-                        f"stream deadline of {policy.stream_deadline}s "
-                        f"expired",
-                        scope="stream",
-                    )
-                )
-                for query_id in list(live):
-                    flushed = engine._detach(
-                        live, serving, query_id, "deadline",
-                        "DEADLINE_STREAM", reason,
-                    )
-                    serving.deadline_hits += 1
-                    robustness.deadline_hits += 1
-                    out.extend((query_id, match) for match in flushed)
-                self.finished = True
-                return out
-            if self._doc_deadline is not None and now > self._doc_deadline and live:
-                reason = str(
-                    DeadlineExceeded(
-                        f"document deadline of {policy.doc_deadline}s "
-                        f"expired",
-                        scope="document",
-                    )
-                )
-                for query_id in list(live):
-                    flushed = engine._detach(
-                        live, serving, query_id, "deadline",
-                        "DEADLINE_DOC", reason,
-                    )
-                    serving.deadline_hits += 1
-                    robustness.deadline_hits += 1
-                    out.extend((query_id, match) for match in flushed)
-                self._doc_deadline = None
         core = engine._fastlane_core
-        if core is not None:
-            core.advance(event)
-        for query_id in list(live):
-            network = live[query_id]
-            try:
-                matches = network.process_event(event)
-            except Exception as exc:
-                if not policy.quarantine:
-                    raise
-                flushed = engine._quarantine(
-                    live, serving, breakers, query_id, exc
+        runners = [
+            (query_id, network.process_event)
+            for query_id, network in live.items()
+            if not isinstance(network, (FastLaneAdapter, HybridAdapter))
+        ]
+        advance = core.advance if core is not None else None
+        dirty = core._dirty if core is not None else ()
+        drain = core.drain_matches if core is not None else None
+        outcomes = {query_id: serving.outcome(query_id) for query_id in live}
+        rank = {query_id: index for index, query_id in enumerate(live)}
+        advance_cursor = self._cursor.advance if self._cursor is not None else None
+        policy = self.policy
+        bulkheads = policy.quarantine
+        timed = policy.stream_deadline is not None or policy.doc_deadline is not None
+        shed_above = policy.shed_buffered_events
+        guarded = timed or advance_cursor is not None
+
+        def by_rank(pair: tuple[str, Match]) -> int:
+            return rank[pair[0]]
+
+        def transition(event: Event) -> list[tuple[str, Match]] | None:
+            cls = event.__class__
+            if cls is StartDocument and self._open_document():
+                # re-admissions changed the live set under this closure
+                return self._compile()(event)
+            out: list[tuple[str, Match]] | None = None
+            todo = runners
+            if guarded:
+                if advance_cursor is not None:
+                    advance_cursor(event)
+                if timed:
+                    out = self._expire()
+                    if out is not None:
+                        if self.finished:
+                            return out
+                        todo = []  # everything live was just detached
+            if advance is not None:
+                advance(event)
+            if todo:
+                for query_id, process_event in todo:
+                    try:
+                        matches = process_event(event)
+                    except Exception as exc:
+                        if not bulkheads:
+                            raise
+                        matches = self._quarantine(query_id, exc)
+                    else:
+                        if matches:
+                            outcomes[query_id].matches += len(matches)
+                    if matches:
+                        if out is None:
+                            out = []
+                        for match in matches:
+                            out.append((query_id, match))
+            if dirty:
+                # Fast-lane drains arrive in close order; a stable sort
+                # on the registration rank merges them bit-identically
+                # to the pure-network pass (match-bearing events only).
+                drained = drain()
+                for query_id, _match in drained:
+                    outcomes[query_id].matches += 1
+                out = drained if out is None else out + drained
+                if len(out) > 1:
+                    out.sort(key=by_rank)
+            if cls is EndDocument:
+                self._close_document()
+            if shed_above is not None and live:
+                total = sum(
+                    sum(s.buffered_events for s in network.sinks)
+                    for network in live.values()
                 )
-                out.extend((query_id, match) for match in flushed)
+                if total > shed_above:
+                    out = [*(out or ()), *self._shed(total)]
+            return out
+
+        self._step = transition
+        return transition
+
+    # ------------------------------------------------------------------
+    # pull-mode drivers
+
+    def _pull(self, events: Iterable[Event]) -> Iterator[tuple[str, Match]]:
+        """Feed every event of ``events``; yield the matches as decided."""
+        for event in events:
+            out = self._step(event)
+            if out is not None:
+                yield from out
+                if self.finished:  # only an expiry sets it, and returns a list
+                    return
+
+    def _pull_documents(
+        self, documents: Iterable[Iterable[Event]], report: ErrorReport
+    ) -> Iterator[tuple[str, Match]]:
+        """The ``skip``/``repair`` driver: one recovered document at a time.
+
+        Each document runs on a freshly compiled live set (a document
+        the pass gave up on leaves nothing behind) and its matches are
+        withheld until its ``</$>``, so a document that trips a resource
+        limit with bulkheads off is recorded in ``report`` and delivers
+        nothing.
+        """
+        engine = self._engine
+        live = self._live
+        for document in documents:
+            if self.serving.documents_seen:
+                for query_id in live:
+                    live[query_id] = engine._compile_one(query_id, self._clock)
+                self._stale()
+            held: list[tuple[str, Match]] = []
+            try:
+                held.extend(self._pull(document))
+            except ResourceLimitError as exc:
+                report.add(report.documents_seen - 1, str(exc), "limit")
+                report.documents_skipped += 1
+                for query_id, _match in held:  # decided, never delivered
+                    self.serving.outcome(query_id).matches -= 1
                 continue
-            if matches:
-                serving.outcome(query_id).matches += len(matches)
-                out.extend((query_id, match) for match in matches)
-        if cls is EndDocument:
-            self.in_document = False
-            self._doc_deadline = None
-            for query_id in live:
-                if breakers[query_id].record_document_success():
-                    serving.outcome(query_id).readmissions += 1
-                    serving.readmissions += 1
-                    robustness.readmissions += 1
-        if policy.shed_buffered_events is not None and live:
-            total = sum(
-                sum(s.buffered_events for s in network.sinks)
-                for network in live.values()
-            )
-            if total > policy.shed_buffered_events:
-                out.extend(engine._shed(live, serving, policy, total))
-        return out
+            yield from held
+            if self.finished:
+                return
 
 
 def _spine(expr: Rpeq) -> list[Rpeq]:

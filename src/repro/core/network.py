@@ -14,6 +14,7 @@ complexity experiments.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -28,6 +29,7 @@ from ..xmlstream.events import (
     StartElement,
 )
 from ..conditions.formula import FormulaMemo
+from ..conditions.store import ConditionStore, VariableAllocator
 from .flow_transducers import JoinTransducer, SplitTransducer
 from .messages import ActivationPool, Doc, Message
 from .optimize import ALL_OPTIMIZATIONS, OptimizationFlags, as_flags
@@ -72,9 +74,12 @@ class Network:
         networks (conjunctive queries, Sec. VII) pass ``None`` and drain
         their output transducers directly.  ``limits`` (when set and not
         unbounded) arms the per-event resource guards — depth, formula
-        size and per-document event/time budgets.  ``flags`` selects the
-        runtime optimization knobs (:mod:`repro.core.optimize`) applied
-        at :meth:`finalize` time; the default is every knob on.
+        size and per-document event/time budgets.  ``flags``
+        (:mod:`repro.core.optimize`) selects the per-event driver
+        installed at :meth:`finalize` time: the production closure
+        (:func:`make_fused_runner`, the default) or, with
+        ``production_network`` off, the interpreted reference
+        :meth:`process_event`.
         """
         self.source = source
         self.sink = sink
@@ -89,10 +94,10 @@ class Network:
         self._doc_deadline: float | None = None
         #: set by the compiler; drives deferred variable release at the
         #: end of every event (see ConditionStore.end_of_event)
-        self.condition_store = None
+        self.condition_store: ConditionStore | None = None
         #: set by the compiler; checkpointed so resuming continues the
         #: condition-variable uid sequence instead of restarting it
-        self.allocator = None
+        self.allocator: VariableAllocator | None = None
         self._nodes: list[Transducer] = [source]
         self._predecessors: dict[int, list[Transducer]] = {id(source): []}
         self._finalized = False
@@ -100,18 +105,6 @@ class Network:
         # Execution plan compiled by finalize(): per node, its index and
         # the indices of its predecessors' output slots.
         self._plan: list[tuple[Transducer, int, int]] = []
-        # Flat dispatch function compiled by finalize() under the
-        # `routing` knob: the whole topological pass as one generated
-        # straight-line function over pre-bound feed methods.  Unlike
-        # _plan (which mirrors the wiring 1:1 and is what the static
-        # verifier checks), it may bypass identity nodes by aliasing.
-        self._exec = None
-        self._src_batch: list[Message] = [None]  # type: ignore[list-item]
-        #: per-network normalization memo (``formula_memo`` knob)
-        self.formula_memo: FormulaMemo | None = None
-        #: per-network activation recycler (``message_pool`` knob)
-        self.activation_pool: ActivationPool | None = None
-        self._doc: Doc | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -165,49 +158,21 @@ class Network:
             left = index_of[id(predecessors[0])]
             right = index_of[id(predecessors[1])] if len(predecessors) == 2 else -1
             self._plan.append((node, left, right))
-        self._compile_exec()
-
-    def _compile_exec(self) -> None:
-        """Apply the runtime optimization knobs to the frozen topology.
-
-        ``formula_memo`` and ``message_pool`` rewire every node's
-        ``_disj``/``_conj``/``_activation`` to per-network shared
-        instances; ``routing`` flattens ``_plan`` into a dispatch table
-        of pre-bound feed methods, aliasing identity splits out of the
-        per-event loop entirely (the network fans out by handing the same
-        output list to both successors anyway).
-        """
-        flags = self.flags
-        if flags.formula_memo:
-            memo = FormulaMemo()
-            self.formula_memo = memo
-            for node in self._nodes:
-                node._disj = memo.disj
-                node._conj = memo.conj
-        if flags.message_pool:
-            pool = ActivationPool()
-            self.activation_pool = pool
-            for node in self._nodes:
-                node._activation = pool.acquire
-        if flags.routing:
-            self._compile_routing()
-        else:
-            self._exec = None
-        if flags.fused_network and self.limits is None and self.sink is not None:
-            # Flatten the whole per-event driver into one closure (the
-            # instance attribute shadows the method).  Limit-armed
-            # networks keep the full method: the guards must see every
-            # event.
-            from .dispatch import make_fused_runner
-
+        if self.flags.production_network:
+            # the instance attribute shadows the reference method
             self.process_event = make_fused_runner(self)  # type: ignore[method-assign]
 
-    def _compile_routing(self) -> None:
-        # Flatten the plan into straight-line code: one generated
-        # function whose body is the topological pass with every feed
-        # method pre-bound and every slot a local variable.  This strips
-        # the interpreted loop (tuple unpacking, list indexing, arity
-        # branch) from the hottest few microseconds of the engine.
+    def _compile_routing(self) -> Callable[[list[Message]], None]:
+        """Generate the topological pass as straight-line code.
+
+        One function whose body is the pass with every feed method
+        pre-bound and every slot a local variable — no interpreted loop
+        (tuple unpacking, list indexing, arity branch) in the hottest
+        few microseconds of the engine.  Unlike ``_plan`` (which mirrors
+        the wiring 1:1 and is what the static verifier checks), it
+        bypasses identity splits by aliasing: the network fans out by
+        handing the same output list to both successors anyway.
+        """
         alias: dict[int, int] = {}
         namespace: dict[str, object] = {}
         lines = ["def _run(s0):"]
@@ -219,9 +184,6 @@ class Network:
                 namespace[f"f{slot}"] = node.feed2
                 lines.append(f"    s{slot} = f{slot}({lname}, {rname})")
             elif node.__class__ is SplitTransducer:
-                # Identity node: downstream reads go straight to its
-                # input (the network fans one list out to both
-                # successors anyway).
                 alias[slot] = alias.get(left, left)
             else:
                 namespace[f"f{slot}"] = node.feed
@@ -229,7 +191,7 @@ class Network:
             slot += 1
         lines.append("    return None")
         exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-        self._exec = namespace["_run"]
+        return namespace["_run"]  # type: ignore[return-value]
 
     @property
     def nodes(self) -> list[Transducer]:
@@ -268,6 +230,12 @@ class Network:
     def process_event(self, event: Event) -> list[Match]:
         """Push one stream event through the network; return new matches.
 
+        This method is the *reference* driver — the literal interpreted
+        topological pass, fresh messages, no memo — that
+        ``production_network=False`` networks run and every differential
+        test compares against.  Production networks shadow it with
+        :func:`make_fused_runner`'s closure at :meth:`finalize`.
+
         Raises:
             ResourceLimitError: a configured :class:`ResourceLimits`
                 bound (depth, per-document events/time, formula size)
@@ -278,46 +246,20 @@ class Network:
         self._events += 1
         if self.limits is not None:
             self._guard(event)
-        pool = self.activation_pool
-        if pool is not None:
-            pool._used = 0  # inline pool.reset()
-            doc = self._doc
-            if doc is None:
-                doc = self._doc = Doc(event)
+        outputs: list[list[Message]] = [None] * len(self._nodes)  # type: ignore[list-item]
+        outputs[0] = self.source.feed([Doc(event)])
+        slot = 1
+        for node, left, right in self._plan:
+            if right >= 0:
+                outputs[slot] = node.feed2(outputs[left], outputs[right])
             else:
-                # One pooled document message per network; every slot
-                # read happens within this event (topological order), so
-                # in-place mutation is never observed across events.
-                object.__setattr__(doc, "event", event)
-        else:
-            doc = Doc(event)
-        batch = self._src_batch
-        batch[0] = doc
-        run = self._exec
-        if run is not None:
-            run(self.source.feed(batch))
-        else:
-            outputs: list[list[Message]] = [None] * len(self._nodes)  # type: ignore[list-item]
-            outputs[0] = self.source.feed(batch)
-            slot = 1
-            for node, left, right in self._plan:
-                if right >= 0:
-                    outputs[slot] = node.feed2(outputs[left], outputs[right])
-                else:
-                    outputs[slot] = node.feed(outputs[left])
-                slot += 1
+                outputs[slot] = node.feed(outputs[left])
+            slot += 1
         if self.limits is not None and self.limits.max_formula_size is not None:
             self._guard_formula_size()
         store = self.condition_store
         if store is not None and store._release_pending:
             store.end_of_event()
-        if event.__class__ is EndDocument:
-            memo = self.formula_memo
-            if memo is not None:
-                # Nothing outlives the document that could replay these
-                # merges; dropping the strong operand refs frees the
-                # retained formula DAGs between documents.
-                memo.clear()
         sink = self.sink
         if sink is None or not sink.results:
             return []
@@ -334,6 +276,7 @@ class Network:
         memory analysis makes predictable.
         """
         limits = self.limits
+        assert limits is not None  # armed networks only
         cls = event.__class__
         if cls is StartDocument:
             self._doc_events = 0
@@ -371,7 +314,9 @@ class Network:
 
     def _guard_formula_size(self) -> None:
         """Enforce the σ ceiling after the event's message batch settled."""
-        ceiling = self.limits.max_formula_size
+        limits = self.limits
+        assert limits is not None and limits.max_formula_size is not None
+        ceiling = limits.max_formula_size
         for node in self._nodes:
             size = node.stats.max_formula_size
             if size > ceiling:
@@ -448,3 +393,70 @@ class Network:
                 "activations_emitted": node.stats.activations_emitted,
             }
         return stats
+
+
+_NO_MATCHES: list[Match] = []
+
+
+def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
+    """The production per-event driver of a finalized network: one closure.
+
+    A drop-in for :meth:`Network.process_event` with the network's
+    configuration resolved once, here, instead of re-branched on every
+    event: the generated topological pass
+    (:meth:`Network._compile_routing`), the source feed, one pooled
+    document message (every slot read happens within the event, in
+    topological order, so in-place mutation is never observed across
+    events), the per-network :class:`~repro.conditions.formula.FormulaMemo`
+    and :class:`~repro.core.messages.ActivationPool` wired into every
+    node, and — only when the network is limit-armed — the two guard
+    calls.  Multi-sink networks (``sink=None``) drain their sinks
+    themselves and always get the shared empty list.
+    """
+    memo = FormulaMemo()
+    pool = ActivationPool()
+    for node in network._nodes:
+        node._disj = memo.disj
+        node._conj = memo.conj
+        node._activation = pool.acquire
+    run = network._compile_routing()
+    source_feed = network.source.feed
+    store = network.condition_store
+    sink = network.sink
+    limits = network.limits
+    guard = network._guard if limits is not None else None
+    guard_sigma = (
+        network._guard_formula_size
+        if limits is not None and limits.max_formula_size is not None
+        else None
+    )
+    doc = Doc(None)  # type: ignore[arg-type]
+    batch: list[Message] = [doc]
+    set_event = object.__setattr__
+
+    def process_event(event: Event) -> list[Match]:
+        network._events += 1
+        if guard is not None:
+            guard(event)
+        pool._used = 0  # inline pool.reset()
+        set_event(doc, "event", event)
+        run(source_feed(batch))
+        if guard_sigma is not None:
+            guard_sigma()
+        if store is not None and store._release_pending:
+            store.end_of_event()
+        if event.__class__ is EndDocument:
+            # Nothing outlives the document that could replay these
+            # merges; dropping the strong operand refs frees the
+            # retained formula DAGs between documents.
+            memo.clear()
+        if sink is None:
+            return _NO_MATCHES
+        results = sink.results
+        if not results:
+            return _NO_MATCHES
+        matches = list(results)
+        results.clear()
+        return matches
+
+    return process_event

@@ -1,29 +1,20 @@
 """Hot-path optimization knobs.
 
-Every optimization the engine applies on top of the paper's literal
-Fig. 11 semantics is an independent knob here, so the differential test
-suite can switch each one off and compare answers bit-for-bit against
-the unoptimized evaluation.  ``optimize=`` parameters throughout the
-library accept either a plain bool — ``True`` is every knob on,
-``False`` the literal Fig. 11 network with none — or an
-:class:`OptimizationFlags` instance for per-knob control.
+``optimize=`` parameters throughout the library accept either a plain
+bool — ``True`` is every knob on, ``False`` the literal Fig. 11 network
+with none — or an :class:`OptimizationFlags` instance.  Three knobs
+remain, because three things are still selected by a caller that exists
+(the differential suites and the bench ladder):
 
-The knobs (each described where it is implemented):
-
-* ``star_fusion`` — compile ``label*`` to the fused ``DS`` transducer
-  instead of the literal split/closure/join triple
-  (:mod:`repro.core.path_transducers`).
-* ``routing`` — compile the network's per-event routing into a flat
-  dispatch table at finalize time: bound feed methods, reused output
-  slots and identity-split bypass (:mod:`repro.core.network`).
-* ``formula_memo`` — a bounded, identity-keyed memo for the binary
-  conjunction/disjunction normalizations
-  (:class:`repro.conditions.formula.FormulaMemo`); σ-bounded formulas
-  repeat heavily under closures, so most normalizations are replays.
-* ``message_pool`` — reuse one document-message object per network and
-  recycle activation messages event-to-event
-  (:class:`repro.core.messages.ActivationPool`), cutting allocator
-  churn on the per-event hot path.
+* ``production_network`` — compile and drive transducer networks the
+  production way: ``label*`` fused into the ``DS`` transducer
+  (:mod:`repro.core.path_transducers`), the per-event pass generated as
+  straight-line code over pre-bound feeds and flattened into one closure
+  (:func:`repro.core.network.make_fused_runner`), condition
+  normalizations memoized (:class:`repro.conditions.formula.FormulaMemo`)
+  and messages pooled (:class:`repro.core.messages.ActivationPool`).
+  Off, the network is the literal Fig. 11 translation, interpreted —
+  the oracle every differential test compares against.
 * ``dfa_lane`` — execute dfa-lane queries (qualifier-free, no axes) on
   the shared lazily-determinized product DFA instead of a transducer
   network (:mod:`repro.core.fastlane`).
@@ -32,31 +23,31 @@ The knobs (each described where it is implemented):
   the planner's prefix — the prefix runs in the DFA, and only the
   residual is a transducer network, fed the events the DFA says it
   needs (:mod:`repro.core.fastlane`).
-* ``fused_network`` — flatten a finalized network's per-event driver
-  into one closure over an event-class table instead of the method-call
-  chain through :meth:`repro.core.network.Network.process_event`
-  (:func:`repro.core.dispatch.make_fused_runner`).
 
-None of the knobs may change answers; the ``BENCH_<n>.json`` trajectory
-gate and ``tests/core/test_optimize_differential.py`` enforce that.
+None of the knobs may change answers;
+``tests/core/test_optimize_differential.py`` and
+``tests/integration/test_lane_differential.py`` enforce that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import product
+
+from ..errors import CheckpointError
+
+#: The five network-level knobs of checkpoint format 2, always on
+#: together since PR 5/PR 10 and now one: ``production_network``.
+_FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
 
 
 @dataclass(frozen=True, slots=True)
 class OptimizationFlags:
     """Per-knob optimization switches (see the module docstring)."""
 
-    star_fusion: bool = True
-    routing: bool = True
-    formula_memo: bool = True
-    message_pool: bool = True
+    production_network: bool = True
     dfa_lane: bool = True
     hybrid_gate: bool = True
-    fused_network: bool = True
 
     def to_obj(self) -> object:
         """Checkpoint encoding: plain bool for the two endpoint presets
@@ -76,13 +67,7 @@ class OptimizationFlags:
 ALL_OPTIMIZATIONS = OptimizationFlags()
 #: The literal Fig. 11 semantics — what ``optimize=False`` means.
 NO_OPTIMIZATIONS = OptimizationFlags(
-    star_fusion=False,
-    routing=False,
-    formula_memo=False,
-    message_pool=False,
-    dfa_lane=False,
-    hybrid_gate=False,
-    fused_network=False,
+    production_network=False, dfa_lane=False, hybrid_gate=False
 )
 
 
@@ -90,32 +75,45 @@ def as_flags(value: object) -> OptimizationFlags:
     """Normalize an ``optimize=`` argument (or its checkpoint encoding).
 
     Accepts an :class:`OptimizationFlags`, a bool (endpoint presets) or
-    the dict encoding :meth:`OptimizationFlags.to_obj` produces.
+    the dict encoding :meth:`OptimizationFlags.to_obj` produces —
+    including the seven-key dicts older checkpoints carry, whose five
+    network keys fold into ``production_network``.
+
+    Raises:
+        ValueError: a key that never was a knob.
+        CheckpointError: a seven-key dict whose network keys disagree —
+            a topology this version can no longer compile.
     """
     if isinstance(value, OptimizationFlags):
         return value
     if isinstance(value, dict):
         known = {f.name for f in fields(OptimizationFlags)}
-        unknown = set(value) - known
+        unknown = set(value) - known - set(_FOLDED)
         if unknown:
             raise ValueError(f"unknown optimization flag(s): {sorted(unknown)}")
-        return OptimizationFlags(**{k: bool(v) for k, v in value.items()})
+        knobs = {k: bool(v) for k, v in value.items() if k in known}
+        if not known.issuperset(value):
+            # the old decoder read an absent key as "on"
+            off = sorted(k for k in _FOLDED if not value.get(k, True))
+            if off and len(off) < len(_FOLDED):
+                raise CheckpointError(
+                    f"checkpoint mixes the network knobs that are now one "
+                    f"(off: {off}, on: {sorted(set(_FOLDED) - set(off))}); "
+                    f"only all-on (production_network) and all-off (the "
+                    f"reference network) can still be compiled"
+                )
+            knobs.setdefault("production_network", not off)
+        return OptimizationFlags(**knobs)
     return ALL_OPTIMIZATIONS if value else NO_OPTIMIZATIONS
 
 
 def all_knob_combinations() -> list[OptimizationFlags]:
-    """Every single-knob-off variant plus the two endpoints.
+    """All 2³ knob settings, ``ALL_OPTIMIZATIONS`` first.
 
-    The differential suite runs each against ``NO_OPTIMIZATIONS`` — wide
-    enough to attribute a divergence to one knob without paying for the
-    full 2^n product on every test run.
+    The differential suites run each against ``NO_OPTIMIZATIONS``.
     """
     names = [f.name for f in fields(OptimizationFlags)]
-    combos = [ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS]
-    combos.extend(
-        OptimizationFlags(**{name: False}) for name in names
-    )
-    combos.extend(
-        OptimizationFlags(**{n: n == name for n in names}) for name in names
-    )
-    return combos
+    return [
+        OptimizationFlags(**dict(zip(names, bits)))
+        for bits in product((True, False), repeat=len(names))
+    ]

@@ -97,13 +97,12 @@ class Transducer:
         self.pending: Formula | None = None
         self.stats = TransducerStats()
         #: binary disjunction/conjunction used to combine activation
-        #: formulas; the network swaps in memoized variants
-        #: (``FormulaMemo.disj``/``conj``) when the ``formula_memo``
-        #: optimization knob is on
+        #: formulas; a production network swaps in memoized variants
+        #: (``FormulaMemo.disj``/``conj``)
         self._disj = disj
         self._conj = conj
-        #: activation-message constructor; the network swaps in a pooled
-        #: acquirer when the ``message_pool`` knob is on
+        #: activation-message constructor; a production network swaps
+        #: in a pooled acquirer
         self._activation = Activation
 
     # ------------------------------------------------------------------

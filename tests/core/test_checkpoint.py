@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.core.checkpoint import CHECKPOINT_VERSION
 from repro.core.multiquery import MultiQueryEngine
+from repro.core.optimize import OptimizationFlags
 from repro.errors import EngineError
 from repro.xmlstream import iter_events, skip_events
 
@@ -268,6 +269,18 @@ class TestEngineCheckpointContract:
         assert rebuilt.optimize is False
         # and therefore resume is accepted
         list(rebuilt.resume(checkpoint, DOC))
+
+    def test_resume_rejects_the_other_network_topology(self):
+        """The production and the reference network name their nodes
+        differently (fused DS vs. split/closure/join); the lanes do not
+        matter to a single-query engine."""
+        engine = SpexEngine("a*.b", optimize=False)
+        run_with_cursor(engine, DOC, 5)
+        checkpoint = engine.checkpoint()
+        with pytest.raises(CheckpointError, match="production_network"):
+            SpexEngine("a*.b", optimize=True).resume(checkpoint, DOC)
+        lanes_only = OptimizationFlags(production_network=False)
+        list(SpexEngine("a*.b", optimize=lanes_only).resume(checkpoint, DOC))
 
     def test_counters_and_summary(self):
         engine = SpexEngine("_*.a")

@@ -15,6 +15,7 @@ identity-keyed table), so its mechanics get direct coverage.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core.optimize import (
     all_knob_combinations,
     as_flags,
 )
+from repro.errors import CheckpointError
 
 from ..conftest import event_streams, make_random_events, rpeq_queries
 
@@ -40,8 +42,14 @@ def test_all_knob_combinations_cover_endpoints_and_single_knobs():
     combos = all_knob_combinations()
     assert ALL_OPTIMIZATIONS in combos
     assert NO_OPTIMIZATIONS in combos
-    # one-off and one-on variant per knob, no duplicates
-    assert len(combos) == len(set(combos)) == 16
+    # the whole 2^3 cube — which contains the one-off and one-on
+    # variant of every knob — without duplicates
+    assert len(combos) == len(set(combos)) == 8
+    assert [f.name for f in dataclasses.fields(OptimizationFlags)] == [
+        "production_network",
+        "dfa_lane",
+        "hybrid_gate",
+    ]
 
 
 def test_as_flags_round_trips_checkpoint_encoding():
@@ -54,6 +62,46 @@ def test_as_flags_round_trips_checkpoint_encoding():
 def test_as_flags_rejects_unknown_knob():
     with pytest.raises(ValueError, match="unknown optimization flag"):
         as_flags({"vectorize": True})
+    with pytest.raises(ValueError, match="vectorize"):
+        as_flags({**_seven_keys(), "vectorize": True})
+
+
+#: the five network knobs of checkpoint format 2, now ``production_network``
+FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
+
+
+def _seven_keys(network=True, dfa_lane=True, hybrid_gate=True, **override):
+    """The dict a pre-fold checkpoint carries in its ``optimize`` entry."""
+    encoding = dict.fromkeys(FOLDED, network)
+    encoding.update(dfa_lane=dfa_lane, hybrid_gate=hybrid_gate, **override)
+    return encoding
+
+
+@pytest.mark.parametrize("lanes", [(True, False), (False, True), (False, False)])
+def test_seven_key_encoding_with_the_network_knobs_all_on(lanes):
+    dfa_lane, hybrid_gate = lanes
+    assert as_flags(_seven_keys(True, dfa_lane, hybrid_gate)) == OptimizationFlags(
+        production_network=True, dfa_lane=dfa_lane, hybrid_gate=hybrid_gate
+    )
+
+
+@pytest.mark.parametrize("lanes", [(True, True), (True, False), (False, True)])
+def test_seven_key_encoding_with_the_network_knobs_all_off(lanes):
+    dfa_lane, hybrid_gate = lanes
+    assert as_flags(_seven_keys(False, dfa_lane, hybrid_gate)) == OptimizationFlags(
+        production_network=False, dfa_lane=dfa_lane, hybrid_gate=hybrid_gate
+    )
+
+
+@pytest.mark.parametrize("lone", FOLDED)
+@pytest.mark.parametrize("rest", [True, False])
+def test_seven_key_encoding_mixing_the_network_knobs_is_refused(lone, rest):
+    """One network knob against the other four: a topology that can no
+    longer be compiled, refused by naming the keys on each side."""
+    with pytest.raises(CheckpointError) as refusal:
+        as_flags(_seven_keys(rest, **{lone: not rest}))
+    assert lone in str(refusal.value)
+    assert all(name in str(refusal.value) for name in FOLDED)
 
 
 # ----------------------------------------------------------------------
@@ -167,30 +215,3 @@ def test_random_queries_agree_across_knobs(query, events):
         if flags == NO_OPTIMIZATIONS:
             continue
         assert _answers(query, events, flags) == reference
-
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(rpeq_queries(), event_streams())
-def test_single_knob_routing_and_pool_agree(query, events):
-    """The two purely-mechanical knobs, isolated one at a time.
-
-    ``routing`` and ``message_pool`` rewrite *how* messages move, not
-    what they say — the likeliest place for an aliasing bug to hide, so
-    they get dedicated single-knob runs beyond the combination sweep.
-    """
-    reference = _answers(query, events, NO_OPTIMIZATIONS)
-    for name in ("routing", "message_pool"):
-        lone = OptimizationFlags(
-            star_fusion=False,
-            routing=name == "routing",
-            formula_memo=False,
-            message_pool=name == "message_pool",
-            dfa_lane=False,
-            hybrid_gate=False,
-            fused_network=False,
-        )
-        assert _answers(query, events, lone) == reference
