@@ -37,7 +37,7 @@ from ..conditions.store import ConditionStore, VariableAllocator
 from ..rpeq.ast import Label
 from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
 from .messages import Activation, Close, Contribute, Doc, Message
-from .transducer import Transducer
+from .transducer import FORWARDS, Transducer
 
 
 class FollowingTransducer(Transducer):
@@ -52,6 +52,8 @@ class FollowingTransducer(Transducer):
     """
 
     kind = "FO"
+
+    text = FORWARDS  # start and end tags go through the hooks
 
     def __init__(
         self,
@@ -148,6 +150,8 @@ class PrecedingTransducer(Transducer):
     """``PR(l)`` — matches elements that closed before a context starts."""
 
     kind = "PR"
+
+    text = FORWARDS  # start and end tags go through the hooks
 
     def __init__(
         self,

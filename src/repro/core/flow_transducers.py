@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import EngineError
 from .messages import Activation, Doc, Message
-from .transducer import Transducer
+from .transducer import FORWARDS, Transducer
 
 
 class SplitTransducer(Transducer):
@@ -31,6 +31,8 @@ class SplitTransducer(Transducer):
     """
 
     kind = "SP"
+
+    start = end = text = FORWARDS
 
     def feed(self, messages) -> list[Message]:
         batch = messages if messages.__class__ is list else list(messages)
@@ -76,16 +78,22 @@ class JoinTransducer(Transducer):
             # output is the batch itself — docs agree trivially and the
             # doc-last invariant keeps the order exact.
             return left
-        # Fast path: both branches forwarded just the document message.
-        if len(left) == 1 and len(right) == 1:
-            lone, rone = left[0], right[0]
-            if lone.__class__ is Doc and rone.__class__ is Doc:
-                if lone is not rone and lone.event != rone.event:
-                    raise EngineError(
-                        f"{self.name}: branches disagree on document "
-                        f"messages ({lone} vs {rone})"
-                    )
-                return [lone]
+        if left and right and left[-1] is right[-1] and left[-1].__class__ is Doc:
+            # Both branches end in the one document message of this
+            # event (the drivers pass a single object through the whole
+            # network, and no batch holds a message twice): whatever
+            # else the two sides carry goes in front of it.
+            if len(right) == 1:
+                return left
+            if len(left) == 1:
+                return right
+            merged = left[:-1]
+            if self.dedup:
+                seen = set(map(id, merged))
+                merged.extend(m for m in right if id(m) not in seen)
+            else:
+                merged.extend(right)
+            return merged
         left_docs = [m for m in left if m.__class__ is Doc]
         right_docs = [m for m in right if m.__class__ is Doc]
         if [m.event for m in left_docs] != [m.event for m in right_docs]:
@@ -110,17 +118,15 @@ class UnionTransducer(Transducer):
 
     kind = "UN"
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined fast path: with no buffered activation every hook
-        # forwards the lone document message unchanged.
-        if (
-            len(messages) == 1
-            and messages[0].__class__ is Doc
-            and self.pending is None
-        ):
-            self.stats.messages += 1
-            return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        self.stats.messages += len(batch)
+        head = self._absorb(batch) if len(batch) > 1 else None
+        emit, self.pending = self.pending, None
+        if emit is None and head is None:
+            return batch
+        return self._emit(head, emit, batch[-1])
+
+    end = text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         self.absorb_activation(message.formula)  # absorb merges via disj()

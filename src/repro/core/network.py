@@ -27,15 +27,16 @@ from ..xmlstream.events import (
     Event,
     StartDocument,
     StartElement,
+    Text,
 )
 from ..conditions.formula import FormulaMemo
 from ..conditions.store import ConditionStore, VariableAllocator
-from .flow_transducers import JoinTransducer, SplitTransducer
+from .flow_transducers import JoinTransducer
 from .messages import ActivationPool, Doc, Message
 from .optimize import ALL_OPTIMIZATIONS, OptimizationFlags, as_flags
 from .output_tx import Match, OutputTransducer
 from .path_transducers import InputTransducer
-from .transducer import Transducer
+from .transducer import FORWARDS, POPS, Transducer
 
 
 @dataclass
@@ -162,33 +163,44 @@ class Network:
             # the instance attribute shadows the reference method
             self.process_event = make_fused_runner(self)  # type: ignore[method-assign]
 
-    def _compile_routing(self) -> Callable[[list[Message]], None]:
-        """Generate the topological pass as straight-line code.
+    def _compile_pass(self, entry: str) -> Callable[[list[Message]], None]:
+        """Generate the topological pass of one event class as straight-line code.
 
-        One function whose body is the pass with every feed method
-        pre-bound and every slot a local variable — no interpreted loop
-        (tuple unpacking, list indexing, arity branch) in the hottest
-        few microseconds of the engine.  Unlike ``_plan`` (which mirrors
-        the wiring 1:1 and is what the static verifier checks), it
-        bypasses identity splits by aliasing: the network fans out by
-        handing the same output list to both successors anyway.
+        ``entry`` names what drives each node: ``"start"``, ``"end"`` or
+        ``"text"`` — the node's entry point for that event class (see
+        :mod:`repro.core.transducer`) — or ``"feed"``, the hook-driven
+        dispatch, which document boundaries use throughout and the other
+        passes fall back to for a node without an entry point.  One
+        function whose body is the pass with every callee pre-bound and
+        every slot a local variable; unlike ``_plan`` (which mirrors the
+        wiring 1:1 and is what the static verifier checks) it leaves out
+        what the event class cannot change: a ``FORWARDS`` node's slot is
+        an alias of its input, a ``POPS`` node is an inlined checked
+        ``stack.pop()``, and a join whose inputs are one slot hands it on.
         """
-        alias: dict[int, int] = {}
-        namespace: dict[str, object] = {}
-        lines = ["def _run(s0):"]
-        slot = 1
-        for node, left, right in self._plan:
-            lname = f"s{alias.get(left, left)}"
+        names = {-1: "batch"}
+        namespace: dict[str, object] = {"EngineError": EngineError}
+        lines = ["def _run(batch):"]
+        plan = [(self.source, -1, -1), *self._plan]
+        for slot, (node, left, right) in enumerate(plan):
             if right >= 0:
-                rname = f"s{alias.get(right, right)}"
-                namespace[f"f{slot}"] = node.feed2
-                lines.append(f"    s{slot} = f{slot}({lname}, {rname})")
-            elif node.__class__ is SplitTransducer:
-                alias[slot] = alias.get(left, left)
+                if names[left] == names[right] and node.dedup:
+                    names[slot] = names[left]
+                    continue
+                call, args = node.feed2, f"{names[left]}, {names[right]}"
             else:
-                namespace[f"f{slot}"] = node.feed
-                lines.append(f"    s{slot} = f{slot}({lname})")
-            slot += 1
+                call, args = getattr(node, entry) or node.feed, names[left]
+                if call is FORWARDS or call is POPS:
+                    if call is POPS:
+                        namespace[f"k{slot}"] = node.stack
+                        error = f"{node.name}: end tag with empty stack"
+                        lines.append(f"    if k{slot}: k{slot}.pop()")
+                        lines.append(f"    else: raise EngineError({error!r})")
+                    names[slot] = args
+                    continue
+            namespace[f"f{slot}"] = call
+            names[slot] = f"s{slot}"
+            lines.append(f"    s{slot} = f{slot}({args})")
         lines.append("    return None")
         exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
         return namespace["_run"]  # type: ignore[return-value]
@@ -403,11 +415,13 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
 
     A drop-in for :meth:`Network.process_event` with the network's
     configuration resolved once, here, instead of re-branched on every
-    event: the generated topological pass
-    (:meth:`Network._compile_routing`), the source feed, one pooled
-    document message (every slot read happens within the event, in
-    topological order, so in-place mutation is never observed across
-    events), the per-network :class:`~repro.conditions.formula.FormulaMemo`
+    event: one generated topological pass per event class
+    (:meth:`Network._compile_pass` — start tags, end tags and text each
+    visit only the nodes that class can change, through their entry
+    points; document boundaries run the hooks), one pooled document
+    message (every slot read happens within the event, in topological
+    order, so in-place mutation is never observed across events), the
+    per-network :class:`~repro.conditions.formula.FormulaMemo`
     and :class:`~repro.core.messages.ActivationPool` wired into every
     node, and — only when the network is limit-armed — the two guard
     calls.  Multi-sink networks (``sink=None``) drain their sinks
@@ -419,8 +433,12 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
         node._disj = memo.disj
         node._conj = memo.conj
         node._activation = pool.acquire
-    run = network._compile_routing()
-    source_feed = network.source.feed
+    boundary = network._compile_pass("feed")
+    pass_of = {
+        StartElement: network._compile_pass("start"),
+        EndElement: network._compile_pass("end"),
+        Text: network._compile_pass("text"),
+    }.get
     store = network.condition_store
     sink = network.sink
     limits = network.limits
@@ -440,7 +458,7 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
             guard(event)
         pool._used = 0  # inline pool.reset()
         set_event(doc, "event", event)
-        run(source_feed(batch))
+        pass_of(event.__class__, boundary)(batch)
         if guard_sigma is not None:
             guard_sigma()
         if store is not None and store._release_pending:

@@ -8,8 +8,9 @@ remain, because three things are still selected by a caller that exists
 
 * ``production_network`` — compile and drive transducer networks the
   production way: ``label*`` fused into the ``DS`` transducer
-  (:mod:`repro.core.path_transducers`), the per-event pass generated as
-  straight-line code over pre-bound feeds and flattened into one closure
+  (:mod:`repro.core.path_transducers`), one straight-line pass per
+  event class generated over the transducers' entry points and
+  flattened into one closure
   (:func:`repro.core.network.make_fused_runner`), condition
   normalizations memoized (:class:`repro.conditions.formula.FormulaMemo`)
   and messages pooled (:class:`repro.core.messages.ActivationPool`).

@@ -216,48 +216,53 @@ class OutputTransducer(Transducer):
     # ------------------------------------------------------------------
     # message handling
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined single-document fast path mirroring on_start/on_end/
-        # on_text exactly (see path_transducers for the policy); every
-        # document event is consumed, so the shared empty batch suffices.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            event = messages[0].event
-            ecls = event.__class__
-            stats = self.stats
-            if ecls is StartElement:
-                stats.messages += 1
-                self._gidx += 1
-                self._element_count += 1
-                candidate = None
-                if self.pending is not None:
-                    formula, self.pending = self.pending, None
-                    candidate = self._create_candidate(
-                        self._element_count, event.label, formula
-                    )
-                self._open.append(candidate)
-                stack = self.stack
-                stack.append(None)
-                depth = len(stack)
-                if depth > stats.max_stack:
-                    stats.max_stack = depth
-                self._log_event(event)
-                return _EMPTY_BATCH
-            if ecls is EndElement:
-                stats.messages += 1
-                self._gidx += 1
-                self._log_event(event)
-                self.pop_entry()
-                candidate = self._open.pop()
-                if candidate is not None:
-                    candidate.end_gidx = self._gidx
-                self._flush()
-                return _EMPTY_BATCH
-            if ecls is Text:
-                stats.messages += 1
-                self._gidx += 1
-                self._log_event(event)
-                return _EMPTY_BATCH
-        return Transducer.feed(self, messages)
+    # Entry points: every message is consumed (activations buffered,
+    # condition messages applied to the store), so the shared empty
+    # batch is the output of every event.
+
+    def start(self, batch: list[Message]) -> list[Message]:
+        stats = self.stats
+        stats.messages += len(batch)
+        if len(batch) > 1:
+            for message in self._absorb(batch):
+                self.on_condition(message)
+        event = batch[-1].event
+        self._gidx += 1
+        self._element_count += 1
+        candidate = None
+        if self.pending is not None:
+            formula, self.pending = self.pending, None
+            candidate = self._create_candidate(
+                self._element_count, event.label, formula
+            )
+        self._open.append(candidate)
+        stack = self.stack
+        stack.append(None)
+        if len(stack) > stats.max_stack:
+            stats.max_stack = len(stack)
+        self._log_event(event)
+        return _EMPTY_BATCH
+
+    def end(self, batch: list[Message]) -> list[Message]:
+        self.stats.messages += len(batch)
+        if len(batch) > 1:
+            for message in self._absorb(batch):
+                self.on_condition(message)
+        self._gidx += 1
+        self._log_event(batch[-1].event)
+        self.pop_entry()
+        candidate = self._open.pop()
+        if candidate is not None:
+            candidate.end_gidx = self._gidx
+        self._flush()
+        return _EMPTY_BATCH
+
+    def text(self, batch: list[Message]) -> list[Message]:
+        # nothing emits at character data: the batch is the lone document message
+        self.stats.messages += len(batch)
+        self._gidx += 1
+        self._log_event(batch[-1].event)
+        return _EMPTY_BATCH
 
     def on_activation(self, message: Activation) -> list[Message]:
         self.absorb_activation(message.formula)
@@ -297,14 +302,13 @@ class OutputTransducer(Transducer):
         return []
 
     def on_condition(self, message: Contribute | Close) -> list[Message]:
-        if isinstance(message, Contribute):
+        if message.__class__ is Contribute:
             self._store.contribute(message.var, message.evidence)
         else:
             self._store.close(message.var)
-        # Schedule release: once this event's batch has passed every
-        # node, nothing can reference the closed variable any more.
-        # Keeps the condition store bounded on unbounded streams.
-        if isinstance(message, Close):
+            # Schedule release: once this event's batch has passed every
+            # node, nothing can reference the closed variable any more.
+            # Keeps the condition store bounded on unbounded streams.
             self._store.defer_release(message.var)
         return []
 

@@ -27,19 +27,16 @@ from __future__ import annotations
 from ..conditions.formula import TRUE
 from ..errors import EngineError
 from ..rpeq.ast import Label
-from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement, Text
+from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
 from .messages import Activation, Doc, Message
-from .transducer import Transducer
+from .transducer import FORWARDS, POPS, Transducer
 
-# The classes here override feed() with a dispatch specialized to the
-# single-document-message batch (the steady-state case), inlining their
-# own on_start/on_end logic to skip the generic hook indirection — these
-# are the innermost calls of the engine.  Anything unusual (message
-# batches, document boundaries) falls back to the generic
-# Transducer.feed, which drives the on_* hooks; the hooks stay the
-# single source of truth for the transition semantics and the
-# specialized paths must match them exactly (the differential suite
-# compares both pipelines answer-for-answer).
+# Each class states its start-tag transition twice: ``on_start`` (with
+# ``on_activation``) is the semantics, ``start`` the production entry
+# point for a whole StartElement batch — these are the innermost calls
+# of the engine.  End tags only pop and text is forwarded, which the
+# generated passes do without a call (``POPS`` / ``FORWARDS``); document
+# boundaries always go through the hooks.
 
 
 class InputTransducer(Transducer):
@@ -53,17 +50,8 @@ class InputTransducer(Transducer):
 
     kind = "IN"
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined fast path: the source's batch is always one document
-        # message, and only the start-document event produces anything.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            message = messages[0]
-            self.stats.messages += 1
-            if message.event.__class__ is StartDocument:
-                self.stats.activations_emitted += 1
-                return [self._activation(TRUE), message]
-            return messages
-        return Transducer.feed(self, messages)
+    # only <$> produces anything, and it goes through the hooks
+    start = end = text = FORWARDS
 
     def on_start(
         self, message: Doc, event: StartDocument | StartElement
@@ -101,16 +89,12 @@ class DemandInputTransducer(InputTransducer):
         """Make the next start message carry the ``[true]`` activation."""
         self.armed = True
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined fast path, as in InputTransducer.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            self.stats.messages += 1
-            if self.armed:
-                self.armed = False
-                self.stats.activations_emitted += 1
-                return [self._activation(TRUE), messages[0]]
-            return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        self.stats.messages += 1
+        if self.armed:
+            self.armed = False
+            return self._emit(None, TRUE, batch[0])
+        return batch
 
     def on_start(
         self, message: Doc, event: StartDocument | StartElement
@@ -132,42 +116,29 @@ class ChildTransducer(Transducer):
         self._wildcard = test.is_wildcard
         self._label = test.name
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined single-document fast path (see module comment).
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            message = messages[0]
-            event = message.event
-            ecls = event.__class__
-            stats = self.stats
-            stack = self.stack
-            if ecls is StartElement:
-                stats.messages += 1
-                emit = None
-                if stack:
-                    scope = stack[-1]
-                    if scope is not None and (
-                        self._wildcard or self._label == event.label
-                    ):
-                        emit = scope
-                pending, self.pending = self.pending, None
-                stack.append(pending)
-                depth = len(stack)
-                if depth > stats.max_stack:
-                    stats.max_stack = depth
-                if emit is None:
-                    return messages
-                stats.activations_emitted += 1
-                return [self._activation(emit), message]
-            if ecls is EndElement:
-                stats.messages += 1
-                if not stack:
-                    raise EngineError(f"{self.name}: end tag with empty stack")
-                stack.pop()
-                return messages
-            if ecls is Text:
-                stats.messages += 1
-                return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        stats = self.stats
+        stats.messages += len(batch)
+        head = self._absorb(batch) if len(batch) > 1 else None
+        message = batch[-1]
+        stack = self.stack
+        emit = None
+        if stack:
+            scope = stack[-1]
+            if scope is not None and (
+                self._wildcard or self._label == message.event.label
+            ):
+                emit = scope
+        pending, self.pending = self.pending, None
+        stack.append(pending)
+        if len(stack) > stats.max_stack:
+            stats.max_stack = len(stack)
+        if emit is None and head is None:
+            return batch
+        return self._emit(head, emit, message)
+
+    end = POPS
+    text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         # Buffer until the activating start tag arrives; several
@@ -221,50 +192,35 @@ class StarTransducer(Transducer):
         self._wildcard = test.is_wildcard
         self._label = test.name
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined single-document fast path (see module comment).
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            message = messages[0]
-            event = message.event
-            ecls = event.__class__
-            stats = self.stats
-            stack = self.stack
-            if ecls is StartElement:
-                stats.messages += 1
-                pending, self.pending = self.pending, None
-                emit = pending
-                scope = None
-                if stack:
-                    parent_scope = stack[-1]
-                    if parent_scope is not None and (
-                        self._wildcard or self._label == event.label
-                    ):
-                        emit = (
-                            parent_scope
-                            if emit is None
-                            else self._disj(emit, parent_scope)
-                        )
-                        scope = parent_scope
-                if pending is not None:
-                    scope = pending if scope is None else self._disj(scope, pending)
-                stack.append(scope)
-                depth = len(stack)
-                if depth > stats.max_stack:
-                    stats.max_stack = depth
-                if emit is None:
-                    return messages
-                stats.activations_emitted += 1
-                return [self._activation(emit), message]
-            if ecls is EndElement:
-                stats.messages += 1
-                if not stack:
-                    raise EngineError(f"{self.name}: end tag with empty stack")
-                stack.pop()
-                return messages
-            if ecls is Text:
-                stats.messages += 1
-                return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        stats = self.stats
+        stats.messages += len(batch)
+        head = self._absorb(batch) if len(batch) > 1 else None
+        message = batch[-1]
+        stack = self.stack
+        pending, self.pending = self.pending, None
+        emit = pending
+        scope = None
+        if stack:
+            parent_scope = stack[-1]
+            if parent_scope is not None and (
+                self._wildcard or self._label == message.event.label
+            ):
+                emit = (
+                    parent_scope if emit is None else self._disj(emit, parent_scope)
+                )
+                scope = parent_scope
+        if pending is not None:
+            scope = pending if scope is None else self._disj(scope, pending)
+        stack.append(scope)
+        if len(stack) > stats.max_stack:
+            stats.max_stack = len(stack)
+        if emit is None and head is None:
+            return batch
+        return self._emit(head, emit, message)
+
+    end = POPS
+    text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         self.absorb_activation(message.formula)
@@ -317,46 +273,31 @@ class ClosureTransducer(Transducer):
         self._wildcard = test.is_wildcard
         self._label = test.name
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined single-document fast path (see module comment).
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            message = messages[0]
-            event = message.event
-            ecls = event.__class__
-            stats = self.stats
-            stack = self.stack
-            if ecls is StartElement:
-                stats.messages += 1
-                emit = None
-                scope = None
-                if stack:
-                    parent_scope = stack[-1]
-                    if parent_scope is not None and (
-                        self._wildcard or self._label == event.label
-                    ):
-                        emit = parent_scope
-                        scope = parent_scope
-                pending, self.pending = self.pending, None
-                if pending is not None:
-                    scope = pending if scope is None else self._disj(scope, pending)
-                stack.append(scope)
-                depth = len(stack)
-                if depth > stats.max_stack:
-                    stats.max_stack = depth
-                if emit is None:
-                    return messages
-                stats.activations_emitted += 1
-                return [self._activation(emit), message]
-            if ecls is EndElement:
-                stats.messages += 1
-                if not stack:
-                    raise EngineError(f"{self.name}: end tag with empty stack")
-                stack.pop()
-                return messages
-            if ecls is Text:
-                stats.messages += 1
-                return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        stats = self.stats
+        stats.messages += len(batch)
+        head = self._absorb(batch) if len(batch) > 1 else None
+        message = batch[-1]
+        stack = self.stack
+        emit = scope = None
+        if stack:
+            parent_scope = stack[-1]
+            if parent_scope is not None and (
+                self._wildcard or self._label == message.event.label
+            ):
+                emit = scope = parent_scope
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            scope = pending if scope is None else self._disj(scope, pending)
+        stack.append(scope)
+        if len(stack) > stats.max_stack:
+            stats.max_stack = len(stack)
+        if emit is None and head is None:
+            return batch
+        return self._emit(head, emit, message)
+
+    end = POPS
+    text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         self.absorb_activation(message.formula)

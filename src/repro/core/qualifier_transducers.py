@@ -23,7 +23,6 @@ A qualifier ``E[F]`` compiles (Fig. 11) into::
 from __future__ import annotations
 
 from ..conditions.formula import (
-    TRUE,
     Var,
     conj,
     dnf,
@@ -32,9 +31,10 @@ from ..conditions.formula import (
     restrict,
 )
 from ..conditions.store import ConditionStore, VariableAllocator
-from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement, Text
+from ..errors import EngineError
+from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
 from .messages import Activation, Close, Contribute, Doc, Message
-from .transducer import Transducer
+from .transducer import FORWARDS, Transducer
 
 
 class VariableCreator(Transducer):
@@ -66,31 +66,42 @@ class VariableCreator(Transducer):
         self._close_at_document_end = close_at_document_end
         self._deferred: list[Var] = []
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Inlined fast path for elements outside any qualifier instance:
-        # no buffered activation on start (push None), a None entry on
-        # end (pop, nothing to close).  Everything else — fresh
-        # instances, closes, document boundaries — uses the hooks.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            message = messages[0]
-            ecls = message.event.__class__
-            stats = self.stats
-            stack = self.stack
-            if ecls is StartElement and self.pending is None:
-                stats.messages += 1
-                stack.append(None)
-                depth = len(stack)
-                if depth > stats.max_stack:
-                    stats.max_stack = depth
-                return messages
-            if ecls is EndElement and stack and stack[-1] is None:
-                stats.messages += 1
-                stack.pop()
-                return messages
-            if ecls is Text:
-                stats.messages += 1
-                return messages
-        return Transducer.feed(self, messages)
+    def start(self, batch: list[Message]) -> list[Message]:
+        stats = self.stats
+        stats.messages += len(batch)
+        head = self._absorb(batch) if len(batch) > 1 else None
+        stack = self.stack
+        pending, self.pending = self.pending, None
+        if pending is None:
+            stack.append(None)
+            emit = None
+        else:
+            var = self._allocator.fresh(self.qualifier)
+            self._store.register(var)
+            stack.append(var)
+            emit = self._conj(pending, var)
+        if len(stack) > stats.max_stack:
+            stats.max_stack = len(stack)
+        if emit is None and head is None:
+            return batch
+        return self._emit(head, emit, batch[-1])
+
+    def end(self, batch: list[Message]) -> list[Message]:
+        self.stats.messages += len(batch)
+        if not self.stack:
+            raise EngineError(f"{self.name}: end tag with empty stack")
+        var = self.stack.pop()
+        if var is None:
+            return batch
+        if self._close_at_document_end:
+            self._deferred.append(var)
+            return batch
+        out = batch[:-1]
+        out.append(Close(var))
+        out.append(batch[-1])
+        return out
+
+    text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         self.absorb_activation(message.formula)
@@ -154,12 +165,8 @@ class VariableFilter(Transducer):
         self.owned = owned
         self.positive = positive
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Stateless for document messages: forward unchanged.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            self.stats.messages += 1
-            return messages
-        return Transducer.feed(self, messages)
+    start = Transducer._start_stateless
+    end = text = FORWARDS
 
     def _keep(self, var: Var) -> bool:
         inside = var.qualifier in self.owned
@@ -200,12 +207,8 @@ class VariableDeterminant(Transducer):
         self.qualifier = qualifier
         self.speculation_ids = speculation_ids
 
-    def feed(self, messages: list[Message]) -> list[Message]:
-        # Stateless for document messages: forward unchanged.
-        if len(messages) == 1 and messages[0].__class__ is Doc:
-            self.stats.messages += 1
-            return messages
-        return Transducer.feed(self, messages)
+    start = Transducer._start_stateless
+    end = text = FORWARDS
 
     def on_activation(self, message: Activation) -> list[Message]:
         out: list[Message] = []
@@ -222,5 +225,5 @@ class VariableDeterminant(Transducer):
                 continue
             for head in heads:
                 residue = conj(*(var for var in conjunct if var != head))
-                out.append(Contribute(head, residue if residue is not TRUE else TRUE))
+                out.append(Contribute(head, residue))
         return out

@@ -20,6 +20,16 @@ class only manages the pushes/pops and the instrumentation.
 Dispatch is written against ``message.__class__`` rather than
 ``isinstance`` — this module is the innermost loop of the engine, and
 the message/event class hierarchies are closed by design.
+
+A transition is written at most twice.  The ``on_*`` hooks are the
+paper's semantics and what the reference driver runs
+(``Network.process_event`` through :meth:`Transducer.feed`).  The
+*entry points* ``start`` / ``end`` / ``text`` are production: the
+generated per-event-class passes of :mod:`repro.core.network` call them
+with the whole batch of a ``StartElement`` / ``EndElement`` / ``Text``
+event, so the event class is resolved once per event, outside the
+per-node code.  ``tests/core/test_transducer_properties.py`` holds the
+two equal on every legal batch shape.
 """
 
 from __future__ import annotations
@@ -39,12 +49,23 @@ from ..xmlstream.events import (
 from .messages import Activation, Close, Contribute, Doc, Message
 
 
+#: Entry-point declaration: the transition forwards the batch untouched
+#: and changes no state, so a generated pass drops the node by aliasing
+#: its output slot to its input slot.
+FORWARDS = "forwards"
+#: Entry-point declaration (end tags): pop the element's stack entry,
+#: forward the batch untouched — inlined into the generated end pass.
+POPS = "pops"
+
+
 @dataclass(slots=True)
 class TransducerStats:
     """Instrumentation counters, fed into the complexity experiments.
 
     Attributes:
-        messages: total messages processed.
+        messages: total messages processed (a production pass does
+            not count the visits it skips: ``FORWARDS`` / ``POPS``
+            entry points).
         max_stack: peak stack height (bounded by stream depth + 1;
             asserted by property tests).
         max_formula_size: largest condition formula observed in an
@@ -70,15 +91,19 @@ class Transducer:
     #: short name used in network diagrams and traces
     kind = "id"
 
+    #: Production entry points, one per event class: a method
+    #: ``(batch) -> list`` taking any batch that ends in the document
+    #: message, :data:`FORWARDS`, :data:`POPS`, or ``None`` — no entry
+    #: point, the pass drives the hooks through :meth:`feed`.
+    start = end = text = None
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # Hot transducers inline their hook logic into a specialized
-        # feed() (see path_transducers).  Such an inlined fast path is
-        # only valid for the exact class that defined it alongside its
-        # hooks: a subclass overriding a hook without bringing its own
-        # feed would be silently bypassed.  Restore the generic
-        # hook-driven dispatch for it.
-        if "feed" not in cls.__dict__ and any(
+        # Entry points restate the hooks of the exact class that defined
+        # both.  A subclass overriding a hook without bringing its own
+        # entry points would be silently bypassed by the inherited ones:
+        # drive it through the hooks in every pass.
+        if not {"start", "end", "text"} & cls.__dict__.keys() and any(
             hook in cls.__dict__
             for hook in (
                 "on_start",
@@ -88,7 +113,7 @@ class Transducer:
                 "on_condition",
             )
         ):
-            cls.feed = Transducer.feed
+            cls.start = cls.end = cls.text = None
 
     def __init__(self, name: str | None = None) -> None:
         self.name = name or self.kind
@@ -115,12 +140,9 @@ class Transducer:
         passes through unchanged (hooks signal that by returning
         ``None``), so that case is a dedicated branch which returns the
         *input list object* — zero allocations on the steady-state path.
-        The next-most-common batch — an activation directly before its
-        start tag — gets its own branch for the same reason.
         """
         stats = self.stats
-        n = len(messages)
-        if n == 1:
+        if len(messages) == 1:
             message = messages[0]
             if message.__class__ is Doc:
                 stats.messages += 1
@@ -141,40 +163,6 @@ class Transducer:
                     if emitted.__class__ is Activation:
                         stats.activations_emitted += 1
                 return produced
-        elif n == 2:
-            first, message = messages
-            if first.__class__ is Activation and message.__class__ is Doc:
-                stats.messages += 2
-                size = first.formula.size
-                if size > stats.max_formula_size:
-                    stats.max_formula_size = size
-                head = self.on_activation(first)
-                event = message.event
-                ecls = event.__class__
-                if ecls is StartElement or ecls is StartDocument:
-                    tail = self.on_start(message, event)
-                    depth = len(self.stack)
-                    if depth > stats.max_stack:
-                        stats.max_stack = depth
-                elif ecls is EndElement or ecls is EndDocument:
-                    tail = self.on_end(message, event)
-                else:
-                    tail = self.on_text(message, event)
-                if head is None:
-                    if tail is None:
-                        return messages
-                    out = [first]
-                    out.extend(tail)
-                else:
-                    out = list(head)
-                    if tail is None:
-                        out.append(message)
-                    else:
-                        out.extend(tail)
-                for emitted in out:
-                    if emitted.__class__ is Activation:
-                        stats.activations_emitted += 1
-                return out
         return self._feed_slow(messages)
 
     def _feed_slow(self, messages: Iterable[Message]) -> list[Message]:
@@ -268,6 +256,50 @@ class Transducer:
         return self.stack.pop()
 
     # ------------------------------------------------------------------
+    # entry-point helpers
+
+    def _absorb(self, batch: list[Message]) -> list[Message]:
+        """Absorb the activations in front of ``batch``'s document message.
+
+        Returns the other messages in front of it — condition messages,
+        which every absorbing transducer forwards — as a fresh list the
+        caller may extend into its output batch.
+        """
+        stats = self.stats
+        head: list[Message] = []
+        for message in batch:
+            cls = message.__class__
+            if cls is Activation:
+                formula = message.formula
+                if formula.size > stats.max_formula_size:
+                    stats.max_formula_size = formula.size
+                self.absorb_activation(formula)
+            elif cls is not Doc:
+                head.append(message)
+        return head
+
+    def _emit(
+        self, head: list[Message] | None, emit: Formula | None, message: Doc
+    ) -> list[Message]:
+        """Output batch of a start transition that did not just forward:
+        the forwarded ``head``, ``[emit]`` if any, the document message."""
+        out = [] if head is None else head
+        if emit is not None:
+            self.stats.activations_emitted += 1
+            out.append(self._activation(emit))
+        out.append(message)
+        return out
+
+    def _start_stateless(self, batch: list[Message]) -> list[Message]:
+        """``start`` of a transducer with no ``on_start``: the lone document
+        message is forwarded; activations in front of it are rare enough
+        (one per match of the qualifier path) for the generic dispatch."""
+        if len(batch) == 1:
+            self.stats.messages += 1
+            return batch
+        return self._feed_slow(batch)
+
+    # ------------------------------------------------------------------
     # checkpointing
 
     def snapshot(self) -> dict:
@@ -294,17 +326,20 @@ class Transducer:
         return state
 
     def restore(self, state: dict) -> None:
-        """Replace this transducer's state with a checkpointed snapshot."""
-        self.stack = [self._restore_entry(entry) for entry in state["stack"]]
+        """Replace this transducer's state with a checkpointed snapshot.
+
+        In place: a generated pass holds ``self.stack`` itself.
+        """
+        self.stack[:] = [self._restore_entry(entry) for entry in state["stack"]]
         pending = state["pending"]
         self.pending = None if pending is None else formula_from_obj(pending)
-        messages, max_stack, max_formula_size, activations = state["stats"]
-        self.stats = TransducerStats(
-            messages=messages,
-            max_stack=max_stack,
-            max_formula_size=max_formula_size,
-            activations_emitted=activations,
-        )
+        stats = self.stats
+        (
+            stats.messages,
+            stats.max_stack,
+            stats.max_formula_size,
+            stats.activations_emitted,
+        ) = state["stats"]
         self._restore_extra(state.get("extra", {}))
 
     def _snapshot_entry(self, entry) -> object:

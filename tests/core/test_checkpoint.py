@@ -426,6 +426,69 @@ class TestGatedSnapshot:
             MultiQueryEngine(self.QUERY).resume(old, self.GATED_DOC)
 
 
+class TestResumeInsideQualifierScope:
+    """A cut inside an open qualifier instance — ``VC`` holds a variable
+    on its stack, ``OU`` a parked candidate watching it — restored into a
+    freshly compiled production network.  The generated end pass holds
+    each path node's stack list itself, so ``restore`` must fill the
+    lists in place: a rebound list would leave the pass popping the
+    empty one it captured at ``finalize``."""
+
+    SCOPED_DOC = "<r><a><c/><x><c/></x><b/><c/></a><a><c/></a></r>"
+    #: <$> <r> <a> <c> </c> <x> <c> — two levels below the open a whose
+    #: [b] is undetermined, the first c parked behind it
+    CUT = 7
+
+    def counting(self, pulled):
+        for event in iter_events(self.SCOPED_DOC):
+            pulled[0] += 1
+            yield event
+
+    def test_spex_engine(self):
+        pulled = [0]
+        baseline = [
+            (pulled[0], match.position, match.label)
+            for match in SpexEngine("_*.a[b].c").run(self.counting(pulled))
+        ]
+        assert [position for _, position, _ in baseline] == [3, 7]
+        engine = SpexEngine("_*.a[b].c")
+        _, early = run_with_cursor(engine, self.SCOPED_DOC, self.CUT)
+        assert early == []
+        checkpoint = engine.checkpoint()
+        nodes = checkpoint.payload["network"]["nodes"]
+        assert nodes["VC(q0)"]["stack"][-3] is not None  # the open a
+        assert len(nodes["OU"]["extra"]["queue"]) == 1
+        pulled = [0]
+        fresh = SpexEngine.from_checkpoint(checkpoint)
+        resumed = [
+            (pulled[0], match.position, match.label)
+            for match in fresh.resume(checkpoint, self.counting(pulled))
+        ]
+        assert resumed == baseline
+
+    def test_multiquery_network_and_gated_lanes(self):
+        queries = {"gated": "_*.a[b].c", "plain": "_*[b].c"}
+
+        def run(engine_run):
+            pulled = [0]
+            return [
+                (pulled[0], query_id, match.position, match.label)
+                for query_id, match in engine_run(self.counting(pulled))
+            ]
+
+        baseline = run(MultiQueryEngine(queries).run)
+        assert {query_id for _, query_id, _, _ in baseline} == set(queries)
+        engine = MultiQueryEngine(queries)
+        prefix = list(iter_events(self.SCOPED_DOC))[: self.CUT]
+        assert list(engine.run(iter(prefix), cursor=StreamCursor())) == []
+        assert engine.lane_executions == {"gated": "gated", "plain": "network"}
+        checkpoint = Checkpoint.from_dict(
+            json.loads(json.dumps(engine.checkpoint().to_dict()))
+        )
+        fresh = MultiQueryEngine.from_checkpoint(checkpoint)
+        assert run(lambda source: fresh.resume(checkpoint, source)) == baseline
+
+
 class TestRotation:
     """keep-N generation rotation and the corruption fallback chain."""
 

@@ -98,6 +98,54 @@ class TestExecution:
         assert [network.process_event(e) for e in paper_events()] == [[]] * 12
 
 
+class TestHookOverridingSubclass:
+    """A subclass that overrides a hook without bringing entry points of
+    its own must not be bypassed by the ones it inherits: every generated
+    pass drives it through the hooks."""
+
+    class VetoingChild(ChildTransducer):
+        """``CH`` that sees every end tag and never matches label c."""
+
+        def __init__(self, test):
+            super().__init__(test)
+            self.closed = []
+
+        def on_start(self, message, event):
+            if getattr(event, "label", None) == "c":
+                self.stack.append(self.take_pending())
+                return None
+            return super().on_start(message, event)
+
+        def on_end(self, message, event):
+            self.closed.append(getattr(event, "label", "$"))
+            return super().on_end(message, event)
+
+    def build(self, child_class):
+        store = ConditionStore()
+        source = InputTransducer()
+        sink = OutputTransducer(store)
+        network = Network(source, sink)
+        assert network.flags.production_network
+        first = network.add(ChildTransducer(Label("a")), source)
+        second = network.add(child_class(Label("_")), first)
+        network.add(sink, second)
+        network.finalize()
+        return network, second
+
+    def test_entry_points_are_reset(self):
+        assert callable(ChildTransducer.start) and ChildTransducer.end is not None
+        veto = self.VetoingChild
+        assert veto.start is veto.end is veto.text is None
+
+    def test_hooks_run_in_every_pass(self):
+        network, plain = self.build(ChildTransducer)
+        assert [m.label for m in network.run(paper_events())] == ["a", "b", "c"]
+        network, veto = self.build(self.VetoingChild)
+        assert [m.label for m in network.run(paper_events())] == ["a", "b"]
+        assert veto.closed == ["c", "a", "b", "c", "a", "$"]
+        assert veto.stack == [] and plain.stack == []
+
+
 class TestStats:
     def test_stats_rollup(self):
         network = build_simple(["a", "c"])
