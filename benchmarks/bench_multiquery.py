@@ -71,7 +71,7 @@ def test_shared_network(benchmark, events, reference_totals, count):
     The subscription family shares the ``_*.<label>`` prefixes heavily,
     so the shared network is much smaller than N independent ones.
     """
-    from repro.core.multiquery import SharedNetworkEngine
+    from repro.baselines.shared_network import SharedNetworkEngine
 
     engine = SharedNetworkEngine(_subscriptions(count))
 

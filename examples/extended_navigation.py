@@ -11,7 +11,7 @@ Run with::
 """
 
 from repro import SpexEngine
-from repro.core.multiquery import SharedNetworkEngine
+from repro.baselines.shared_network import SharedNetworkEngine
 from repro.core.trace import trace_run
 
 # A small change log: entries before/after a marker.

@@ -16,7 +16,7 @@ Run with::
     python examples/schema_pipeline.py
 """
 
-from repro.core.multiquery import SharedNetworkEngine
+from repro.baselines.shared_network import SharedNetworkEngine
 from repro.dtd import DocumentGenerator, DtdValidator, SchemaAnalyzer, parse_dtd
 
 FEED_DTD = """

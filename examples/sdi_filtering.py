@@ -80,20 +80,29 @@ def main() -> None:
         print(f"  {name:14s} {count}/12 documents")
 
     # --- full dissemination: fragments routed to subscriber callbacks --
-    # (one shared-prefix network, progressive delivery, failure isolation)
-    from repro.core.dispatch import Dispatcher
-
+    # (one stream pass, progressive delivery; a failing callback is the
+    # subscriber's problem, not the stream's)
     print()
     print("dispatching fragments to subscriber callbacks:")
-    dispatcher = Dispatcher()
     inbox: dict[str, list[str]] = {"rush": [], "books": []}
-    dispatcher.subscribe("rush", "_*.order[rush]", lambda m: inbox["rush"].append(m.to_xml()))
-    dispatcher.subscribe("books", "_*.book.title", lambda m: inbox["books"].append(m.text()))
+    queries = {"rush": "_*.order[rush]", "books": "_*.book.title"}
+    callbacks = {
+        "rush": lambda m: inbox["rush"].append(m.to_xml()),
+        "books": lambda m: inbox["books"].append(m.text()),
+    }
+    fragments = MultiQueryEngine(queries, collect_events=True)
     stream = (event for _ in range(6) for event in make_order(rng))
-    report = dispatcher.dispatch(stream)
-    print(f"  delivered: {report.delivered} (failures: {len(report.failures)})")
+    routed = {name: 0 for name in queries}
+    failures = 0
+    for name, match in fragments.run(stream):
+        try:
+            callbacks[name](match)
+            routed[name] += 1
+        except Exception as error:  # noqa: BLE001 - isolate the subscriber
+            failures += 1
+            print(f"  subscriber {name!r} failed: {error}")
+    print(f"  delivered: {routed} (failures: {failures})")
     print(f"  book titles seen: {inbox['books']}")
-
 
 if __name__ == "__main__":
     main()

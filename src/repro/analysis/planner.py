@@ -17,8 +17,8 @@ machine-readable artifact:
   - ``network`` (``PLAN003``) — everything else (axis steps, or
     qualifiers guarding an unselective spine) needs the full network.
 
-* **Refined σ̂.**  The admission controller and the shard partitioner
-  consumed the worst-case ``COST`` bound; the planner refines it — a
+* **Refined σ̂.**  The admission controller consumed the worst-case
+  ``COST`` bound; the planner refines it — a
   ``dfa``-lane query is pinned to ``σ̂ = 1`` (no formulas exist to grow)
   and every lane takes the minimum with the worst-case bound, so
   **refined σ̂ ≤ worst-case σ̂ for every query** by construction

@@ -8,6 +8,11 @@
   qualifier-free fragment (the X-Scan / Green et al. analog).
 * :class:`NaiveStreamEvaluator` — buffer the stream, then DOM-evaluate
   (what a system without a streaming evaluator must do).
+
+:mod:`repro.baselines.shared_network` holds the multi-query comparison
+point, ``SharedNetworkEngine`` (one prefix-shared transducer network,
+the paper's Sec. IX sketch); it builds on :mod:`repro.core`, so import
+it from its module.
 """
 
 from .dom_eval import DomEvaluator

@@ -1,12 +1,6 @@
 """Benchmark harness: processors, timing, memory, paper-style reports."""
 
 from .charts import bar_chart, grouped_bar_chart
-from .compare import (
-    ComparisonReport,
-    MetricDelta,
-    compare,
-    compare_paths,
-)
 from .harness import RunResult, make_processor, run_grid, run_one
 from .memory import TracedRun, traced
 from .report import (
@@ -15,40 +9,18 @@ from .report import (
     grid_table,
     speedup_summary,
 )
-from .trajectory import (
-    SCHEMA_VERSION,
-    WorkloadResult,
-    latest_baseline,
-    load_result,
-    next_entry_path,
-    run_smoke,
-    trajectory_entries,
-    write_result,
-)
 
 __all__ = [
-    "ComparisonReport",
-    "MetricDelta",
     "RunResult",
-    "SCHEMA_VERSION",
     "TracedRun",
-    "WorkloadResult",
     "bar_chart",
     "check_match_agreement",
-    "compare",
-    "compare_paths",
     "format_table",
     "grid_table",
     "grouped_bar_chart",
-    "latest_baseline",
-    "load_result",
     "make_processor",
-    "next_entry_path",
     "run_grid",
     "run_one",
-    "run_smoke",
     "speedup_summary",
     "traced",
-    "trajectory_entries",
-    "write_result",
 ]

@@ -172,7 +172,8 @@ def multiquery(scale: float = 1.0, out: Callable[[str], None] = print) -> str:
     """E9: subscription sets — independent vs. shared-prefix networks."""
     import random
 
-    from ..core.multiquery import MultiQueryEngine, SharedNetworkEngine
+    from ..baselines.shared_network import SharedNetworkEngine
+    from ..core.multiquery import MultiQueryEngine
 
     rng = random.Random(99)
     labels = ["country", "province", "city", "name", "population", "religions"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Iterator
 
 from .core.engine import SpexEngine
@@ -447,7 +446,6 @@ def _serve_sharded(
         queries,
         config=ShardConfig(
             shards=args.shards,
-            partition=args.partition,
             heartbeat_timeout=args.heartbeat_ms / 1000.0,
         ),
         policy=policy,
@@ -654,69 +652,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if failed or lane_problems else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # NB: ``from .bench import compare`` would bind the re-exported
-    # *function*, not the submodule — import the needed names directly.
-    from .bench import trajectory
-    from .bench.compare import DEFAULT_THROUGHPUT_TOLERANCE
-    from .bench.compare import compare as compare_runs
-
-    if not args.smoke:
-        print(
-            "error: pass --smoke (the pinned smoke subset is the only "
-            "bench mode)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    run = trajectory.run_smoke(
-        measure_memory=not args.no_memory, workloads=args.workloads
-    )
-    text = json.dumps(run, indent=2, sort_keys=True)
-    if args.json:
-        print(text)
-    else:
-        for name, row in run["workloads"].items():
-            rate = (
-                f"{row['events_per_second']:>12,.0f} ev/s"
-                if row["events_per_second"]
-                else f"{'-':>17}"
-            )
-            print(
-                f"{name:14s} {row['seconds']:8.3f}s {rate} "
-                f"matches={row['matches']}"
-            )
-    if args.output:
-        trajectory.write_result(run, args.output)
-    if args.baseline:
-        tolerance = (
-            DEFAULT_THROUGHPUT_TOLERANCE
-            if args.tolerance is None
-            else args.tolerance
-        )
-        base = Path(args.baseline)
-        if base.is_dir():
-            entry = trajectory.latest_baseline(base)
-            if entry is None:
-                print(
-                    f"error: no BENCH_*.json baseline in {base}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            base = entry
-        try:
-            report = compare_runs(
-                trajectory.load_result(base), run, throughput_tolerance=tolerance
-            )
-        except ValueError as exc:
-            # e.g. --workload subset narrower than what the baseline
-            # records, or a schema-version mismatch
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(report.render())
-        return 0 if report.ok else 1
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = measure(_events_from(args.file))
     print(f"messages        : {stats.messages}")
@@ -912,15 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards > 1)",
     )
     serve.add_argument(
-        "--partition",
-        choices=["hash", "prefix", "cost"],
-        default="hash",
-        help="shard assignment strategy: stable hash of the query id, "
-        "prefix affinity (queries sharing their first path step "
-        "co-locate), or cost balancing (planner-refined σ̂ weights, "
-        "heaviest queries spread first); only with --shards > 1",
-    )
-    serve.add_argument(
         "--listen",
         metavar="HOST:PORT",
         default=None,
@@ -1107,54 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="stream statistics")
     stats.add_argument("file", nargs="?", help="XML file (default: stdin)")
     stats.set_defaults(func=_cmd_stats)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark smoke subset and emit the "
-        "schema-versioned trajectory JSON (see docs/performance.md)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the pinned smoke subset (currently the only mode)",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result as JSON on stdout",
-    )
-    bench.add_argument(
-        "--output",
-        metavar="FILE",
-        help="also write the result JSON to FILE (CI uploads this)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against a BENCH_<n>.json (or a directory holding "
-        "the committed trajectory); exit nonzero on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="relative throughput-loss band for --baseline (default: "
-        "repro.bench.compare's 0.15)",
-    )
-    bench.add_argument(
-        "--workload",
-        action="append",
-        dest="workloads",
-        metavar="NAME",
-        help="run only the named smoke workload(s)",
-    )
-    bench.add_argument(
-        "--no-memory",
-        action="store_true",
-        dest="no_memory",
-        help="skip tracemalloc peak measurement",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

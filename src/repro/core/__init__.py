@@ -30,8 +30,7 @@ from .supervisor import (
 from .flow_transducers import JoinTransducer, SplitTransducer, UnionTransducer
 from .messages import Activation, Close, Contribute, Doc, Message
 from .network import Network, NetworkStats
-from .dispatch import Dispatcher, DispatchReport
-from .multiquery import MultiQueryEngine, SharedNetworkEngine
+from .multiquery import MultiQueryEngine
 from .output_tx import Match, OutputStats, OutputTransducer
 from .trace import Tracer, trace_run
 from .path_transducers import (
@@ -63,8 +62,6 @@ __all__ = [
     "ClosureTransducer",
     "Contribute",
     "DemandInputTransducer",
-    "DispatchReport",
-    "Dispatcher",
     "Doc",
     "EngineStats",
     "FakeClock",
@@ -82,7 +79,6 @@ __all__ = [
     "SYSTEM_CLOCK",
     "ServingPolicy",
     "ServingReport",
-    "SharedNetworkEngine",
     "SpexEngine",
     "SplitTransducer",
     "StallError",

@@ -23,10 +23,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Iterable, Iterator, Mapping
 
-from ..conditions.store import ConditionStore, VariableAllocator
 from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
 from ..limits import ResourceLimits
-from ..rpeq.ast import Concat, Empty, Rpeq
+from ..rpeq.ast import Empty, Rpeq
 from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
 from ..xmlstream.events import EndDocument, Event, StartDocument
@@ -41,7 +40,7 @@ from ..xmlstream.recovery import (
 )
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
-from .compiler import _Compiler, compile_network
+from .compiler import compile_network
 from .engine import EngineStats, RobustnessCounters
 from .fastlane import (
     FastLaneAdapter,
@@ -52,7 +51,7 @@ from .fastlane import (
 )
 from .network import Network
 from .optimize import OptimizationFlags, as_flags
-from .output_tx import Match, OutputTransducer
+from .output_tx import Match
 from .path_transducers import DemandInputTransducer, InputTransducer
 from .serving import (
     AdmissionDecision,
@@ -1493,105 +1492,3 @@ class ServePump:
             yield from held
             if self.finished:
                 return
-
-
-def _spine(expr: Rpeq) -> list[Rpeq]:
-    """Flatten the left spine of concatenations into a step list.
-
-    ``(a.b).c`` becomes ``[a, b, c]`` — the granularity at which the
-    shared network deduplicates work across queries.
-    """
-    if isinstance(expr, Concat):
-        return _spine(expr.left) + _spine(expr.right)
-    return [expr]
-
-
-class SharedNetworkEngine:
-    """Many queries in ONE transducer network with shared prefixes.
-
-    The paper's conclusion: "A single transducer network can be used for
-    processing several queries having common subparts. Such a multi-query
-    processor could be a corner stone of efficient XSLT and XQuery
-    implementations."  This engine implements the prefix variant of that
-    idea: queries are flattened into step sequences and inserted into a
-    trie; each trie node is compiled once, so queries sharing a prefix
-    (``_*.country.name`` / ``_*.country.population`` share ``_*`` and
-    ``country``) share the corresponding transducers, and every query
-    gets its own output sink hanging off its last trie node.
-
-    Correctness across sinks relies on the condition store's broadcast/
-    retain/deferred-release protocol (see
-    :class:`repro.conditions.store.ConditionStore`).
-    """
-
-    def __init__(
-        self,
-        queries: Mapping[str, str | Rpeq] | Iterable[str],
-        collect_events: bool = False,
-        limits: ResourceLimits | None = None,
-    ) -> None:
-        if isinstance(queries, Mapping):
-            items = list(queries.items())
-        else:
-            items = [(text, text) for text in queries]
-        self.queries: dict[str, Rpeq] = {
-            query_id: parse(query) if isinstance(query, str) else query
-            for query_id, query in items
-        }
-        self.collect_events = collect_events
-        self.limits = limits
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def compile(self) -> tuple[Network, dict[str, OutputTransducer]]:
-        """Build the shared network; one sink per query."""
-        store = ConditionStore()
-        allocator = VariableAllocator()
-        source = InputTransducer()
-        network = Network(source, sink=None, limits=self.limits)
-        compiler = _Compiler(network, allocator, store)
-        # Trie of compiled step prefixes: maps (id of tape transducer,
-        # step AST) -> tape after that step.
-        compiled: dict[tuple[int, Rpeq], object] = {}
-        sinks: dict[str, OutputTransducer] = {}
-        for query_id, expr in self.queries.items():
-            tape = source
-            for step in _spine(expr):
-                key = (id(tape), step)
-                next_tape = compiled.get(key)
-                if next_tape is None:
-                    next_tape, _owned = compiler.compile(step, tape)
-                    compiled[key] = next_tape
-                tape = next_tape
-            sink = OutputTransducer(
-                store, collect_events=self.collect_events, limits=self.limits
-            )
-            sink.name = f"OU({query_id})"
-            network.add(sink, tape)
-            sinks[query_id] = sink
-        network.condition_store = store
-        network.allocator = allocator
-        network.finalize()
-        return network, sinks
-
-    def run(self, source: str | Iterable[Event]) -> Iterator[tuple[str, Match]]:
-        """One stream pass; yields ``(query_id, match)`` progressively."""
-        network, sinks = self.compile()
-        for event in iter_events(source):
-            network.process_event(event)
-            for query_id, sink in sinks.items():
-                while sink.results:
-                    yield query_id, sink.results.popleft()
-
-    def evaluate(self, source: str | Iterable[Event]) -> dict[str, list[Match]]:
-        """All matches per query, eagerly."""
-        results: dict[str, list[Match]] = {query_id: [] for query_id in self.queries}
-        for query_id, match in self.run(source):
-            results[query_id].append(match)
-        return results
-
-    def network_degree(self) -> int:
-        """Transducer count of the shared network (vs. sum of singles)."""
-        network, _sinks = self.compile()
-        return network.degree

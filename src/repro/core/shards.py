@@ -8,8 +8,7 @@ every subscription in the process down at once.  This module promotes
 the same fault-domain discipline one level up:
 
 * :func:`partition_queries` splits a subscription set across ``N``
-  shards — by stable hash, or by trie-prefix affinity so queries that
-  would share work land together;
+  shards by a stable hash of the query id;
 * each shard runs a :class:`~repro.core.multiquery.MultiQueryEngine`
   in its **own worker process**, fed over a bounded IPC queue with
   backpressure, emitting matches, heartbeats and document-boundary
@@ -50,7 +49,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from ..errors import CheckpointError, EngineError
 from ..limits import ResourceLimits
 from ..rpeq.ast import Rpeq
-from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
 from ..xmlstream.events import (
     EndDocument,
@@ -64,7 +62,7 @@ from ..xmlstream.parser import ParserLimits, iter_events
 from .checkpoint import Checkpoint
 from .clock import SYSTEM_CLOCK, Clock, as_clock
 from .engine import RobustnessCounters
-from .multiquery import MultiQueryEngine, _spine
+from .multiquery import MultiQueryEngine
 from .output_tx import Match
 from .serving import AdmissionPolicy, QueryOutcome, ServingPolicy, ServingReport
 from .supervisor import ExponentialBackoff
@@ -86,12 +84,6 @@ class ShardConfig:
 
     Attributes:
         shards: number of worker processes.
-        partition: ``"hash"`` (stable crc32 of the query id),
-            ``"prefix"`` (queries sharing their first path step
-            co-locate, preserving shared-prefix work affinity) or
-            ``"cost"`` (planner-weighted: queries are spread by their
-            refined σ̂ bound so no shard concentrates the expensive
-            condition-heavy networks).
         heartbeat_interval: seconds between worker heartbeats.
         heartbeat_timeout: coordinator-side silence budget before a
             worker is declared stalled and killed; ``None`` disables
@@ -116,7 +108,6 @@ class ShardConfig:
     """
 
     shards: int = 2
-    partition: str = "hash"
     heartbeat_interval: float = 0.05
     heartbeat_timeout: float | None = 5.0
     max_trips: int = 3
@@ -134,11 +125,6 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.partition not in ("hash", "prefix", "cost"):
-            raise ValueError(
-                f"partition must be 'hash', 'prefix' or 'cost', "
-                f"got {self.partition!r}"
-            )
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.heartbeat_timeout is not None and (
@@ -168,82 +154,21 @@ class ShardEvent:
 # ----------------------------------------------------------------------
 # partitioning
 
-#: Nominal stream-depth bound the ``"cost"`` strategy plans under, so
-#: closure-under-qualifier σ̂ bounds stay finite and comparable.
-_COST_PARTITION_DEPTH = 32
-#: Weight assigned to queries whose σ̂ stays uncertifiable even under
-#: the nominal depth (axis steps): treated as heavier than anything
-#: certifiable so they spread out first.
-_COST_UNCERTIFIABLE_WEIGHT = 1 << 16
-
 
 def partition_queries(
-    queries: Mapping[str, str | Rpeq],
-    shards: int,
-    strategy: str = "hash",
+    queries: Mapping[str, str | Rpeq], shards: int
 ) -> list[list[str]]:
     """Split a subscription set into ``shards`` disjoint id lists.
 
-    ``"hash"`` assigns each id by ``crc32(id) % shards`` — stable across
+    Each id goes to shard ``crc32(id) % shards`` — stable across
     processes and Python invocations (unlike the interpreter's salted
     ``hash``), so a restarted coordinator rebuilds the same layout.
-
-    ``"prefix"`` groups queries by their first path step (the root of
-    the shared-prefix trie :class:`~repro.core.multiquery.SharedNetworkEngine`
-    deduplicates on) and assigns whole groups to the least-loaded shard,
-    largest groups first — queries that would share work land in the
-    same process.
-
-    ``"cost"`` weighs each query by the planner's refined ``σ̂`` bound
-    (:func:`repro.analysis.planner.plan_query`, under a nominal depth
-    bound so closure-under-qualifier queries stay finite; uncertifiable
-    queries get a heavy default weight) and bin-packs heaviest-first
-    onto the lightest shard — so the condition-heavy networks spread
-    out instead of pig-piling one worker.
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    if strategy not in ("hash", "prefix", "cost"):
-        raise ValueError(f"unknown partition strategy {strategy!r}")
     layout: list[list[str]] = [[] for _ in range(shards)]
-    if strategy == "hash":
-        for query_id in queries:
-            layout[zlib.crc32(query_id.encode("utf-8")) % shards].append(query_id)
-        return layout
-    if strategy == "cost":
-        from ..analysis.planner import plan_query
-        from ..limits import ResourceLimits
-
-        planning_limits = ResourceLimits(max_depth=_COST_PARTITION_DEPTH)
-        weights: dict[str, int] = {}
-        for query_id, query in queries.items():
-            expr = parse(query) if isinstance(query, str) else query
-            plan, _report = plan_query(expr, limits=planning_limits)
-            weights[query_id] = (
-                plan.sigma_refined
-                if plan.sigma_refined is not None
-                else _COST_UNCERTIFIABLE_WEIGHT
-            )
-        cost_loads = [0] * shards
-        for query_id, weight in sorted(
-            weights.items(), key=lambda item: (-item[1], item[0])
-        ):
-            target = min(range(shards), key=lambda i: (cost_loads[i], i))
-            layout[target].append(query_id)
-            cost_loads[target] += weight
-        return layout
-    groups: dict[str, list[str]] = {}
-    for query_id, query in queries.items():
-        expr = parse(query) if isinstance(query, str) else query
-        head = unparse(_spine(expr)[0])
-        groups.setdefault(head, []).append(query_id)
-    loads = [0] * shards
-    for head, members in sorted(
-        groups.items(), key=lambda item: (-len(item[1]), item[0])
-    ):
-        target = min(range(shards), key=lambda i: (loads[i], i))
-        layout[target].extend(members)
-        loads[target] += len(members)
+    for query_id in queries:
+        layout[zlib.crc32(query_id.encode("utf-8")) % shards].append(query_id)
     return layout
 
 
@@ -726,9 +651,7 @@ class ShardCoordinator:
         """
         events = list(iter_events(source, limits=self.parser_limits))
         encoded = [event_to_obj(event) for event in events]
-        layout = partition_queries(
-            self.queries, self.config.shards, self.config.partition
-        )
+        layout = partition_queries(self.queries, self.config.shards)
         states = [
             _ShardState(index, query_ids)
             for index, query_ids in enumerate(layout)

@@ -144,89 +144,3 @@ class TestFilterDocumentsRecovery:
             ("has-c", 1),
         ]
         assert report.documents_skipped == 1
-
-
-class TestSharedNetworkEngine:
-    def test_results_match_independent_engines(self):
-        from repro.core.multiquery import SharedNetworkEngine
-
-        queries = {"q1": "_*.a.c", "q2": "_*.a.b", "q3": "_*.a[b].c", "q4": "a.c"}
-        shared = SharedNetworkEngine(queries).evaluate(PAPER_DOC)
-        plain = MultiQueryEngine(queries).evaluate(PAPER_DOC)
-        assert {k: [m.position for m in v] for k, v in shared.items()} == {
-            k: [m.position for m in v] for k, v in plain.items()
-        }
-
-    def test_prefix_sharing_reduces_degree(self):
-        from repro.core.compiler import compile_network
-        from repro.core.multiquery import SharedNetworkEngine
-
-        queries = {
-            "names": "_*.country.name",
-            "pops": "_*.country.population",
-            "cities": "_*.country.province.city",
-        }
-        engine = SharedNetworkEngine(queries)
-        independent = sum(
-            compile_network(expr, collect_events=False)[0].degree
-            for expr in engine.queries.values()
-        )
-        assert engine.network_degree() < independent
-
-    def test_shared_qualifier_prefix(self):
-        """Two sinks downstream of ONE variable-creator: exercises the
-        store's broadcast/retain/deferred-release protocol."""
-        from repro.core.multiquery import SharedNetworkEngine
-
-        queries = {"q1": "_*.a[b].c", "q2": "_*.a[b].b"}
-        shared = SharedNetworkEngine(queries).evaluate(PAPER_DOC)
-        plain = MultiQueryEngine(queries).evaluate(PAPER_DOC)
-        assert {k: [m.position for m in v] for k, v in shared.items()} == {
-            k: [m.position for m in v] for k, v in plain.items()
-        }
-        # The qualified prefix is compiled once: only one VC in the net.
-        from repro.core.qualifier_transducers import VariableCreator
-
-        network, _sinks = SharedNetworkEngine(queries).compile()
-        creators = [n for n in network.nodes if isinstance(n, VariableCreator)]
-        assert len(creators) == 1
-
-    def test_randomized_equivalence(self, rng):
-        from repro.core.multiquery import SharedNetworkEngine
-        from repro.rpeq import GeneratorConfig, random_rpeq
-
-        from ..conftest import make_random_events
-
-        config = GeneratorConfig(max_depth=3)
-        for _ in range(15):
-            queries = {
-                f"q{i}": random_rpeq(rng, config) for i in range(4)
-            }
-            events = make_random_events(rng)
-            shared = SharedNetworkEngine(queries).evaluate(iter(events))
-            plain = MultiQueryEngine(queries).evaluate(iter(events))
-            assert {k: [m.position for m in v] for k, v in shared.items()} == {
-                k: [m.position for m in v] for k, v in plain.items()
-            }
-
-    def test_identical_queries_share_everything_but_sinks(self):
-        from repro.core.multiquery import SharedNetworkEngine
-
-        engine = SharedNetworkEngine({"a": "_*.c", "b": "_*.c"})
-        network, sinks = engine.compile()
-        # IN + DS + CH + two sinks.
-        assert network.degree == 5
-        results = engine.evaluate(PAPER_DOC)
-        assert [m.position for m in results["a"]] == [3, 5]
-        assert [m.position for m in results["b"]] == [3, 5]
-
-    def test_store_released_after_run(self):
-        from repro.core.multiquery import SharedNetworkEngine
-
-        engine = SharedNetworkEngine({"q1": "_*.a[b].c", "q2": "_*.a[c]"})
-        network, sinks = engine.compile()
-        from repro.xmlstream.parser import parse_string
-
-        for event in parse_string(PAPER_DOC):
-            network.process_event(event)
-        assert len(network.condition_store._states) == 0

@@ -1,7 +1,7 @@
 """Unit tests for the sharded-serving building blocks.
 
-Covers partitioning (hash stability, prefix affinity), the heartbeat
-monitor on a fake clock, checkpoint quarantine surgery, the extracted
+Covers partitioning (hash stability), the heartbeat monitor on a fake
+clock, checkpoint quarantine surgery, the extracted
 :class:`~repro.core.supervisor.ExponentialBackoff`, per-shard fault
 seeding, breaker latching, and the mergeable
 :class:`~repro.core.serving.ServingReport` codec.  End-to-end crash /
@@ -61,34 +61,9 @@ class TestPartitionQueries:
         assert len(layout) == 1
         assert sorted(layout[0]) == sorted(self.QUERIES)
 
-    def test_prefix_colocates_shared_heads(self):
-        # Grouping keys on the exact first step — the unit the shared-
-        # prefix trie deduplicates on — so a qualified head ("country[x]")
-        # would be its own group; these three share the bare step.
-        queries = {
-            "a1": "country.name",
-            "a2": "country.city",
-            "a3": "country.population",
-            "b1": "org.name",
-        }
-        layout = partition_queries(queries, 2, strategy="prefix")
-        by_query = {
-            qid: shard for shard, ids in enumerate(layout) for qid in ids
-        }
-        assert by_query["a1"] == by_query["a2"] == by_query["a3"]
-        assert by_query["b1"] != by_query["a1"]
-
-    def test_prefix_balances_groups(self):
-        # Four singleton groups over two shards: 2 + 2.
-        queries = {f"q{i}": f"l{i}.x" for i in range(4)}
-        layout = partition_queries(queries, 2, strategy="prefix")
-        assert sorted(len(ids) for ids in layout) == [2, 2]
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             partition_queries(self.QUERIES, 0)
-        with pytest.raises(ValueError):
-            partition_queries(self.QUERIES, 2, strategy="modulo")
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +342,6 @@ class TestShardConfig:
         "kwargs",
         [
             {"shards": 0},
-            {"partition": "modulo"},
             {"heartbeat_interval": 0.0},
             {"heartbeat_interval": 2.0, "heartbeat_timeout": 1.0},
             {"max_trips": 0},

@@ -75,6 +75,15 @@ class TestStatsCommand:
         assert "max depth       : 3" in out
 
 
+class TestRetiredCommands:
+    def test_bench_is_a_usage_error(self, capsys):
+        # benchmarks/e2e/run.py is the only benchmark entry point
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_table_printed(self, doc_file, capsys):
         assert main(["trace", "a.c", doc_file]) == 0

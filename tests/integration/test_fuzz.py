@@ -56,7 +56,8 @@ class TestCombinedSweep:
                 assert xscan == expected, (trial, "xscan", expr)
 
     def test_shared_vs_independent_networks(self, rng):
-        from repro.core.multiquery import MultiQueryEngine, SharedNetworkEngine
+        from repro.baselines.shared_network import SharedNetworkEngine
+        from repro.core.multiquery import MultiQueryEngine
 
         config = GeneratorConfig(max_depth=3)
         for _ in range(25):

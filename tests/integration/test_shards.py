@@ -79,14 +79,13 @@ def merged_positions(result, exclude=()):
 class TestShardedDifferential:
     """No faults: sharding is invisible in the merged output."""
 
-    @pytest.mark.parametrize("partition", ["hash", "prefix"])
-    def test_matches_single_process(self, partition):
+    def test_matches_single_process(self):
         queries = sdi_subscriptions(24, seed=5)
         events = multi_doc_stream(1, 2)
         result = serve_sharded(
             queries,
             iter(events),
-            config=ShardConfig(shards=3, partition=partition, **FAST),
+            config=ShardConfig(shards=3, **FAST),
         )
         assert result.healthy
         assert merged_positions(result) == single_process(queries, events)

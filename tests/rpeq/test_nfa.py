@@ -83,7 +83,15 @@ class TestHeadedNfa:
             compile_headed_nfa(parse("a"), parse("b[c]"))
 
 
-@pytest.mark.parametrize("module", ["repro.core.fastlane", "repro.dtd.analysis"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.core.fastlane",
+        "repro.dtd.analysis",
+        "repro.core.multiquery",
+        "repro.core.shards",
+    ],
+)
 def test_production_code_does_not_import_baselines(module):
     tree = ast.parse(inspect.getsource(importlib.import_module(module)))
     imported = [
