@@ -17,12 +17,13 @@ the paper's evaluation model.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 from ..analysis.metrics import QueryProfile, analyze
-from ..errors import CheckpointError, EngineError, ResourceLimitError
+from ..errors import CheckpointError, EngineError
 from ..limits import ResourceLimits
 from ..rpeq.ast import Rpeq
 from ..rpeq.parser import parse
@@ -36,7 +37,6 @@ from ..xmlstream.recovery import (
     as_policy,
     recovered_documents,
 )
-from ..xmlstream.validate import checked
 from .checkpoint import Checkpoint
 from .compiler import compile_network
 from .network import Network, NetworkStats
@@ -66,6 +66,11 @@ class RobustnessCounters:
     load_sheds: int = 0
     deadline_hits: int = 0
     admissions_rejected: int = 0
+
+    def copy_into(self, stats: "EngineStats") -> None:
+        """Set the like-named fields of ``stats`` to these counters."""
+        for counter in fields(self):
+            setattr(stats, counter.name, getattr(self, counter.name))
 
 
 @dataclass
@@ -189,6 +194,19 @@ class EngineStats:
         return "\n".join(lines)
 
 
+def recovery_policy(
+    on_error: RecoveryPolicy | str, cursor: StreamCursor | None
+) -> RecoveryPolicy:
+    """Coerce ``on_error``; only a strict pass may carry a checkpoint cursor."""
+    policy = as_policy(on_error)
+    if policy is not RecoveryPolicy.STRICT and cursor is not None:
+        raise EngineError(
+            "checkpoint cursors require on_error='strict' (recovery "
+            "policies re-segment the source per document)"
+        )
+    return policy
+
+
 class SpexEngine:
     """Streamed, progressive rpeq evaluation (the paper's contribution)."""
 
@@ -298,9 +316,12 @@ class SpexEngine:
                 (see :func:`repro.xmlstream.iter_events`), possibly
                 unbounded.
             validate: check stream well-formedness on the fly (a single
-                O(depth) stack); malformed input raises
-                :class:`~repro.errors.StreamError` instead of silently
-                confusing the transducer stacks.
+                O(depth) stack, a private
+                :class:`~repro.xmlstream.StreamCursor`); malformed input
+                raises :class:`~repro.errors.StreamError` instead of
+                silently confusing the transducer stacks.  ``False``
+                means "no private cursor": a ``cursor`` the caller
+                passes still checks every event it counts.
             on_error: recovery policy (see
                 :class:`repro.xmlstream.RecoveryPolicy`).  ``"strict"``
                 (default) raises at the first violation.  ``"skip"`` and
@@ -336,7 +357,7 @@ class SpexEngine:
             stream prefix read so far decides it (strict mode) or as
             soon as its document is known good (skip/repair).
         """
-        policy = as_policy(on_error)
+        policy = recovery_policy(on_error, cursor)
         if require_end is None:
             # Finite sources (text/files) end; every truncation there is
             # an error.  Event iterables may be live/unbounded, where a
@@ -344,16 +365,19 @@ class SpexEngine:
             require_end = isinstance(source, (str, os.PathLike))
         self._last_report = report if report is not None else ErrorReport()
         if policy is not RecoveryPolicy.STRICT:
-            if cursor is not None:
-                raise EngineError(
-                    "checkpoint cursors require on_error='strict' (recovery "
-                    "policies re-segment the source per document)"
-                )
             self._last_cursor = None
             yield from self._run_recovering(
                 source, policy, self._last_report, require_end
             )
             return
+        network = self._fresh_network()
+        self._last_cursor = cursor
+        if cursor is None and validate:
+            cursor = StreamCursor()
+        yield from self._run_strict(network, iter_events(source), cursor, require_end)
+
+    def _fresh_network(self) -> Network:
+        """Compile the network (and condition store) of the next pass."""
         network, store = compile_network(
             self.query,
             collect_events=self.collect_events,
@@ -362,14 +386,19 @@ class SpexEngine:
         )
         self._last_network = network
         self._last_store = store
-        self._last_cursor = cursor
-        events = iter_events(source)
-        if validate:
-            events = checked(events, require_end=require_end)
+        return network
+
+    @staticmethod
+    def _run_strict(
+        network: Network,
+        events: Iterable[Event],
+        cursor: StreamCursor | None,
+        require_end: bool,
+    ) -> Iterator[Match]:
+        """The strict per-event loop of :meth:`run` and :meth:`resume`:
+        each event is checked and counted by ``cursor``, then evaluated."""
         if cursor is not None:
-            # Attach *after* validation so the cursor counts only events
-            # that actually reached the network.
-            events = cursor.attach(events)
+            events = cursor.attach(events, require_end=require_end)
         for event in events:
             yield from network.process_event(event)
 
@@ -392,24 +421,13 @@ class SpexEngine:
         for document in recovered_documents(
             events, policy, report, require_end=require_end
         ):
-            network, store = compile_network(
-                self.query,
-                collect_events=self.collect_events,
-                optimize=self.optimize,
-                limits=self.limits,
-            )
-            self._last_network = network
-            self._last_store = store
+            network = self._fresh_network()
             matches: list[Match] = []
-            doc_index = report.documents_seen - 1
-            try:
-                for event in document:
-                    matches.extend(network.process_event(event))
-            except ResourceLimitError as exc:
-                report.add(doc_index, str(exc), "limit")
-                report.documents_skipped += 1
-                continue
-            yield from matches
+            results = itertools.chain.from_iterable(
+                map(network.process_event, document)
+            )
+            if report.collect_document(results, matches):
+                yield from matches
 
     def evaluate(self, source: str | Iterable[Event]) -> list[Match]:
         """Evaluate eagerly and return all matches."""
@@ -487,7 +505,6 @@ class SpexEngine:
         self,
         checkpoint: Checkpoint,
         source: str | Iterable[Event],
-        validate: bool = True,
     ) -> Iterator[Match]:
         """Continue a checkpointed run against ``source``.
 
@@ -496,9 +513,11 @@ class SpexEngine:
         Resume seeks by re-parsing and discarding the prefix — SAX keeps
         no restartable parse state, and the skipped events never touch
         the transducer network — then continues evaluation with restored
-        state.  The concatenation of matches yielded before the
-        checkpoint and after this resume equals an uninterrupted run:
-        no duplicates, no drops.
+        state; the restored cursor checks the resumed tail exactly as
+        the original run would have, from the envelope state at the cut.
+        The concatenation of matches yielded before the checkpoint and
+        after this resume equals an uninterrupted run: no duplicates, no
+        drops.
 
         All compatibility checks happen eagerly, in this call — not at
         first iteration — so a mismatched checkpoint fails fast.
@@ -532,41 +551,20 @@ class SpexEngine:
                 "checkpoint was taken with a different production_network "
                 "setting; the compiled topologies are incompatible"
             )
-        network, store = compile_network(
-            self.query,
-            collect_events=self.collect_events,
-            optimize=self.optimize,
-            limits=self.limits,
-        )
+        network = self._fresh_network()
         network.restore(payload["network"])
-        store.restore(payload["store"])
+        self._last_store.restore(payload["store"])
         network.allocator.restore(payload["allocator"])
         cursor = StreamCursor.from_state(payload["cursor"])
-        self._last_network = network
-        self._last_store = store
         self._last_cursor = cursor
         self._last_report = ErrorReport()
         self.robustness.restores += 1
-        events = skip_events(iter_events(source), cursor.events_read)
-        if validate:
-            # Prime the validator with the envelope state at the cut, so
-            # the resumed tail is checked exactly as the original run
-            # would have checked it.
-            events = checked(
-                events,
-                require_end=isinstance(source, (str, os.PathLike)),
-                open_labels=cursor.open_labels,
-                started=cursor.in_document,
-            )
-        events = cursor.attach(events)
-        return self._pump(network, events)
-
-    @staticmethod
-    def _pump(network: Network, events: Iterable[Event]) -> Iterator[Match]:
-        """Generator tail of :meth:`resume` (kept separate so the eager
-        verification in ``resume`` runs at call time, not first ``next``)."""
-        for event in events:
-            yield from network.process_event(event)
+        return self._run_strict(
+            network,
+            skip_events(iter_events(source), cursor.events_read),
+            cursor,
+            isinstance(source, (str, os.PathLike)),
+        )
 
     @classmethod
     def from_checkpoint(
@@ -610,16 +608,7 @@ class SpexEngine:
             stats.events_repaired = self._last_report.events_repaired
             stats.limit_hits = self._last_report.limit_hits
         stats.limit_hits += stats.output.candidates_evicted
-        stats.checkpoints_written = self.robustness.checkpoints_written
-        stats.restores = self.robustness.restores
-        stats.retries = self.robustness.retries
-        stats.stalls_detected = self.robustness.stalls_detected
-        stats.quarantines = self.robustness.quarantines
-        stats.breaker_trips = self.robustness.breaker_trips
-        stats.readmissions = self.robustness.readmissions
-        stats.load_sheds = self.robustness.load_sheds
-        stats.deadline_hits = self.robustness.deadline_hits
-        stats.admissions_rejected = self.robustness.admissions_rejected
+        self.robustness.copy_into(stats)
         return stats
 
     def describe_network(self) -> str:

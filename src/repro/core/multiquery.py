@@ -36,12 +36,11 @@ from ..xmlstream.recovery import (
     RecoveryPolicy,
     as_policy,
     recovered_documents,
-    recovering,
 )
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
 from .compiler import compile_network
-from .engine import EngineStats, RobustnessCounters
+from .engine import EngineStats, RobustnessCounters, recovery_policy
 from .fastlane import (
     FastLaneAdapter,
     FastLaneCore,
@@ -125,14 +124,8 @@ class MultiQueryEngine:
             StaticAnalysisError: pre-flight analysis rejected one of the
                 queries (the exception names the offending query id).
         """
-        if isinstance(queries, Mapping):
-            items = list(queries.items())
-        else:
-            items = [(text, text) for text in queries]
-        self.queries: dict[str, Rpeq] = {
-            query_id: parse(query) if isinstance(query, str) else query
-            for query_id, query in items
-        }
+        #: the registered queries, as they run (after the opt-in rewrite)
+        self.queries: dict[str, Rpeq] = {}
         self.collect_events = collect_events
         self.limits = limits
         self.optimize = as_flags(optimize)
@@ -151,36 +144,18 @@ class MultiQueryEngine:
         #: per-query :class:`~repro.analysis.rewrite.RewriteResult` for
         #: queries the certified rewriter changed (``rewrite=True`` only)
         self.rewrites: dict = {}
-        if rewrite:
-            for query_id in list(self.queries):
-                self._rewrite_one(query_id)
         #: per-query :class:`~repro.analysis.planner.QueryPlan` —
         #: execution lane, qualifier-free prefix and refined σ̂ bound
-        self.plans: dict = {
-            query_id: self._plan_one(query, query_id)
-            for query_id, query in self.queries.items()
-        }
+        self.plans: dict = {}
         #: per-query :class:`~repro.core.serving.AdmissionDecision`
         #: (empty without an admission policy)
         self.admissions: dict[str, AdmissionDecision] = {}
-        if admission is not None:
-            for query_id, query in self.queries.items():
-                decision = classify_admission(
-                    query, admission, limits, plan=self.plans[query_id]
-                )
-                self.admissions[query_id] = decision
-                if not decision.admitted:
-                    self.robustness.admissions_rejected += 1
-        self._preflight = preflight
         #: per-query pre-flight reports (``None`` with ``preflight=False``)
-        self.analysis = None
-        if preflight:
-            reports = {}
-            for query_id, query in self.queries.items():
-                if not self._is_admitted(query_id):
-                    continue
-                reports[query_id] = self._preflight_one(query_id, query)
-            self.analysis = reports
+        self.analysis: dict | None = {} if preflight else None
+        if not isinstance(queries, Mapping):
+            queries = {text: text for text in queries}
+        for query_id, query in queries.items():
+            self._register(query_id, query)
         #: :class:`~repro.core.serving.ServingReport` of the most recent
         #: :meth:`serve` pass (``None`` before the first one)
         self.serving: ServingReport | None = None
@@ -219,17 +194,7 @@ class MultiQueryEngine:
             for fed, parked in core.gate_counts().values():
                 stats.fastlane_gate_fed_events += fed
                 stats.fastlane_gate_parked_events += parked
-        robustness = self.robustness
-        stats.checkpoints_written = robustness.checkpoints_written
-        stats.restores = robustness.restores
-        stats.retries = robustness.retries
-        stats.stalls_detected = robustness.stalls_detected
-        stats.quarantines = robustness.quarantines
-        stats.breaker_trips = robustness.breaker_trips
-        stats.readmissions = robustness.readmissions
-        stats.load_sheds = robustness.load_sheds
-        stats.deadline_hits = robustness.deadline_hits
-        stats.admissions_rejected = robustness.admissions_rejected
+        self.robustness.copy_into(stats)
         return stats
 
     @property
@@ -272,32 +237,6 @@ class MultiQueryEngine:
             )
         return limits
 
-    def _plan_one(self, query: Rpeq, query_id: str | None = None):
-        from dataclasses import replace
-
-        from ..analysis.planner import plan_query
-
-        plan, _report = plan_query(query, limits=self._planning_limits())
-        # The engine rewrites before planning, so the planner itself sees
-        # zero steps — stamp the actual count from the applied rewrite.
-        result = self.rewrites.get(query_id) if query_id is not None else None
-        if result is not None:
-            plan = replace(plan, rewrite_steps=len(result.steps))
-        return plan
-
-    def _rewrite_one(self, query_id: str) -> None:
-        """Certified-rewrite one registered query in place (opt-in).
-
-        Only a fully certified rewrite replaces the query; a failed
-        certificate (or a no-op) leaves the original untouched.
-        """
-        from ..analysis.rewrite import rewrite_query
-
-        result, _report = rewrite_query(self.queries[query_id])
-        if result.certified and result.changed:
-            self.queries[query_id] = result.rewritten
-            self.rewrites[query_id] = result
-
     def _preflight_one(self, query_id: str, query: Rpeq):
         from ..analysis.preflight import ensure_preflight
         from ..errors import StaticAnalysisError
@@ -327,32 +266,51 @@ class MultiQueryEngine:
         """
         if query_id in self.queries:
             raise EngineError(f"query {query_id!r} already registered")
+        return self._register(query_id, query, require_admission)
+
+    def _register(
+        self, query_id: str, query: str | Rpeq, require_admission: bool = False
+    ) -> AdmissionDecision | None:
+        """Rewrite → plan → admit → pre-flight one query, then record it.
+
+        Nothing is recorded when a step refuses the query (a rejection
+        under ``require_admission``, a pre-flight error).
+        """
+        from dataclasses import replace
+
+        from ..analysis.planner import plan_query
+
         expr = parse(query) if isinstance(query, str) else query
+        rewritten = None
         if self.rewrite:
+            # Only a fully certified rewrite replaces the query; a failed
+            # certificate (or a no-op) leaves the original untouched.
             from ..analysis.rewrite import rewrite_query
 
             result, _report = rewrite_query(expr)
             if result.certified and result.changed:
+                rewritten = result
                 expr = result.rewritten
-                self.rewrites[query_id] = result
-        plan = self._plan_one(expr, query_id)
+        plan, _report = plan_query(expr, limits=self._planning_limits())
+        if rewritten is not None:
+            # The planner saw the rewritten query, so it counted zero
+            # steps — stamp the actual count from the applied rewrite.
+            plan = replace(plan, rewrite_steps=len(rewritten.steps))
         decision = None
         if self.admission is not None:
             decision = classify_admission(
                 expr, self.admission, self.limits, plan=plan
             )
             if require_admission:
-                try:
-                    ensure_admitted(query_id, decision)
-                except Exception:
-                    self.rewrites.pop(query_id, None)
-                    raise
+                ensure_admitted(query_id, decision)
             if not decision.admitted:
                 self.robustness.admissions_rejected += 1
         if self.analysis is not None and (decision is None or decision.admitted):
             self.analysis[query_id] = self._preflight_one(query_id, expr)
         self.queries[query_id] = expr
         self.plans[query_id] = plan
+        if rewritten is not None:
+            self.rewrites[query_id] = rewritten
         if decision is not None:
             self.admissions[query_id] = decision
         return decision
@@ -485,7 +443,7 @@ class MultiQueryEngine:
         bulkheads (a failing query propagates), no deadlines, no
         shedding — the same per-event transition :meth:`serve` runs.
         """
-        recovery = _recovery(on_error, cursor)
+        recovery = recovery_policy(on_error, cursor)
         pump = self._open_pump(_INERT, cursor=cursor)
         yield from self._drive(pump, source, recovery, report, require_end=True)
 
@@ -511,6 +469,8 @@ class MultiQueryEngine:
         self._breakers = breakers if serving is not None else None
         if serving is None:
             serving = ServingReport()
+        if cursor is None:
+            cursor = StreamCursor()  # private: checks, but cannot checkpoint
         return ServePump(self, networks, policy, serving, breakers, clock, cursor)
 
     def _drive(
@@ -525,10 +485,10 @@ class MultiQueryEngine:
         """Pull ``source`` through ``pump`` under a recovery policy."""
         events = iter_events(source, limits=parser_limits)
         if recovery is RecoveryPolicy.STRICT:
-            # Strict passes validate on the fly, so malformed input raises
-            # the documented StreamError instead of silently confusing
-            # every subscription's transducer stacks at once.
-            return pump._pull(recovering(events, recovery, require_end=False))
+            # The pump's own cursor validates on the fly, so malformed
+            # input raises the documented StreamError instead of silently
+            # confusing every subscription's transducer stacks at once.
+            return pump._pull(events)
         report = report if report is not None else ErrorReport()
         documents = recovered_documents(
             events, recovery, report, require_end=require_end
@@ -583,7 +543,7 @@ class MultiQueryEngine:
         out of a freshly started worker without a checkpoint to carry
         the latch.
         """
-        recovery = _recovery(on_error, cursor)
+        recovery = recovery_policy(on_error, cursor)
         pump = self.start_pump(policy, clock, cursor, quarantined)
         return self._drive(pump, source, recovery, report, parser_limits)
 
@@ -638,10 +598,11 @@ class MultiQueryEngine:
         subscriber's match stream bit-identical to an offline
         :meth:`serve` pass by construction.
 
-        Passing a ``cursor`` keeps the pass checkpointable: the pump
-        advances it before processing each event (the update-then-
-        process invariant of :meth:`StreamCursor.attach
-        <repro.xmlstream.offsets.StreamCursor.attach>`), so
+        Every fed event is checked and counted by the pump's
+        :class:`~repro.xmlstream.offsets.StreamCursor` before anything
+        processes it, so a malformed push raises
+        :class:`~repro.errors.StreamError` exactly where :meth:`run`
+        would.  Passing the ``cursor`` keeps the pass checkpointable:
         :meth:`checkpoint` may be called between any two :meth:`feed`
         calls.  ``quarantined`` pre-latches poison-pill queries exactly
         as in :meth:`serve`.
@@ -735,19 +696,10 @@ class MultiQueryEngine:
         """
         payload = checkpoint.require("multiquery")
         pump = self._revive(payload, policy, clock)
-        events = skip_events(
-            iter_events(source, limits=parser_limits), pump.cursor.events_read
-        )
-        # The strict validator is primed with the envelope state at the
-        # cut, exactly as the uninterrupted pass would have reached it.
-        return pump._pull(
-            recovering(
-                events,
-                RecoveryPolicy.STRICT,
-                require_end=False,
-                resume=payload["cursor"],
-            )
-        )
+        # The restored cursor carries the envelope state at the cut, so
+        # the tail is checked exactly as the uninterrupted pass would have.
+        events = iter_events(source, limits=parser_limits)
+        return pump._pull(skip_events(events, pump.cursor.events_read))
 
     def resume_pump(
         self,
@@ -928,9 +880,7 @@ class MultiQueryEngine:
         """
         policy = as_policy(on_error)
         if policy is RecoveryPolicy.STRICT:
-            return self._filter_one(
-                recovering(iter_events(source), policy, require_end=False)
-            )
+            return self._filter_one(iter_events(source))
         matched = {query_id: False for query_id in self.queries}
         for verdicts in self._filter_recovered(source, policy, report, True):
             for query_id, hit in verdicts.items():
@@ -965,12 +915,10 @@ class MultiQueryEngine:
         for document in recovered_documents(
             iter_events(source), policy, report, require_end=require_end
         ):
-            doc_index = report.documents_seen - 1
-            try:
-                yield self._filter_one(document)
-            except ResourceLimitError as exc:
-                report.add(doc_index, str(exc), "limit")
-                report.documents_skipped += 1
+            # one verdict, or none where a resource limit cut the pass short
+            verdicts: list[dict[str, bool]] = []
+            report.collect_document(map(self._filter_one, (document,)), verdicts)
+            yield from verdicts
 
     def filter_stream(
         self,
@@ -1006,18 +954,6 @@ class MultiQueryEngine:
 _INERT = ServingPolicy(quarantine=False)
 
 
-def _recovery(
-    on_error: RecoveryPolicy | str, cursor: StreamCursor | None
-) -> RecoveryPolicy:
-    recovery = as_policy(on_error)
-    if recovery is not RecoveryPolicy.STRICT and cursor is not None:
-        raise EngineError(
-            "checkpoint cursors require on_error='strict' (recovery "
-            "policies re-segment the source per document)"
-        )
-    return recovery
-
-
 class ServePump:
     """Push-mode bulkhead state machine: one :meth:`feed` per event.
 
@@ -1051,7 +987,7 @@ class ServePump:
         serving: ServingReport,
         breakers: dict[str, CircuitBreaker],
         clock: Clock,
-        cursor: StreamCursor | None = None,
+        cursor: StreamCursor,
     ) -> None:
         self._engine = engine
         #: the attached runners, always in registration order — the
@@ -1071,15 +1007,10 @@ class ServePump:
             else None
         )
         self._doc_deadline: float | None = None
-        #: whether a ``<$>`` has been fed and its ``</$>`` has not —
-        #: the drain logic of the service uses this to stop at a
-        #: document-boundary checkpoint.
-        self.in_document = False
         #: the per-event transition compiled for the current live set
         #: (:meth:`_compile`), :meth:`_restep` while there is none;
         #: ``None`` for an event that decided nothing
-        self._step: Callable[[Event], list[tuple[str, Match]] | None] = self._restep
-        self._reopened = False
+        self._step: Callable[..., list[tuple[str, Match]] | None] = self._restep
 
     # ------------------------------------------------------------------
     # introspection
@@ -1092,11 +1023,12 @@ class ServePump:
     @property
     def at_document_boundary(self) -> bool:
         """True between documents — the checkpoint-commit positions."""
-        return not self.in_document
+        return not self._cursor.in_document
 
     @property
-    def cursor(self) -> StreamCursor | None:
-        """The pass's stream cursor (``None`` for uncheckpointable pumps)."""
+    def cursor(self) -> StreamCursor:
+        """The cursor every fed event is checked and counted by (the
+        caller's when one was passed, else the pump's own)."""
         return self._cursor
 
     # ------------------------------------------------------------------
@@ -1293,16 +1225,11 @@ class ServePump:
         their (closed) breakers re-admit immediately; quarantined queries
         wait out the cooldown and come back as half-open probes.
         Returns whether the live set changed — the transition then
-        hands the ``<$>`` to a recompiled one, which asks again and is
-        told ``False``.
+        hands the ``<$>`` to a recompiled one.
         """
-        if self._reopened:
-            self._reopened = False
-            return False
         engine = self._engine
         serving = self.serving
         live = self._live
-        self.in_document = True
         serving.documents_seen += 1
         if self.policy.doc_deadline is not None:
             self._doc_deadline = self._clock.monotonic() + self.policy.doc_deadline
@@ -1322,12 +1249,10 @@ class ServePump:
             ordered = {q: live[q] for q in engine.queries if q in live}
             live.clear()
             live.update(ordered)
-        self._reopened = changed
         return changed
 
     def _close_document(self) -> None:
         """``</$>``: every query still live completed the document."""
-        self.in_document = False
         self._doc_deadline = None
         serving = self.serving
         for query_id in self._live:
@@ -1356,15 +1281,15 @@ class ServePump:
         """
         return self._step(event) or []
 
-    def _compile(self) -> Callable[[Event], list[tuple[str, Match]] | None]:
+    def _compile(self) -> Callable[..., list[tuple[str, Match]] | None]:
         """Burn the current live set and policy into one closure.
 
         The way :func:`~repro.core.network.make_fused_runner` flattens
         one network's driver: what is constant until the live set
         changes — which queries need a per-event call at all (network
         and gated runners; core-backed lanes cost one shared
-        ``advance`` and a bulk drain), whether there is a cursor, a
-        deadline, a shedding mark — is decided here, once, and whatever
+        ``advance`` and a bulk drain), whether there is a deadline, a
+        shedding mark — is decided here, once, and whatever
         changes the live set makes the next event compile again
         (:meth:`_stale`).
         """
@@ -1382,32 +1307,33 @@ class ServePump:
         drain = core.drain_matches if core is not None else None
         outcomes = {query_id: serving.outcome(query_id) for query_id in live}
         rank = {query_id: index for index, query_id in enumerate(live)}
-        advance_cursor = self._cursor.advance if self._cursor is not None else None
+        check_and_count = self._cursor.advance
         policy = self.policy
         bulkheads = policy.quarantine
         timed = policy.stream_deadline is not None or policy.doc_deadline is not None
         shed_above = policy.shed_buffered_events
-        guarded = timed or advance_cursor is not None
 
         def by_rank(pair: tuple[str, Match]) -> int:
             return rank[pair[0]]
 
-        def transition(event: Event) -> list[tuple[str, Match]] | None:
+        def transition(
+            event: Event, reopened: bool = False
+        ) -> list[tuple[str, Match]] | None:
             cls = event.__class__
-            if cls is StartDocument and self._open_document():
-                # re-admissions changed the live set under this closure
-                return self._compile()(event)
+            if not reopened:
+                # Raises on a malformed stream before anything has moved.
+                check_and_count(event)
+                if cls is StartDocument and self._open_document():
+                    # re-admissions changed the live set under this closure
+                    return self._compile()(event, True)
             out: list[tuple[str, Match]] | None = None
             todo = runners
-            if guarded:
-                if advance_cursor is not None:
-                    advance_cursor(event)
-                if timed:
-                    out = self._expire()
-                    if out is not None:
-                        if self.finished:
-                            return out
-                        todo = []  # everything live was just detached
+            if timed:
+                out = self._expire()
+                if out is not None:
+                    if self.finished:
+                        return out
+                    todo = []  # everything live was just detached
             if advance is not None:
                 advance(event)
             if todo:
@@ -1481,14 +1407,11 @@ class ServePump:
                     live[query_id] = engine._compile_one(query_id, self._clock)
                 self._stale()
             held: list[tuple[str, Match]] = []
-            try:
-                held.extend(self._pull(document))
-            except ResourceLimitError as exc:
-                report.add(report.documents_seen - 1, str(exc), "limit")
-                report.documents_skipped += 1
+            if report.collect_document(self._pull(document), held):
+                yield from held
+            else:
+                self._cursor.abandon_document()
                 for query_id, _match in held:  # decided, never delivered
                     self.serving.outcome(query_id).matches -= 1
-                continue
-            yield from held
             if self.finished:
                 return

@@ -124,7 +124,12 @@ class LoadReport:
     documents_sent: int
     events_sent: int
     duration: float
+    #: documents the service took in: its own count when it ran
+    #: in-process, else the producer's last ``ingested`` ack (0 from an
+    #: external service without a write-ahead log, which sends none)
+    documents_ingested: int = 0
     abusive_rejections: int = 0
+    #: the in-process service drained *and* ingested every document sent
     drained_cleanly: bool = False
 
     @property
@@ -426,10 +431,22 @@ async def _producer_task(
     documents: list[list[Event]],
     send_times: dict[int, float],
     ready: asyncio.Barrier,
-) -> int:
+    settle: float,
+) -> tuple[int, int]:
+    """Send every document; returns ``(events sent, documents acked)``.
+
+    A service with a write-ahead log acks each committed document with an
+    ``ingested`` frame (and says so by putting its committed count in the
+    producer's welcome).  The connection stays open, reading every ack,
+    until the last document is covered or ``settle`` seconds pass:
+    closing a socket with unread frames in its receive buffer resets the
+    connection under the documents still in flight.  A service that does
+    not ack reports 0.
+    """
     await ready.wait()
     producer = await ProducerClient.connect(host, port, tenant=config.tenant)
-    events_sent = 0
+    base = producer.conn.welcome.get("documents")
+    events_sent = acked = 0
     try:
         for index, document in enumerate(documents):
             send_times[index] = time.monotonic()
@@ -437,9 +454,21 @@ async def _producer_task(
             events_sent += len(document)
             if config.inter_burst_pause and (index + 1) % config.burst == 0:
                 await asyncio.sleep(config.inter_burst_pause)
+        deadline = time.monotonic() + settle
+        while base is not None and acked < len(documents):
+            try:
+                frame = await asyncio.wait_for(
+                    producer.conn.recv(), max(0.0, deadline - time.monotonic())
+                )
+            except (asyncio.TimeoutError, ConnectionError):
+                break  # reported: documents_ingested falls short
+            if frame is None:
+                break
+            if frame.get("type") == "ingested":
+                acked = int(frame["documents"]) - int(base)
     finally:
         await producer.close()
-    return events_sent
+    return events_sent, acked
 
 
 async def _abusive_producer_task(
@@ -529,7 +558,7 @@ async def run_load_async(
         tasks.append(asyncio.create_task(coro))
     producer = asyncio.create_task(
         _producer_task(
-            bound_host, bound_port, config, documents, send_times, ready
+            bound_host, bound_port, config, documents, send_times, ready, settle
         )
     )
     abusive = (
@@ -539,7 +568,7 @@ async def run_load_async(
         if config.abusive_producer
         else None
     )
-    events_sent = await producer
+    events_sent, documents_ingested = await producer
     abusive_rejections = await abusive if abusive is not None else 0
     if crash_settled:
         # hold the drain until every chaos client is through its
@@ -559,7 +588,8 @@ async def run_load_async(
         # subscribers — which is what ends their frame loops
         await service.stop()
         results = await asyncio.gather(*tasks)
-        drained = True
+        documents_ingested = service.stats.documents_ingested
+        drained = documents_ingested >= len(documents)
     else:
         # external server: nobody drains for us, so bound the wait and
         # cancel stragglers (their partial results are lost, which an
@@ -576,6 +606,7 @@ async def run_load_async(
         documents_sent=len(documents),
         events_sent=events_sent,
         duration=duration,
+        documents_ingested=documents_ingested,
         abusive_rejections=abusive_rejections,
         drained_cleanly=drained,
     )

@@ -645,9 +645,7 @@ class SpexService:
         if rebuilding:
             self.stats.documents_rebuilt += 1
         elif self.wal is not None:
-            cursor = self.pump.cursor if self.pump is not None else None
-            events_read = cursor.events_read if cursor is not None else 0
-            self.wal.append_document(count, events_read)
+            self.wal.append_document(count, self.pump.cursor.events_read)
             self._maybe_background_checkpoint(count)
         if (
             producer is not None
@@ -680,13 +678,12 @@ class SpexService:
             self.wal.sync()  # the WAL must never trail the checkpoint
             self._expire_stale_sessions(count)
             if self.wal.size_bytes > config.wal_max_bytes:
-                cursor = self.pump.cursor if self.pump is not None else None
                 self.wal.compact(
                     {
                         token: session.recovery_form()
                         for token, session in self._sessions.items()
                     },
-                    cursor.events_read if cursor is not None else 0,
+                    self.pump.cursor.events_read if self.pump is not None else 0,
                 )
                 self.stats.wal_compactions += 1
         try:

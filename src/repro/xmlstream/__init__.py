@@ -28,7 +28,7 @@ from .faults import (
     FaultInjector,
     FlakySource,
 )
-from .offsets import CountingReader, StreamCursor, skip_events
+from .offsets import StreamCursor, skip_events
 from .parser import (
     ParserLimits,
     iter_documents,
@@ -52,7 +52,6 @@ from .validate import checked, is_well_formed
 
 __all__ = [
     "ADVERSARIAL_FAULT_KINDS",
-    "CountingReader",
     "DOCUMENT_LABEL",
     "Document",
     "EndDocument",

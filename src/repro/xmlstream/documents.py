@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..errors import StreamError
-from .events import EndDocument, Event, StartDocument
+from .events import Event
+from .offsets import StreamCursor
 
 
 def split_documents(events: Iterable[Event]) -> Iterator[Iterator[Event]]:
@@ -25,24 +25,25 @@ def split_documents(events: Iterable[Event]) -> Iterator[Iterator[Event]]:
     need random access can wrap each document in ``list(...)``.
 
     Raises:
-        StreamError: on events between documents or a missing envelope.
+        StreamError: whatever a strict
+            :class:`~repro.xmlstream.offsets.StreamCursor` refuses —
+            events between documents, a missing envelope, mismatched
+            tags, a source that ends inside a document.
     """
-    source = iter(events)
+    cursor = StreamCursor()
+    checked = cursor.attach(events, require_end=True)
 
     def one_document(first: Event) -> Iterator[Event]:
         yield first
-        for event in source:
+        for event in checked:
             yield event
-            if isinstance(event, EndDocument):
+            if not cursor.in_document:
                 return
-        raise StreamError("stream ended before </$>")
 
     while True:
-        opener = next(source, None)
+        opener = next(checked, None)
         if opener is None:
             return
-        if not isinstance(opener, StartDocument):
-            raise StreamError(f"expected <$> between documents, got {opener}")
         document = one_document(opener)
         yield document
         # Drain whatever the consumer left unread so the stream is

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ..core.clock import Clock, as_clock
-from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
+from .events import EndDocument, EndElement, Event, StartElement, Text
 
 #: Every corruption kind :meth:`FaultInjector.corrupt` can pick from.
 FAULT_KINDS = (
@@ -180,7 +180,7 @@ class FaultInjector:
             return self.truncate(stream)
         event = stream[index]
         assert isinstance(event, (StartElement, EndElement))
-        others = [l for l in self.labels if l != event.label] or [event.label + "x"]
+        others = [x for x in self.labels if x != event.label] or [event.label + "x"]
         new_label = self.rng.choice(others)
         flipped: Event = (
             StartElement(new_label, event.attributes)

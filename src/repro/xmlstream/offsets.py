@@ -5,44 +5,40 @@ tag engine state with the *source position* it corresponds to, and
 resuming needs to reposition a fresh source at exactly that point.  Both
 halves live here:
 
-* :class:`StreamCursor` — wraps any event iterable and counts events
-  while tracking the envelope state a validator would need at that point
-  (open-element label stack, whether a document is open, documents
-  seen).  The cursor advances *before* the event is handed downstream,
-  so whenever the consumer holds event ``n`` the cursor reads ``n`` —
-  the invariant that makes "checkpoint after the last fully-processed
-  event" exact.
+* :class:`StreamCursor` — the library's one envelope state machine (the
+  "1-PDA" of the paper's Theorem IV.1): it *checks* each event against
+  the ``<$>…</$>`` envelope and the open-label stack, raising
+  :class:`~repro.errors.StreamError` on a violation, and *counts* the
+  events it let through.  A rejected event moves nothing and an accepted
+  one is counted *before* it is handed downstream, so whenever the
+  consumer holds event ``n`` the cursor reads ``n`` — the invariant that
+  makes "checkpoint after the last fully-processed event" exact.
 * :func:`skip_events` — discard a prefix of a stream.  Re-reading a file
   and skipping is how resume "seeks": SAX keeps no restartable parse
   state, so the honest repositioning primitive is a cheap re-parse of
   the prefix with no engine work attached (the transducer network never
   sees the skipped events).
-* :class:`CountingReader` — byte-level accounting for file-like
-  sources, so operational dashboards can report progress in bytes as
-  well as events.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ..errors import StreamError
-from .events import (
-    EndDocument,
-    EndElement,
-    Event,
-    StartDocument,
-    StartElement,
-)
+from .events import EndDocument, EndElement, Event, StartDocument, StartElement
 
 
 class StreamCursor:
-    """Counts events and mirrors the envelope state of a stream position.
+    """Well-formedness check and position count of one event stream.
+
+    The stream is a sequence of ``<$>…</$>`` documents; inside each,
+    every end tag closes the most recent open start tag, and nothing but
+    a ``<$>`` may stand between documents.
 
     Attributes:
         events_read: number of events that have passed the cursor.
         open_labels: labels of the currently open elements (innermost
-            last) — exactly the stack a well-formedness validator holds.
+            last).
         in_document: whether a ``<$>`` is open at this position.
         documents_seen: number of ``<$>`` events that have passed.
     """
@@ -53,32 +49,73 @@ class StreamCursor:
         self.in_document = False
         self.documents_seen = 0
 
-    def attach(self, events: Iterable[Event]) -> Iterator[Event]:
-        """Yield ``events`` unchanged, updating the cursor *first*.
+    def attach(
+        self, events: Iterable[Event], require_end: bool = False
+    ) -> Iterator[Event]:
+        """Yield ``events`` unchanged, each checked and counted *first*.
 
         The update-then-yield order guarantees that when the consumer is
         processing (or has just finished processing) event ``n``, the
         cursor already reflects position ``n`` — so a checkpoint taken
-        between events never over- or under-counts.
+        between events never over- or under-counts.  With
+        ``require_end`` a source that ends inside a document is an error
+        (:meth:`end`); without it every finite read is a prefix.
         """
+        advance = self.advance
         for event in events:
-            self.advance(event)
+            advance(event)
             yield event
+        if require_end:
+            self.end()
 
     def advance(self, event: Event) -> None:
-        """Account for one event (exposed for callers with own loops)."""
-        self.events_read += 1
+        """Check one event, then count it.
+
+        Raises:
+            StreamError: the event violates the envelope or the nesting;
+                the cursor is left exactly as it was.
+        """
         cls = event.__class__
-        if cls is StartElement:
-            self.open_labels.append(event.label)
-        elif cls is EndElement:
-            if self.open_labels:
-                self.open_labels.pop()
-        elif cls is StartDocument:
+        if cls is StartDocument:
+            if self.in_document:
+                raise StreamError("duplicate <$>")
             self.in_document = True
             self.documents_seen += 1
+        elif not self.in_document:
+            if cls is EndDocument:
+                raise StreamError("</$> without <$>")
+            if self.documents_seen:
+                raise StreamError(f"expected <$> between documents, got {event}")
+            raise StreamError(f"{event} before <$>")
+        elif cls is StartElement:
+            self.open_labels.append(event.label)  # type: ignore[attr-defined]
+        elif cls is EndElement:
+            labels = self.open_labels
+            label = event.label  # type: ignore[attr-defined]
+            if not labels:
+                raise StreamError(f"</{label}> with no open element")
+            if labels[-1] != label:
+                raise StreamError(f"</{label}> does not close <{labels[-1]}>")
+            labels.pop()
         elif cls is EndDocument:
+            if self.open_labels:
+                raise StreamError(f"</$> with unclosed elements {self.open_labels}")
             self.in_document = False
+        self.events_read += 1
+
+    def end(self) -> None:
+        """The source is exhausted: refuse an unfinished document."""
+        if self.in_document:
+            raise StreamError(
+                f"stream ended before </$> ({len(self.open_labels)} unclosed "
+                f"element(s))"
+            )
+
+    def abandon_document(self) -> None:
+        """A recovery policy or a resource guard dropped the rest of the
+        open document: the position is between documents again."""
+        self.open_labels.clear()
+        self.in_document = False
 
     def state(self) -> dict:
         """JSON-serializable snapshot of the position."""
@@ -91,7 +128,8 @@ class StreamCursor:
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamCursor":
-        """Rebuild a cursor at a checkpointed position."""
+        """Rebuild a cursor at a checkpointed position: the one way to
+        prime the check mid-stream."""
         cursor = cls()
         cursor.events_read = int(state["events_read"])
         cursor.open_labels = [str(label) for label in state["open_labels"]]
@@ -119,31 +157,3 @@ def skip_events(events: Iterable[Event], count: int) -> Iterator[Event]:
                 f"checkpoint position is {count}"
             ) from None
     yield from iterator
-
-
-class CountingReader:
-    """File-object wrapper counting the bytes handed to the parser.
-
-    Wrap the handle given to :func:`repro.xmlstream.parse_stream` and
-    read :attr:`bytes_read` at any time — e.g. to log checkpoint
-    positions in bytes for operational dashboards, or to estimate
-    progress against a known file size.
-    """
-
-    def __init__(self, handle: IO[bytes] | IO[str]) -> None:
-        self._handle = handle
-        self.bytes_read = 0
-
-    def read(self, size: int = -1):
-        chunk = self._handle.read(size)
-        self.bytes_read += len(chunk)
-        return chunk
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "CountingReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -40,12 +40,16 @@ import re
 import sys
 import xml.sax
 import xml.sax.handler
+import xml.sax.xmlreader
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import InputLimitError, StreamError
 from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
+
+if TYPE_CHECKING:
+    from .recovery import ErrorReport
 
 #: Number of bytes handed to the SAX parser per feed step.
 _CHUNK_SIZE = 64 * 1024
@@ -175,7 +179,9 @@ class _CollectingHandler(xml.sax.handler.ContentHandler):
     def endDocument(self) -> None:
         self._sink.append(EndDocument())
 
-    def startElement(self, name: str, attrs) -> None:
+    def startElement(
+        self, name: str, attrs: xml.sax.xmlreader.AttributesImpl
+    ) -> None:
         # Element names repeat massively in any real document; interning
         # them makes every downstream label test (`self._label ==
         # event.label`) an identity hit instead of a character compare.
@@ -267,7 +273,14 @@ class _CollectingHandler(xml.sax.handler.ContentHandler):
             )
 
     def entity_decl(
-        self, name, is_parameter_entity, value, base, system_id, public_id, notation
+        self,
+        name: str,
+        is_parameter_entity: int,
+        value: str | None,
+        base: str | None,
+        system_id: str | None,
+        public_id: str | None,
+        notation: str | None,
     ) -> None:
         """pyexpat ``EntityDeclHandler``: certify the entity statically.
 
@@ -428,7 +441,7 @@ def iter_documents(
     sources: Iterable[str | os.PathLike[str] | Iterable[Event]],
     keep_text: bool = True,
     limits: ParserLimits | None = None,
-    report=None,
+    report: ErrorReport | None = None,
 ) -> Iterator[Event]:
     """Concatenate single-document sources into one multi-document stream.
 

@@ -1,41 +1,41 @@
 """Recovery policies for malformed multi-document streams.
 
-:func:`~repro.xmlstream.validate.checked` implements the paper's model:
-input is well-formed by assumption, and the first violation kills the
-run.  A dissemination service (paper Sec. I) cannot afford that — one
-truncated connection or one bad subscriber document must not poison a
-stream carrying thousands of other documents.  This module adds the
-production behaviours:
+The paper's model is that input is well-formed by assumption, and the
+first violation kills the run.  A dissemination service (paper Sec. I)
+cannot afford that — one truncated connection or one bad subscriber
+document must not poison a stream carrying thousands of other
+documents.  The violation itself is always found by a
+:class:`~repro.xmlstream.offsets.StreamCursor`; a policy says what
+happens next:
 
-* :data:`RecoveryPolicy.STRICT` — today's contract: raise
-  :class:`~repro.errors.StreamError` at the first violation (but, unlike
-  ``checked``, understands *multi-document* streams: a new ``<$>`` may
-  follow a ``</$>``).
+* :data:`RecoveryPolicy.STRICT` — the cursor's
+  :class:`~repro.errors.StreamError` propagates.
 * :data:`RecoveryPolicy.SKIP_DOCUMENT` — quarantine the malformed
   document: its events are withheld, an :class:`ErrorRecord` is filed,
   and the stream resumes at the next ``<$>``.  Documents are buffered
   until their ``</$>`` validates, so a bad document is never partially
   emitted (memory: one document, not the stream).
 * :data:`RecoveryPolicy.REPAIR` — fix the stream in flight, without
-  buffering: unclosed tags are auto-closed on truncation (including a
-  :class:`~repro.errors.StreamError` raised by the underlying parser —
-  a truncated file repairs into its readable prefix), orphan and
-  mismatched end tags are dropped or resolved by closing the elements
-  above the matching open tag, and garbage between documents is
-  discarded.
+  buffering: unclosed tags are auto-closed on truncation (a source that
+  dies mid-document repairs into its readable prefix), a mismatched end
+  tag closes the elements above its open tag, orphan end tags and
+  garbage between documents are dropped.
 
-Every deviation is reported through an :class:`ErrorReport`, giving the
-caller the per-document error records the SDI scenario needs.
+Every deviation is reported through an :class:`ErrorReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from ..errors import StreamError
+from ..errors import ResourceLimitError, StreamError
 from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
+from .offsets import StreamCursor
+
+
+_T = TypeVar("_T")
 
 
 class RecoveryPolicy(Enum):
@@ -104,6 +104,21 @@ class ErrorReport:
             self.callback(record)
         return record
 
+    def collect_document(self, results: Iterable[_T], held: list[_T]) -> bool:
+        """Hold one recovered document's ``results`` until it completes.
+
+        ``False`` when a resource guard cut the document short: a
+        ``"limit"`` record is filed, the document counts as skipped and
+        what ``held`` gathered so far must not be delivered.
+        """
+        try:
+            held.extend(results)
+        except ResourceLimitError as exc:
+            self.add(self.documents_seen - 1, str(exc), "limit")
+            self.documents_skipped += 1
+            return False
+        return True
+
     @property
     def ok(self) -> bool:
         """``True`` when the stream needed no intervention."""
@@ -121,27 +136,25 @@ class ErrorReport:
         )
 
 
-_END_OF_STREAM = object()
-
-
 def recovering(
     events: Iterable[Event],
     policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
     report: ErrorReport | None = None,
     require_end: bool = True,
-    resume: dict | None = None,
 ) -> Iterator[Event]:
     """Yield a well-formed multi-document stream, per the chosen policy.
 
-    The output is guaranteed well-formed under ``SKIP_DOCUMENT`` and
-    ``REPAIR`` (every yielded document validates); under ``STRICT`` the
-    first violation raises :class:`~repro.errors.StreamError` exactly as
-    :func:`~repro.xmlstream.validate.checked` would, except that a
-    sequence of ``<$>…</$>`` envelopes is accepted.
+    ``STRICT`` is a :class:`~repro.xmlstream.offsets.StreamCursor` and
+    nothing else: its first refusal propagates, as from
+    :func:`~repro.xmlstream.validate.checked`, except that a sequence of
+    ``<$>…</$>`` envelopes is accepted.  ``SKIP_DOCUMENT`` and ``REPAIR``
+    run the cursor over their *output*, so its refusal of the next input
+    event is the violation and its ``open_labels``/``in_document`` say
+    what to withhold or synthesize for every yielded document to validate.
 
     A :class:`~repro.errors.StreamError` raised *by the source iterator
     itself* (e.g. the SAX parser hitting a truncated file) is treated as
-    truncation: re-raised under ``STRICT``, quarantined under
+    truncation: propagated under ``STRICT``, quarantined under
     ``SKIP_DOCUMENT``, auto-closed under ``REPAIR``.
 
     Args:
@@ -154,215 +167,126 @@ def recovering(
             a prefix; the trailing incomplete document is then silently
             withheld (``SKIP_DOCUMENT``) or left unclosed (``REPAIR``
             yields the open prefix unrepaired, mirroring ``checked``).
-        resume: prime the validator at a mid-stream position (a
-            :meth:`repro.xmlstream.StreamCursor.state` dict with
-            ``documents_seen``, ``in_document`` and ``open_labels``).
-            Only meaningful under ``STRICT``, where the events before
-            the cut were already validated on the original pass; the
-            recovering policies rewrite the stream, so a checkpoint
-            position would not line up with their output.
     """
     policy = as_policy(policy)
+    cursor = StreamCursor()
+    if policy is RecoveryPolicy.STRICT:
+        yield from cursor.attach(events, require_end=require_end)
+        return
+    skip = policy is RecoveryPolicy.SKIP_DOCUMENT
     report = report if report is not None else ErrorReport()
     source = iter(events)
-    strict = policy is RecoveryPolicy.STRICT
-    skip = policy is RecoveryPolicy.SKIP_DOCUMENT
-    if resume is not None and not strict:
-        raise ValueError("resume priming requires the strict policy")
-
+    labels = cursor.open_labels
     pushback: list[Event] = []
+    buffer: list[Event] = []  # SKIP: events of the current document
+    garbage_reported = False  # one record per run of inter-document garbage
 
-    def pull() -> object:
-        """Next source event, ``_END_OF_STREAM``, or a StreamError marker."""
+    def pull() -> Event | StreamError | None:
+        """Next event; ``None`` at the end; the source's error if it died."""
         if pushback:
             return pushback.pop()
         try:
-            return next(source)
-        except StopIteration:
-            return _END_OF_STREAM
+            return next(source, None)
         except StreamError as exc:
-            if strict:
-                raise
             return exc
 
-    doc = -1  # index of the current document
-    in_doc = False
-    stack: list[str] = []
-    if resume is not None:
-        doc = int(resume.get("documents_seen", 0)) - 1
-        in_doc = bool(resume.get("in_document"))
-        stack = [str(label) for label in resume.get("open_labels", [])]
-    buffer: list[Event] | None = None  # SKIP: events of the current document
-    garbage_reported = False  # one record per run of inter-document garbage
-
-    def emit(event: Event) -> Iterator[Event]:
-        if skip:
-            assert buffer is not None
-            buffer.append(event)
-            return iter(())
-        return iter((event,))
-
-    def quarantine(message: str) -> None:
-        """SKIP: discard the current document and resync to the next <$>."""
-        nonlocal in_doc, buffer
-        report.add(doc, message, "skipped")
-        buffer = None
-        in_doc = False
-        while True:
-            event = pull()
-            if event is _END_OF_STREAM:
-                return
-            if isinstance(event, StreamError):
-                return  # source is dead; nothing left to resync to
-            if isinstance(event, StartDocument):
-                pushback.append(event)
-                return
-            report.events_dropped += 1
+    def close_element() -> Event:
+        report.events_repaired += 1
+        closer = EndElement(labels[-1])
+        cursor.advance(closer)
+        return closer
 
     while True:
         event = pull()
+        doc = cursor.documents_seen - 1  # index of the current document
 
-        if event is _END_OF_STREAM or isinstance(event, StreamError):
-            truncated_by_source = isinstance(event, StreamError)
-            if not in_doc:
-                if truncated_by_source:
+        if not isinstance(event, Event):
+            if not cursor.in_document:
+                if event is not None:
                     # The source died between documents (e.g. input that
                     # is not XML at all): nothing to recover, but the
                     # report must not read "ok".
                     report.add(-1, f"source failed: {event}", "dropped")
                 return
-            if not require_end and not truncated_by_source:
+            if event is None and not require_end:
                 # Prefix semantics: an open document on a live source is
                 # not an error — but a SKIP buffer is withheld (it never
                 # validated) while REPAIR has already yielded the prefix.
                 return
-            message = (
-                f"source failed mid-document: {event}"
-                if truncated_by_source
-                else f"stream ended before </$> ({len(stack)} unclosed element(s))"
-            )
-            if strict:
-                raise StreamError(message)
-            if skip:
-                report.add(doc, message, "skipped")
-                return
-            # REPAIR: auto-close the truncation.
-            report.add(doc, message, "repaired")
-            while stack:
+            if event is not None:
+                message = f"source failed mid-document: {event}"
+            else:
+                try:
+                    cursor.end()  # inside a document: always raises
+                except StreamError as exc:
+                    message = str(exc)
+            report.add(doc, message, "skipped" if skip else "repaired")
+            if not skip:  # auto-close the truncation
+                while labels:
+                    yield close_element()
                 report.events_repaired += 1
-                yield EndElement(stack.pop())
-            report.events_repaired += 1
-            yield EndDocument()
+                yield EndDocument()
             return
 
-        if not in_doc:
+        try:
+            cursor.advance(event)
+        except StreamError as exc:
+            message = str(exc)
+        else:
             if isinstance(event, StartDocument):
-                doc += 1
                 report.documents_seen += 1
-                in_doc = True
-                stack = []
                 garbage_reported = False
-                if skip:
-                    buffer = [event]
-                else:
-                    yield event
-                continue
+            if not skip:
+                yield event
+            else:
+                buffer.append(event)
+                if not cursor.in_document:
+                    yield from buffer
+                    buffer = []
+            continue
+
+        closes = event.label if isinstance(event, EndElement) else None
+        if not cursor.in_document:
             # Garbage between documents (or a missing <$>).
-            if strict:
-                raise StreamError(f"expected <$> between documents, got {event}")
-            if policy is RecoveryPolicy.REPAIR and isinstance(
-                event, (StartElement, Text)
-            ):
+            if not skip and isinstance(event, (StartElement, Text)):
                 # Missing envelope open: synthesize it and re-process the
                 # event inside the new document.
-                doc += 1
+                opener = StartDocument()
+                cursor.advance(opener)
                 report.documents_seen += 1
                 report.events_repaired += 1
-                report.add(doc, f"missing <$> before {event}", "repaired")
-                in_doc = True
-                stack = []
+                report.add(doc + 1, f"missing <$> before {event}", "repaired")
                 pushback.append(event)
-                yield StartDocument()
+                yield opener
                 continue
             report.events_dropped += 1
             if not garbage_reported:
                 garbage_reported = True
                 report.add(-1, f"event {event} between documents", "dropped")
-            continue
-
-        # Inside a document.
-        if isinstance(event, StartElement):
-            stack.append(event.label)
-            yield from emit(event)
-        elif isinstance(event, Text):
-            yield from emit(event)
-        elif isinstance(event, EndElement):
-            if stack and stack[-1] == event.label:
-                stack.pop()
-                yield from emit(event)
-            elif event.label in stack:
-                message = f"</{event.label}> does not close <{stack[-1]}>"
-                if strict:
-                    raise StreamError(message)
-                if skip:
-                    quarantine(message)
-                    continue
-                # REPAIR: close the elements above the matching open tag.
-                report.add(doc, message, "repaired")
-                while stack[-1] != event.label:
-                    report.events_repaired += 1
-                    yield EndElement(stack.pop())
-                stack.pop()
-                yield event
-            else:
-                message = (
-                    f"</{event.label}> with no open element"
-                    if not stack
-                    else f"</{event.label}> matches no open element"
-                )
-                if strict:
-                    raise StreamError(message)
-                if skip:
-                    quarantine(message)
-                    continue
-                report.events_dropped += 1
-                report.add(doc, f"{message}; dropped", "repaired")
-        elif isinstance(event, EndDocument):
-            if stack:
-                message = f"</$> with unclosed elements {stack}"
-                if strict:
-                    raise StreamError(message)
-                if skip:
-                    quarantine(message)
-                    continue
-                report.add(doc, message, "repaired")
-                while stack:
-                    report.events_repaired += 1
-                    yield EndElement(stack.pop())
-            in_doc = False
-            if skip:
-                assert buffer is not None
-                buffer.append(event)
-                yield from buffer
-                buffer = None
-            else:
-                yield event
-        elif isinstance(event, StartDocument):
-            message = "duplicate <$>"
-            if strict:
-                raise StreamError(message)
-            if skip:
-                # The malformed document ends here; this <$> opens the
-                # next one.
-                report.add(doc, message, "skipped")
-                buffer = None
-                in_doc = False
-                pushback.append(event)
-                continue
+        elif skip:
+            # Quarantine the document and resync to the next <$> (a
+            # duplicate <$> is that next one).
+            report.add(doc, message, "skipped")
+            buffer = []
+            cursor.abandon_document()
+            while not isinstance(event, StartDocument):
+                event = pull()
+                if not isinstance(event, Event):
+                    return  # ended, or the source is dead: nothing to resync to
+                if not isinstance(event, StartDocument):
+                    report.events_dropped += 1
+            pushback.append(event)
+        elif isinstance(event, EndDocument) or closes in labels:
+            # REPAIR: close the elements above the matching open tag
+            # (all of them at </$>).
+            report.add(doc, message, "repaired")
+            while labels and labels[-1] != closes:
+                yield close_element()
+            cursor.advance(event)
+            yield event
+        else:  # REPAIR: an orphan end tag or a duplicate <$>
             report.events_dropped += 1
             report.add(doc, f"{message}; dropped", "repaired")
-        else:  # pragma: no cover - event hierarchy is closed
-            raise StreamError(f"unknown event {event!r}")
 
 
 def recovered_documents(

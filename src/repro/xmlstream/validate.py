@@ -3,9 +3,11 @@
 The paper's transducers assume well-formed input (matched tags inside a
 single ``<$>``/``</$>`` envelope).  :func:`checked` wraps any event stream
 and raises :class:`~repro.errors.StreamError` the moment an invariant is
-violated, so engine bugs are never silently blamed on bad input.  The check
-itself is the textbook 1-PDA the paper's Theorem IV.1 alludes to: a single
-stack of open labels.
+violated, so engine bugs are never silently blamed on bad input.  The
+check itself — the textbook 1-PDA the paper's Theorem IV.1 alludes to, a
+single stack of open labels — is
+:class:`~repro.xmlstream.offsets.StreamCursor`; this module only adds the
+single-document refusal.
 """
 
 from __future__ import annotations
@@ -13,17 +15,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..errors import StreamError
-from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
+from .events import Event
+from .offsets import StreamCursor
 
 
-def checked(
-    events: Iterable[Event],
-    require_end: bool = True,
-    open_labels: Iterable[str] | None = None,
-    started: bool = False,
-) -> Iterator[Event]:
-    """Yield events unchanged while validating well-formedness.
+def checked(events: Iterable[Event], require_end: bool = True) -> Iterator[Event]:
+    """Yield the events of *one* document unchanged while validating them.
 
+    A :class:`~repro.xmlstream.offsets.StreamCursor` over ``events``
+    that additionally refuses anything after the first ``</$>``.
     Invariants enforced:
 
     * the first event is ``<$>`` and the last is ``</$>``;
@@ -35,45 +35,15 @@ def checked(
         require_end: raise when the stream ends before ``</$>``.  Pass
             ``False`` for live/unbounded sources, where every finite
             read is a prefix.
-        open_labels: prime the validator mid-document: labels of the
-            elements already open at this stream position (outermost
-            first).  Used when resuming from a checkpoint, where the
-            events before the cut have already been validated.
-        started: prime the validator as if ``<$>`` has already passed
-            (implied by a non-empty ``open_labels``).
     """
-    stack: list[str] = list(open_labels) if open_labels is not None else []
-    seen_start = started or bool(stack)
-    seen_end = False
+    cursor = StreamCursor()
     for event in events:
-        if seen_end:
+        if cursor.documents_seen and not cursor.in_document:
             raise StreamError(f"event {event} after </$>")
-        if isinstance(event, StartDocument):
-            if seen_start:
-                raise StreamError("duplicate <$>")
-            seen_start = True
-        elif isinstance(event, EndDocument):
-            if not seen_start:
-                raise StreamError("</$> without <$>")
-            if stack:
-                raise StreamError(f"</$> with unclosed elements {stack}")
-            seen_end = True
-        elif isinstance(event, StartElement):
-            if not seen_start:
-                raise StreamError(f"<{event.label}> before <$>")
-            stack.append(event.label)
-        elif isinstance(event, EndElement):
-            if not stack:
-                raise StreamError(f"</{event.label}> with no open element")
-            if stack[-1] != event.label:
-                raise StreamError(f"</{event.label}> does not close <{stack[-1]}>")
-            stack.pop()
-        elif isinstance(event, Text):
-            if not seen_start:
-                raise StreamError("text before <$>")
+        cursor.advance(event)
         yield event
-    if require_end and seen_start and not seen_end:
-        raise StreamError("stream ended before </$>")
+    if require_end:
+        cursor.end()
 
 
 def is_well_formed(events: Iterable[Event]) -> bool:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.nfa import compile_nfa
 from repro.errors import UnsupportedFeatureError
+from repro.rpeq.nfa import compile_nfa
 from repro.rpeq.parser import parse
 
 

@@ -102,7 +102,8 @@ def test_production_code_does_not_import_baselines(module):
     assert not [name for name in imported if "baselines" in name]
 
 
-def test_baselines_reexport_is_the_same_compiler():
-    from repro.baselines import nfa as shim
+def test_baselines_use_the_same_compiler():
+    from repro.baselines import tree_automaton, xscan
 
-    assert shim.compile_nfa is compile_nfa and shim.Nfa is Nfa
+    for baseline in (tree_automaton, xscan):
+        assert baseline.compile_nfa is compile_nfa and baseline.Nfa is Nfa

@@ -101,3 +101,19 @@ class TestRunLoad:
         assert len(disconnected) == 1
         survivors = [s for s in report.subscribers if not s.disconnected]
         assert any(s.matches for s in survivors)
+
+    def test_wal_backed_service_ingests_every_document_sent(self, tmp_path):
+        """The producer reads every ``ingested`` ack before it closes: a
+        close over unread acks reset the connection under the frames
+        still in flight, and 10 of these 400 documents arrived."""
+        config = LoadConfig(subscribers=4, documents=400, doc_elements=200)
+        report, service = run_load(
+            config, ServiceConfig(wal_path=str(tmp_path / "wal"))
+        )
+        assert service is not None
+        assert service.stats.documents_ingested == 400
+        assert report.documents_ingested == report.documents_sent == 400
+        assert report.drained_cleanly
+        plain, _service = run_load(config, ServiceConfig())
+        assert plain.documents_ingested == 400
+        assert report.total_matches == plain.total_matches
