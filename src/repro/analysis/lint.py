@@ -1,10 +1,10 @@
 """The rpeq linter: static findings about a query before compilation.
 
-Each structural rule (``RPQ001``–``RPQ006``) mirrors exactly one rewrite
-of :func:`repro.rpeq.rewrite.simplify`, so a query at the simplifier's
-fixpoint can never trigger them — which gives the linter its idempotence
-property: re-linting ``simplify(q)`` reports a subset of the codes
-reported for ``q``.  ``RPQ007`` is a performance note derived from the
+Each structural rule (``RPQ001``–``RPQ006``) mirrors exactly one rule of
+:func:`repro.analysis.rewrite.rewrite_query`, so a query at the
+rewriter's fixpoint can never trigger them — which gives the linter its
+idempotence property: re-linting the rewritten ``q`` reports a subset of
+the codes reported for ``q``.  ``RPQ007`` is a performance note derived from the
 paper's Sec. V complexity results and is intentionally *not* removable
 by rewriting.  ``RPQ010``–``RPQ012`` need a DTD and use the label-graph
 satisfiability analysis of :mod:`repro.dtd.analysis`.
@@ -27,10 +27,9 @@ from ..rpeq.ast import (
     Union,
 )
 from ..rpeq.parser import parse
-from ..rpeq.rewrite import always_nonempty
 from ..rpeq.unparse import unparse
 from .diagnostics import AnalysisReport, Severity, Span, register_code
-from .metrics import analyze, labels_used
+from .metrics import always_nonempty, analyze, labels_used
 
 RPQ001 = register_code(
     "RPQ001", Severity.WARNING, "lint", "Trivially-true qualifier condition"

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..rpeq.ast import (
+    Empty,
     Following,
     Label,
     OptionalExpr,
@@ -151,3 +152,24 @@ def uses_wildcard(expr: Rpeq) -> bool:
     return any(
         isinstance(node, Label) and node.is_wildcard for node in expr.walk()
     )
+
+
+def always_nonempty(condition: Rpeq) -> bool:
+    """Whether a qualifier condition is trivially true.
+
+    Returns ``True`` for conditions that select at least the context node
+    on *any* input document — e.g. ``epsilon``, ``l*``, ``E?`` — which
+    makes the enclosing ``E[F]`` equivalent to plain ``E``.  Shared by
+    the rewriter's ``RWR003`` rule (which removes such qualifiers) and
+    the linter's ``RPQ001`` check, so the two can never disagree.
+    """
+    if isinstance(condition, (Empty, Star, OptionalExpr)):
+        return True
+    if isinstance(condition, Union):
+        return always_nonempty(condition.left) or always_nonempty(condition.right)
+    if isinstance(condition, Qualifier):
+        # E[F] with both parts trivially non-empty stays non-empty.
+        return always_nonempty(condition.base) and always_nonempty(
+            condition.condition
+        )
+    return False

@@ -1,7 +1,6 @@
 """Certified semantics-preserving query rewriting (``RWR0xx``).
 
-:mod:`repro.rpeq.rewrite` simplifies queries silently; this pass is the
-*audited* optimizer on top of it: every applied rule is
+The one query rewriter, and an *audited* one: every applied rule is
 
 * **diagnosed** — one ``RWR0xx`` diagnostic per rewrite step, carrying
   the rewritten site, the before/after query text and the rule that
@@ -14,9 +13,9 @@
   (``RWR090``, an error) and the original query is returned unchanged —
   a rewrite can never silently change answers.
 
-Beyond the structural rules mirrored from ``simplify`` (epsilon
-elimination, closure collapse, dead union branches, vacuous qualifiers)
-the engine applies three optimizer-grade rules:
+Beyond the structural rules (epsilon elimination, closure collapse,
+dead union branches, vacuous qualifiers — each strictly shrinks the
+AST) the engine applies three optimizer-grade rules:
 
 * **qualifier pushdown** (``RWR007``): ``(E1.E2)[F] → E1.(E2[F])`` —
   sound because ``eval((E1.E2)[F], u)`` and ``eval(E1.(E2[F]), u)`` both
@@ -53,10 +52,9 @@ from ..rpeq.ast import (
 )
 from ..errors import ReproError
 from ..rpeq.parser import parse
-from ..rpeq.rewrite import always_nonempty
 from ..rpeq.unparse import unparse
 from .diagnostics import AnalysisReport, Severity, register_code
-from .metrics import labels_used
+from .metrics import always_nonempty, labels_used
 
 if TYPE_CHECKING:
     from ..dtd.analysis import SchemaAnalyzer
@@ -367,8 +365,7 @@ def _rewrite_site(
 
     Returns ``(new_node, code, site_before, site_after)`` for the first
     site (children before the node itself) where a rule fires, or
-    ``None`` at fixpoint.  Recursion depth is the AST height, same as
-    ``repro.rpeq.rewrite.simplify``.
+    ``None`` at fixpoint.  Recursion depth is the AST height.
     """
     if isinstance(node, (Concat, Union)):
         hit = _rewrite_site(node.left, schema)

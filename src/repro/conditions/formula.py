@@ -21,8 +21,8 @@ knowledge accumulates in a :class:`~repro.conditions.store.ConditionStore`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 _counter = itertools.count(1)
 
@@ -42,7 +42,7 @@ class Formula:
     #: the paper's σ; shadowed by a precomputed slot on ``And``/``Or``
     size = 1
 
-    def variables(self) -> frozenset["Var"]:
+    def variables(self) -> frozenset[Var]:
         """All condition variables occurring in the formula."""
         return frozenset()
 
@@ -80,7 +80,7 @@ class Var(Formula):
     uid: int
     qualifier: str
 
-    def variables(self) -> frozenset["Var"]:
+    def variables(self) -> frozenset[Var]:
         return frozenset((self,))
 
     def __hash__(self) -> int:
@@ -186,82 +186,6 @@ def disj(*terms: Formula) -> Formula:
     if len(unique) == 1:
         return unique[0]
     return Or(unique)
-
-
-class FormulaMemo:
-    """Bounded memo for the binary ``conj``/``disj`` normalizations.
-
-    Under closures the same σ-bounded scope formulas are merged over and
-    over (every matching start tag disjoins the parent scope with the
-    pending activation), so most normalizations are replays of earlier
-    ones.  The memo maps an *identity* key ``(op, id(a), id(b))`` to the
-    normalized result.
-
-    Correctness notes:
-
-    * Keying by identity is sound because normalization is pure and the
-      operands are immutable; it is *fast* because it skips structural
-      hashing of formula trees.
-    * Each table entry keeps strong references to its operands.  This is
-      load-bearing, not a leak: if an operand were collected, CPython
-      could reuse its ``id`` for a brand-new formula and the memo would
-      serve a stale result.  Boundedness comes from the capacity cap.
-    * Eviction is FIFO (dict insertion order), one entry per overflow —
-      O(1) and good enough given replays cluster tightly in time.
-
-    The memo never changes results, only who computes them; the
-    differential suite runs with it on and off.  Hit/miss/eviction
-    counters are exposed for tests and perf forensics.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_table")
-
-    #: default entry cap; ~300 bytes/entry measured under tracemalloc
-    #: (key tuple + entry tuple + transitively retained operands), so
-    #: the default bounds the memo at ~300 KB per network.  Replays
-    #: cluster tightly in time, so a deep table buys little; the
-    #: network clears the memo at every document end anyway.
-    DEFAULT_CAPACITY = 1024
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("memo capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._table: dict[
-            tuple[int, int, int], tuple[Formula, Formula, Formula]
-        ] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    def _merge(self, op: int, a: Formula, b: Formula) -> Formula:
-        table = self._table
-        key = (op, id(a), id(b))
-        entry = table.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry[2]
-        self.misses += 1
-        result = conj(a, b) if op == 0 else disj(a, b)
-        if len(table) >= self.capacity:
-            del table[next(iter(table))]
-            self.evictions += 1
-        table[key] = (a, b, result)
-        return result
-
-    def conj(self, a: Formula, b: Formula) -> Formula:
-        """Memoized binary :func:`conj`."""
-        return self._merge(0, a, b)
-
-    def disj(self, a: Formula, b: Formula) -> Formula:
-        """Memoized binary :func:`disj`."""
-        return self._merge(1, a, b)
 
 
 def formula_to_obj(formula: Formula) -> object:

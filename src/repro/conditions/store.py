@@ -27,6 +27,7 @@ re-evaluate exactly the candidates that could have changed.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..errors import EngineError
@@ -84,15 +85,15 @@ class ConditionStore:
     def __init__(self) -> None:
         self._states: dict[Var, _VarState] = {}
         self._dependents: dict[Var, set[Var]] = {}
-        self._listeners: list = []
-        self._retainers: list = []
+        self._listeners: list[Callable[[list[Var]], None]] = []
+        self._retainers: list[Callable[[Var], bool]] = []
         self._release_pending: set[Var] = set()
         self._live = 0
         self.peak_live_variables = 0
         self.total_variables = 0
         self.total_contributions = 0
 
-    def subscribe(self, listener) -> None:
+    def subscribe(self, listener: Callable[[list[Var]], None]) -> None:
         """Register a callback invoked with every newly-determined batch.
 
         Multi-sink networks (conjunctive queries, shared multi-query
@@ -103,7 +104,7 @@ class ConditionStore:
         """
         self._listeners.append(listener)
 
-    def add_retainer(self, retainer) -> None:
+    def add_retainer(self, retainer: Callable[[Var], bool]) -> None:
         """Register a predicate blocking release of variables in use.
 
         ``retainer(var) -> bool`` returns ``True`` while some consumer

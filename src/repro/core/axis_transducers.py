@@ -123,7 +123,7 @@ class FollowingTransducer(Transducer):
         # in its own following set; the formula activates at its end tag.
         self.stack.append(self.take_pending())
         if emit is not None:
-            return [self._activation(emit), message]
+            return [Activation(emit), message]
         return None
 
     def on_end(
@@ -255,7 +255,7 @@ class PrecedingTransducer(Transducer):
             self._unresolved.append(var)
         self.stack.append(var)
         if var is not None:
-            return [self._activation(var), message]
+            return [Activation(var), message]
         return None
 
     def on_end(

@@ -217,7 +217,6 @@ class SpexEngine:
         query: str | Rpeq,
         collect_events: bool = True,
         optimize: "bool | OptimizationFlags" = True,
-        simplify_query: bool = False,
         limits: ResourceLimits | None = None,
         preflight: bool = True,
         rewrite: bool = False,
@@ -234,9 +233,6 @@ class SpexEngine:
                 :class:`repro.core.optimize.OptimizationFlags` — a
                 single-query engine reads only its
                 ``production_network`` field.
-            simplify_query: apply the semantics-preserving rewriter
-                (:func:`repro.rpeq.simplify`) before compilation, so
-                redundant constructs never become transducers.
             limits: resource guards applied to every run (see
                 :class:`repro.limits.ResourceLimits`); ``None`` means
                 unbounded, the paper's trusting default.
@@ -246,10 +242,11 @@ class SpexEngine:
                 :attr:`analysis`.
             rewrite: opt-in certified query rewriting
                 (:func:`repro.analysis.rewrite.rewrite_query`), applied
-                before pre-flight and compilation.  Unlike
-                ``simplify_query``, every rewrite step is gated on a
-                machine-checked equivalence certificate — an uncertified
-                rewrite is discarded and the original query runs.  The
+                before pre-flight and compilation, so redundant
+                constructs never become transducers.  Every rewrite
+                step is gated on a machine-checked equivalence
+                certificate — an uncertified rewrite is discarded and
+                the original query runs.  The
                 :class:`~repro.analysis.rewrite.RewriteResult` is kept
                 as :attr:`rewrite_result` (``None`` when off).
 
@@ -260,10 +257,6 @@ class SpexEngine:
                 ``preflight=False`` to force evaluation anyway.
         """
         self.query: Rpeq = parse(query) if isinstance(query, str) else query
-        if simplify_query:
-            from ..rpeq.rewrite import simplify
-
-            self.query = simplify(self.query)
         #: :class:`~repro.analysis.rewrite.RewriteResult` of the opt-in
         #: certified rewrite (``None`` when ``rewrite=False``)
         self.rewrite_result = None
@@ -303,7 +296,6 @@ class SpexEngine:
     def run(
         self,
         source: str | Iterable[Event],
-        validate: bool = True,
         on_error: RecoveryPolicy | str = RecoveryPolicy.STRICT,
         report: ErrorReport | None = None,
         require_end: bool | None = None,
@@ -315,16 +307,14 @@ class SpexEngine:
             source: XML text, a file path, or an iterable of events
                 (see :func:`repro.xmlstream.iter_events`), possibly
                 unbounded.
-            validate: check stream well-formedness on the fly (a single
-                O(depth) stack, a private
-                :class:`~repro.xmlstream.StreamCursor`); malformed input
-                raises :class:`~repro.errors.StreamError` instead of
-                silently confusing the transducer stacks.  ``False``
-                means "no private cursor": a ``cursor`` the caller
-                passes still checks every event it counts.
             on_error: recovery policy (see
                 :class:`repro.xmlstream.RecoveryPolicy`).  ``"strict"``
-                (default) raises at the first violation.  ``"skip"`` and
+                (default) checks stream well-formedness on the fly (a
+                single O(depth) stack, the run's
+                :class:`~repro.xmlstream.StreamCursor`) and raises
+                :class:`~repro.errors.StreamError` at the first
+                violation instead of silently confusing the transducer
+                stacks.  ``"skip"`` and
                 ``"repair"`` treat the source as a sequence of
                 documents, evaluate each with a fresh network, and
                 survive malformed documents and resource-limit hits: the
@@ -372,8 +362,8 @@ class SpexEngine:
             return
         network = self._fresh_network()
         self._last_cursor = cursor
-        if cursor is None and validate:
-            cursor = StreamCursor()
+        if cursor is None:
+            cursor = StreamCursor()  # private: checks, but cannot checkpoint
         yield from self._run_strict(network, iter_events(source), cursor, require_end)
 
     def _fresh_network(self) -> Network:
@@ -392,14 +382,12 @@ class SpexEngine:
     def _run_strict(
         network: Network,
         events: Iterable[Event],
-        cursor: StreamCursor | None,
+        cursor: StreamCursor,
         require_end: bool,
     ) -> Iterator[Match]:
         """The strict per-event loop of :meth:`run` and :meth:`resume`:
         each event is checked and counted by ``cursor``, then evaluated."""
-        if cursor is not None:
-            events = cursor.attach(events, require_end=require_end)
-        for event in events:
+        for event in cursor.attach(events, require_end=require_end):
             yield from network.process_event(event)
 
     def _run_recovering(

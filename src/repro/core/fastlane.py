@@ -344,8 +344,13 @@ class FastLaneCore:
 
     def __init__(self, max_states: int = DEFAULT_MAX_STATES) -> None:
         self.max_states = max_states
-        self._slots: list[_Slot] = []
+        #: live and not-yet-dropped slots by index; an index is never
+        #: reused, so a pair ``(index, nfa_state)`` names one slot forever
+        self._slots: dict[int, _Slot] = {}
+        self._next_index = 0
         self._by_query: dict[str, _Slot] = {}
+        #: slots withdrawn for good, dropped at the next ``<$>``
+        self._retired: list[_Slot] = []
         self._interned: dict[frozenset[tuple[int, int]], _DfaState] = {}
         self._init: _DfaState | None = None
         self._stack: list[_DfaState] = []
@@ -414,19 +419,33 @@ class FastLaneCore:
                 f"condition automaton has {cond.size} states, over the "
                 f"determinization budget of {self.max_states}"
             )
-        slot = _Slot(len(self._slots), query_id, kind, nfa)
+        slot = _Slot(self._next_index, query_id, kind, nfa)
+        self._next_index += 1
         if cond is not None:
             slot.attach_condition(cond)
         if headed is not None:
             slot.head_accept = headed.head_accept
             slot.tail_inner = headed.tail_inner
         slot.offset = self.ecount
-        self._slots.append(slot)
+        self._slots[slot.index] = slot
         self._by_query[query_id] = slot
         # The initial state must include the new slot's start closure;
         # every other interned state stays valid (see docstring).
         self._init = None
         return slot
+
+    def retire(self, query_id: str) -> None:
+        """Withdraw a query for good (a departed subscriber).
+
+        Unlike a detach, which keeps the slot for re-admission, the slot
+        leaves the product: at the next ``<$>``, where no candidate and
+        no DFA stack entry can still refer to it.  Until then it runs
+        dead, like a detached one.
+        """
+        slot = self._by_query.pop(query_id, None)
+        if slot is not None:
+            slot.active = False
+            self._retired.append(slot)
 
     # ------------------------------------------------------------------
     # subset construction
@@ -435,7 +454,7 @@ class FastLaneCore:
         init = self._init
         if init is None:
             pairs: set[tuple[int, int]] = set()
-            for slot in self._slots:
+            for slot in self._slots.values():
                 pairs.update(slot.start_pairs)
             key = frozenset(pairs)
             init = self._interned.get(key)
@@ -663,7 +682,16 @@ class FastLaneCore:
             self._dirty.append(slot)
 
     def _reset_document(self) -> None:
-        for slot in self._slots:
+        if self._retired:
+            # Every interned state may carry pairs of a retired slot, and
+            # the initial state carries all of them: drop the memo whole.
+            # The DFA is lazy; it regrows on demand without them.
+            for slot in self._retired:
+                del self._slots[slot.index]
+            self._retired.clear()
+            self._interned.clear()
+            self._init = None
+        for slot in self._slots.values():
             if slot.open:
                 slot.open.clear()
             if slot.watching:
@@ -704,7 +732,7 @@ class FastLaneCore:
         """Per headed query: ``(events fed, events never fed)`` so far."""
         return {
             slot.query_id: (slot.fed_events, slot.parked_events)
-            for slot in self._slots
+            for slot in self._slots.values()
             if slot.kind == KIND_GATE
         }
 

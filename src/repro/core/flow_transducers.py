@@ -135,5 +135,5 @@ class UnionTransducer(Transducer):
     def on_start(self, message: Doc, event) -> list[Message] | None:
         pending = self.take_pending()
         if pending is not None:
-            return [self._activation(pending), message]
+            return [Activation(pending), message]
         return None

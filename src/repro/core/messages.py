@@ -72,49 +72,3 @@ class Close(Message):
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{{{self.var}, closed}}"
 
-
-class ActivationPool:
-    """Per-network recycler of :class:`Activation` objects.
-
-    An activation lives for exactly one stream event — emitted by one
-    transducer, absorbed (or forwarded to a sink) before the next event
-    enters the network — so the network can hand out the same small set
-    of objects every event instead of allocating fresh ones
-    (production networks only, see :mod:`repro.core.optimize`).
-
-    Two properties the engine relies on:
-
-    * ``acquire`` never returns the same object twice within one event
-      (the join deduplicates by object identity, ``id(message)``);
-    * pooled objects are real ``Activation`` instances mutated through
-      ``object.__setattr__``, so value equality and ``repr`` behave
-      exactly like fresh messages.
-
-    The network calls :meth:`reset` at the start of every event.
-    """
-
-    __slots__ = ("_items", "_used")
-
-    def __init__(self) -> None:
-        self._items: list[Activation] = []
-        self._used = 0
-
-    def acquire(self, formula: Formula) -> Activation:
-        """An activation carrying ``formula``, unique within this event."""
-        used = self._used
-        items = self._items
-        if used < len(items):
-            message = items[used]
-            object.__setattr__(message, "formula", formula)
-        else:
-            message = Activation(formula)
-            items.append(message)
-        self._used = used + 1
-        return message
-
-    def reset(self) -> None:
-        """Start of a new event: every pooled object is reusable again."""
-        self._used = 0
-
-    def __len__(self) -> int:  # pragma: no cover - debugging aid
-        return len(self._items)

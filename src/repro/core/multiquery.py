@@ -4,18 +4,28 @@ Selective dissemination of information (the paper's motivating use case
 and the setting of the XFilter/YFilter related work, Sec. VIII) evaluates
 thousands of subscription queries against each incoming document.  The
 paper's conclusion names multi-query processing as the natural next step
-for SPEX; this module provides the straightforward shared-pass variant:
-every query keeps its own network, the stream is read **once**, and each
-event is pushed through all networks.
+for SPEX; this module provides the shared-pass variant: the stream is
+read **once**, every query runs on the execution lane its plan names —
+the shared lazy DFA, a DFA-headed residual network or its own plain
+network (:mod:`repro.core.fastlane`) — and one per-event transition,
+:class:`ServePump`'s, drives them all.
 
-Two consumption styles:
+Every way of consuming a pass is a caller of that transition:
 
 * :meth:`MultiQueryEngine.run` — full evaluation; yields
-  ``(query_id, match)`` pairs progressively.
-* :meth:`MultiQueryEngine.filter_documents` — XFilter-style boolean
-  matching: report, per query, whether the document matches at all.
-  Networks whose query has matched are skipped for the rest of the
-  document (first-match short-circuit).
+  ``(query_id, match)`` pairs progressively, errors propagate.
+* :meth:`MultiQueryEngine.serve` — the same pass with per-query fault
+  domains (quarantine, breakers, deadlines, shedding).
+* :meth:`MultiQueryEngine.start_pump` — :meth:`serve` with the loop
+  inverted: the caller pushes events into the returned
+  :class:`ServePump` (the TCP service, the shard workers), attaches
+  and closes subscriptions while it runs.
+* :meth:`MultiQueryEngine.resume` / :meth:`~MultiQueryEngine.resume_pump`
+  — either of them continued from a :meth:`~MultiQueryEngine.checkpoint`.
+* :meth:`MultiQueryEngine.filter_documents` /
+  :meth:`~MultiQueryEngine.filter_stream` — XFilter-style boolean
+  matching: a query is closed at its first match, so it costs nothing
+  for the rest of the document.
 """
 
 from __future__ import annotations
@@ -323,6 +333,8 @@ class MultiQueryEngine:
         self.admissions.pop(query_id, None)
         self.plans.pop(query_id, None)
         self.rewrites.pop(query_id, None)
+        self.lane_executions.pop(query_id, None)
+        self.lane_demotions.pop(query_id, None)
         if self.analysis is not None:
             self.analysis.pop(query_id, None)
 
@@ -1081,7 +1093,13 @@ class ServePump:
         outcome.reason = reason
         if degraded:
             outcome.degraded = True
-        return self._unlink(query_id) if query_id in self._live else []
+        flushed = self._unlink(query_id) if query_id in self._live else []
+        core = self._engine._fastlane_core
+        if core is not None:
+            # unlike a detach, nothing re-registers this slot: it leaves
+            # the shared DFA at the next document boundary
+            core.retire(query_id)
+        return flushed
 
     def _stale(self) -> None:
         """The live set changed: the next event compiles a new transition."""

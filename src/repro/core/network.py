@@ -29,10 +29,9 @@ from ..xmlstream.events import (
     StartElement,
     Text,
 )
-from ..conditions.formula import FormulaMemo
 from ..conditions.store import ConditionStore, VariableAllocator
 from .flow_transducers import JoinTransducer
-from .messages import ActivationPool, Doc, Message
+from .messages import Doc, Message
 from .optimize import ALL_OPTIMIZATIONS, OptimizationFlags, as_flags
 from .output_tx import Match, OutputTransducer
 from .path_transducers import InputTransducer
@@ -420,19 +419,11 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
     visit only the nodes that class can change, through their entry
     points; document boundaries run the hooks), one pooled document
     message (every slot read happens within the event, in topological
-    order, so in-place mutation is never observed across events), the
-    per-network :class:`~repro.conditions.formula.FormulaMemo`
-    and :class:`~repro.core.messages.ActivationPool` wired into every
-    node, and — only when the network is limit-armed — the two guard
-    calls.  Multi-sink networks (``sink=None``) drain their sinks
-    themselves and always get the shared empty list.
+    order, so in-place mutation is never observed across events) and —
+    only when the network is limit-armed — the two guard calls.
+    Multi-sink networks (``sink=None``) drain their sinks themselves and
+    always get the shared empty list.
     """
-    memo = FormulaMemo()
-    pool = ActivationPool()
-    for node in network._nodes:
-        node._disj = memo.disj
-        node._conj = memo.conj
-        node._activation = pool.acquire
     boundary = network._compile_pass("feed")
     pass_of = {
         StartElement: network._compile_pass("start"),
@@ -456,18 +447,12 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
         network._events += 1
         if guard is not None:
             guard(event)
-        pool._used = 0  # inline pool.reset()
         set_event(doc, "event", event)
         pass_of(event.__class__, boundary)(batch)
         if guard_sigma is not None:
             guard_sigma()
         if store is not None and store._release_pending:
             store.end_of_event()
-        if event.__class__ is EndDocument:
-            # Nothing outlives the document that could replay these
-            # merges; dropping the strong operand refs frees the
-            # retained formula DAGs between documents.
-            memo.clear()
         if sink is None:
             return _NO_MATCHES
         results = sink.results

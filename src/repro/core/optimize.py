@@ -7,15 +7,18 @@ remain, because three things are still selected by a caller that exists
 (the differential suites and the bench ladder):
 
 * ``production_network`` — compile and drive transducer networks the
-  production way: ``label*`` fused into the ``DS`` transducer
-  (:mod:`repro.core.path_transducers`), one straight-line pass per
-  event class generated over the transducers' entry points and
-  flattened into one closure
-  (:func:`repro.core.network.make_fused_runner`), condition
-  normalizations memoized (:class:`repro.conditions.formula.FormulaMemo`)
-  and messages pooled (:class:`repro.core.messages.ActivationPool`).
-  Off, the network is the literal Fig. 11 translation, interpreted —
-  the oracle every differential test compares against.
+  production way, which differs from the reference in exactly two
+  decisions: ``label*`` is fused into the ``DS`` transducer
+  (:mod:`repro.core.path_transducers`), and one straight-line pass per
+  event class is generated over the transducers' entry points and
+  flattened into one closure that reuses a single document message
+  (:func:`repro.core.network.make_fused_runner`).  Formulas are
+  normalized by the plain ``conj``/``disj`` and activations are fresh
+  objects in both networks — a normalization memo and an activation
+  pool were measured on the benchmark's traffic and deleted
+  (``docs/performance.md``, "Traffic audit").  Off, the network is the
+  literal Fig. 11 translation, interpreted — the oracle every
+  differential test compares against.
 * ``dfa_lane`` — execute dfa-lane queries (qualifier-free, no axes) on
   the shared lazily-determinized product DFA instead of a transducer
   network (:mod:`repro.core.fastlane`).
@@ -38,7 +41,9 @@ from itertools import product
 from ..errors import CheckpointError
 
 #: The five network-level knobs of checkpoint format 2, always on
-#: together since PR 5/PR 10 and now one: ``production_network``.
+#: together since PR 5/PR 10 and now one: ``production_network``.  The
+#: names outlive what two of them selected (the memo and the pool are
+#: gone): format-2 checkpoints still spell them and must decode.
 _FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
 
 

@@ -24,7 +24,7 @@ replaying Examples III.1 and III.2 message by message.
 
 from __future__ import annotations
 
-from ..conditions.formula import TRUE
+from ..conditions.formula import TRUE, disj
 from ..errors import EngineError
 from ..rpeq.ast import Label
 from ..xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
@@ -57,7 +57,7 @@ class InputTransducer(Transducer):
         self, message: Doc, event: StartDocument | StartElement
     ) -> list[Message] | None:
         if event.__class__ is StartDocument:
-            return [self._activation(TRUE), message]
+            return [Activation(TRUE), message]
         return None
 
     def on_activation(self, message: Activation) -> list[Message]:
@@ -101,7 +101,7 @@ class DemandInputTransducer(InputTransducer):
     ) -> list[Message] | None:
         if self.armed:
             self.armed = False
-            return [self._activation(TRUE), message]
+            return [Activation(TRUE), message]
         return None
 
 
@@ -160,7 +160,7 @@ class ChildTransducer(Transducer):
         pending, self.pending = self.pending, None
         stack.append(pending)
         if emit is not None:
-            return [self._activation(emit), message]
+            return [Activation(emit), message]
         return None
 
     def on_end(
@@ -207,11 +207,11 @@ class StarTransducer(Transducer):
                 self._wildcard or self._label == message.event.label
             ):
                 emit = (
-                    parent_scope if emit is None else self._disj(emit, parent_scope)
+                    parent_scope if emit is None else disj(emit, parent_scope)
                 )
                 scope = parent_scope
         if pending is not None:
-            scope = pending if scope is None else self._disj(scope, pending)
+            scope = pending if scope is None else disj(scope, pending)
         stack.append(scope)
         if len(stack) > stats.max_stack:
             stats.max_stack = len(stack)
@@ -239,15 +239,15 @@ class StarTransducer(Transducer):
                 self._wildcard or self._label == event.label
             ):
                 # Chain case: matched via one-or-more label steps.
-                emit = parent_scope if emit is None else self._disj(emit, parent_scope)
+                emit = parent_scope if emit is None else disj(emit, parent_scope)
                 scope = parent_scope
         if pending is not None:
             # This element is a fresh context: its label-children start
             # new chains under the received formula.
-            scope = pending if scope is None else self._disj(scope, pending)
+            scope = pending if scope is None else disj(scope, pending)
         stack.append(scope)
         if emit is not None:
-            return [self._activation(emit), message]
+            return [Activation(emit), message]
         return None
 
     def on_end(
@@ -288,7 +288,7 @@ class ClosureTransducer(Transducer):
                 emit = scope = parent_scope
         pending, self.pending = self.pending, None
         if pending is not None:
-            scope = pending if scope is None else self._disj(scope, pending)
+            scope = pending if scope is None else disj(scope, pending)
         stack.append(scope)
         if len(stack) > stats.max_stack:
             stats.max_stack = len(stack)
@@ -322,10 +322,10 @@ class ClosureTransducer(Transducer):
             # Freshly activated: children enter scope under the received
             # formula; a simultaneous chain extension merges by
             # disjunction (Fig. 3, transition 12 — nested scopes).
-            scope = pending if scope is None else self._disj(scope, pending)
+            scope = pending if scope is None else disj(scope, pending)
         stack.append(scope)
         if emit is not None:
-            return [self._activation(emit), message]
+            return [Activation(emit), message]
         return None
 
     def on_end(

@@ -79,7 +79,7 @@ class VariableCreator(Transducer):
             var = self._allocator.fresh(self.qualifier)
             self._store.register(var)
             stack.append(var)
-            emit = self._conj(pending, var)
+            emit = conj(pending, var)
         if len(stack) > stats.max_stack:
             stats.max_stack = len(stack)
         if emit is None and head is None:
@@ -116,7 +116,7 @@ class VariableCreator(Transducer):
             var = self._allocator.fresh(self.qualifier)
             self._store.register(var)
             self.stack.append(var)
-            return [self._activation(self._conj(pending, var)), message]
+            return [Activation(conj(pending, var)), message]
         self.stack.append(var)
         return None
 
@@ -173,7 +173,7 @@ class VariableFilter(Transducer):
         return inside if self.positive else not inside
 
     def on_activation(self, message: Activation) -> list[Message]:
-        return [self._activation(restrict(message.formula, self._keep))]
+        return [Activation(restrict(message.formula, self._keep))]
 
 
 class VariableDeterminant(Transducer):

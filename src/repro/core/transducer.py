@@ -34,10 +34,11 @@ two equal on every legal batch shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any
 
-from ..conditions.formula import Formula, conj, disj, formula_from_obj, formula_to_obj
+from ..conditions.formula import Formula, disj, formula_from_obj, formula_to_obj
 from ..errors import EngineError
 from ..xmlstream.events import (
     EndDocument,
@@ -97,7 +98,7 @@ class Transducer:
     #: point, the pass drives the hooks through :meth:`feed`.
     start = end = text = None
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         # Entry points restate the hooks of the exact class that defined
         # both.  A subclass overriding a hook without bringing its own
@@ -121,14 +122,6 @@ class Transducer:
         self.stack: list = []
         self.pending: Formula | None = None
         self.stats = TransducerStats()
-        #: binary disjunction/conjunction used to combine activation
-        #: formulas; a production network swaps in memoized variants
-        #: (``FormulaMemo.disj``/``conj``)
-        self._disj = disj
-        self._conj = conj
-        #: activation-message constructor; a production network swaps
-        #: in a pooled acquirer
-        self._activation = Activation
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -242,14 +235,14 @@ class Transducer:
         if self.pending is None:
             self.pending = formula
         else:
-            self.pending = self._disj(self.pending, formula)
+            self.pending = disj(self.pending, formula)
 
     def take_pending(self) -> Formula | None:
         """Consume the buffered activation formula, if any."""
         formula, self.pending = self.pending, None
         return formula
 
-    def pop_entry(self):
+    def pop_entry(self) -> Any:
         """Pop the entry of the element that just closed."""
         if not self.stack:
             raise EngineError(f"{self.name}: end tag with empty stack")
@@ -286,7 +279,7 @@ class Transducer:
         out = [] if head is None else head
         if emit is not None:
             self.stats.activations_emitted += 1
-            out.append(self._activation(emit))
+            out.append(Activation(emit))
         out.append(message)
         return out
 
@@ -342,11 +335,11 @@ class Transducer:
         ) = state["stats"]
         self._restore_extra(state.get("extra", {}))
 
-    def _snapshot_entry(self, entry) -> object:
+    def _snapshot_entry(self, entry: Any) -> object:
         """Encode one stack entry (default: a formula or ``None``)."""
         return None if entry is None else formula_to_obj(entry)
 
-    def _restore_entry(self, obj: object):
+    def _restore_entry(self, obj: object) -> Any:
         """Decode one stack entry (inverse of :meth:`_snapshot_entry`)."""
         return None if obj is None else formula_from_obj(obj)
 

@@ -24,7 +24,6 @@ from .ast import (
 from .generate import GeneratorConfig, query_family, random_rpeq
 from .lexer import Token, tokenize
 from .parser import parse
-from .rewrite import always_nonempty, simplify
 from .unparse import unparse
 from .xpath import xpath_to_rpeq
 
@@ -44,7 +43,6 @@ __all__ = [
     "Token",
     "Union",
     "WILDCARD",
-    "always_nonempty",
     "analyze",
     "concat_all",
     "descendant_or_self",
@@ -52,7 +50,6 @@ __all__ = [
     "parse",
     "query_family",
     "random_rpeq",
-    "simplify",
     "tokenize",
     "unparse",
     "uses_wildcard",

@@ -7,6 +7,8 @@ from repro.dtd import parse_dtd
 from repro.rpeq.ast import Concat, Empty, Label
 from repro.rpeq.parser import parse
 
+from ..conftest import simplify
+
 SITE_DTD = parse_dtd(
     """
     <!DOCTYPE site [
@@ -114,9 +116,7 @@ class TestIdempotence:
         ["a[b*]", "a*.a*", "(b|b)", "a[b][b]", "(a*)?", "(_|b)"],
     )
     def test_simplified_query_lints_clean(self, query):
-        from repro.rpeq.rewrite import simplify
-
-        simplified = simplify(parse(query))
+        simplified = simplify(query)
         assert {
             c for c in codes(simplified) if c != "RPQ007"
         } == set(), query

@@ -10,8 +10,9 @@ import random
 from repro.analysis import lint_query
 from repro.rpeq.generate import GeneratorConfig, random_rpeq
 from repro.rpeq.parser import parse
-from repro.rpeq.rewrite import simplify
 from repro.rpeq.unparse import unparse
+
+from ..conftest import simplify
 
 SEEDS = range(200)
 
@@ -33,8 +34,8 @@ class TestRoundTrip:
 
 class TestLinterIdempotence:
     def test_simplify_never_introduces_findings(self):
-        # Each structural rule mirrors one simplify rewrite, so the
-        # simplified query's findings are a subset of the original's.
+        # Each structural lint rule mirrors one rewrite rule, so the
+        # rewritten query's findings are a subset of the original's.
         for expr in corpus():
             before = lint_query(expr).codes()
             after = lint_query(simplify(expr)).codes()

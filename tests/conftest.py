@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.analysis.rewrite import rewrite_query
 from repro.rpeq import GeneratorConfig, random_rpeq
 from repro.rpeq.ast import Rpeq
 from repro.xmlstream.events import (
@@ -18,6 +19,13 @@ from repro.xmlstream.events import (
 )
 
 LABELS = ("a", "b", "c", "d")
+
+
+def simplify(query: str | Rpeq) -> Rpeq:
+    """The rewriter's fixpoint of ``query``, certificates off: the tests
+    that call this *are* the check that the rules preserve answers."""
+    return rewrite_query(query, certify=False)[0].rewritten
+
 
 #: The document of the paper's Fig. 1, used by many unit tests.
 PAPER_DOC = "<a><a><c/></a><b/><c/></a>"

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.checkpoint import Checkpoint
 from repro.core.fastlane import (
     KIND_DFA,
     FastLaneAdapter,
@@ -40,6 +41,7 @@ from repro.rpeq.nfa import compile_nfa
 from repro.rpeq.parser import parse
 from repro.rpeq.unparse import unparse
 from repro.workloads import random_tree, treebank
+from repro.xmlstream.offsets import StreamCursor
 from repro.xmlstream.parser import parse_string
 
 from ..conftest import (
@@ -477,3 +479,96 @@ def test_multi_document_streams_reset_cleanly(rng):
     reference = _fingerprints(MultiQueryEngine(queries, optimize=False), events)
     engine = MultiQueryEngine(queries)
     assert _fingerprints(engine, events) == reference
+
+
+# ----------------------------------------------------------------------
+# subscription churn: a departed subscriber leaves the shared DFA
+
+
+class TestSubscriptionChurn:
+    """``ServePump.close`` retires the slot; the next ``<$>`` drops it.
+
+    The TCP service mints a fresh engine id per connection, so a slot
+    that outlived its subscriber stayed in every product state: the memo
+    saturated after a few hundred connections and each later document
+    ran the subset construction uncached.
+    """
+
+    #: one query per lane the shared core backs
+    CHURN = (
+        ("_*.b", "dfa"),
+        ("_*.a[c]", "hybrid"),
+        ("_*.b[a].d", "gated"),
+        ("a._*.d", "dfa"),
+        ("_*.c[d.e]", "hybrid"),
+    )
+
+    def test_slots_do_not_outlive_their_subscribers(self):
+        documents = [list(random_tree(seed, elements=40)) for seed in range(5)]
+        engine = MultiQueryEngine({"keep": "_*.a[b].c"})
+        pump = engine.start_pump(cursor=StreamCursor())
+        kept: list[tuple[int, int, str]] = []
+        stream: list = []
+
+        def feed(events):
+            out = []
+            for event in events:
+                for q, m in pump.feed(event):
+                    out.append((q, m.position, m.label))
+                    if q == "keep":
+                        kept.append((len(stream), m.position, m.label))
+                stream.append(event)
+            return out
+
+        for cycle in range(2000):
+            query_id = f"c{cycle}.sub"
+            query, lane = self.CHURN[cycle % len(self.CHURN)]
+            engine.add_query(query_id, query)
+            assert pump.attach(query_id)
+            feed(documents[cycle % len(documents)])
+            core = engine._fastlane_core
+            assert engine.lane_executions == {"keep": "gated", query_id: lane}
+            # this cycle's subscriber and the permanent one: the previous
+            # subscriber's slot went at this document's <$>
+            assert len(core._slots) == 2
+            pump.close(query_id)
+            engine.remove_query(query_id)
+            assert len(core._slots) <= len(pump.live_queries) + 1
+            assert set(engine.lane_executions) == {"keep"}
+        assert core.saturated_steps == 0
+        assert core.states_interned < 64
+
+        # a cut taken 2,000 compactions in resumes as if there were none
+        engine.add_query("last", "_*.b[a].d")
+        pump.attach("last")
+        head, tail = documents[0][:20], documents[0][20:]
+        feed(head)
+        restored = Checkpoint.from_dict(engine.checkpoint().to_dict())
+        resumed = MultiQueryEngine.from_checkpoint(restored).resume_pump(restored)
+        uninterrupted = feed(tail)
+        assert {q for q, _, _ in uninterrupted} == {"keep", "last"}
+        assert uninterrupted == [
+            (q, m.position, m.label) for e in tail for q, m in resumed.feed(e)
+        ]
+
+        fresh = MultiQueryEngine({"keep": "_*.a[b].c"}).start_pump()
+        assert kept == [
+            (index, m.position, m.label)
+            for index, event in enumerate(stream)
+            for _, m in fresh.feed(event)
+        ]
+
+    def test_a_reused_id_runs_its_new_query(self):
+        document = list(random_tree(3, elements=40))
+        engine = MultiQueryEngine({"keep": "_*.a"})
+        pump = engine.start_pump()
+        labels = []
+        for query in ("_*.b", "_*.c"):
+            engine.add_query("q", query)
+            pump.attach("q")
+            labels.append(
+                {m.label for e in document for q, m in pump.feed(e) if q == "q"}
+            )
+            pump.close("q")
+            engine.remove_query("q")
+        assert labels == [{"b"}, {"c"}]

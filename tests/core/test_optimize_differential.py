@@ -7,10 +7,6 @@ the positions and fragments of the literal Fig. 11 evaluation
 (``optimize=False``).  The seeded corpus below covers the query classes
 of Sec. VI (closure prefixes, unions, nested qualifiers) plus the axes;
 hypothesis adds adversarial shrunken cases on top.
-
-The :class:`~repro.conditions.formula.FormulaMemo` unit tests live here
-too — the memo is the one knob with internal state of its own (bounded
-identity-keyed table), so its mechanics get direct coverage.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import SpexEngine
-from repro.conditions.formula import And, FormulaMemo, Var, conj, disj
 from repro.core.optimize import (
     ALL_OPTIMIZATIONS,
     NO_OPTIMIZATIONS,
@@ -102,68 +97,6 @@ def test_seven_key_encoding_mixing_the_network_knobs_is_refused(lone, rest):
         as_flags(_seven_keys(rest, **{lone: not rest}))
     assert lone in str(refusal.value)
     assert all(name in str(refusal.value) for name in FOLDED)
-
-
-# ----------------------------------------------------------------------
-# FormulaMemo mechanics
-
-
-def test_memo_hit_replays_without_renormalizing():
-    memo = FormulaMemo()
-    a, b = Var(1, "q"), Var(2, "q")
-    first = memo.disj(a, b)
-    assert (memo.hits, memo.misses) == (0, 1)
-    assert memo.disj(a, b) is first
-    assert (memo.hits, memo.misses) == (1, 1)
-    # conj of the same operands is a distinct key
-    assert isinstance(memo.conj(a, b), And)
-    assert (memo.hits, memo.misses) == (1, 2)
-
-
-def test_memo_matches_unmemoized_normalization():
-    memo = FormulaMemo()
-    a, b = Var(1, "q"), Var(2, "q")
-    assert memo.conj(a, b) == conj(a, b)
-    assert memo.disj(a, b) == disj(a, b)
-
-
-def test_memo_keys_by_identity_not_equality():
-    """Two equal-but-distinct operand objects occupy separate entries.
-
-    Identity keying trades a few duplicate entries for skipping
-    structural hashing; both entries must still yield correct (equal)
-    results.
-    """
-    memo = FormulaMemo()
-    base = Var(1, "q")
-    twin_a = conj(base, Var(2, "q"))
-    twin_b = conj(base, Var(2, "q"))
-    assert twin_a == twin_b and twin_a is not twin_b
-    out_a = memo.disj(twin_a, base)
-    out_b = memo.disj(twin_b, base)
-    assert memo.misses == 2 and memo.hits == 0
-    assert out_a == out_b
-    assert len(memo) == 2
-
-
-def test_memo_fifo_eviction_at_capacity():
-    memo = FormulaMemo(capacity=4)
-    operands = [Var(n, "q") for n in range(6)]
-    keep_alive = [memo.disj(operands[n], operands[n + 1]) for n in range(5)]
-    assert keep_alive
-    assert len(memo) == 4
-    assert memo.evictions == 1
-    # the oldest pair was evicted: re-merging it misses again
-    memo.disj(operands[0], operands[1])
-    assert memo.misses == 6
-    # the newest pair is still cached
-    memo.disj(operands[4], operands[5])
-    assert memo.hits == 1
-
-
-def test_memo_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError, match="capacity"):
-        FormulaMemo(capacity=0)
 
 
 # ----------------------------------------------------------------------

@@ -85,19 +85,6 @@ class TestMalformedStreams:
         with pytest.raises(StreamError):
             SpexEngine("a").evaluate(iter(events))
 
-    def test_validation_can_be_disabled(self):
-        # With validate=False the engine trusts the caller, as the
-        # paper's model does; garbage in, garbage out.
-        events = [
-            StartDocument(),
-            StartElement("a"),
-            EndElement("a"),
-            EndDocument(),
-        ]
-        engine = SpexEngine("a", collect_events=False)
-        assert [m.position for m in engine.run(iter(events), validate=False)] == [1]
-
-
 class TestEngineLifecycle:
     def test_interleaved_runs_are_independent(self):
         engine = SpexEngine("_*.c", collect_events=False)

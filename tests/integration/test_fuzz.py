@@ -12,10 +12,10 @@ import pytest
 
 from repro import SpexEngine
 from repro.baselines import DomEvaluator, TreeAutomatonEvaluator, XScanEvaluator
-from repro.rpeq import GeneratorConfig, analyze, random_rpeq, simplify
+from repro.rpeq import GeneratorConfig, analyze, random_rpeq
 from repro.xmlstream.tree import build_document
 
-from ..conftest import make_random_events
+from ..conftest import make_random_events, simplify
 
 
 def oracle(expr, events):
@@ -37,9 +37,7 @@ class TestCombinedSweep:
             engines = {
                 "spex": SpexEngine(expr, collect_events=False),
                 "spex-literal": SpexEngine(expr, collect_events=False, optimize=False),
-                "spex-simplified": SpexEngine(
-                    expr, collect_events=False, simplify_query=True
-                ),
+                "spex-simplified": SpexEngine(simplify(expr), collect_events=False),
             }
             for name, engine in engines.items():
                 got = sorted(engine.positions(iter(events)))

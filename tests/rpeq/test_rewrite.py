@@ -1,13 +1,12 @@
-"""Unit and property tests for query simplification."""
+"""Unit and property tests for the structural rules of the rewriter."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import analyze
 from repro.rpeq.parser import parse
-from repro.rpeq.rewrite import simplify
 
-from ..conftest import event_streams, rpeq_queries
+from ..conftest import event_streams, rpeq_queries, simplify
 
 
 def simp(query):
