@@ -30,7 +30,7 @@ from .errors import ReproError
 from .limits import ResourceLimits
 from .rpeq.xpath import xpath_to_rpeq
 from .xmlstream.events import Event
-from .xmlstream.parser import parse_stream
+from .xmlstream.parser import parse_file, parse_stream
 from .xmlstream.recovery import ErrorReport
 from .xmlstream.stats import measure
 
@@ -46,14 +46,7 @@ EXIT_DEGRADED = 3
 def _events_from(path: str | None) -> Iterator[Event]:
     if path is None:
         return parse_stream(sys.stdin.buffer)
-    with open(path, "rb") as handle:
-        # Materialize lazily via a generator bound to the handle's life.
-        def generate() -> Iterator[Event]:
-            with open(path, "rb") as inner:
-                yield from parse_stream(inner)
-
-        handle.close()
-        return generate()
+    return parse_file(path)
 
 
 def _positive_int(text: str) -> int:

@@ -77,6 +77,7 @@ from ..xmlstream.events import (
     StartDocument,
     StartElement,
     Text,
+    start_tag,
 )
 from .output_tx import Match
 
@@ -335,8 +336,10 @@ class _Slot:
 class FastLaneCore:
     """The shared lazily-determinized product automaton of one engine.
 
-    Drivers call :meth:`advance` exactly once per stream event; adapters
-    fall back to an identity check for direct (non-driver) use.  All
+    Drivers call :meth:`advance` exactly once per stream event; an
+    adapter driven directly compares :attr:`steps` with its own count to
+    see that nobody has (events are shared objects, so their identity
+    says nothing about it).  All
     registered slots share one DFA stack along the open-element path, so
     per-event cost is one transition lookup plus per-slot work only
     where candidates actually live.
@@ -362,7 +365,9 @@ class FastLaneCore:
         self._starts: list[int] = []
         #: StartElements seen, ever (the OU position counter, global)
         self.ecount = 0
-        self.last: Event | None = None
+        #: events advanced over, ever — what a directly driven adapter
+        #: compares its own count with (see :meth:`_AdapterBase._sync`)
+        self.steps = 0
         self._open_slots: set[_Slot] = set()
         self._watchers: set[_Slot] = set()
         #: slots that emitted since the last :meth:`drain_matches` —
@@ -537,7 +542,7 @@ class FastLaneCore:
 
     def advance(self, event: Event) -> None:
         """Process one stream event (exactly once per event)."""
-        self.last = event
+        self.steps += 1
         cls = event.__class__
         if cls is Text:
             return
@@ -805,6 +810,8 @@ class _AdapterBase:
         self.clock: object | None = None
         self.limits = None
         self.buffered_events = 0
+        #: ``core.steps`` after the last event this adapter processed
+        self._seen = core.steps
 
     @property
     def sinks(self) -> tuple["_AdapterBase", ...]:
@@ -816,9 +823,10 @@ class _AdapterBase:
 
     def process_event(self, event: Event) -> list[Match]:
         core = self._core
-        if core.last is not event:
+        if core.steps == self._seen:
             # Direct (non-driver) use: nobody advanced the core yet.
             core.advance(event)
+        self._seen = core.steps
         out = self._slot.out
         if not out:
             return _NO_MATCHES
@@ -977,6 +985,8 @@ class GatedNetworkAdapter:
         #: start tags the sink has accounted for (fed or advanced past),
         #: i.e. the position of the last fed start tag
         self._counted = 0
+        #: ``core.steps`` after the last event this adapter processed
+        self._seen = core.steps
 
     @property
     def sinks(self) -> list["OutputTransducer"]:
@@ -1013,8 +1023,10 @@ class GatedNetworkAdapter:
 
     def process_event(self, event: Event) -> list[Match]:
         core = self._core
-        if core.last is not event:
+        if core.steps == self._seen:
+            # Direct (non-driver) use: nobody advanced the core yet.
             core.advance(event)
+        self._seen = core.steps
         cls = event.__class__
         if cls is StartElement:
             if self._index not in core._stack[-1].needed:
@@ -1049,7 +1061,7 @@ class GatedNetworkAdapter:
         out = _NO_MATCHES
         for level in range(self._fed + 1, depth):
             matches = self._feed_at(
-                StartElement(core._path[level - 1]),
+                start_tag(core._path[level - 1]),
                 starts[level - 1],
                 index in stack[level].fire,
             )

@@ -649,8 +649,10 @@ class ShardCoordinator:
         supervision, and the per-shard outcomes merge into one
         :class:`ShardedResult`.
         """
-        events = list(iter_events(source, limits=self.parser_limits))
-        encoded = [event_to_obj(event) for event in events]
+        encoded = [
+            event_to_obj(event)
+            for event in iter_events(source, limits=self.parser_limits)
+        ]
         layout = partition_queries(self.queries, self.config.shards)
         states = [
             _ShardState(index, query_ids)
@@ -674,7 +676,7 @@ class ShardCoordinator:
         finally:
             for state in states:
                 self._abandon_worker(state)
-        return self._merge(states, matches, len(events))
+        return self._merge(states, matches, len(encoded))
 
     # ------------------------------------------------------------------
     # per-shard pump

@@ -615,7 +615,9 @@ class SpexService:
                 producer, document = item
                 self._attach_deferred()
                 for event in document:
-                    for engine_id, match in self.pump.feed(event):
+                    # the transition itself: ``feed`` would allocate a
+                    # list for each of the (many) events deciding nothing
+                    for engine_id, match in self.pump._step(event) or ():
                         await self._deliver(engine_id, match)
                 await self._commit_document(producer)
                 self._notify_detachments()

@@ -14,9 +14,11 @@ from .events import (
     StartDocument,
     StartElement,
     Text,
+    end_tag,
     events_from_tags,
     is_document_boundary,
     label_of,
+    start_tag,
     tags_from_events,
 )
 from .documents import concat_documents, count_documents, split_documents
@@ -33,6 +35,7 @@ from .parser import (
     ParserLimits,
     iter_documents,
     iter_events,
+    parse_batches,
     parse_file,
     parse_stream,
     parse_string,
@@ -77,6 +80,7 @@ __all__ = [
     "checked",
     "concat_documents",
     "count_documents",
+    "end_tag",
     "events_from_tags",
     "is_document_boundary",
     "is_well_formed",
@@ -85,6 +89,7 @@ __all__ = [
     "label_of",
     "measure",
     "observed",
+    "parse_batches",
     "parse_file",
     "parse_stream",
     "parse_string",
@@ -93,6 +98,7 @@ __all__ = [
     "serialize",
     "skip_events",
     "split_documents",
+    "start_tag",
     "tags_from_events",
     "write_events",
 ]

@@ -11,6 +11,13 @@ are small immutable objects; streams are plain Python iterables of events,
 which lets every component work with generators, lists, files, sockets or
 unbounded synthetic sources interchangeably.
 
+Events are symbols of the paper's *finite alphabet* of tags: every door
+that turns bytes or wire objects into events (the parser,
+:func:`event_from_obj`, :func:`events_from_tags`) takes attribute-less tags
+from :data:`TAGS`, one shared object per label.  Identity of an event
+therefore carries no meaning — the same object may occur many times in one
+stream — equality does.
+
 The paper ignores attributes, namespaces, comments and processing
 instructions; we keep attributes and text as optional payload (they ride
 along unharmed and are reproduced in serialized results) but the query
@@ -19,6 +26,7 @@ language never inspects them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -89,6 +97,67 @@ class Text(Event):
         return self.content
 
 
+class _NoAttributes(Mapping[str, str]):
+    """The attribute mapping of every shared :class:`StartElement`: empty,
+    nothing to mutate, and reduced to its module-level name so ``pickle``
+    (shard workers queue matches with their events) and ``copy.deepcopy``
+    give back the singleton — which ``MappingProxyType`` cannot do."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> str:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __reduce__(self) -> str:
+        return "NO_ATTRIBUTES"
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+NO_ATTRIBUTES = _NoAttributes()
+
+#: Distinct labels the shared-tag table holds, and the longest it takes.  Past
+#: either, tags are built fresh per occurrence (equal by value, as ever), so a
+#: stream of hostile names costs its own events and nothing that outlives them.
+TAG_TABLE_CAP = 4096
+TAG_LABEL_CAP = 256
+
+
+class _TagTable(dict[str, tuple[StartElement, EndElement]]):
+    """``label -> (<label>, </label>)``, filled on first use up to the cap;
+    ``__missing__`` so that a hit — nearly every tag of every stream — is
+    one C-level lookup with no Python frame."""
+
+    def __missing__(self, label: str) -> tuple[StartElement, EndElement]:
+        # Interned once here: every downstream label test and DFA
+        # transition lookup then hits on identity.
+        label = sys.intern(label)
+        pair = (StartElement(label, NO_ATTRIBUTES), EndElement(label))
+        if len(self) < TAG_TABLE_CAP and len(label) <= TAG_LABEL_CAP:
+            self[label] = pair
+        return pair
+
+
+TAGS = _TagTable()
+
+
+def start_tag(label: str) -> StartElement:
+    """The shared attribute-less ``<label>`` message, one object per label."""
+    return TAGS[label][0]
+
+
+def end_tag(label: str) -> EndElement:
+    """The shared ``</label>`` message (see :func:`start_tag`)."""
+    return TAGS[label][1]
+
+
 def is_document_boundary(event: Event) -> bool:
     """Return ``True`` for the ``<$>`` / ``</$>`` envelope messages."""
     return isinstance(event, (StartDocument, EndDocument))
@@ -133,9 +202,11 @@ def event_from_obj(obj: object) -> Event:
         if tag == "ed":
             return EndDocument()
         if tag == "se":
-            return StartElement(obj[1], dict(obj[2]) if len(obj) > 2 else {})
+            if len(obj) > 2:
+                return StartElement(obj[1], dict(obj[2]))
+            return TAGS[obj[1]][0]
         if tag == "ee":
-            return EndElement(obj[1])
+            return TAGS[obj[1]][1]
         if tag == "tx":
             return Text(obj[1])
     raise ValueError(f"not an encoded event: {obj!r}")
@@ -159,9 +230,9 @@ def events_from_tags(tags: Iterable[str]) -> Iterator[Event]:
         elif tag == "</$>":
             yield EndDocument()
         elif tag.startswith("</") and tag.endswith(">"):
-            yield EndElement(tag[2:-1])
+            yield end_tag(tag[2:-1])
         elif tag.startswith("<") and tag.endswith(">"):
-            yield StartElement(tag[1:-1])
+            yield start_tag(tag[1:-1])
         else:
             yield Text(tag)
 

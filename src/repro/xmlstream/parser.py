@@ -1,35 +1,31 @@
 """Parsing XML text into event streams.
 
-Two entry points are provided:
-
-* :func:`parse_string` / :func:`parse_file` — built on :mod:`xml.sax`, the
-  very API the paper models its streams after.  The SAX callbacks are
-  bridged into a pull-style generator through an incremental feed loop so
-  that arbitrarily large files are processed with bounded memory.
+* :func:`parse_batches` is the parser, directly on :mod:`pyexpat`: three
+  callbacks append events to one list per 64 KiB read, yielded after the
+  read, so memory is bounded by the chunk size whatever the document's.
+* :func:`parse_stream` / :func:`parse_file` / :func:`parse_string` are
+  ``itertools.chain.from_iterable`` over those lists: a plain iterator of
+  events with no Python frame per event between expat and the consumer.
 * :func:`iter_events` — convenience dispatcher accepting strings, paths or
   already-iterable event sequences.
 
-All parsers emit the paper's envelope: a :class:`~repro.xmlstream.events.
-StartDocument` before the root element and an :class:`~repro.xmlstream.
-events.EndDocument` after it.
+All of them emit the paper's envelope, :class:`~repro.xmlstream.events.
+StartDocument` before the root element and ``EndDocument`` after it, and
+take attribute-less tags from :data:`repro.xmlstream.events.TAGS` — one
+object per label, not per occurrence.  External entities are never fetched.
 
 Untrusted-input hardening
 -------------------------
 
-On a shared serving pass the *parser* is attack surface before any
-transducer sees an event: a billion-laughs entity bomb expands kilobytes
-of input into gigabytes of character data, and pathological tokens
-(mile-long tag names, giant attributes, unbounded text runs) inflate
-every downstream buffer at once.  Passing a :class:`ParserLimits` arms
-per-token ceilings checked inside the SAX callbacks plus an
-entity-declaration analysis that computes each declared entity's full
-expansion size and nesting depth *before* expat ever expands it, so a
-bomb is rejected at declaration time for the cost of reading its DTD
-subset.  Every trip raises a coded, recoverable
-:class:`~repro.errors.InputLimitError` — a :class:`StreamError`
-subclass, so the recovery policies (:mod:`repro.xmlstream.recovery`)
-quarantine or repair the poisoned document like any other malformed
-input.
+The parser is attack surface before any transducer sees an event (entity
+bombs, mile-long names, giant attributes, unbounded text runs).  Passing
+a :class:`ParserLimits` puts a :class:`_Meter` in front of the same three
+callbacks — every token is measured before it becomes an event — and
+sizes each declared entity's full expansion *before* expat expands it.
+A trip raises a coded :class:`~repro.errors.InputLimitError`, a
+:class:`StreamError`, so the recovery policies
+(:mod:`repro.xmlstream.recovery`) treat the document like any other
+malformed input.
 """
 
 from __future__ import annotations
@@ -37,21 +33,19 @@ from __future__ import annotations
 import io
 import os
 import re
-import sys
-import xml.sax
-import xml.sax.handler
-import xml.sax.xmlreader
-from collections import deque
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from itertools import chain
+from sys import intern
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
+from xml.parsers import expat
 
 from ..errors import InputLimitError, StreamError
-from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
+from .events import TAGS, EndDocument, Event, StartDocument, StartElement, Text
 
 if TYPE_CHECKING:
     from .recovery import ErrorReport
 
-#: Number of bytes handed to the SAX parser per feed step.
+#: Number of bytes handed to expat per read, and so the size of a batch.
 _CHUNK_SIZE = 64 * 1024
 
 #: Entity references inside a declared entity's replacement text.
@@ -66,29 +60,24 @@ class ParserLimits:
     nothing; :meth:`default` returns the recommended serving profile.
 
     Attributes:
-        max_entity_expansion: ceiling on the fully-expanded size (in
-            characters) of any single declared entity — the
-            billion-laughs guard, enforced at *declaration* time from
-            the declared replacement texts, before any expansion work
-            happens (``INPUT001``).
-        max_entity_depth: ceiling on entity-in-entity nesting depth
-            (``&a;`` referencing ``&b;`` referencing … ), also checked
-            at declaration time (``INPUT002``).
-        max_text_length: ceiling on one contiguous text run, in
-            characters (``INPUT003``).
-        max_attribute_length: ceiling on a single attribute value, and
-            ``max_attributes`` on the attribute count of one element
-            (``INPUT004``).
-        max_name_length: ceiling on element and attribute names
-            (``INPUT005``).
+        max_entity_expansion: fully-expanded size, in characters, of any
+            one declared entity — the billion-laughs guard, computed from
+            the declared replacement texts at *declaration* time, before
+            any expansion happens (``INPUT001``).
+        max_entity_depth: entity-in-entity nesting depth, also checked at
+            declaration time (``INPUT002``).
+        max_text_length: one contiguous text run, in characters
+            (``INPUT003``).
+        max_attribute_length: one attribute value; ``max_attributes``:
+            the attribute count of one element (``INPUT004``).
+        max_name_length: element and attribute names (``INPUT005``).
         max_amplification: backstop ratio of parser *output* characters
             to *input* bytes fed so far; trips ``INPUT006`` when output
-            exceeds ``amplification_floor + max_amplification × bytes``.
-            Catches whatever slips past the static entity analysis
-            (e.g. amplification through many small references).
-        amplification_floor: grace allowance (characters) before the
-            amplification ratio is enforced, so tiny documents with
-            ordinary entities never trip it.
+            exceeds ``amplification_floor + max_amplification × bytes``
+            (what slips past the static entity analysis, e.g. many small
+            references).
+        amplification_floor: grace allowance in characters, so tiny
+            documents with ordinary entities never trip the ratio.
     """
 
     max_entity_expansion: int | None = None
@@ -101,21 +90,15 @@ class ParserLimits:
     amplification_floor: int = 64 * 1024
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_entity_expansion",
-            "max_entity_depth",
-            "max_text_length",
-            "max_attribute_length",
-            "max_attributes",
-            "max_name_length",
-        ):
-            value = getattr(self, name)
-            if value is not None and value < 1:
+        for name, value in self._ceilings():
+            if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.max_amplification is not None and self.max_amplification <= 0:
-            raise ValueError("max_amplification must be positive")
         if self.amplification_floor < 0:
             raise ValueError("amplification_floor must be non-negative")
+
+    def _ceilings(self) -> list[tuple[str, float | None]]:
+        """Every field but the floor is a ceiling (``None`` = off)."""
+        return [kv for kv in vars(self).items() if kv[0] != "amplification_floor"]
 
     @classmethod
     def default(cls) -> "ParserLimits":
@@ -133,137 +116,70 @@ class ParserLimits:
     @property
     def unbounded(self) -> bool:
         """``True`` when no ceiling is set (hardening can be skipped)."""
-        return (
-            self.max_entity_expansion is None
-            and self.max_entity_depth is None
-            and self.max_text_length is None
-            and self.max_attribute_length is None
-            and self.max_attributes is None
-            and self.max_name_length is None
-            and self.max_amplification is None
-        )
+        return all(value is None for _, value in self._ceilings())
 
     @property
     def guards_entities(self) -> bool:
         return self.max_entity_expansion is not None or self.max_entity_depth is not None
 
 
-class _CollectingHandler(xml.sax.handler.ContentHandler):
-    """SAX handler that appends events to a deque drained by the caller.
+def _cap(code: str, what: str, seen: int, ceiling: int | None, of: str = "") -> None:
+    """Raise the coded limit error if ``seen`` is over an armed ceiling."""
+    if ceiling is not None and seen > ceiling:
+        raise InputLimitError(
+            f"{what}{of} is {seen} (limit {ceiling})", code=code, observed=seen
+        )
 
-    With ``limits`` set it doubles as the hardening checkpoint: every
-    token the parser delivers is measured before it becomes an event.
+
+class _Meter:
+    """What an armed :class:`ParserLimits` counts, per parse.
+
+    Its methods only measure a token (and raise): :func:`parse_batches`
+    runs them in front of the callbacks that build the events, so an
+    armed parse builds events exactly as an unarmed one does, and with
+    no ceiling set the meter is absent.
     """
 
-    def __init__(
-        self,
-        sink: deque[Event],
-        keep_text: bool,
-        limits: ParserLimits | None = None,
-    ) -> None:
-        super().__init__()
-        self._sink = sink
-        self._keep_text = keep_text
-        self._limits = limits if limits is not None and not limits.unbounded else None
-        # Hardening state: parser output volume, the current contiguous
-        # text run, and declared-entity expansion metrics.
+    def __init__(self, limits: ParserLimits) -> None:
+        self._limits = limits
+        # Parser input and output volume, the current contiguous text run.
         self.bytes_fed = 0
         self._chars_out = 0
         self._text_run = 0
-        self._entity_sizes: dict[str, int] = {}
-        self._entity_depths: dict[str, int] = {}
+        #: declared entity -> (fully expanded size, nesting depth)
+        self._entities: dict[str, tuple[int, int]] = {}
 
-    def startDocument(self) -> None:
-        self._sink.append(StartDocument())
-
-    def endDocument(self) -> None:
-        self._sink.append(EndDocument())
-
-    def startElement(
-        self, name: str, attrs: xml.sax.xmlreader.AttributesImpl
-    ) -> None:
-        # Element names repeat massively in any real document; interning
-        # them makes every downstream label test (`self._label ==
-        # event.label`) an identity hit instead of a character compare.
-        name = sys.intern(name)
+    def start(self, name: str, attrs: dict[str, str]) -> None:
         limits = self._limits
-        if limits is not None:
-            self._text_run = 0
-            self._check_name(name)
-            attr_items = attrs.items()
-            if (
-                limits.max_attributes is not None
-                and len(attr_items) > limits.max_attributes
-            ):
-                raise InputLimitError(
-                    f"element <{name}> has {len(attr_items)} attributes "
-                    f"(limit {limits.max_attributes})",
-                    code="INPUT004",
-                    observed=len(attr_items),
-                )
-            for attr_name, attr_value in attr_items:
-                self._check_name(attr_name)
-                if (
-                    limits.max_attribute_length is not None
-                    and len(attr_value) > limits.max_attribute_length
-                ):
-                    raise InputLimitError(
-                        f"attribute {attr_name!r} is {len(attr_value)} "
-                        f"characters (limit {limits.max_attribute_length})",
-                        code="INPUT004",
-                        observed=len(attr_value),
-                    )
-                self._count_output(len(attr_name) + len(attr_value))
-            self._count_output(len(name))
-            self._sink.append(StartElement(name, dict(attr_items)))
-            return
-        self._sink.append(StartElement(name, dict(attrs.items())))
-
-    def endElement(self, name: str) -> None:
         self._text_run = 0
-        self._sink.append(EndElement(sys.intern(name)))
+        # Names are measured per occurrence, not once per label: the
+        # shared-tag table outlives this parse and may have met them unarmed.
+        _cap("INPUT005", "name length", len(name), limits.max_name_length)
+        _cap("INPUT004", "attribute count of ", len(attrs), limits.max_attributes, name)
+        longest = limits.max_attribute_length
+        for attr, value in attrs.items():
+            _cap("INPUT005", "name length", len(attr), limits.max_name_length)
+            _cap("INPUT004", "length of attribute ", len(value), longest, attr)
+            self._count_output(len(attr) + len(value))
+        self._count_output(len(name))
 
-    def characters(self, content: str) -> None:
-        limits = self._limits
-        if limits is not None:
-            # Expat splits long runs across calls; cap the *run*, not
-            # the chunk, so the ceiling cannot be dodged by buffering.
-            self._text_run += len(content)
-            if (
-                limits.max_text_length is not None
-                and self._text_run > limits.max_text_length
-            ):
-                raise InputLimitError(
-                    f"text run of {self._text_run} characters exceeds "
-                    f"limit {limits.max_text_length}",
-                    code="INPUT003",
-                    observed=self._text_run,
-                )
-            self._count_output(len(content))
-        if self._keep_text and content.strip():
-            self._sink.append(Text(content))
+    def end(self, name: str) -> None:
+        self._text_run = 0
 
-    # ------------------------------------------------------------------
-    # hardening helpers
-
-    def _check_name(self, name: str) -> None:
-        ceiling = self._limits.max_name_length
-        if ceiling is not None and len(name) > ceiling:
-            raise InputLimitError(
-                f"name of {len(name)} characters exceeds limit {ceiling}",
-                code="INPUT005",
-                observed=len(name),
-            )
+    def text(self, content: str) -> None:
+        # Expat splits long runs across calls; cap the *run*, not the
+        # chunk, so the ceiling cannot be dodged by buffering.
+        self._text_run += len(content)
+        _cap("INPUT003", "text run", self._text_run, self._limits.max_text_length)
+        self._count_output(len(content))
 
     def _count_output(self, chars: int) -> None:
         limits = self._limits
         if limits.max_amplification is None:
             return
         self._chars_out += chars
-        allowed = limits.amplification_floor + limits.max_amplification * max(
-            self.bytes_fed, 1
-        )
-        if self._chars_out > allowed:
+        allowed = limits.max_amplification * max(self.bytes_fed, 1)
+        if self._chars_out > limits.amplification_floor + allowed:
             raise InputLimitError(
                 f"parser produced {self._chars_out} characters from "
                 f"{self.bytes_fed} input bytes (amplification limit "
@@ -273,14 +189,7 @@ class _CollectingHandler(xml.sax.handler.ContentHandler):
             )
 
     def entity_decl(
-        self,
-        name: str,
-        is_parameter_entity: int,
-        value: str | None,
-        base: str | None,
-        system_id: str | None,
-        public_id: str | None,
-        notation: str | None,
+        self, name: str, is_parameter: int, value: str | None, *external: str | None
     ) -> None:
         """pyexpat ``EntityDeclHandler``: certify the entity statically.
 
@@ -291,51 +200,41 @@ class _CollectingHandler(xml.sax.handler.ContentHandler):
         """
         if value is None:  # external entity; blocked from expanding anyway
             return
-        limits = self._limits
-        size = len(value)
-        depth = 1
+        size, depth = len(value), 1
         for match in _ENTITY_REF.finditer(value):
-            ref = match.group(1)
-            if ref in self._entity_sizes:
-                size += self._entity_sizes[ref] - len(match.group(0))
-                depth = max(depth, self._entity_depths[ref] + 1)
-        self._entity_sizes[name] = size
-        self._entity_depths[name] = depth
-        if limits is None:
-            return
-        if (
-            limits.max_entity_expansion is not None
-            and size > limits.max_entity_expansion
-        ):
-            raise InputLimitError(
-                f"entity &{name}; expands to {size} characters "
-                f"(limit {limits.max_entity_expansion})",
-                code="INPUT001",
-                observed=size,
-            )
-        if limits.max_entity_depth is not None and depth > limits.max_entity_depth:
-            raise InputLimitError(
-                f"entity &{name}; nests {depth} levels deep "
-                f"(limit {limits.max_entity_depth})",
-                code="INPUT002",
-                observed=depth,
-            )
+            inner = self._entities.get(match.group(1))
+            if inner is not None:
+                size += inner[0] - len(match.group(0))
+                depth = max(depth, inner[1] + 1)
+        self._entities[name] = size, depth
+        limits = self._limits
+        _cap("INPUT001", "expansion of &", size, limits.max_entity_expansion, name)
+        _cap("INPUT002", "nesting depth of &", depth, limits.max_entity_depth, name)
 
 
-def parse_stream(
-    source: IO[bytes] | IO[str],
+def _then(
+    measure: Callable[..., None], emit: Callable[..., None]
+) -> Callable[..., None]:
+    """``measure(*token)``, which may raise, then ``emit(*token)``."""
+
+    def handler(*token: object) -> None:
+        measure(*token)
+        emit(*token)
+
+    return handler
+
+
+def parse_batches(
+    source: IO[bytes] | IO[str] | str | os.PathLike[str],
     keep_text: bool = True,
     limits: ParserLimits | None = None,
-) -> Iterator[Event]:
-    """Incrementally parse an open XML file object into events.
-
-    The file is read in chunks and fed to an incremental SAX parser;
-    collected events are yielded between feed steps, so memory use is
-    bounded by the chunk size plus SAX's internal buffers, independent of
-    document size.
+) -> Iterator[list[Event]]:
+    """Parse one XML document, one list of events per 64 KiB read.
 
     Args:
-        source: a binary or text file object containing one XML document.
+        source: a binary or text file object, or the path of a file that
+            is open from the first batch to the last or until the
+            iterator is dropped (an empty source is an empty stream).
         keep_text: when ``False``, character data is dropped, which is the
             pure paper model (structure-only streams).
         limits: untrusted-input hardening ceilings (see
@@ -345,59 +244,90 @@ def parse_stream(
         StreamError: if the document is not well-formed XML.
         InputLimitError: a hardening ceiling was exceeded (a
             :class:`StreamError` subclass, so recovery policies apply).
+            Either way the events parsed before the failure point are
+            yielded first: a recovery layer downstream can then repair
+            the readable prefix instead of losing the whole chunk.
     """
-    pending: deque[Event] = deque()
-    parser = xml.sax.make_parser()
-    parser.setFeature(xml.sax.handler.feature_namespaces, False)
-    parser.setFeature(xml.sax.handler.feature_external_ges, False)
-    handler = _CollectingHandler(pending, keep_text, limits)
-    parser.setContentHandler(handler)
-    if limits is not None and limits.guards_entities:
-        # The stdlib expat driver exposes no declaration-handler
-        # property, so hook the raw pyexpat parser.  feed(b"") forces
-        # its lazy creation without consuming input; if the driver ever
-        # stops exposing it, hardening degrades to the runtime
-        # amplification backstop instead of failing.
-        parser.feed(b"")
-        raw = getattr(parser, "_parser", None)
-        if raw is not None:
-            raw.EntityDeclHandler = handler.entity_decl
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as handle:
+            yield from parse_batches(handle, keep_text, limits)
+        return
+    batch: list[Event] = []
+    tags = TAGS
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        if attrs:
+            batch.append(StartElement(intern(name), attrs))
+        else:
+            batch.append(tags[name][0])
+
+    def end(name: str) -> None:
+        batch.append(tags[name][1])
+
+    def text(content: str) -> None:
+        if content.strip():
+            batch.append(Text(content))
+
+    parser = expat.ParserCreate()
+    # As the SAX driver did with external general entities off: the
+    # reference is acknowledged, nothing is ever opened.
+    parser.ExternalEntityRefHandler = lambda context, base, system_id, public_id: 1
+    parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_UNLESS_STANDALONE)
+    meter = None
+    if limits is None or limits.unbounded:
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        if keep_text:
+            parser.CharacterDataHandler = text
+    else:
+        meter = _Meter(limits)
+        parser.StartElementHandler = _then(meter.start, start)
+        parser.EndElementHandler = _then(meter.end, end)
+        on_text = _then(meter.text, text) if keep_text else meter.text
+        parser.CharacterDataHandler = on_text
+        parser.EntityDeclHandler = meter.entity_decl
+
+    chunk = source.read(_CHUNK_SIZE)
+    if not chunk:
+        return
+    batch.append(StartDocument())
     try:
-        while True:
-            chunk = source.read(_CHUNK_SIZE)
-            if not chunk:
-                break
+        while chunk:
             if isinstance(chunk, str):
                 chunk = chunk.encode("utf-8")
-            handler.bytes_fed += len(chunk)
-            parser.feed(chunk)
-            while pending:
-                yield pending.popleft()
-        parser.close()
-    except xml.sax.SAXParseException as exc:
-        # Flush events parsed before the failure point first: a recovery
-        # layer downstream can then repair the readable prefix instead of
-        # losing the whole chunk.
-        while pending:
-            yield pending.popleft()
-        raise StreamError(f"malformed XML: {exc}") from exc
-    except InputLimitError:
-        # Hardening trip mid-feed: same contract — the clean prefix is
-        # flushed, then the coded error surfaces for recovery to route.
-        while pending:
-            yield pending.popleft()
-        raise
-    while pending:
-        yield pending.popleft()
+            if meter is not None:
+                meter.bytes_fed += len(chunk)
+            parser.Parse(chunk, False)
+            yield batch
+            batch = []
+            chunk = source.read(_CHUNK_SIZE)
+        parser.Parse(b"", True)
+    except (expat.ExpatError, InputLimitError) as exc:
+        yield batch  # the clean prefix first, for recovery downstream
+        if isinstance(exc, InputLimitError):
+            raise
+        what = expat.ErrorString(exc.code)  # worded as the SAX driver worded it
+        raise StreamError(
+            f"malformed XML: <unknown>:{exc.lineno}:{exc.offset}: {what}"
+        ) from exc
+    batch.append(EndDocument())
+    yield batch
+
+
+def parse_stream(
+    source: IO[bytes] | IO[str],
+    keep_text: bool = True,
+    limits: ParserLimits | None = None,
+) -> Iterator[Event]:
+    """Incrementally parse an open XML file object into an event stream."""
+    return chain.from_iterable(parse_batches(source, keep_text, limits))
 
 
 def parse_string(
     text: str, keep_text: bool = True, limits: ParserLimits | None = None
 ) -> Iterator[Event]:
     """Parse an XML document given as a string into an event stream."""
-    return parse_stream(
-        io.BytesIO(text.encode("utf-8")), keep_text=keep_text, limits=limits
-    )
+    return parse_stream(io.BytesIO(text.encode("utf-8")), keep_text, limits)
 
 
 def parse_file(
@@ -406,12 +336,7 @@ def parse_file(
     limits: ParserLimits | None = None,
 ) -> Iterator[Event]:
     """Parse an XML file into an event stream, reading it incrementally."""
-
-    def _generate() -> Iterator[Event]:
-        with open(path, "rb") as handle:
-            yield from parse_stream(handle, keep_text=keep_text, limits=limits)
-
-    return _generate()
+    return chain.from_iterable(parse_batches(path, keep_text, limits))
 
 
 def iter_events(
@@ -428,12 +353,10 @@ def iter_events(
     * an iterable of :class:`Event` — passed through unchanged
       (``limits`` does not apply: events are already parsed).
     """
-    if isinstance(source, str):
-        if source.lstrip().startswith("<"):
-            return parse_string(source, keep_text=keep_text, limits=limits)
-        return parse_file(source, keep_text=keep_text, limits=limits)
-    if isinstance(source, os.PathLike):
-        return parse_file(source, keep_text=keep_text, limits=limits)
+    if isinstance(source, str) and source.lstrip().startswith("<"):
+        return parse_string(source, keep_text, limits)
+    if isinstance(source, (str, os.PathLike)):
+        return parse_file(source, keep_text, limits)
     return iter(source)
 
 

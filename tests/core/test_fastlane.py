@@ -41,6 +41,7 @@ from repro.rpeq.nfa import compile_nfa
 from repro.rpeq.parser import parse
 from repro.rpeq.unparse import unparse
 from repro.workloads import random_tree, treebank
+from repro.xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
 from repro.xmlstream.offsets import StreamCursor
 from repro.xmlstream.parser import parse_string
 
@@ -226,6 +227,55 @@ class TestMemoBound:
         assert got == reference
         assert core.saturated_steps > 0
         assert core.states_interned <= core.max_states
+
+
+# ----------------------------------------------------------------------
+# adapters driven without a pump
+
+
+class TestDirectDrive:
+    """An adapter driven directly advances the shared core itself — once
+    per event, however often the same event *object* comes by: events
+    are shared, one per label, so identity says nothing about "seen"."""
+
+    @staticmethod
+    def drive(query, events, gated=False):
+        engine = MultiQueryEngine({"q": query})
+        runner = engine._compile_all()["q"]
+        assert isinstance(runner, GatedNetworkAdapter if gated else FastLaneAdapter)
+        return [
+            (match.position, match.label)
+            for event in events
+            for match in runner.process_event(event)
+        ]
+
+    def test_a_reused_event_object_is_a_new_event(self):
+        a, close = StartElement("a"), EndElement("a")
+        events = [StartDocument(), a, a, a, close, close, close, EndDocument()]
+        assert self.drive("_*.a", events) == [(1, "a"), (2, "a"), (3, "a")]
+
+    def test_the_parser_hands_out_reused_objects(self):
+        events = list(parse_string("<a><a><a/></a></a>"))
+        assert self.drive("_*.a", events) == [(1, "a"), (2, "a"), (3, "a")]
+
+    def test_gated_runner_on_reused_objects(self):
+        events = list(parse_string("<a><a><c/><b/></a><b/><c/></a>"))
+        assert sorted(self.drive("_*.a[b].c", events, gated=True)) == [(3, "c"), (6, "c")]
+
+    def test_two_adapters_share_one_advance_per_event(self):
+        core = FastLaneCore()
+        adapters = []
+        for query_id, text in (("q1", "_*.a"), ("q2", "_*.a.a")):
+            expr = parse(text)
+            nfa = compile_nfa(expr, allow_qualifiers=False)
+            adapters.append(FastLaneAdapter(core, core.register(query_id, KIND_DFA, nfa), expr))
+        events = list(parse_string("<a><a><a/></a></a>"))
+        got = [[], []]
+        for event in events:
+            for out, adapter in zip(got, adapters):
+                out.extend(match.position for match in adapter.process_event(event))
+        assert got == [[1, 2, 3], [2, 3]]
+        assert core.steps == len(events)
 
 
 # ----------------------------------------------------------------------
