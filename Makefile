@@ -1,24 +1,21 @@
 # Convenience targets for the SPEX reproduction.
 
-.PHONY: install test bench bench-json examples experiments clean
+.PHONY: install test bench figures examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
+# tier-1 (ROADMAP.md)
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
-test-output:
-	pytest tests/ 2>&1 | tee test_output.txt
-
+# the repository's one benchmark (BENCHMARK.json, benchmarks/e2e/README.md)
 bench:
-	pytest benchmarks/ --benchmark-only
+	python3 benchmarks/e2e/run.py
 
-bench-output:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-
-bench-json:
-	pytest benchmarks/ --benchmark-only --benchmark-json=benchmark_results.json
+# the 13 paper-figure scripts (docs/benchmarking.md, EXPERIMENTS.md)
+figures:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/e2e $(PYTEST_ARGS)
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done

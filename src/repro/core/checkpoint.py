@@ -13,7 +13,7 @@ zero.
 Format: a single JSON document::
 
     {
-      "version": 2,            # format version, checked on load
+      "version": 3,            # format version, checked on load
       "kind": "spex",          # which engine wrote it ("spex"/"multiquery")
       "payload": {...},        # engine-specific state (stable dict forms)
       "checksum": "sha256:..." # over the canonical encoding of the rest
@@ -39,11 +39,13 @@ from ..errors import CheckpointError
 
 #: Current checkpoint format version.  Bump on any payload shape change;
 #: loading a different version raises (no silent cross-version reads).
-#: Version 2: fast-lane snapshots carry the open elements' start
-#: ordinals, and a gated query's snapshot is its *residual* network plus
-#: the count of parked elements (version 1 held the full network and a
-#: subtree-skip depth).
-CHECKPOINT_VERSION = 2
+#: Version 3: a multi-query payload lists its ``"subscriptions"`` as
+#: ``[query_id, query_text, lane]`` triples in registration order (the
+#: version-2 ``"queries"`` dict lost that order through a file) and holds
+#: one ``snapshot()`` per runner under ``"runners"``; a network's
+#: snapshot includes its condition store and allocator; ``"optimize"``
+#: is always the three-key dict.
+CHECKPOINT_VERSION = 3
 
 
 def _canonical(body: dict) -> bytes:
@@ -87,11 +89,6 @@ class Checkpoint:
         """Number of source events the checkpointed run had consumed."""
         return int(self.payload["cursor"]["events_read"])
 
-    @property
-    def cursor_state(self) -> dict:
-        """The source-position record (see ``StreamCursor.state``)."""
-        return self.payload["cursor"]
-
     def require(self, kind: str) -> dict:
         """Payload, after asserting the checkpoint came from ``kind``
         and carries the payload shapes this build restores."""
@@ -112,7 +109,7 @@ class Checkpoint:
         return {**body, "checksum": _checksum(body)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Checkpoint":
+    def from_dict(cls, data: dict) -> Checkpoint:
         """Decode and verify a checkpoint dict.
 
         Raises:
@@ -194,7 +191,7 @@ class Checkpoint:
             os.close(dir_fd)
 
     @classmethod
-    def load(cls, path: str | os.PathLike[str]) -> "Checkpoint":
+    def load(cls, path: str | os.PathLike[str]) -> Checkpoint:
         """Read and verify a checkpoint file written by :meth:`save`.
 
         If the file at ``path`` is torn, truncated, or fails its
@@ -220,7 +217,7 @@ class Checkpoint:
         raise primary_error
 
     @classmethod
-    def _load_one(cls, path: str | os.PathLike[str]) -> "Checkpoint":
+    def _load_one(cls, path: str | os.PathLike[str]) -> Checkpoint:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)

@@ -482,8 +482,6 @@ class SpexEngine:
             "collect_events": self.collect_events,
             "optimize": as_flags(self.optimize).to_obj(),
             "cursor": self._last_cursor.state(),
-            "allocator": self._last_network.allocator.snapshot(),
-            "store": self._last_store.snapshot(),
             "network": self._last_network.snapshot(),
         }
         self.robustness.checkpoints_written += 1
@@ -541,8 +539,6 @@ class SpexEngine:
             )
         network = self._fresh_network()
         network.restore(payload["network"])
-        self._last_store.restore(payload["store"])
-        network.allocator.restore(payload["allocator"])
         cursor = StreamCursor.from_state(payload["cursor"])
         self._last_cursor = cursor
         self._last_report = ErrorReport()
@@ -568,13 +564,10 @@ class SpexEngine:
         compatible.
         """
         payload = checkpoint.require(cls.name)
-        optimize = payload["optimize"]
         return cls(
             payload["query"],
             collect_events=bool(payload["collect_events"]),
-            # Endpoint presets stay plain bools (old checkpoints and the
-            # documented engine API); dicts decode to per-knob flags.
-            optimize=optimize if isinstance(optimize, bool) else as_flags(optimize),
+            optimize=as_flags(payload["optimize"]),
             limits=limits,
         )
 

@@ -40,22 +40,23 @@ Three execution shapes hang off the shared core:
   flushes it, and is never fed at all otherwise — with match positions
   kept stream-global through the sink's position counter.
 
-Every adapter exposes the ``Network`` surface the multi-query drivers
-use (``process_event``/``snapshot``/``restore``/``sinks``/
-``condition_store``/``allocator``/``clock``), so checkpoint/resume,
-shards and durable service sessions keep their exactly-once guarantees
-without knowing which lane a query runs on.  Snapshots carry the open
-element path; restore replays it through the subset construction, so
-automaton state is never serialized — only positions and candidates.
+Every adapter is a *runner* — ``process_event``, ``flush``,
+``buffered_events``, ``deactivate``, ``snapshot``/``restore``, the
+protocol :class:`~repro.core.multiquery.ServePump` drives a plain
+:class:`~repro.core.network.Network` through as well
+(``docs/architecture.md``) — so checkpoint/resume, shards and durable
+service sessions keep their exactly-once guarantees without knowing
+which lane a query runs on.  Snapshots carry the open element path;
+restore replays it through the subset construction, so automaton state
+is never serialized — only positions and candidates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..analysis.planner import pure, split_at_prefix
-from ..conditions.store import ConditionStore, VariableAllocator
 from ..errors import CheckpointError, UnsupportedFeatureError
 from ..rpeq.ast import (
     Concat,
@@ -68,7 +69,6 @@ from ..rpeq.ast import (
     Union,
 )
 from ..rpeq.nfa import HeadedNfa, Nfa, compile_headed_nfa, compile_nfa
-from ..rpeq.unparse import unparse
 from ..xmlstream.events import (
     DOCUMENT_LABEL,
     EndDocument,
@@ -85,7 +85,6 @@ if TYPE_CHECKING:
     from ..analysis.planner import QueryPlan
     from .network import Network
     from .optimize import OptimizationFlags
-    from .output_tx import OutputTransducer
 
 #: Interned-state budget of the shared lazy DFA (and of each per-slot
 #: condition DFA).  Generous for real query sets — the mondial/xmark
@@ -96,6 +95,11 @@ DEFAULT_MAX_STATES = 4096
 #: Shared empty result: adapters return it for the (vast majority of)
 #: events that decide nothing, so the hot path allocates no list.
 _NO_MATCHES: list[Match] = []
+
+#: Lanes whose runners need no per-event call from the driver: one
+#: :meth:`FastLaneCore.advance` does their work and
+#: :meth:`FastLaneCore.drain_matches` collects it.
+CORE_DRIVEN_LANES = frozenset({"dfa", "hybrid"})
 
 KIND_DFA = 1
 KIND_HYBRID = 2
@@ -305,7 +309,7 @@ class _Slot:
         self.queue: deque[_Candidate] = deque()
         self.open: list[_Candidate] = []
         self.watching: list[_Candidate] = []
-        #: undelivered matches; doubles as the adapter-sink's ``results``
+        #: undelivered matches
         self.out: deque[Match] = deque()
         self.dirty = False
 
@@ -401,9 +405,11 @@ class FastLaneCore:
         existing slot — its automaton part is identical, so every
         interned product state stays valid — and resets its runtime
         state with the position offset a freshly compiled network would
-        start from.  Registration is cheap because states missing the
-        new slot entirely remain correct: the new slot is simply dead in
-        them, which is exactly what those states now mean.
+        start from.  A new slot drops the memo, as a retired one does
+        (:meth:`_reset_document`): the states interned without it would
+        stay correct — the slot is simply dead in them — but nothing
+        reaches them from the new initial state, and a service that only
+        ever gains subscribers would fill the memo with them.
         """
         existing = self._by_query.get(query_id)
         if existing is not None and existing.kind == kind:
@@ -434,8 +440,8 @@ class FastLaneCore:
         slot.offset = self.ecount
         self._slots[slot.index] = slot
         self._by_query[query_id] = slot
-        # The initial state must include the new slot's start closure;
-        # every other interned state stays valid (see docstring).
+        # The initial state must include the new slot's start closure.
+        self._interned.clear()
         self._init = None
         return slot
 
@@ -786,40 +792,26 @@ class FastLaneCore:
 
 
 # ----------------------------------------------------------------------
-# adapters: the Network surface over a core slot
+# adapters: the runner protocol over a core slot
 
 
 class _AdapterBase:
-    """Common Network-shaped surface of the DFA-backed adapters.
+    """The runner of a query that lives entirely in the shared core.
 
-    The adapter is its own sink: ``sinks`` yields ``self`` and
-    ``results`` is the slot's out deque, so every driver that drains
-    ``network.sinks[*].results`` works unchanged.  The condition store
-    and allocator are fresh empties — fast-lane queries never allocate
-    condition variables, and checkpoints of empty stores round-trip.
+    Its undelivered matches are the slot's ``out`` deque, which the
+    driver collects through :meth:`FastLaneCore.drain_matches`;
+    :meth:`process_event` is for driving an adapter on its own.  Nothing
+    is ever buffered — a fast-lane query carries positions, not events.
     """
 
-    lane = "dfa"
+    buffered_events = 0
 
     def __init__(self, core: FastLaneCore, slot: _Slot, query: Rpeq) -> None:
         self._core = core
         self._slot = slot
         self.query = query
-        self.condition_store = ConditionStore()
-        self.allocator = VariableAllocator()
-        self.clock: object | None = None
-        self.limits = None
-        self.buffered_events = 0
         #: ``core.steps`` after the last event this adapter processed
         self._seen = core.steps
-
-    @property
-    def sinks(self) -> tuple["_AdapterBase", ...]:
-        return (self,)
-
-    @property
-    def results(self) -> deque[Match]:
-        return self._slot.out
 
     def process_event(self, event: Event) -> list[Match]:
         core = self._core
@@ -830,6 +822,10 @@ class _AdapterBase:
         out = self._slot.out
         if not out:
             return _NO_MATCHES
+        return self.flush()
+
+    def flush(self) -> list[Match]:
+        out = self._slot.out
         matches = list(out)
         out.clear()
         return matches
@@ -851,8 +847,6 @@ class _AdapterBase:
         slot = self._slot
         return {
             "fastlane": {
-                "kind": slot.kind,
-                "query": unparse(self.query),
                 **core.path_state(),
                 "offset": slot.offset,
                 "candidates": [
@@ -863,42 +857,31 @@ class _AdapterBase:
             }
         }
 
-    def restore(self, snap: dict[str, object]) -> None:
-        payload = snap.get("fastlane")
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                "network-lane snapshot cannot restore into a fast-lane "
-                "runner; re-run with the checkpoint's optimization flags"
-            )
+    def restore(self, snap: dict[str, Any]) -> None:
+        payload = snap["fastlane"]
         core = self._core
         slot = self._slot
-        if payload.get("kind") != slot.kind:
-            raise CheckpointError(
-                "fast-lane snapshot kind does not match the compiled lane"
-            )
         core.restore_path(payload)
-        slot.reset(int(payload["offset"]))  # type: ignore[arg-type]
-        open_by_depth: dict[int, _Candidate] = {}
-        for pos, label, depth, state_name, done in payload["candidates"]:  # type: ignore[misc]
+        slot.reset(int(payload["offset"]))
+        for pos, label, depth, state_name, done in payload["candidates"]:
             cand = _Candidate(int(pos), str(label), int(depth))
             cand.state = _STATE_CODES[str(state_name)]
             cand.done = bool(done)
             slot.queue.append(cand)
             if not cand.done:
-                open_by_depth[cand.depth] = cand
                 slot.open.append(cand)
         if slot.open:
             slot.open.sort(key=lambda c: c.depth)
             core._open_slots.add(slot)
         if slot.kind == KIND_HYBRID:
-            self._rebuild_cstacks(open_by_depth)
-        for pos, label in payload["pending_out"]:  # type: ignore[misc]
+            self._rebuild_cstacks()
+        for pos, label in payload["pending_out"]:
             slot.out.append(Match(int(pos), str(label), None))
         if slot.out and not slot.dirty:
             slot.dirty = True
             core._dirty.append(slot)
 
-    def _rebuild_cstacks(self, open_by_depth: dict[int, _Candidate]) -> None:
+    def _rebuild_cstacks(self) -> None:
         """Recompute condition stacks by replaying path labels below each
         pending open candidate — the stacks are pure label functions."""
         core = self._core
@@ -929,13 +912,9 @@ class _AdapterBase:
 class FastLaneAdapter(_AdapterBase):
     """dfa-lane runner: the query lives entirely in the shared DFA."""
 
-    lane = "dfa"
-
 
 class HybridAdapter(_AdapterBase):
     """Native hybrid runner: DFA spine + per-candidate condition DFA."""
-
-    lane = "hybrid"
 
 
 class GatedNetworkAdapter:
@@ -967,8 +946,6 @@ class GatedNetworkAdapter:
     right before the next fed start tag.
     """
 
-    lane = "gated"
-
     def __init__(
         self, core: FastLaneCore, slot: _Slot, network: "Network", query: Rpeq
     ) -> None:
@@ -980,6 +957,9 @@ class GatedNetworkAdapter:
         self._source = network.source
         self._sinks = network.sinks
         self.query = query
+        #: the residual network's half of the runner protocol
+        self.flush = network.flush
+        self.deactivate = network.deactivate
         #: depth of the innermost *fed* open element
         self._fed = 0
         #: start tags the sink has accounted for (fed or advanced past),
@@ -989,32 +969,8 @@ class GatedNetworkAdapter:
         self._seen = core.steps
 
     @property
-    def sinks(self) -> list["OutputTransducer"]:
-        return self._sinks
-
-    @property
-    def condition_store(self) -> ConditionStore:
-        return self._network.condition_store
-
-    @property
-    def allocator(self) -> VariableAllocator:
-        return self._network.allocator
-
-    @property
-    def clock(self) -> object | None:
-        return self._network.clock
-
-    @clock.setter
-    def clock(self, value: object | None) -> None:
-        self._network.clock = value
-
-    @property
-    def limits(self) -> object | None:
-        return self._network.limits
-
-    @property
     def buffered_events(self) -> int:
-        return sum(s.buffered_events for s in self._sinks)
+        return self._network.buffered_events
 
     @property
     def parked(self) -> int:
@@ -1089,7 +1045,6 @@ class GatedNetworkAdapter:
         slot = self._slot
         return {
             "fastlane": {
-                "kind": KIND_GATE,
                 **self._core.path_state(),
                 "offset": slot.offset,
                 "parked": self.parked,
@@ -1100,12 +1055,8 @@ class GatedNetworkAdapter:
             "network": self._network.snapshot(),
         }
 
-    def restore(self, snap: dict[str, object]) -> None:
-        payload = snap.get("fastlane")
-        if not isinstance(payload, dict) or payload.get("kind") != KIND_GATE:
-            raise CheckpointError(
-                "snapshot lane does not match the gated fast-lane runner"
-            )
+    def restore(self, snap: dict[str, Any]) -> None:
+        payload = snap["fastlane"]
         core = self._core
         slot = self._slot
         core.restore_path(payload)
@@ -1116,7 +1067,7 @@ class GatedNetworkAdapter:
         self._counted = int(payload["counted"])
         slot.fed_events = int(payload["fed_events"])
         slot.parked_events = int(payload["parked_events"])
-        self._network.restore(snap["network"])  # type: ignore[arg-type]
+        self._network.restore(snap["network"])
 
 
 # ----------------------------------------------------------------------

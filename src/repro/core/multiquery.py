@@ -30,8 +30,9 @@ Every way of consuming a pass is a caller of that transition:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Protocol
 
 from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
 from ..limits import ResourceLimits
@@ -51,13 +52,7 @@ from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
 from .compiler import compile_network
 from .engine import EngineStats, RobustnessCounters, recovery_policy
-from .fastlane import (
-    FastLaneAdapter,
-    FastLaneCore,
-    GatedNetworkAdapter,
-    HybridAdapter,
-    build_lane_runner,
-)
+from .fastlane import CORE_DRIVEN_LANES, FastLaneCore, build_lane_runner
 from .network import Network
 from .optimize import OptimizationFlags, as_flags
 from .output_tx import Match
@@ -73,6 +68,21 @@ from .serving import (
     classify_admission,
     ensure_admitted,
 )
+
+
+class Runner(Protocol):
+    """One query's evaluator on its execution lane, as :class:`ServePump`
+    drives it — the table in ``docs/architecture.md`` says what each
+    call owes.  A :class:`~repro.core.network.Network` is one, and so is
+    each adapter of :mod:`repro.core.fastlane`."""
+
+    def process_event(self, event: Event) -> list[Match]: ...
+    def flush(self) -> list[Match]: ...
+    @property
+    def buffered_events(self) -> int: ...
+    def deactivate(self) -> None: ...
+    def snapshot(self) -> dict: ...
+    def restore(self, state: dict) -> None: ...
 
 
 class MultiQueryEngine:
@@ -169,7 +179,7 @@ class MultiQueryEngine:
         #: :class:`~repro.core.serving.ServingReport` of the most recent
         #: :meth:`serve` pass (``None`` before the first one)
         self.serving: ServingReport | None = None
-        self._last_networks: dict[str, Network] | None = None
+        self._last_runners: dict[str, Runner] | None = None
         self._last_cursor: StreamCursor | None = None
         self._breakers: dict[str, CircuitBreaker] | None = None
 
@@ -186,15 +196,11 @@ class MultiQueryEngine:
         ``fastlane_dfa_queries``, i.e. it actually executed on the
         shared lazy DFA rather than a transducer network.
         """
-        lanes = self.lane_executions
+        lanes = Counter(self.lane_executions.values())
         stats = EngineStats(
-            fastlane_dfa_queries=sum(1 for lane in lanes.values() if lane == "dfa"),
-            fastlane_hybrid_queries=sum(
-                1 for lane in lanes.values() if lane == "hybrid"
-            ),
-            fastlane_gated_queries=sum(
-                1 for lane in lanes.values() if lane == "gated"
-            ),
+            fastlane_dfa_queries=lanes["dfa"],
+            fastlane_hybrid_queries=lanes["hybrid"],
+            fastlane_gated_queries=lanes["gated"],
             fastlane_demotions=len(self.lane_demotions),
         )
         core = self._fastlane_core
@@ -227,25 +233,6 @@ class MultiQueryEngine:
         if decision is not None and decision.limits is not None:
             return decision.limits
         return self.limits
-
-    def _planning_limits(self) -> ResourceLimits | None:
-        """The limits queries are planned under: the engine's, with the
-        admission policy's ``depth_bound`` filled in when the engine
-        sets no depth of its own (mirrors ``classify_admission``)."""
-        from dataclasses import replace
-
-        limits = self.limits
-        policy = self.admission
-        if (
-            policy is not None
-            and policy.depth_bound is not None
-            and (limits is None or limits.max_depth is None)
-        ):
-            limits = replace(
-                limits if limits is not None else ResourceLimits(),
-                max_depth=policy.depth_bound,
-            )
-        return limits
 
     def _preflight_one(self, query_id: str, query: Rpeq):
         from ..analysis.preflight import ensure_preflight
@@ -301,7 +288,10 @@ class MultiQueryEngine:
             if result.certified and result.changed:
                 rewritten = result
                 expr = result.rewritten
-        plan, _report = plan_query(expr, limits=self._planning_limits())
+        limits = self.limits
+        if self.admission is not None:
+            limits = self.admission.planning_limits(limits)
+        plan, _report = plan_query(expr, limits=limits)
         if rewritten is not None:
             # The planner saw the rewritten query, so it counted zero
             # steps — stamp the actual count from the applied rewrite.
@@ -337,29 +327,35 @@ class MultiQueryEngine:
         self.lane_demotions.pop(query_id, None)
         if self.analysis is not None:
             self.analysis.pop(query_id, None)
-
-    def _fastlane(self) -> FastLaneCore:
-        core = self._fastlane_core
-        if core is None:
-            core = self._fastlane_core = FastLaneCore()
-        return core
+        if self.serving is not None and query_id not in (self._breakers or ()):
+            # closed in the pump (or never attached): nothing will touch
+            # its outcome again, so the report keeps the totals only
+            self.serving.depart(query_id)
 
     def _compile_one(
         self,
         query_id: str,
         clock: Clock | None = None,
         collect_events: bool | None = None,
-        force_network: bool = False,
-    ) -> Network:
+        lane: str | None = None,
+    ) -> Runner:
         """Compile one query onto its execution lane.
 
-        Returns either a plain transducer :class:`Network` or one of the
-        fast-lane runners of :mod:`repro.core.fastlane`, which expose
-        the same driver surface.  Fast lanes require the plain-match
+        Returns a *runner* (``docs/architecture.md``): a plain
+        transducer :class:`Network` or one of the fast-lane runners of
+        :mod:`repro.core.fastlane`.  Fast lanes require the plain-match
         configuration they were proved against: no event collection and
         no per-query resource limits (a limit-armed network must see
         every event to count it, and a gated query's residual network
         is only fed the events it needs).
+
+        ``lane`` is the lane a checkpoint says the query was executing
+        on; the runner compiled here must land on it to take its
+        snapshot.
+
+        Raises:
+            CheckpointError: the query compiles onto another lane than
+                ``lane`` under this engine's flags and limits.
         """
         collect = self.collect_events if collect_events is None else collect_events
         limits = self._effective_limits(query_id)
@@ -368,19 +364,22 @@ class MultiQueryEngine:
         def factory(
             expr: Rpeq = query, source: InputTransducer | None = None
         ) -> Network:
-            return compile_network(
+            network = compile_network(
                 expr,
                 collect_events=collect,
                 optimize=self.optimize,
                 limits=limits,
                 source=source,
             )[0]
+            if clock is not None:
+                network.clock = clock
+            return network
 
-        runner: Network | None = None
-        lane = "network"
+        runner: Runner | None = None
+        executed = "network"
         flags = self.optimize
         if (
-            not force_network
+            lane != "network"
             and not collect
             and limits is None
             and (flags.dfa_lane or flags.hybrid_gate)
@@ -396,8 +395,10 @@ class MultiQueryEngine:
                 prefix = split_at_prefix(query)[0]
                 have = None if isinstance(prefix, Empty) else unparse(prefix)
                 assert have == plan.prefix, (query_id, have, plan.prefix)
-            runner, lane, reason = build_lane_runner(
-                self._fastlane(),
+            if self._fastlane_core is None:
+                self._fastlane_core = FastLaneCore()
+            runner, executed, reason = build_lane_runner(
+                self._fastlane_core,
                 query_id,
                 query,
                 plan,
@@ -406,30 +407,34 @@ class MultiQueryEngine:
             )
             if reason is not None:
                 self.lane_demotions[query_id] = reason
-        self.lane_executions[query_id] = lane
-        result = runner if runner is not None else factory()
-        if clock is not None:
-            result.clock = clock
-        return result
+        if lane is not None and executed != lane:
+            raise CheckpointError(
+                f"query {query_id!r} was checkpointed on the {lane} lane but "
+                f"compiles onto the {executed} lane here; resume with the "
+                f"checkpoint's optimization flags and without limits the "
+                f"checkpointed pass did not have"
+            )
+        self.lane_executions[query_id] = executed
+        return runner if runner is not None else factory()
 
     def _compile_all(
         self,
         collect_events: bool | None = None,
         clock: Clock | None = None,
-    ) -> dict[str, Network]:
+    ) -> dict[str, Runner]:
         # A fresh pass gets a fresh shared DFA: networks restart their
         # per-pass state, so the fast-lane core must too.
         self._fastlane_core = None
         self.lane_executions = {}
         self.lane_demotions = {}
-        networks: dict[str, Network] = {}
+        runners: dict[str, Runner] = {}
         for query_id in self.queries:
             if not self._is_admitted(query_id):
                 continue
-            networks[query_id] = self._compile_one(
+            runners[query_id] = self._compile_one(
                 query_id, clock=clock, collect_events=collect_events
             )
-        return networks
+        return runners
 
     def run(
         self,
@@ -474,16 +479,16 @@ class MultiQueryEngine:
         state.
         """
         clock = as_clock(clock)
-        networks = self._compile_all(collect_events, clock)
-        breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in networks}
-        self._last_networks = networks
+        runners = self._compile_all(collect_events, clock)
+        breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in runners}
+        self._last_runners = runners
         self._last_cursor = cursor
         self._breakers = breakers if serving is not None else None
         if serving is None:
             serving = ServingReport()
         if cursor is None:
             cursor = StreamCursor()  # private: checks, but cannot checkpoint
-        return ServePump(self, networks, policy, serving, breakers, clock, cursor)
+        return ServePump(self, runners, policy, serving, breakers, clock, cursor)
 
     def _drive(
         self,
@@ -519,7 +524,6 @@ class MultiQueryEngine:
         cursor: StreamCursor | None = None,
         clock: Clock | None = None,
         parser_limits: ParserLimits | None = None,
-        quarantined: Iterable[str] = (),
     ) -> Iterator[tuple[str, Match]]:
         """Evaluate all queries with per-query fault domains.
 
@@ -547,29 +551,18 @@ class MultiQueryEngine:
         Under ``on_error="skip"``/``"repair"`` every recovered document
         runs on a fresh live set and its matches are delivered together
         at its ``</$>``, in the order a strict pass emits them.
-
-        ``quarantined`` names queries that enter the pass already
-        poisoned: their breakers are latched open before the first event
-        (outcome ``POISON``), so they never run and never re-admit —
-        the shard layer uses this to keep convicted poison-pill queries
-        out of a freshly started worker without a checkpoint to carry
-        the latch.
         """
         recovery = recovery_policy(on_error, cursor)
-        pump = self.start_pump(policy, clock, cursor, quarantined)
+        pump = self.start_pump(policy, clock, cursor)
         return self._drive(pump, source, recovery, report, parser_limits)
 
-    def _record_plans(self, serving: ServingReport) -> None:
-        """Mirror the registration-time query plans into the report."""
-        for query_id, plan in self.plans.items():
-            serving.plans[query_id] = plan.to_obj()
-
     def _admission_outcome(self, serving: ServingReport, query_id: str) -> bool:
-        """Record a query's admission decision in ``serving``.
+        """Record a query's plan and admission decision in ``serving``.
 
         Returns ``True`` when the query may join the pass (cleanly or
         degraded), ``False`` on a rejection.
         """
+        serving.plans[query_id] = self.plans[query_id].to_obj()
         outcome = serving.outcome(query_id)
         decision = self.admissions.get(query_id)
         if decision is None:
@@ -616,13 +609,18 @@ class MultiQueryEngine:
         :class:`~repro.errors.StreamError` exactly where :meth:`run`
         would.  Passing the ``cursor`` keeps the pass checkpointable:
         :meth:`checkpoint` may be called between any two :meth:`feed`
-        calls.  ``quarantined`` pre-latches poison-pill queries exactly
-        as in :meth:`serve`.
+        calls.
+
+        ``quarantined`` names queries that enter the pass already
+        poisoned: their breakers are latched open before the first event
+        (outcome ``POISON``), so they never run and never re-admit —
+        the shard layer uses this to keep convicted poison-pill queries
+        out of a freshly started worker without a checkpoint to carry
+        the latch.
         """
         policy = policy if policy is not None else ServingPolicy()
         serving = ServingReport()
         self.serving = serving
-        self._record_plans(serving)
         for query_id in self.queries:
             self._admission_outcome(serving, query_id)
         pump = self._open_pump(policy, clock, cursor, serving)
@@ -636,33 +634,30 @@ class MultiQueryEngine:
         """Capture the in-flight shared pass as a :class:`Checkpoint`.
 
         Valid between events of a strict :meth:`run` that was given a
-        ``cursor``; every subscription's network, condition store and
-        variable allocator is snapshotted against the one shared source
-        position.
+        ``cursor``; every live subscription's runner is snapshotted
+        against the one shared source position.
 
         Raises:
             CheckpointError: no cursor-tracked strict pass to capture.
         """
-        if self._last_cursor is None or self._last_networks is None:
+        if self._last_cursor is None or self._last_runners is None:
             raise CheckpointError(
                 "nothing to checkpoint: pass a StreamCursor to run() "
                 "(strict mode) and start consuming it first"
             )
         payload = {
-            "queries": {
-                query_id: unparse(query)
+            # registration order is the cross-query emission order, so
+            # it is data: a list, which a sorted-key file cannot reorder
+            "subscriptions": [
+                [query_id, unparse(query), self.lane_executions.get(query_id)]
                 for query_id, query in self.queries.items()
-            },
+            ],
             "collect_events": self.collect_events,
             "optimize": self.optimize.to_obj(),
             "cursor": self._last_cursor.state(),
-            "networks": {
-                query_id: {
-                    "network": network.snapshot(),
-                    "store": network.condition_store.snapshot(),
-                    "allocator": network.allocator.snapshot(),
-                }
-                for query_id, network in self._last_networks.items()
+            "runners": {
+                query_id: runner.snapshot()
+                for query_id, runner in self._last_runners.items()
             },
         }
         if self._breakers is not None and self.serving is not None:
@@ -727,10 +722,10 @@ class MultiQueryEngine:
         the caller (the asyncio service frontend) pushes events arriving
         over the network into it, exactly as :meth:`start_pump` callers
         do.  Every restored artifact is the same as :meth:`resume`'s:
-        sub-network snapshots, the condition stores and allocators, the
-        stream cursor, the :class:`~repro.core.serving.ServingReport`
-        (so document indices continue where the cut left them), and the
-        circuit breakers — including latched quarantine convictions,
+        the runner snapshots, the stream cursor, the
+        :class:`~repro.core.serving.ServingReport` (so document indices
+        continue where the cut left them), and the circuit breakers —
+        including latched quarantine convictions,
         which stay latched without any offline engine round-trip.
 
         The caller owns the replay contract :meth:`resume` enforces with
@@ -762,28 +757,34 @@ class MultiQueryEngine:
     ) -> "ServePump":
         """Shared state restoration of :meth:`resume`/:meth:`resume_pump`.
 
-        Validates the checkpoint against this engine's registrations,
-        revives every snapshotted sub-network (with its condition store
-        and allocator), the stream cursor and — for a serving pass —
-        the report and the breakers.  Only the sub-networks present in
-        the checkpoint are revived: queries that were quarantined, shed
-        or rejected at the cut have no snapshot, and re-admitting them
-        is the breaker's call, not the resume path's.  A checkpoint of a
-        plain :meth:`run` revives under the inert policy.
+        Validates the checkpoint against this engine's registrations
+        and options, revives every snapshotted runner on the lane the
+        checkpoint names for it, the stream cursor and — for a serving
+        pass — the report and the breakers.  Only the runners present
+        in the checkpoint are revived: queries that were quarantined,
+        shed or rejected at the cut have no snapshot, and re-admitting
+        them is the breaker's call, not the resume path's.  A checkpoint
+        of a plain :meth:`run` revives under the inert policy.
         """
-        have = {
-            query_id: unparse(query) for query_id, query in self.queries.items()
-        }
-        if payload["queries"] != have:
+        subscriptions = payload["subscriptions"]
+        if [[query_id, text] for query_id, text, _lane in subscriptions] != [
+            [query_id, unparse(query)] for query_id, query in self.queries.items()
+        ]:
             raise CheckpointError(
                 "checkpoint subscription set does not match this engine's "
-                "queries"
+                "queries in their registration order"
             )
         if bool(payload["collect_events"]) != self.collect_events:
             raise CheckpointError(
                 f"checkpoint was taken with collect_events="
                 f"{bool(payload['collect_events'])}, engine has "
                 f"collect_events={self.collect_events}"
+            )
+        if as_flags(payload["optimize"]) != self.optimize:
+            raise CheckpointError(
+                f"checkpoint was taken with optimize="
+                f"{as_flags(payload['optimize']).describe()}, engine has "
+                f"optimize={self.optimize.describe()}"
             )
         # Two-phase revival: every runner is compiled (and its fast-lane
         # slot registered in the shared DFA) before any state is
@@ -793,54 +794,34 @@ class MultiQueryEngine:
         self.lane_executions = {}
         self.lane_demotions = {}
         clock = as_clock(clock)
-        compiled: list[tuple[str, Network, dict]] = []
-        for query_id in self.queries:  # the live set is kept in this order
-            states = payload["networks"].get(query_id)
-            if states is None or not self._is_admitted(query_id):
-                continue
-            snap = states["network"]
-            wants_fastlane = isinstance(snap, dict) and "fastlane" in snap
-            network = self._compile_one(
-                query_id, clock, force_network=not wants_fastlane
-            )
-            if wants_fastlane and isinstance(network, Network):
-                raise CheckpointError(
-                    f"query {query_id!r} was checkpointed on a fast lane "
-                    f"but compiles to a transducer network here; restore "
-                    f"with the checkpoint's optimization flags "
-                    f"(see the payload's 'optimize' entry)"
-                )
-            compiled.append((query_id, network, states))
-        networks: dict[str, Network] = {}
-        for query_id, network, states in compiled:
-            network.restore(states["network"])
-            network.condition_store.restore(states["store"])
-            network.allocator.restore(states["allocator"])
-            networks[query_id] = network
+        states = payload["runners"]
+        runners: dict[str, Runner] = {
+            query_id: self._compile_one(query_id, clock, lane=lane)
+            for query_id, _text, lane in subscriptions  # the live set's order
+            if query_id in states and self._is_admitted(query_id)
+        }
+        for query_id, runner in runners.items():
+            runner.restore(states[query_id])
         cursor = StreamCursor.from_state(payload["cursor"])
-        self._last_networks = networks
+        self._last_runners = runners
         self._last_cursor = cursor
         self.robustness.restores += 1
         state = payload.get("serving")
         if state is None:
             self._breakers = None
-            breakers = {query_id: CircuitBreaker() for query_id in networks}
+            breakers = {query_id: CircuitBreaker() for query_id in runners}
             return ServePump(
-                self, networks, _INERT, ServingReport(), breakers, clock, cursor
+                self, runners, _INERT, ServingReport(), breakers, clock, cursor
             )
         policy = policy if policy is not None else ServingPolicy()
         serving = ServingReport.from_obj(state)
-        # Checkpoints written before the planner existed carry no plans;
-        # re-derive them from the (restored) registrations.
-        if not serving.plans:
-            self._record_plans(serving)
         breakers = {}
         for query_id, snap in state["breakers"].items():
             breakers[query_id] = CircuitBreaker(policy.breaker)
             breakers[query_id].restore(snap)
         self.serving = serving
         self._breakers = breakers
-        return ServePump(self, networks, policy, serving, breakers, clock, cursor)
+        return ServePump(self, runners, policy, serving, breakers, clock, cursor)
 
     @classmethod
     def from_checkpoint(
@@ -852,12 +833,11 @@ class MultiQueryEngine:
         """Build an engine matching the checkpoint's subscription set."""
         payload = checkpoint.require("multiquery")
         return cls(
-            dict(payload["queries"]),
+            {query_id: text for query_id, text, _lane in payload["subscriptions"]},
             collect_events=bool(payload["collect_events"]),
             limits=limits,
             admission=admission,
-            # pre-lane checkpoints carry no flags; they meant "all on"
-            optimize=as_flags(payload.get("optimize", True)),
+            optimize=as_flags(payload["optimize"]),
         )
 
     def evaluate(
@@ -979,7 +959,10 @@ class ServePump:
     of the serving layer (quarantine, breakers, deadlines, shedding,
     document-boundary re-admission) therefore have exactly one
     implementation, and a network subscriber's match stream is
-    bit-identical to an offline pass by construction.
+    bit-identical to an offline pass by construction.  Per live query
+    the pump holds a :class:`Runner` and touches it through that
+    protocol only (the table in ``docs/architecture.md``, *The runner
+    protocol*), whichever lane the query executes on.
 
     On top of the per-event transition the pump supports the *dynamic
     subscription set* a long-lived service needs: :meth:`attach`
@@ -994,7 +977,7 @@ class ServePump:
     def __init__(
         self,
         engine: MultiQueryEngine,
-        live: dict[str, Network],
+        live: dict[str, Runner],
         policy: ServingPolicy,
         serving: ServingReport,
         breakers: dict[str, CircuitBreaker],
@@ -1072,7 +1055,6 @@ class ServePump:
     def close(
         self,
         query_id: str,
-        status: str = "closed",
         code: str | None = None,
         reason: str | None = None,
         degraded: bool = False,
@@ -1088,7 +1070,7 @@ class ServePump:
         if self._breakers.pop(query_id, None) is None:
             return []
         outcome = self.serving.outcome(query_id)
-        outcome.status = status
+        outcome.status = "closed"
         outcome.code = code
         outcome.reason = reason
         if degraded:
@@ -1113,20 +1095,14 @@ class ServePump:
     def _unlink(self, query_id: str) -> list[Match]:
         """Drop a live query's runner; return its undelivered matches.
 
-        The sub-network is unlinked (its buffers go with it) and any
-        matches it had already decided but not yet delivered are
-        returned so the caller can flush them.
+        The runner is unlinked (its buffers go with it, and its slot in
+        the shared DFA stops) and any matches it had already decided but
+        not yet delivered are returned so the caller can flush them.
         """
-        network = self._live.pop(query_id)
+        runner = self._live.pop(query_id)
         self._stale()
-        flushed: list[Match] = []
-        for sink in network.sinks:
-            flushed.extend(sink.results)
-            sink.results.clear()
-        deactivate = getattr(network, "deactivate", None)
-        if deactivate is not None:
-            # fast-lane runner: stop its slot in the shared DFA too
-            deactivate()
+        flushed = runner.flush()
+        runner.deactivate()
         self.serving.outcome(query_id).matches += len(flushed)
         return flushed
 
@@ -1141,7 +1117,7 @@ class ServePump:
         outcome.reason = reason
         outcome.document = serving.documents_seen - 1 if serving.documents_seen else None
         outcome.degraded = True
-        return self._unlink(query_id)
+        return self._unlink(query_id) if query_id in self._live else []
 
     def _quarantine(self, query_id: str, exc: Exception) -> list[Match]:
         code = "LIMIT" if isinstance(exc, ResourceLimitError) else "ERROR"
@@ -1171,17 +1147,14 @@ class ServePump:
             if breaker is None or breaker.latched:
                 continue
             breaker.latch()
-            if query_id in self._live:
-                self._unlink(query_id)
-            outcome = self.serving.outcome(query_id)
-            outcome.status = "quarantined"
-            outcome.code = "POISON"
-            outcome.reason = (
+            self._detach(
+                query_id,
+                "quarantined",
+                "POISON",
                 "pre-quarantined as a poison pill (crashed its shard "
-                "worker process)"
+                "worker process)",
             )
-            outcome.degraded = True
-            outcome.trips = breaker.trips
+            self.serving.outcome(query_id).trips = breaker.trips
             self.serving.quarantines += 1
             self._engine.robustness.quarantines += 1
 
@@ -1193,7 +1166,7 @@ class ServePump:
         for query_id in sorted(live, key=lambda q: (policy.priorities.get(q, 0), q)):
             if total <= policy.shed_buffered_events:
                 break
-            load = sum(s.buffered_events for s in live[query_id].sinks)
+            load = live[query_id].buffered_events
             flushed = self._detach(
                 query_id,
                 "shed",
@@ -1315,10 +1288,11 @@ class ServePump:
         live = self._live
         serving = self.serving
         core = engine._fastlane_core
+        lanes = engine.lane_executions
         runners = [
-            (query_id, network.process_event)
-            for query_id, network in live.items()
-            if not isinstance(network, (FastLaneAdapter, HybridAdapter))
+            (query_id, runner.process_event)
+            for query_id, runner in live.items()
+            if lanes.get(query_id) not in CORE_DRIVEN_LANES
         ]
         advance = core.advance if core is not None else None
         dirty = core._dirty if core is not None else ()
@@ -1383,10 +1357,7 @@ class ServePump:
             if cls is EndDocument:
                 self._close_document()
             if shed_above is not None and live:
-                total = sum(
-                    sum(s.buffered_events for s in network.sinks)
-                    for network in live.values()
-                )
+                total = sum(runner.buffered_events for runner in live.values())
                 if total > shed_above:
                     out = [*(out or ()), *self._shed(total)]
             return out

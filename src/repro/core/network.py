@@ -344,6 +344,26 @@ class Network:
             yield from self.process_event(event)
 
     # ------------------------------------------------------------------
+    # the rest of the runner protocol (docs/architecture.md)
+
+    def flush(self) -> list[Match]:
+        """Hand over every match decided but not yet delivered."""
+        flushed: list[Match] = []
+        for sink in self.sinks:
+            flushed.extend(sink.results)
+            sink.results.clear()
+        return flushed
+
+    @property
+    def buffered_events(self) -> int:
+        """Events held for undetermined candidates, over all sinks."""
+        return sum(sink.buffered_events for sink in self.sinks)
+
+    def deactivate(self) -> None:
+        """Detach.  A plain network is referenced by nothing but its
+        driver, so dropping it is all there is to do."""
+
+    # ------------------------------------------------------------------
     # checkpointing
 
     def snapshot(self) -> dict:
@@ -352,15 +372,20 @@ class Network:
         Node states are keyed by the unique display names assigned in
         :meth:`finalize`; since compilation is deterministic for a given
         (query, optimize) pair, the same query always produces the same
-        name set — which doubles as an integrity check on restore.
+        name set — which doubles as an integrity check on restore.  The
+        condition store and the variable allocator the compiler attached
+        are part of the state and of the snapshot.
         """
         if not self._finalized:
             raise EngineError("cannot snapshot an unfinalized network")
+        store, allocator = self.condition_store, self.allocator
         return {
             "nodes": {node.name: node.snapshot() for node in self._nodes},
             "depth": self._depth,
             "doc_events": self._doc_events,
             "events": self._events,
+            "store": store.snapshot() if store is not None else None,
+            "allocator": allocator.snapshot() if allocator is not None else None,
         }
 
     def restore(self, state: dict) -> None:
@@ -383,6 +408,10 @@ class Network:
             )
         for node in self._nodes:
             node.restore(nodes[node.name])
+        if self.condition_store is not None:
+            self.condition_store.restore(state["store"])
+        if self.allocator is not None:
+            self.allocator.restore(state["allocator"])
         self._depth = int(state["depth"])
         self._doc_events = int(state["doc_events"])
         self._events = int(state["events"])

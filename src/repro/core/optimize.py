@@ -2,9 +2,11 @@
 
 ``optimize=`` parameters throughout the library accept either a plain
 bool — ``True`` is every knob on, ``False`` the literal Fig. 11 network
-with none — or an :class:`OptimizationFlags` instance.  Three knobs
-remain, because three things are still selected by a caller that exists
-(the differential suites and the bench ladder):
+with none — or an :class:`OptimizationFlags` instance; a checkpoint
+carries the three-key dict of :meth:`OptimizationFlags.to_obj` and
+nothing else.  Three knobs remain, because three things are still
+selected by a caller that exists (the differential suites and the bench
+ladder):
 
 * ``production_network`` — compile and drive transducer networks the
   production way, which differs from the reference in exactly two
@@ -38,14 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import product
 
-from ..errors import CheckpointError
-
-#: The five network-level knobs of checkpoint format 2, always on
-#: together since PR 5/PR 10 and now one: ``production_network``.  The
-#: names outlive what two of them selected (the memo and the pool are
-#: gone): format-2 checkpoints still spell them and must decode.
-_FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
-
 
 @dataclass(frozen=True, slots=True)
 class OptimizationFlags:
@@ -55,13 +49,8 @@ class OptimizationFlags:
     dfa_lane: bool = True
     hybrid_gate: bool = True
 
-    def to_obj(self) -> object:
-        """Checkpoint encoding: plain bool for the two endpoint presets
-        (keeps old-format checkpoints round-tripping), a dict otherwise."""
-        if self == ALL_OPTIMIZATIONS:
-            return True
-        if self == NO_OPTIMIZATIONS:
-            return False
+    def to_obj(self) -> dict[str, bool]:
+        """Checkpoint encoding: one key per knob, always."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def describe(self) -> str:
@@ -81,35 +70,18 @@ def as_flags(value: object) -> OptimizationFlags:
     """Normalize an ``optimize=`` argument (or its checkpoint encoding).
 
     Accepts an :class:`OptimizationFlags`, a bool (endpoint presets) or
-    the dict encoding :meth:`OptimizationFlags.to_obj` produces —
-    including the seven-key dicts older checkpoints carry, whose five
-    network keys fold into ``production_network``.
+    the dict encoding :meth:`OptimizationFlags.to_obj` produces.
 
     Raises:
-        ValueError: a key that never was a knob.
-        CheckpointError: a seven-key dict whose network keys disagree —
-            a topology this version can no longer compile.
+        ValueError: a key that is not a knob.
     """
     if isinstance(value, OptimizationFlags):
         return value
     if isinstance(value, dict):
-        known = {f.name for f in fields(OptimizationFlags)}
-        unknown = set(value) - known - set(_FOLDED)
+        unknown = set(value) - {f.name for f in fields(OptimizationFlags)}
         if unknown:
             raise ValueError(f"unknown optimization flag(s): {sorted(unknown)}")
-        knobs = {k: bool(v) for k, v in value.items() if k in known}
-        if not known.issuperset(value):
-            # the old decoder read an absent key as "on"
-            off = sorted(k for k in _FOLDED if not value.get(k, True))
-            if off and len(off) < len(_FOLDED):
-                raise CheckpointError(
-                    f"checkpoint mixes the network knobs that are now one "
-                    f"(off: {off}, on: {sorted(set(_FOLDED) - set(off))}); "
-                    f"only all-on (production_network) and all-off (the "
-                    f"reference network) can still be compiled"
-                )
-            knobs.setdefault("production_network", not off)
-        return OptimizationFlags(**knobs)
+        return OptimizationFlags(**{k: bool(v) for k, v in value.items()})
     return ALL_OPTIMIZATIONS if value else NO_OPTIMIZATIONS
 
 

@@ -36,7 +36,7 @@ robustness counters / CLI recovery summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -234,6 +234,15 @@ class AdmissionPolicy:
         ):
             raise ValueError("degrade_sigma must not exceed reject_sigma")
 
+    def planning_limits(self, limits: ResourceLimits | None) -> ResourceLimits | None:
+        """``limits`` as queries are planned and certified under them:
+        with ``depth_bound`` filled in where they set no depth."""
+        if self.depth_bound is None or (
+            limits is not None and limits.max_depth is not None
+        ):
+            return limits
+        return replace(limits or ResourceLimits(), max_depth=self.depth_bound)
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -302,14 +311,8 @@ def classify_admission(
     """
     from ..analysis.planner import plan_query
 
-    depth = policy.depth_bound
-    effective = limits
-    if depth is not None and (limits is None or limits.max_depth is None):
-        effective = replace(
-            limits if limits is not None else ResourceLimits(), max_depth=depth
-        )
     if plan is None:
-        plan, _report = plan_query(query, limits=effective)
+        plan, _report = plan_query(query, limits=policy.planning_limits(limits))
     sigma = plan.sigma_refined
     lane = plan.lane
 
@@ -445,32 +448,16 @@ class QueryOutcome:
         return self.status == "ok"
 
     def to_obj(self) -> dict:
-        """JSON-serializable form (checkpoint / IPC codec)."""
-        return {
-            "status": self.status,
-            "code": self.code,
-            "reason": self.reason,
-            "document": self.document,
-            "degraded": self.degraded,
-            "matches": self.matches,
-            "trips": self.trips,
-            "readmissions": self.readmissions,
-        }
+        """JSON-serializable form (checkpoint / IPC codec): every field
+        but the id, which keys the entry."""
+        obj = asdict(self)
+        del obj["query_id"]
+        return obj
 
     @classmethod
     def from_obj(cls, query_id: str, obj: Mapping) -> "QueryOutcome":
         """Inverse of :meth:`to_obj`."""
-        return cls(
-            query_id=query_id,
-            status=str(obj["status"]),
-            code=obj["code"],
-            reason=obj["reason"],
-            document=obj["document"],
-            degraded=bool(obj["degraded"]),
-            matches=int(obj["matches"]),
-            trips=int(obj["trips"]),
-            readmissions=int(obj["readmissions"]),
-        )
+        return cls(query_id, **obj)
 
 
 @dataclass
@@ -496,6 +483,11 @@ class ServingReport:
     admitted: int = 0
     admitted_degraded: int = 0
     rejected: int = 0
+    #: queries that left for good (:meth:`depart`): how many, how many of
+    #: them with a ``degraded`` outcome, and the matches they were sent
+    departed: int = 0
+    departed_degraded: int = 0
+    departed_matches: int = 0
 
     #: the integer counters serialized by :meth:`to_obj` (order matters
     #: only for readability; the codec is keyed, not positional).
@@ -510,12 +502,30 @@ class ServingReport:
         "admitted",
         "admitted_degraded",
         "rejected",
+        "departed",
+        "departed_degraded",
+        "departed_matches",
     )
 
     def outcome(self, query_id: str) -> QueryOutcome:
         if query_id not in self.outcomes:
             self.outcomes[query_id] = QueryOutcome(query_id)
         return self.outcomes[query_id]
+
+    def depart(self, query_id: str) -> None:
+        """Fold a removed query's outcome into the totals and drop it.
+
+        A service mints a query id per connection; keeping an entry per
+        id that ever subscribed would grow the report — and every
+        checkpoint that carries it — with the service's history instead
+        of its live subscription set.
+        """
+        self.plans.pop(query_id, None)
+        outcome = self.outcomes.pop(query_id, None)
+        if outcome is not None:
+            self.departed += 1
+            self.departed_degraded += outcome.degraded
+            self.departed_matches += outcome.matches
 
     def to_obj(self) -> dict:
         """JSON-serializable form: ``{"outcomes": ..., "report": ...}``.
@@ -537,15 +547,14 @@ class ServingReport:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "ServingReport":
-        """Inverse of :meth:`to_obj` (``plans`` is optional: checkpoints
-        written before the planner existed restore without it)."""
+        """Inverse of :meth:`to_obj`."""
         report = cls()
         counters = obj["report"]
         for name in cls.COUNTER_FIELDS:
             setattr(report, name, int(counters[name]))
         for query_id, state in obj["outcomes"].items():
             report.outcomes[query_id] = QueryOutcome.from_obj(query_id, state)
-        for query_id, plan in obj.get("plans", {}).items():
+        for query_id, plan in obj["plans"].items():
             report.plans[query_id] = dict(plan)
         return report
 
@@ -634,7 +643,7 @@ class ServingReport:
     def summary(self) -> str:
         """One log-friendly line, mirroring ``ErrorReport.summary``."""
         return (
-            f"{len(self.outcomes)} quer(y/ies) over "
+            f"{len(self.outcomes) + self.departed} quer(y/ies) over "
             f"{self.documents_seen} document(s): "
             f"{self.quarantines} quarantine(s), "
             f"{self.breaker_trips} breaker trip(s), "

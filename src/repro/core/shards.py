@@ -42,27 +42,20 @@ import multiprocessing
 import os
 import zlib
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from queue import Empty, Full
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import CheckpointError, EngineError
 from ..limits import ResourceLimits
 from ..rpeq.ast import Rpeq
 from ..rpeq.unparse import unparse
-from ..xmlstream.events import (
-    EndDocument,
-    Event,
-    StartDocument,
-    event_from_obj,
-    event_to_obj,
-)
+from ..xmlstream.events import EndDocument, Event, event_from_obj, event_to_obj
 from ..xmlstream.offsets import StreamCursor
 from ..xmlstream.parser import ParserLimits, iter_events
 from .checkpoint import Checkpoint
 from .clock import SYSTEM_CLOCK, Clock, as_clock
 from .engine import RobustnessCounters
-from .multiquery import MultiQueryEngine
+from .multiquery import MultiQueryEngine, ServePump
 from .output_tx import Match
 from .serving import AdmissionPolicy, QueryOutcome, ServingPolicy, ServingReport
 from .supervisor import ExponentialBackoff
@@ -198,12 +191,7 @@ class HeartbeatMonitor:
         self._last.pop(shard, None)
 
     def stalled(self, shard: int) -> bool:
-        if self.timeout is None:
-            return False
-        last = self._last.get(shard)
-        if last is None:
-            return False
-        return self.clock.monotonic() - last > self.timeout
+        return self.timeout is not None and self.silence(shard) > self.timeout
 
     def silence(self, shard: int) -> float:
         """Seconds since the shard's last sign of life (0 if unknown)."""
@@ -225,12 +213,13 @@ def quarantine_in_checkpoint(
     """Return a copy of a serving checkpoint with queries latched out.
 
     The convicted queries' circuit breakers are rewritten to the
-    exhausted state (``trips = max_trips``, open), their network
+    exhausted state (``trips = max_trips``, open), their runner
     snapshots dropped, and their outcomes stamped ``quarantined`` /
     ``POISON`` — so a worker resuming from the edited checkpoint treats
     them exactly like queries that burned through ``max_trips`` inside
     the process: never revived, never re-admitted, latch preserved by
-    every further checkpoint/resume cycle.
+    every further checkpoint/resume cycle.  The queries stay in the
+    ``"subscriptions"`` list, at their rank.
     """
     payload = copy.deepcopy(checkpoint.require("multiquery"))
     serving = payload.get("serving")
@@ -240,13 +229,14 @@ def quarantine_in_checkpoint(
             "(no breaker state to latch)"
         )
     newly_latched = 0
+    subscribed = {query_id for query_id, _text, _lane in payload["subscriptions"]}
     for query_id in query_ids:
-        if query_id not in payload["queries"]:
+        if query_id not in subscribed:
             raise CheckpointError(
                 f"cannot quarantine {query_id!r}: not in the checkpoint's "
                 f"subscription set"
             )
-        payload["networks"].pop(query_id, None)
+        payload["runners"].pop(query_id, None)
         previous = serving["breakers"].get(query_id, {})
         trips = max(int(previous.get("trips", 0)), max_trips)
         serving["breakers"][query_id] = {
@@ -298,13 +288,22 @@ class _WorkerSpec:
     policy: ServingPolicy
     heartbeat_interval: float
     checkpoint_path: str | None
-    checkpoint_data: dict | None
+    checkpoint: Checkpoint | None
     quarantined: tuple[str, ...]
     hook: FaultHook | None
 
+    def engine(self) -> MultiQueryEngine:
+        return MultiQueryEngine(
+            self.queries,
+            collect_events=self.collect_events,
+            limits=self.limits,
+            preflight=False,
+            admission=self.admission,
+        )
 
-class _Heartbeats:
-    """Rate-limited liveness messages on the worker's result queue."""
+
+class _Uplink:
+    """The worker's result queue, with rate-limited liveness messages."""
 
     def __init__(
         self,
@@ -312,13 +311,13 @@ class _Heartbeats:
         clock: Clock,
         interval: float,
     ) -> None:
-        self._out = out_queue
+        self.put = out_queue.put
         self._clock = clock
         self._interval = interval
         self._last = clock.monotonic()
 
     def force(self) -> None:
-        self._out.put(("hb",))
+        self.put(("hb",))
         self._last = self._clock.monotonic()
 
     def maybe(self) -> None:
@@ -326,59 +325,44 @@ class _Heartbeats:
             self.force()
 
 
-def _queue_events(
-    in_queue: "multiprocessing.queues.Queue[tuple]",
-    heartbeats: _Heartbeats,
-    interval: float,
-) -> Iterator[Event]:
-    """Decode the coordinator's event batches; beat while idle."""
-    while True:
-        try:
-            message = in_queue.get(timeout=interval)
-        except Empty:
-            heartbeats.force()
-            continue
-        if message[0] == "end":
-            return
-        for obj in message[1]:
-            yield event_from_obj(obj)
-
-
-def _instrumented(
-    events: Iterable[Event],
+def _drive(
     spec: _WorkerSpec,
     engine: MultiQueryEngine,
-    heartbeats: _Heartbeats,
-    out_queue: "multiprocessing.queues.Queue[tuple]",
-    base: int,
-) -> Iterator[Event]:
-    """Worker-side event wrapper: hooks, heartbeats, doc checkpoints.
+    pump: ServePump,
+    events: Iterable[Event],
+    uplink: _Uplink | None = None,
+) -> None:
+    """Push ``events`` through ``pump``, the way a shard worker does.
 
-    The post-``yield`` code runs when the engine pulls the *next* event
-    — by then the previous event is fully processed and its matches
-    drained to the result queue (the pipeline is pull-driven), which is
-    the exact boundary where a checkpoint is exact and a heartbeat
-    proves real progress.  Document-boundary checkpoints are what the
-    coordinator's commit barrier keys on.
+    Per event: the fault hook, the transition, then — with an
+    ``uplink`` — the event's matches, a heartbeat when one is due (the
+    event is fully processed by then, so it proves real progress) and,
+    after a ``</$>``, the document-boundary checkpoint the coordinator's
+    commit barrier keys on.  A probe has no uplink: it reports by
+    surviving.
     """
-    index = base
+    hook = spec.hook
+    index = pump.cursor.events_read
     for event in events:
-        if spec.hook is not None:
-            live = (
-                frozenset(engine._last_networks)
-                if engine._last_networks is not None
-                else frozenset(spec.queries)
-            )
-            spec.hook(spec.shard, spec.incarnation, index, live)
-        boundary = event.__class__ is EndDocument
+        if hook is not None:
+            hook(spec.shard, spec.incarnation, index, frozenset(pump.live_queries))
         index += 1
-        yield event
-        heartbeats.maybe()
-        if boundary:
-            checkpoint = engine.checkpoint()
-            if spec.checkpoint_path is not None:
-                checkpoint.save(spec.checkpoint_path)
-            out_queue.put(("checkpoint", checkpoint.to_dict()))
+        out = pump._step(event)
+        if uplink is not None:
+            for query_id, match in out or ():
+                uplink.put(("match", query_id, match))
+                uplink.maybe()
+        if pump.finished:
+            return  # the stream deadline expired: the pass is over
+        if uplink is not None:
+            uplink.maybe()
+            if event.__class__ is EndDocument:
+                checkpoint = engine.checkpoint()
+                if spec.checkpoint_path is not None:
+                    checkpoint.save(spec.checkpoint_path)
+                # the object, not to_dict(): the checksum guards bytes
+                # at rest, and these never leave a multiprocessing pipe
+                uplink.put(("checkpoint", checkpoint))
 
 
 def _worker_main(
@@ -388,48 +372,30 @@ def _worker_main(
 ) -> None:
     """Entry point of one shard worker process."""
     try:
-        clock = SYSTEM_CLOCK
-        heartbeats = _Heartbeats(out_queue, clock, spec.heartbeat_interval)
-        engine = MultiQueryEngine(
-            spec.queries,
-            collect_events=spec.collect_events,
-            limits=spec.limits,
-            preflight=False,
-            admission=spec.admission,
-        )
-        raw = _queue_events(in_queue, heartbeats, spec.heartbeat_interval)
-        if spec.checkpoint_data is not None:
-            checkpoint = Checkpoint.from_dict(spec.checkpoint_data)
-            base = checkpoint.position
-            live = _instrumented(
-                raw, spec, engine, heartbeats, out_queue, base
-            )
-            # resume() seeks by skipping ``base`` events; feed it cheap
-            # padding instead of re-shipping the prefix over IPC (the
-            # skipped prefix is never validated or processed).
-            source: Iterable[Event] = _padded(base, live)
-            run = engine.resume(checkpoint, source, policy=spec.policy)
+        uplink = _Uplink(out_queue, SYSTEM_CLOCK, spec.heartbeat_interval)
+        engine = spec.engine()
+        if spec.checkpoint is not None:
+            # the coordinator feeds from the cut on
+            pump = engine.resume_pump(spec.checkpoint, spec.policy)
         else:
-            cursor = StreamCursor()
-            source = _instrumented(raw, spec, engine, heartbeats, out_queue, 0)
-            run = engine.serve(
-                source,
-                policy=spec.policy,
-                cursor=cursor,
-                quarantined=spec.quarantined,
+            pump = engine.start_pump(
+                spec.policy, cursor=StreamCursor(), quarantined=spec.quarantined
             )
-        for query_id, match in run:
-            out_queue.put(("match", query_id, match))
-            heartbeats.maybe()
-        serving = engine.serving
-        out_queue.put(
+        while not pump.finished:
+            try:
+                message = in_queue.get(timeout=spec.heartbeat_interval)
+            except Empty:
+                uplink.force()  # beat while idle
+                continue
+            if message[0] == "end":
+                break
+            _drive(spec, engine, pump, map(event_from_obj, message[1]), uplink)
+        uplink.put(
             (
                 "done",
-                serving.to_obj() if serving is not None else None,
+                pump.serving.to_obj(),
                 asdict(engine.robustness),
-                engine._last_cursor.events_read
-                if engine._last_cursor is not None
-                else 0,
+                pump.cursor.events_read,
             )
         )
     except BaseException as exc:
@@ -440,34 +406,10 @@ def _worker_main(
         raise
 
 
-def _padded(count: int, events: Iterable[Event]) -> Iterator[Event]:
-    """``count`` placeholder events (consumed by the resume skip), then
-    the live stream."""
-    yield from repeat(StartDocument(), count)
-    yield from events
-
-
 def _probe_main(spec: _WorkerSpec, encoded: list) -> None:
     """Solo isolation probe: one query, the whole stream, no IPC."""
-    engine = MultiQueryEngine(
-        spec.queries,
-        collect_events=spec.collect_events,
-        limits=spec.limits,
-        preflight=False,
-        admission=spec.admission,
-    )
-    events: Iterator[Event] = (event_from_obj(obj) for obj in encoded)
-    if spec.hook is not None:
-        events = _hooked_probe(events, spec)
-    for _ in engine.serve(events, policy=spec.policy):
-        pass
-
-
-def _hooked_probe(events: Iterable[Event], spec: _WorkerSpec) -> Iterator[Event]:
-    live = frozenset(spec.queries)
-    for index, event in enumerate(events):
-        spec.hook(spec.shard, spec.incarnation, index, live)
-        yield event
+    engine = spec.engine()
+    _drive(spec, engine, engine.start_pump(spec.policy), map(event_from_obj, encoded))
 
 
 # ----------------------------------------------------------------------
@@ -748,7 +690,7 @@ class ShardCoordinator:
             if kind == "match":
                 state.pending.append((message[1], message[2]))
             elif kind == "checkpoint":
-                state.committed = Checkpoint.from_dict(message[1])
+                state.committed = message[1]
                 self._commit(state, matches)
             elif kind == "done":
                 self._commit(state, matches)
@@ -907,7 +849,7 @@ class ShardCoordinator:
             policy=self.policy,
             heartbeat_interval=self.config.heartbeat_interval,
             checkpoint_path=path,
-            checkpoint_data=checkpoint.to_dict() if checkpoint is not None else None,
+            checkpoint=checkpoint,
             quarantined=quarantined,
             hook=self.fault_hook,
         )

@@ -62,6 +62,7 @@ from __future__ import annotations
 import asyncio
 import os
 import secrets
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -345,6 +346,14 @@ class _Connection:
         if not self.closed and not self.writer.is_closing():
             self.writer.write(encode_frame(frame))
 
+    def close_queue(self) -> None:
+        """Drop what is queued and hand the writer its close sentinel
+        (which also frees an engine task blocked on a put to the queue)."""
+        if self.queue is not None:
+            while not self.queue.empty():
+                self.queue.get_nowait()
+            self.queue.put_nowait(_CLOSE)
+
     def abort(self) -> None:
         """Hard-cut the transport (breaks a stuck write immediately)."""
         self.closed = True
@@ -374,7 +383,7 @@ class SpexService:
         self._input: asyncio.Queue | None = None
         self._connections: set[_Connection] = set()
         self._routes: dict[str, tuple[_Connection, str]] = {}
-        self._tenant_counts: dict[str, int] = {}
+        self._tenant_counts: Counter[str] = Counter()
         self._next_id = 0
         self._draining = False
         self._drain_task: asyncio.Task | None = None
@@ -491,7 +500,9 @@ class SpexService:
         serving = self.engine.serving
         if serving is None:
             return False
-        return any(outcome.degraded for outcome in serving.outcomes.values())
+        return serving.departed_degraded > 0 or any(
+            outcome.degraded for outcome in serving.outcomes.values()
+        )
 
     # ------------------------------------------------------------------
     # service-native resume
@@ -546,9 +557,7 @@ class SpexService:
                 engine_id = str(sub["engine_id"])
                 self._engine_sessions[engine_id] = (session, qid)
                 self._rebuild_eids.add(engine_id)
-                self._tenant_counts[session.tenant] = (
-                    self._tenant_counts.get(session.tenant, 0) + 1
-                )
+                self._tenant_counts[session.tenant] += 1
                 if engine_id not in self.engine.queries:
                     # Subscribed after the checkpoint cut: re-register at
                     # its original join point during the rebuild replay.
@@ -562,16 +571,9 @@ class SpexService:
         # (their subscribers are gone and cannot resume).
         for engine_id in list(self.engine.queries):
             if engine_id not in self._engine_sessions:
-                self.pump.close(
-                    engine_id,
-                    status="closed",
-                    code=None,
-                    reason="non-durable subscriber lost in crash",
+                self._retire_query(
+                    engine_id, None, reason="non-durable subscriber lost in crash"
                 )
-                try:
-                    self.engine.remove_query(engine_id)
-                except ReproError:  # pragma: no cover - defensive
-                    pass
 
     def _attach_deferred(self) -> None:
         """Re-attach recovered subscriptions whose join point arrived.
@@ -725,28 +727,18 @@ class SpexService:
                     {"op": "expire", "sid": token, "doc": count},
                     durable=False,
                 )
-            for qid, sub in list(session.subscriptions.items()):
+            for sub in session.subscriptions.values():
                 engine_id = str(sub["engine_id"])
                 self._engine_sessions.pop(engine_id, None)
                 self._rebuild_eids.discard(engine_id)
-                count_t = self._tenant_counts.get(session.tenant, 0)
-                if count_t <= 1:
-                    self._tenant_counts.pop(session.tenant, None)
-                else:
-                    self._tenant_counts[session.tenant] = count_t - 1
+                # the token is random and can never resume (SVC011), so
+                # nothing will read this id's sequence counter again
+                self._seqs.pop(engine_id, None)
                 if self.wal is not None:
                     self.wal.release(engine_id)
-                if self.pump is not None:
-                    self.pump.close(
-                        engine_id,
-                        status="closed",
-                        code=None,
-                        reason="durable session expired",
-                    )
-                try:
-                    self.engine.remove_query(engine_id)
-                except ReproError:
-                    pass
+                self._retire_query(
+                    engine_id, session.tenant, reason="durable session expired"
+                )
             session.subscriptions.clear()
 
     async def _deliver(self, engine_id: str, match: Match) -> None:
@@ -1261,7 +1253,7 @@ class SpexService:
             )
             return
         budget = self.config.max_subscriptions_per_tenant
-        if budget is not None and self._tenant_counts.get(conn.tenant, 0) >= budget:
+        if budget is not None and self._tenant_counts[conn.tenant] >= budget:
             await conn.queue.put(
                 rejected_frame(
                     client_id,
@@ -1295,9 +1287,7 @@ class SpexService:
             return
         conn.queries[client_id] = engine_id
         self._routes[engine_id] = (conn, client_id)
-        self._tenant_counts[conn.tenant] = (
-            self._tenant_counts.get(conn.tenant, 0) + 1
-        )
+        self._tenant_counts[conn.tenant] += 1
         if session is not None:
             assert self.wal is not None
             # attach() joins at the next <$>, i.e. document
@@ -1341,10 +1331,9 @@ class SpexService:
                 error_frame(SVC_PROTOCOL, f"not subscribed: {client_id!r}"),
             )
             return
-        self._release_query(conn, engine_id, degraded=False)
         session = conn.session
         durable = session is not None and client_id in session.subscriptions
-        for match in self.pump.close(engine_id):
+        for match in self._retire_query(engine_id, conn.tenant, conn):
             seq: int | None = None
             if durable:
                 seq = self._seqs.get(engine_id, 0) + 1
@@ -1357,7 +1346,6 @@ class SpexService:
                     seq=seq,
                 )
             )
-        self.engine.remove_query(engine_id)
         if durable and session is not None:
             # The subscription ends with the session's blessing: its log
             # tail and recovery entry go away (an unsubscribed query is
@@ -1376,19 +1364,36 @@ class SpexService:
             notice_frame("CLOSED", "unsubscribed", client_id)
         )
 
-    def _release_query(
-        self, conn: _Connection, engine_id: str, degraded: bool
-    ) -> None:
-        """Shared bookkeeping for any path that detaches a subscription."""
+    def _retire_query(
+        self,
+        engine_id: str,
+        tenant: str | None,
+        conn: _Connection | None = None,
+        code: str | None = None,
+        reason: str | None = None,
+        degraded: bool = False,
+    ) -> list[Match]:
+        """The one way a subscription ends, whoever ends it: its route
+        and notice memory (on ``conn``) go, the pump closes it, the
+        engine unregisters it — folding its outcome into the report's
+        totals — and the tenant gets the budget slot back (``None``: a
+        crash orphan, never counted).  Returns its undelivered matches."""
+        assert self.pump is not None
         self._routes.pop(engine_id, None)
-        conn.notified.pop(engine_id, None)
-        count = self._tenant_counts.get(conn.tenant, 0)
-        if count <= 1:
-            self._tenant_counts.pop(conn.tenant, None)
-        else:
-            self._tenant_counts[conn.tenant] = count - 1
-        if degraded and self.engine.serving is not None:
-            self.engine.serving.outcome(engine_id).degraded = True
+        if conn is not None:
+            conn.notified.pop(engine_id, None)
+        flushed = self.pump.close(
+            engine_id, code=code, reason=reason, degraded=degraded
+        )
+        try:
+            self.engine.remove_query(engine_id)
+        except ReproError:  # pragma: no cover - already unregistered
+            pass
+        if tenant is not None:
+            self._tenant_counts[tenant] -= 1
+            if self._tenant_counts[tenant] <= 0:
+                del self._tenant_counts[tenant]
+        return flushed
 
     def _detach_session_conn(self, conn: _Connection) -> None:
         """Unbind a durable session from a dying connection.
@@ -1427,26 +1432,17 @@ class SpexService:
         if conn.session is not None:
             self._detach_session_conn(conn)
         else:
-            for client_id, engine_id in list(conn.queries.items()):
-                self._release_query(conn, engine_id, degraded=True)
-                self.pump.close(
-                    engine_id, status="closed", code=code, reason=reason,
-                    degraded=True,
+            for engine_id in conn.queries.values():
+                self._retire_query(
+                    engine_id, conn.tenant, conn, code, reason, degraded=True
                 )
-                try:
-                    self.engine.remove_query(engine_id)
-                except ReproError:
-                    pass
             conn.queries.clear()
         # the bye goes straight onto the transport (the queue may hold a
         # single slot, and the writer may be wedged in a slow drain); the
         # cleared queue always has room for the close sentinel
         if not conn.writer.is_closing():
             conn.writer.write(encode_frame(bye_frame(code, reason)))
-        if conn.queue is not None:
-            while not conn.queue.empty():
-                conn.queue.get_nowait()
-            conn.queue.put_nowait(_CLOSE)
+        conn.close_queue()
 
     async def _writer_loop(self, conn: _Connection) -> None:
         """Single writer per subscriber: ordered, clocked, abortable."""
@@ -1645,33 +1641,16 @@ class SpexService:
             self._detach_session_conn(conn)
         elif conn.role == ROLE_SUBSCRIBER and conn.queries:
             # a departed subscriber is a clean close, not a failure
-            assert self.pump is not None
-            for engine_id in list(conn.queries.values()):
-                self._release_query(conn, engine_id, degraded=False)
-                self.pump.close(
-                    engine_id,
-                    status="closed",
-                    code=None,
-                    reason="subscriber disconnected",
+            for engine_id in conn.queries.values():
+                self._retire_query(
+                    engine_id, conn.tenant, conn, reason="subscriber disconnected"
                 )
-                try:
-                    self.engine.remove_query(engine_id)
-                except ReproError:
-                    pass
             conn.queries.clear()
-        if conn.queue is not None:
-            # Free any engine task blocked on a put to this dead queue
-            # (its route is gone, so later matches already skip it).
-            while not conn.queue.empty():
-                conn.queue.get_nowait()
-            try:
-                conn.queue.put_nowait(_CLOSE)
-            except asyncio.QueueFull:  # pragma: no cover - queue just cleared
-                pass
-            if conn.writer_task is not None and conn.writer_task.done() is False:
-                # a wedged writer (dead peer) must not outlive the conn
-                if conn.closed:
-                    conn.writer_task.cancel()
+        # its routes are gone, so later matches already skip the queue
+        conn.close_queue()
+        if conn.writer_task is not None and not conn.writer_task.done() and conn.closed:
+            # a wedged writer (dead peer) must not outlive the conn
+            conn.writer_task.cancel()
         conn.closed = True
         self._connections.discard(conn)
         if not conn.writer.is_closing():

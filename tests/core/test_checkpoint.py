@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.core.checkpoint import CHECKPOINT_VERSION
 from repro.core.multiquery import MultiQueryEngine
-from repro.core.optimize import OptimizationFlags
+from repro.core.optimize import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.errors import EngineError
 from repro.xmlstream import iter_events, skip_events
 
@@ -266,7 +266,7 @@ class TestEngineCheckpointContract:
         checkpoint = engine.checkpoint()
         rebuilt = SpexEngine.from_checkpoint(checkpoint)
         assert rebuilt.collect_events is False
-        assert rebuilt.optimize is False
+        assert rebuilt.optimize == NO_OPTIMIZATIONS
         # and therefore resume is accepted
         list(rebuilt.resume(checkpoint, DOC))
 
@@ -343,6 +343,55 @@ class TestMultiQueryCheckpointContract:
         other = MultiQueryEngine({"plain": "_*.a"})
         with pytest.raises(CheckpointError, match="subscription"):
             other.resume(checkpoint, DOC)
+        reordered = MultiQueryEngine(dict(reversed(self.QUERIES.items())))
+        with pytest.raises(CheckpointError, match="registration order"):
+            reordered.resume(checkpoint, DOC)
+
+    #: registered in an order that is not key order: what a sorted-key
+    #: file turned a format-2 ``"queries"`` dict into
+    UNSORTED = {"z": "_*.a", "m": "_*.a[c]", "a": "_*.a"}
+
+    @pytest.mark.parametrize("door", ["resume", "resume_pump"])
+    @pytest.mark.parametrize("cut", [3, 4, 9])
+    def test_registration_order_survives_a_file(self, tmp_path, cut, door):
+        """Regression: same-event matches come out in registration
+        order, and a checkpoint that went through ``save``/``load``
+        re-registered the queries in key order — the resumed tail then
+        interleaved them differently from the uninterrupted pass."""
+        events = list(iter_events(DOC))
+
+        def indexed(pump, events, base=0):
+            return [
+                (base + index, query_id, match.position)
+                for index, event in enumerate(events)
+                for query_id, match in pump.feed(event)
+            ]
+
+        baseline = indexed(MultiQueryEngine(self.UNSORTED).start_pump(), events)
+        crowded = [index for index, _, _ in baseline]
+        assert len(set(crowded)) < len(crowded)  # several queries per event
+        engine = MultiQueryEngine(self.UNSORTED)
+        got = indexed(engine.start_pump(cursor=StreamCursor()), events[:cut])
+        path = tmp_path / "checkpoint.json"
+        engine.checkpoint().save(path)
+        loaded = Checkpoint.load(path)
+        fresh = MultiQueryEngine.from_checkpoint(loaded)
+        assert list(fresh.queries) == list(self.UNSORTED)
+        if door == "resume_pump":
+            got += indexed(fresh.resume_pump(loaded), events[cut:], cut)
+        else:
+            pulled = [0]
+
+            def counting():
+                for event in events:
+                    pulled[0] += 1
+                    yield event
+
+            got += [
+                (pulled[0] - 1, query_id, match.position)
+                for query_id, match in fresh.resume(loaded, counting())
+            ]
+        assert got == baseline
 
 
 class TestGatedSnapshot:
@@ -365,7 +414,8 @@ class TestGatedSnapshot:
         ]
         checkpoint = engine.checkpoint()
         assert engine.lane_executions == {"q": "gated"}
-        snapshot = checkpoint.payload["networks"]["q"]["network"]["fastlane"]
+        assert checkpoint.payload["subscriptions"] == [["q", "_*.a[b].c", "gated"]]
+        snapshot = checkpoint.payload["runners"]["q"]["fastlane"]
         return checkpoint, snapshot, got
 
     def resumed(self, checkpoint, got):
@@ -409,21 +459,45 @@ class TestGatedSnapshot:
 
     def test_residual_network_is_what_is_snapshotted(self):
         checkpoint, _, _ = self.cut(5)
-        nodes = checkpoint.payload["networks"]["q"]["network"]["network"]["nodes"]
+        nodes = checkpoint.payload["runners"]["q"]["network"]["nodes"]
         assert "DS(_*)" not in nodes and "CH(a)" not in nodes
         assert "VC(q0)" in nodes
 
     def test_pre_headed_checkpoint_names_its_version(self):
-        """A version-1 gated snapshot holds the *full* network; it must
-        be refused by version, not by a topology mismatch deep inside."""
+        """Formats 1 (full network behind the gate) and 2 (``"queries"``
+        dict, ``network``/``store``/``allocator`` triples) must be
+        refused by version, at every door a checkpoint comes in by —
+        not by a ``KeyError`` deep inside."""
         checkpoint, _, _ = self.cut(5)
-        data = checkpoint.to_dict()
-        data["version"] = 1
-        with pytest.raises(CheckpointError, match="version 1"):
-            Checkpoint.from_dict(data)
-        old = Checkpoint(kind="multiquery", payload=checkpoint.payload, version=1)
-        with pytest.raises(CheckpointError, match="version 1"):
-            MultiQueryEngine(self.QUERY).resume(old, self.GATED_DOC)
+        for version in (1, 2):
+            data = checkpoint.to_dict()
+            data["version"] = version
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                Checkpoint.from_dict(data)
+            old = Checkpoint(
+                kind="multiquery", payload=checkpoint.payload, version=version
+            )
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                MultiQueryEngine.from_checkpoint(old)
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                MultiQueryEngine(self.QUERY).resume(old, self.GATED_DOC)
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                MultiQueryEngine(self.QUERY).resume_pump(old)
+
+    def test_a_seven_key_optimize_entry_is_refused_by_name(self):
+        checkpoint, _, _ = self.cut(5)
+        checkpoint.payload["optimize"] = {
+            **dict.fromkeys(("star_fusion", "routing", "fused_network"), True),
+            **checkpoint.payload["optimize"],
+        }
+        restored = Checkpoint.from_dict(checkpoint.to_dict())
+        for door in (
+            MultiQueryEngine.from_checkpoint,
+            lambda c: MultiQueryEngine(self.QUERY).resume(c, self.GATED_DOC),
+        ):
+            with pytest.raises(ValueError, match="unknown optimization flag") as refusal:
+                door(restored)
+            assert "star_fusion" in str(refusal.value)
 
 
 class TestResumeInsideQualifierScope:

@@ -143,7 +143,7 @@ class TestQuarantineInCheckpoint:
         _engine, checkpoint = serving_checkpoint()
         edited = quarantine_in_checkpoint(checkpoint, ["q1"], max_trips=3)
         payload = edited.require("multiquery")
-        assert "q1" not in payload["networks"]
+        assert "q1" not in payload["runners"]
         breaker = payload["serving"]["breakers"]["q1"]
         assert breaker["state"] == "open"
         assert breaker["trips"] == 3

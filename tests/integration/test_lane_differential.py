@@ -19,9 +19,10 @@ counters), so a silent demotion can never masquerade as coverage.
 The gated lane — a residual network fed on demand behind a DFA head —
 gets the strictest form (:class:`TestHeadedDifferential`): the stream of
 ``(event index, query, position, label)`` must equal the pure network's
-under every spelling of ``optimize=`` a checkpoint can carry
-(:data:`SPELLINGS`), so deferring a start tag can never move a match to
-a later event.
+under all eight flag combinations, so deferring a start tag can never
+move a match to a later event — and every ``optimize`` entry only a
+format-2 checkpoint spelled (:data:`SPELLINGS`) must be refused by name
+at each of those doors, now that formats ≤ 2 are not decoded.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.core.optimize import (
     as_flags,
 )
 from repro.core.serving import ServingPolicy
-from repro.errors import CheckpointError
 from repro.xmlstream.events import EndDocument, StartElement
 from repro.xmlstream.parser import iter_documents
 
@@ -285,6 +285,29 @@ class TestCheckpointResumeDifferential:
     def test_resume_without_lanes_still_agrees(self, cut, reference):
         assert self._interrupted(NO_OPTIMIZATIONS, cut) == reference
 
+    @pytest.mark.parametrize(
+        "flags", all_knob_combinations(), ids=OptimizationFlags.describe
+    )
+    def test_random_cuts_through_a_file(self, flags, tmp_path):
+        """Format 3 end to end: five seeded cuts per knob combination,
+        each through ``save``/``load``, held to the event."""
+        expected = indexed_matches(
+            MultiQueryEngine(CORPUS, optimize=NO_OPTIMIZATIONS).run, EVENTS
+        )
+        rng = random.Random(all_knob_combinations().index(flags))
+        for cut in rng.sample(range(1, len(EVENTS)), 5):
+            engine = MultiQueryEngine(CORPUS, optimize=flags)
+            cursor = StreamCursor()
+            got = indexed_matches(
+                lambda src: engine.run(src, cursor=cursor), EVENTS[:cut]
+            )
+            engine.checkpoint().save(tmp_path / "cut.json")
+            loaded = Checkpoint.load(tmp_path / "cut.json")
+            fresh = MultiQueryEngine.from_checkpoint(loaded)
+            got += indexed_matches(lambda src: fresh.resume(loaded, src), EVENTS)
+            assert got == expected, cut
+            assert fresh.lane_executions == engine.lane_executions
+
     def test_restored_engine_reuses_the_checkpointed_lanes(self):
         engine = MultiQueryEngine(CORPUS)
         cursor = StreamCursor()
@@ -348,25 +371,22 @@ def headed_reference():
     return indexed_matches(MultiQueryEngine(GATED, optimize=NO_OPTIMIZATIONS).run, EVENTS)
 
 
+FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
+
+
 def _format_2_matrix():
-    """The 16-point knob matrix this class ran before the five network
-    knobs became ``production_network``, spelled the way checkpoint
-    format 2 spells an ``optimize`` entry (and ``optimize=`` still
-    accepts): bools for the endpoints, seven-key dicts otherwise, under
-    the names ``describe()`` gave them."""
+    """The 16-point knob matrix this class ran while ``optimize`` had
+    seven keys, spelled the way checkpoint format 2 spelled the entry:
+    one key off or one key on, named by the keys that are on."""
     names = FOLDED[:4] + ("dfa_lane", "hybrid_gate") + FOLDED[4:]
     points = [{name: name != off for name in names} for off in names]
     points += [{name: name == on for name in names} for on in names]
     return {"+".join(n for n in names if point[n]): point for point in points}
 
 
-FOLDED = ("star_fusion", "routing", "formula_memo", "message_pool", "fused_network")
-
-#: Every spelling of ``optimize=`` a checkpoint can carry, by name: the
-#: eight flag combinations, and the format-2 points that are not among
-#: them under the same name.  Of those twelve, the two that only switch
-#: a lane off still decode; the ten that split the network knobs name a
-#: topology that can no longer be compiled and must be refused.
+#: By name: the eight flag combinations, and the twelve format-2 points
+#: that are not among them.  Format 3 writes the three-key dict only and
+#: reads nothing else, so each of the twelve is an unknown-flag error.
 SPELLINGS = {
     **_format_2_matrix(),
     **{flags.describe(): flags for flags in all_knob_combinations()},
@@ -374,15 +394,15 @@ SPELLINGS = {
 
 
 def _decoded(spelling):
-    """The flags a spelling means today, or ``None`` once it has been
-    refused the documented way."""
-    try:
-        return as_flags(spelling)
-    except CheckpointError as refusal:
-        split = {knob: spelling[knob] for knob in FOLDED}
-        assert len(set(split.values())) == 2, split
-        assert all(knob in str(refusal) for knob in FOLDED)
-        return None
+    """The flags a spelling means, or ``None`` once it has been refused
+    the documented way: a ``ValueError`` naming the keys that are not
+    knobs."""
+    if isinstance(spelling, OptimizationFlags):
+        return spelling
+    with pytest.raises(ValueError, match="unknown optimization flag") as refusal:
+        as_flags(spelling)
+    assert all(knob in str(refusal.value) for knob in FOLDED)
+    return None
 
 
 class TestHeadedDifferential:
@@ -402,7 +422,7 @@ class TestHeadedDifferential:
     def test_the_spellings(self):
         decoded = {name: _decoded(spelling) for name, spelling in SPELLINGS.items()}
         assert len(decoded) == 20
-        assert sum(flags is None for flags in decoded.values()) == 10
+        assert sum(flags is None for flags in decoded.values()) == 12
         assert {f for f in decoded.values() if f} == set(all_knob_combinations())
 
     @pytest.mark.parametrize("spelling", SPELLINGS.values(), ids=SPELLINGS)
@@ -435,19 +455,22 @@ class TestHeadedDifferential:
     @pytest.mark.parametrize("cut", CUTS)
     @pytest.mark.parametrize("spelling", SPELLINGS.values(), ids=SPELLINGS)
     def test_checkpoint_resume(self, spelling, cut, headed_reference):
-        """The cut is written the way a format-2 writer spelled its
-        flags; the resuming side has only the checkpoint to go by."""
+        """The resuming side has only the checkpoint to go by — and a
+        checkpoint whose ``optimize`` entry is spelled the format-2 way
+        is refused by it, through ``from_checkpoint`` and ``resume``."""
         engine = MultiQueryEngine(GATED, optimize=_decoded(spelling) or True)
         cursor = StreamCursor()
         got = indexed_matches(lambda src: engine.run(src, cursor=cursor), EVENTS[:cut])
         checkpoint = engine.checkpoint()
-        if not isinstance(spelling, OptimizationFlags):
-            checkpoint.payload["optimize"] = spelling
-        restored = Checkpoint.from_dict(checkpoint.to_dict())
         if _decoded(spelling) is None:
-            with pytest.raises(CheckpointError, match="network knobs"):
+            checkpoint.payload["optimize"] = spelling
+            restored = Checkpoint.from_dict(checkpoint.to_dict())
+            with pytest.raises(ValueError, match="unknown optimization flag"):
                 MultiQueryEngine.from_checkpoint(restored)
+            with pytest.raises(ValueError, match="unknown optimization flag"):
+                engine.resume(restored, EVENTS)
             return
+        restored = Checkpoint.from_dict(checkpoint.to_dict())
         fresh = MultiQueryEngine.from_checkpoint(restored)
         got += indexed_matches(lambda src: fresh.resume(restored, src), EVENTS)
         assert got == headed_reference

@@ -1,0 +1,186 @@
+"""Retained state is a function of the live subscription set.
+
+The seed of the model-based harness ROADMAP item 1 asks for, on the one
+invariant two accidental findings (the fast-lane slot leak, the
+``ServingReport.outcomes`` leak) showed nobody was checking: whatever
+the history of subscribes, departures, documents and crash/resume cuts,
+a serving pass holds what a **fresh** engine registered with the same
+live queries in the same order holds — and answers the next document
+the same way.  Rules to add as the harness grows: fault schedules,
+shard and server kills, knob flips, the DOM oracle.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+
+from repro import Checkpoint, StreamCursor
+from repro.core.multiquery import MultiQueryEngine
+from repro.workloads.generators import random_tree
+from repro.xmlstream.events import StartElement
+
+#: two queries per lane (dfa, hybrid, gated, network).  No ``following::``:
+#: a network that outlives ``</$>`` lets it reach into the next document
+#: (pinned by ``test_lane_differential``), which a fresh engine cannot.
+QUERIES = (
+    "_*.b",
+    "a._*.d",
+    "_*.a[c]",
+    "_*.c[d.e]",
+    "_*.b[a].d",
+    "_*.a[b].c",
+    "_*[b].c",
+    "_*.c[preceding::a]",
+)
+DOCUMENTS = [list(random_tree(seed, elements=25)) for seed in range(4)]
+ELEMENTS = [sum(isinstance(e, StartElement) for e in doc) for doc in DOCUMENTS]
+
+
+def retained(engine, pump):
+    """What the pass holds per subscription, in comparable form."""
+    core = engine._fastlane_core
+    payload = engine.checkpoint().payload
+    return {
+        "slots": len(core._slots) if core is not None else 0,
+        "outcomes": sorted(pump.serving.outcomes),
+        "plans": sorted(pump.serving.plans),
+        "breakers": sorted(pump._breakers),
+        "subscriptions": payload["subscriptions"],
+        "runners": list(payload["runners"]),
+        "lanes": engine.lane_executions,
+    }
+
+
+def states(engine):
+    """Interned DFA states (a core without slots holds the empty one)."""
+    core = engine._fastlane_core
+    return core.states_interned if core is not None and core._slots else 0
+
+
+def slot_indices(engine):
+    core = engine._fastlane_core
+    return frozenset(core._slots) if core is not None else frozenset()
+
+
+class ServingPass(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.engine = MultiQueryEngine({})
+        self.pump = self.engine.start_pump(cursor=StreamCursor())
+        #: live query id -> query, in registration order
+        self.live: dict[str, str] = {}
+        #: live query id -> start tags it has been fed since it joined
+        self.fed: dict[str, int] = {}
+        self.minted = 0
+        self.indices = slot_indices(self.engine)
+
+    @rule(query=st.sampled_from(QUERIES))
+    def subscribe(self, query):
+        query_id = f"c{self.minted}.q"  # the service mints one per connection
+        self.minted += 1
+        self.engine.add_query(query_id, query)
+        assert self.pump.attach(query_id)
+        self.live[query_id] = query
+        self.fed[query_id] = 0
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def close_and_remove(self, data):
+        query_id = data.draw(st.sampled_from(sorted(self.live)))
+        self.pump.close(query_id)
+        self.engine.remove_query(query_id)
+        del self.live[query_id], self.fed[query_id]
+
+    @rule(
+        number=st.sampled_from(range(len(DOCUMENTS))),
+        cut=st.none() | st.integers(1, 50),
+    )
+    def feed_a_document(self, number, cut):
+        """One document, optionally through a crash after ``cut`` events."""
+        document = DOCUMENTS[number]
+        fresh = MultiQueryEngine(dict(self.live))
+        fresh_pump = fresh.start_pump(cursor=StreamCursor())
+        assert self.pump.feed(document[0]) == fresh_pump.feed(document[0]) == []
+        # the <$> boundary: everyone attached has joined, everyone who
+        # left is gone from the shared DFA
+        assert retained(self.engine, self.pump) == retained(fresh, fresh_pump)
+        regrown = slot_indices(self.engine) != self.indices
+        if regrown:
+            # the slot set changed, so the lazy DFA started over
+            assert states(self.engine) == states(fresh)
+        got, expected = [], []
+        for index, event in enumerate(document[1:], start=1):
+            if index == cut:
+                self.resume_from_a_file()
+                regrown = False  # the new process explored the tail only
+            got += self.pump.feed(event)
+            expected += fresh_pump.feed(event)
+        assert [
+            (query_id, match.position - self.fed[query_id], match.label)
+            for query_id, match in got
+        ] == [(query_id, match.position, match.label) for query_id, match in expected]
+        if regrown:
+            assert states(self.engine) == states(fresh)
+        self.indices = slot_indices(self.engine)
+        for query_id in self.fed:
+            self.fed[query_id] += ELEMENTS[number]
+
+    def resume_from_a_file(self):
+        """The crash: only the checkpoint *file* survives it."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "checkpoint.json")
+            self.engine.checkpoint().save(path)
+            loaded = Checkpoint.load(path)
+        self.engine = MultiQueryEngine.from_checkpoint(loaded)
+        self.pump = self.engine.resume_pump(loaded)
+        assert list(self.engine.queries) == list(self.live)
+
+
+ServingPass.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None
+)
+TestServingPass = ServingPass.TestCase
+
+
+def test_a_thousand_connections_leave_nothing_behind():
+    """1,000 subscribe → one document → close → remove cycles through one
+    pump: the report, the shared DFA and the checkpoint are those of an
+    engine that only ever had the one permanent subscription (the parent
+    kept an outcome per departed id: 554 → 147,454 checkpoint bytes)."""
+    keep = {"keep": "_*.a[b].c"}
+    engine = MultiQueryEngine(keep)
+    pump = engine.start_pump(cursor=StreamCursor())
+    delivered = 0
+    for cycle in range(1000):
+        query_id = f"c{cycle}.sub"
+        # (cycle + 1: the last to leave holds a slot, so the memo of the
+        # final comparison starts over at its <$> like the fresh one)
+        engine.add_query(query_id, QUERIES[(cycle + 1) % len(QUERIES)])
+        assert pump.attach(query_id)
+        for event in DOCUMENTS[cycle % len(DOCUMENTS)]:
+            delivered += sum(q == query_id for q, _ in pump.feed(event))
+        delivered += len(pump.close(query_id))
+        engine.remove_query(query_id)
+    assert sorted(pump.serving.outcomes) == pump.live_queries == ["keep"]
+    serving = pump.serving
+    assert (serving.departed, serving.departed_degraded) == (1000, 0)
+    assert serving.departed_matches == delivered > 0
+
+    fresh = MultiQueryEngine(keep)
+    fresh_pump = fresh.start_pump(cursor=StreamCursor())
+    for event in DOCUMENTS[0]:  # the <$> drops the last departed slot
+        pump.feed(event)
+        fresh_pump.feed(event)
+    assert len(engine._fastlane_core._slots) == len(fresh._fastlane_core._slots) == 1
+    assert states(engine) == states(fresh)
+
+    def size(checkpoint):
+        return len(json.dumps(checkpoint.to_dict()))
+
+    assert abs(size(engine.checkpoint()) - size(fresh.checkpoint())) < 200

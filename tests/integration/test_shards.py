@@ -355,7 +355,7 @@ class TestLatchAcrossProcessBoundary:
         breaker = serving["breakers"][poison]
         assert breaker["state"] == "open"
         assert breaker["trips"] >= 2
-        assert poison not in on_disk.require("multiquery")["networks"]
+        assert poison not in on_disk.require("multiquery")["runners"]
 
         # A brand-new in-process engine resuming that file keeps the
         # quarantine: the poison query never runs or re-admits again.

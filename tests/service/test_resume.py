@@ -356,6 +356,73 @@ class TestServiceNativeResume:
 
         run(scenario())
 
+    def test_two_queries_keep_their_registration_order_across_a_crash(
+        self, tmp_path
+    ):
+        """Regression: one durable subscriber, two queries deciding on
+        the same events, subscribed in an order that is not the order of
+        their engine ids.  The checkpoint *file* used to hand generation
+        two the subscriptions in key order, so its live deliveries came
+        out ``a`` before ``z`` where generation one (and the offline
+        pass) emit ``z`` before ``a``."""
+        crash_after = 3  # a checkpoint boundary: nothing is rebuilt silently
+
+        async def frames_of(client, wire, floors):
+            async for frame in client.frames():
+                if frame.get("type") == "match":
+                    qid = frame["query_id"]
+                    wire.append((frame["document"], qid, frame["match"]["position"]))
+                    floors[qid] = max(floors.get(qid, 0), frame["seq"])
+                elif frame.get("type") == "bye":
+                    return
+
+        async def scenario():
+            documents = documents_for(seed=11, count=7, elements=20)
+            offline, document = [], -1
+            pump = MultiQueryEngine({"z": QUERY, "a": QUERY}).start_pump()
+            for event in (e for d in documents for e in d):
+                document += type(event).__name__ == "StartDocument"
+                offline += [(document, q, m.position) for q, m in pump.feed(event)]
+            tail = [entry for entry in offline if entry[0] >= crash_after]
+            assert [q for _, q, _ in tail[:2]] == ["z", "a"]
+
+            service = SpexService(durable_config(tmp_path))
+            host, port = await service.start()
+            sub = await SubscriberClient.connect(host, port, durable=True)
+            token = sub.session
+            for qid in ("z", "a"):
+                assert (await sub.subscribe(qid, QUERY))["type"] == "subscribed"
+            producer = await ProducerClient.connect(host, port)
+            for document in documents[:crash_after]:
+                await producer.send_events(document)
+            await wait_for(lambda: service.committed_documents == crash_after)
+            await wait_for(lambda: service.stats.checkpoints_written == 1)
+            await crash(service)
+            wire, floors = [], {}
+            await sub.close()
+            await producer.close()
+
+            service2 = SpexService(durable_config(tmp_path, resume=True))
+            host2, port2 = await service2.start()
+            assert service2.resumed
+            sub2 = await SubscriberClient.connect(host2, port2, session=token)
+            await sub2.resume(floors)
+            producer2 = await ProducerClient.connect(host2, port2)
+            assert producer2.conn.welcome["replay_from"] == crash_after + 1
+            for document in documents[crash_after:]:
+                await producer2.send_events(document)
+            await wait_for(lambda: service2.committed_documents == len(documents))
+            await producer2.close()
+            finisher = asyncio.create_task(frames_of(sub2, wire, floors))
+            await service2.stop()
+            await finisher
+            await sub2.close()
+            # the WAL tail replays query by query; what generation two
+            # delivers live must interleave exactly as the offline pass
+            assert [entry for entry in wire if entry[0] >= crash_after] == tail
+
+        run(scenario())
+
     def test_resume_without_checkpoint_rebuilds_from_wal_alone(self, tmp_path):
         """No checkpoint ever written: the WAL alone replays the pass."""
 
@@ -495,6 +562,14 @@ class TestResumedLatches:
             await producer.close()
             with pytest.raises(ConnectionError, match=SVC_SESSION_EXPIRED):
                 await SubscriberClient.connect(host, port, session=token)
+            # nothing of the session outlives it but the tombstone that
+            # tells SVC011 from SVC010: the token can never resume, so
+            # its sequence counter, tenant slot and outcome are dropped
+            assert service.stats.matches_logged > 0  # it had a counter
+            assert service._seqs == {}
+            assert not service._tenant_counts
+            assert service.engine.serving.outcomes == {}
+            assert service.engine.serving.departed == 1
             await service.stop()
 
         run(scenario())
