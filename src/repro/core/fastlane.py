@@ -21,12 +21,14 @@ Three execution shapes hang off the shared core:
   blocking discipline of :class:`~repro.core.output_tx.OutputTransducer`,
   so positions and emission events are bit-identical to the network.
 * :class:`HybridAdapter` (``hybrid`` lane, final-step qualifier) — the
-  qualifier-free spine runs on the DFA; each open candidate carries its
-  own lazily-determinized condition-automaton stack, advanced along its
-  subtree.  A witness accept determines the candidate ``true`` at the
-  witness's start tag, an undetermined candidate drops at its end tag —
-  the same determination times the ``VC``/``VD`` machinery exhibits for
-  this query class.
+  qualifier-free spine runs on the DFA; an undetermined candidate is an
+  *obligation* ``(candidate, condition-DFA state)`` held per open
+  element, derived at each start tag from the parent element's and
+  forgotten with it, so a condition advances only along paths where it
+  is still live.  A witness accept determines the candidate ``true`` at
+  the witness's start tag, an undetermined candidate drops at its end
+  tag — the same determination times the ``VC``/``VD`` machinery
+  exhibits for this query class.
 * :class:`GatedNetworkAdapter` (other ``hybrid`` shapes) — a **DFA-headed
   residual network**.  The query is split ``P.R`` at the planner's
   prefix (:func:`repro.analysis.planner.split_at_prefix`); ``P`` runs in
@@ -47,8 +49,10 @@ protocol :class:`~repro.core.multiquery.ServePump` drives a plain
 (``docs/architecture.md``) — so checkpoint/resume, shards and durable
 service sessions keep their exactly-once guarantees without knowing
 which lane a query runs on.  Snapshots carry the open element path;
-restore replays it through the subset construction, so automaton state
-is never serialized — only positions and candidates.
+restore replays it through the subset construction and, below each
+pending hybrid candidate, through its condition DFA, so automaton state
+— obligations included — is never serialized, only positions and
+candidates.
 """
 
 from __future__ import annotations
@@ -176,16 +180,14 @@ def gate_expr(expr: Rpeq) -> Rpeq:
 class _Candidate:
     """One potential match: an element the query's spine accepted."""
 
-    __slots__ = ("pos", "label", "depth", "state", "done", "cstack")
+    __slots__ = ("pos", "label", "depth", "state", "done")
 
-    def __init__(self, pos: int, label: str, depth: int) -> None:
+    def __init__(self, pos: int, label: str, depth: int, state: int) -> None:
         self.pos = pos
         self.label = label
         self.depth = depth
-        self.state = _PENDING
+        self.state = state
         self.done = False
-        #: condition-DFA state stack (hybrid lane, while undetermined)
-        self.cstack: list["_CondState"] | None = None
 
 
 class _DfaState:
@@ -215,12 +217,14 @@ class _DfaState:
 class _CondState:
     """One interned state of a per-slot condition DFA."""
 
-    __slots__ = ("key", "trans", "accept", "interned")
+    __slots__ = ("key", "trans", "accept", "dead", "interned")
 
     def __init__(self, key: frozenset[int], accept: bool, interned: bool) -> None:
         self.key = key
         self.trans: dict[str, "_CondState"] = {}
         self.accept = accept
+        #: no NFA state left: nothing below can witness any more
+        self.dead = not key
         self.interned = interned
 
 
@@ -266,8 +270,6 @@ class _Slot:
         "active",
         "offset",
         "queue",
-        "open",
-        "watching",
         "out",
         "dirty",
     )
@@ -307,8 +309,6 @@ class _Slot:
         self.active = True
         self.offset = 0
         self.queue: deque[_Candidate] = deque()
-        self.open: list[_Candidate] = []
-        self.watching: list[_Candidate] = []
         #: undelivered matches
         self.out: deque[Match] = deque()
         self.dirty = False
@@ -331,10 +331,15 @@ class _Slot:
     def reset(self, offset: int) -> None:
         self.offset = offset
         self.active = True
-        self.queue.clear()
-        self.open.clear()
-        self.watching.clear()
+        self.drop_queue()
         self.out.clear()
+
+    def drop_queue(self) -> None:
+        """Drop every queued candidate: the core's frames may still hold
+        them, as openers and obligations, but a dropped one is inert."""
+        for cand in self.queue:
+            cand.state = _DROPPED
+        self.queue.clear()
 
 
 class FastLaneCore:
@@ -344,9 +349,12 @@ class FastLaneCore:
     adapter driven directly compares :attr:`steps` with its own count to
     see that nobody has (events are shared objects, so their identity
     says nothing about it).  All
-    registered slots share one DFA stack along the open-element path, so
-    per-event cost is one transition lookup plus per-slot work only
-    where candidates actually live.
+    registered slots share one DFA stack along the open-element path,
+    and two frames per open element beside it: the candidates opened at
+    the element (closed at its end tag) and the live hybrid obligations
+    there (derived from the parent's at its start tag).  Per-event cost
+    is one transition lookup plus per-slot work only where candidates
+    open or close and where a condition is still live.
     """
 
     def __init__(self, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -372,8 +380,13 @@ class FastLaneCore:
         #: events advanced over, ever — what a directly driven adapter
         #: compares its own count with (see :meth:`_AdapterBase._sync`)
         self.steps = 0
-        self._open_slots: set[_Slot] = set()
-        self._watchers: set[_Slot] = set()
+        #: per open element, parallel to ``_stack`` (index 0 is ``$``):
+        #: the candidates opened at it, closed at its end tag ...
+        self._opened: list[list[tuple[_Slot, _Candidate]] | tuple[()]] = []
+        #: ... and the obligations of the pending hybrid candidates at or
+        #: above it: the condition state reached on the labels from the
+        #: candidate down to it, never a dead one
+        self._obligs: list[list[tuple[_Slot, _Candidate, _CondState]] | tuple[()]] = []
         #: slots that emitted since the last :meth:`drain_matches` —
         #: the driver's one truth test per event
         self._dirty: list[_Slot] = []
@@ -413,8 +426,6 @@ class FastLaneCore:
         """
         existing = self._by_query.get(query_id)
         if existing is not None and existing.kind == kind:
-            self._open_slots.discard(existing)
-            self._watchers.discard(existing)
             existing.reset(self.ecount)
             return existing
         headed = nfa if isinstance(nfa, HeadedNfa) else None
@@ -449,8 +460,8 @@ class FastLaneCore:
         """Withdraw a query for good (a departed subscriber).
 
         Unlike a detach, which keeps the slot for re-admission, the slot
-        leaves the product: at the next ``<$>``, where no candidate and
-        no DFA stack entry can still refer to it.  Until then it runs
+        leaves the product: at the next ``<$>``, where no frame and no
+        DFA stack entry can still refer to it.  Until then it runs
         dead, like a detached one.
         """
         slot = self._by_query.pop(query_id, None)
@@ -558,6 +569,8 @@ class FastLaneCore:
             stack = self._stack
             if not stack:
                 stack.append(self._initial())
+                self._opened.append(())
+                self._obligs.append(())
             state = stack[-1]
             nxt = state.trans.get(label)
             if nxt is None:
@@ -565,29 +578,22 @@ class FastLaneCore:
             stack.append(nxt)
             self._path.append(label)
             self._starts.append(self.ecount)
-            if self._watchers:
-                self._advance_watchers(label)
-            accepts = nxt.accepts
-            if accepts:
-                depth = len(self._path)
-                ecount = self.ecount
-                for si in accepts:
-                    slot = self._slots[si]
-                    if slot.active:
-                        self._open_candidate(
-                            slot, ecount - slot.offset, label, depth
-                        )
+            obligs = self._obligs[-1]
+            if obligs:
+                obligs = self._descend(obligs, label)
+            if nxt.accepts:
+                self._open(nxt.accepts, label, len(self._path), obligs)
+            else:
+                self._opened.append(())
+                self._obligs.append(obligs)
             return
         if cls is EndElement:
             path = self._path
             if path:
-                depth = len(path)
-                if self._open_slots:
-                    self._close_at(depth)
-                if self._watchers:
-                    for slot in self._watchers:
-                        for cand in slot.watching:
-                            cand.cstack.pop()  # type: ignore[union-attr]
+                opened = self._opened.pop()
+                if opened:
+                    self._close(opened)
+                self._obligs.pop()
                 self._stack.pop()
                 path.pop()
                 self._starts.pop()
@@ -596,79 +602,79 @@ class FastLaneCore:
             self._reset_document()
             return
         if cls is EndDocument:
-            if self._open_slots:
-                self._close_at(0)
+            frames = self._opened
+            if frames and frames[0]:
+                root, frames[0] = frames[0], ()
+                self._close(root)
             return
 
-    def _advance_watchers(self, label: str) -> None:
-        finished: list[_Slot] = []
-        for slot in self._watchers:
-            watching = slot.watching
-            determined = False
-            for cand in watching:
-                cstack = cand.cstack
-                assert cstack is not None
-                top = cstack[-1]
-                nxt = top.trans.get(label)
-                if nxt is None:
-                    nxt = self._cond_step(slot, top, label)
-                cstack.append(nxt)
-                if nxt.accept:
-                    # Witness found: the candidate is determined true at
-                    # the witness's start tag, exactly when the network's
-                    # CH chain would fire its Contribute.
-                    cand.state = _READY
-                    cand.cstack = None
-                    determined = True
-            if determined:
-                slot.watching = [c for c in watching if c.state == _PENDING]
-                if not slot.watching:
-                    finished.append(slot)
-        for slot in finished:
-            self._watchers.discard(slot)
+    def _descend(
+        self,
+        parent: list[tuple[_Slot, _Candidate, _CondState]] | tuple[()],
+        label: str,
+    ) -> list[tuple[_Slot, _Candidate, _CondState]] | tuple[()]:
+        """A child element's obligations, stepped from its parent's.
 
-    def _open_candidate(
-        self, slot: _Slot, pos: int, label: str, depth: int
-    ) -> None:
-        cand = _Candidate(pos, label, depth)
-        if slot.kind == KIND_DFA:
-            cand.state = _READY
-        else:
-            init = slot.cond_init
-            assert init is not None
-            if init.accept:
-                # ε-accepting condition ([b?], [a*]): determined at birth.
+        A witness determines its candidate true here — at its start tag,
+        exactly when the network's CH chain would fire its Contribute —
+        and a dead state is forgotten, so a subtree where no condition is
+        live costs nothing.  An obligation of a candidate determined (or
+        dropped) meanwhile in an earlier sibling's subtree is skipped.
+        """
+        child: list[tuple[_Slot, _Candidate, _CondState]] = []
+        for slot, cand, state in parent:
+            if cand.state != _PENDING:
+                continue
+            nxt = state.trans.get(label)
+            if nxt is None:
+                nxt = self._cond_step(slot, state, label)
+            if nxt.accept:
                 cand.state = _READY
-            else:
-                cand.cstack = [init]
-                slot.watching.append(cand)
-                self._watchers.add(slot)
-        slot.queue.append(cand)
-        slot.open.append(cand)
-        self._open_slots.add(slot)
+            elif not nxt.dead:
+                child.append((slot, cand, nxt))
+        return child or ()
 
-    def _close_at(self, depth: int) -> None:
-        for slot in list(self._open_slots):
-            open_stack = slot.open
-            if open_stack and open_stack[-1].depth == depth:
-                cand = open_stack.pop()
-                cand.done = True
-                if cand.state == _PENDING:
-                    # Scope closed without a witness: determined false —
-                    # the VD transducer's Close at the same end tag.
-                    cand.state = _DROPPED
-                    cand.cstack = None
-                    watching = slot.watching
-                    if watching:
-                        if watching[-1] is cand:
-                            watching.pop()
-                        else:  # pragma: no cover - deepest pending is last
-                            watching.remove(cand)
-                        if not watching:
-                            self._watchers.discard(slot)
-                if not open_stack:
-                    self._open_slots.discard(slot)
-                self._flush(slot)
+    def _open(
+        self,
+        accepts: tuple[int, ...],
+        label: str,
+        depth: int,
+        obligs: list[tuple[_Slot, _Candidate, _CondState]] | tuple[()],
+    ) -> None:
+        """Open a candidate per active accepting slot at the element just
+        pushed (``$`` at depth 0) and push the element's two frames."""
+        opened: list[tuple[_Slot, _Candidate]] = []
+        born: list[tuple[_Slot, _Candidate, _CondState]] = []
+        ecount = self.ecount
+        for si in accepts:
+            slot = self._slots[si]
+            if not slot.active:
+                continue
+            pos = ecount - slot.offset if depth else 0
+            init = slot.cond_init
+            if init is None or init.accept:
+                # dfa lane, or an ε-accepting condition ([b?], [a*]):
+                # determined at birth.
+                cand = _Candidate(pos, label, depth, _READY)
+            else:
+                cand = _Candidate(pos, label, depth, _PENDING)
+                born.append((slot, cand, init))
+            slot.queue.append(cand)
+            opened.append((slot, cand))
+        self._opened.append(opened or ())
+        self._obligs.append([*obligs, *born] if born else obligs)
+
+    def _close(self, opened: list[tuple[_Slot, _Candidate]] | tuple[()]) -> None:
+        """An end tag closes exactly the candidates opened at its element."""
+        for slot, cand in opened:
+            if cand.state == _DROPPED:
+                continue  # withdrawn with its slot
+            cand.done = True
+            if cand.state == _PENDING:
+                # Scope closed without a witness: determined false — the
+                # VD transducer's Close at the same end tag.
+                cand.state = _DROPPED
+            self._flush(slot)
 
     def _flush(self, slot: _Slot) -> None:
         """The OU emission rule: pop dropped fronts, emit ready+complete
@@ -703,27 +709,18 @@ class FastLaneCore:
             self._interned.clear()
             self._init = None
         for slot in self._slots.values():
-            if slot.open:
-                slot.open.clear()
-            if slot.watching:
-                slot.watching.clear()
             if slot.queue:
                 slot.queue.clear()
-        self._open_slots.clear()
-        self._watchers.clear()
         init = self._initial()
         self._stack.clear()
         self._stack.append(init)
         self._path.clear()
         self._starts.clear()
-        accepts = init.accepts
-        if accepts:
-            # The query accepts ε: the virtual root $ is a candidate at
-            # position 0, completing at </$> — OU's document-root rule.
-            for si in accepts:
-                slot = self._slots[si]
-                if slot.active:
-                    self._open_candidate(slot, 0, DOCUMENT_LABEL, 0)
+        self._opened.clear()
+        self._obligs.clear()
+        # A query that accepts ε has the virtual root $ as a candidate at
+        # position 0, completing at </$> — OU's document-root rule.
+        self._open(init.accepts, DOCUMENT_LABEL, 0, ())
 
     def drain_matches(self) -> list[tuple[str, Match]]:
         """Bulk-drain every slot that emitted (the driver's one drain)."""
@@ -763,8 +760,8 @@ class FastLaneCore:
         ``payload`` is an adapter snapshot carrying :meth:`path_state`.
         Called by every restoring adapter; the first call replays, later
         ones only verify their snapshots agree on the position.  Replay
-        is side-effect free (no candidates open — those are restored
-        explicitly by each adapter).
+        is side-effect free: the frames start empty, and each adapter
+        puts its open candidates and their obligations back itself.
         """
         path = [str(p) for p in payload["path"]]  # type: ignore[union-attr]
         ecount = int(payload["ecount"])  # type: ignore[call-overload]
@@ -785,6 +782,8 @@ class FastLaneCore:
             stack.append(nxt)
             state = nxt
         self._stack = stack
+        self._opened = [[] for _ in stack]
+        self._obligs = [[] for _ in stack]
         self._path = path
         self._starts = starts
         self.ecount = ecount
@@ -834,11 +833,7 @@ class _AdapterBase:
         """Detach: stop opening candidates and drop in-flight state."""
         slot = self._slot
         slot.active = False
-        slot.queue.clear()
-        slot.open.clear()
-        slot.watching.clear()
-        self._core._open_slots.discard(slot)
-        self._core._watchers.discard(slot)
+        slot.drop_queue()
 
     # -- checkpointing --------------------------------------------------
 
@@ -858,55 +853,40 @@ class _AdapterBase:
         }
 
     def restore(self, snap: dict[str, Any]) -> None:
+        """Queue the snapshot's candidates, put the open ones back into
+        the frames of the elements they opened at, and rebuild a pending
+        one's obligations by replaying the path below it through the
+        condition DFA — obligations are a pure function of the labels."""
         payload = snap["fastlane"]
         core = self._core
         slot = self._slot
         core.restore_path(payload)
         slot.reset(int(payload["offset"]))
+        opened, obligs, path = core._opened, core._obligs, core._path
         for pos, label, depth, state_name, done in payload["candidates"]:
-            cand = _Candidate(int(pos), str(label), int(depth))
-            cand.state = _STATE_CODES[str(state_name)]
+            depth = int(depth)
+            state_code = _STATE_CODES[str(state_name)]
+            cand = _Candidate(int(pos), str(label), depth, state_code)
             cand.done = bool(done)
             slot.queue.append(cand)
-            if not cand.done:
-                slot.open.append(cand)
-        if slot.open:
-            slot.open.sort(key=lambda c: c.depth)
-            core._open_slots.add(slot)
-        if slot.kind == KIND_HYBRID:
-            self._rebuild_cstacks()
+            if cand.done:
+                continue
+            opened[depth] = [*opened[depth], (slot, cand)]
+            state = slot.cond_init
+            if cand.state != _PENDING or state is None:
+                continue
+            obligs[depth] = [*obligs[depth], (slot, cand, state)]
+            for below in path[depth:]:
+                state = state.trans.get(below) or core._cond_step(slot, state, below)
+                if state.dead:
+                    break
+                depth += 1
+                obligs[depth] = [*obligs[depth], (slot, cand, state)]
         for pos, label in payload["pending_out"]:
             slot.out.append(Match(int(pos), str(label), None))
         if slot.out and not slot.dirty:
             slot.dirty = True
             core._dirty.append(slot)
-
-    def _rebuild_cstacks(self) -> None:
-        """Recompute condition stacks by replaying path labels below each
-        pending open candidate — the stacks are pure label functions."""
-        core = self._core
-        slot = self._slot
-        for cand in slot.open:
-            if cand.state != _PENDING:
-                continue
-            init = slot.cond_init
-            assert init is not None
-            cstack = [init]
-            state = init
-            for label in core._path[cand.depth :]:
-                nxt = state.trans.get(label)
-                if nxt is None:
-                    nxt = core._cond_step(slot, state, label)
-                cstack.append(nxt)
-                state = nxt
-                if state.accept:  # pragma: no cover - snapshot said pending
-                    raise CheckpointError(
-                        "pending fast-lane candidate replays to accepted"
-                    )
-            cand.cstack = cstack
-            slot.watching.append(cand)
-        if slot.watching:
-            core._watchers.add(slot)
 
 
 class FastLaneAdapter(_AdapterBase):
@@ -914,7 +894,8 @@ class FastLaneAdapter(_AdapterBase):
 
 
 class HybridAdapter(_AdapterBase):
-    """Native hybrid runner: DFA spine + per-candidate condition DFA."""
+    """Native hybrid runner: DFA spine + condition-DFA obligations kept
+    per open element in the core's frames."""
 
 
 class GatedNetworkAdapter:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.fastlane import (
+    _PENDING,
     KIND_DFA,
     FastLaneAdapter,
     FastLaneCore,
@@ -518,6 +519,210 @@ def test_headed_runner_on_random_tree_documents(query, seed):
 def test_headed_runner_on_treebank_documents(query, seed):
     """Recursive documents: prefix matches nest inside prefix matches."""
     assert_headed_equals_pure(query, list(treebank(seed, sentences=6, max_depth=8)))
+
+
+# ----------------------------------------------------------------------
+# the native hybrid lane: obligations kept per open element
+
+
+def assert_hybrid_equals_pure(queries, events):
+    """Every query on the native ``spine[condition]`` lane, held to the
+    event against the pure network; returns the indexed matches."""
+    if isinstance(queries, str):
+        queries = {"q": queries}
+    engine = MultiQueryEngine(queries)
+    got = indexed_matches(engine.run, events)
+    assert got == indexed_matches(
+        MultiQueryEngine(queries, optimize=PURE_NETWORK).run, events
+    )
+    assert engine.lane_executions == dict.fromkeys(queries, "hybrid")
+    return got
+
+
+class TestObligationFrames:
+    """A pending candidate's condition lives in the frames of the open
+    elements below it — stepped from the parent's frame at each start
+    tag, forgotten at the end tag — so a condition that dies in one child
+    is alive again at the next, and a nested candidate of the same query
+    never witnesses for its ancestor.  Events are numbered from ``<$>``."""
+
+    def test_sibling_witness_after_a_dead_branch(self):
+        events = list(parse_string("<a><x/><b/></a>"))
+        # <x> kills the condition of a; <b> steps it afresh from a's frame
+        assert assert_hybrid_equals_pure("_*.a[b]", events) == [(6, "q", 1, "a")]
+
+    def test_nested_candidate_does_not_witness_for_its_ancestor(self):
+        events = list(parse_string("<a><x><a><b/></a></x></a>"))
+        # the inner a only, behind the outer one until that drops at </a>
+        assert assert_hybrid_equals_pure("_*.a[b]", events) == [(8, "q", 3, "a")]
+
+    def test_ancestor_witness_after_its_nested_candidate_dropped(self):
+        events = list(parse_string("<r><a><a><x/></a><b/></a></r>"))
+        assert assert_hybrid_equals_pure("_*.a[b]", events) == [(9, "q", 2, "a")]
+
+    def test_closure_condition(self):
+        events = list(
+            parse_string("<r><a><x><y><b/></y></x></a><a><x/></a><a><a><b/></a></a></r>")
+        )
+        got = assert_hybrid_equals_pure("_*.a[_*.b]", events)
+        assert [(position, label) for _, _, position, label in got] == [
+            (2, "a"),
+            (8, "a"),
+            (9, "a"),
+        ]
+
+    def test_epsilon_accepting_condition(self):
+        """``b?`` accepts ε: every ``a`` is determined at its own start
+        tag and no obligation is ever held."""
+        events = list(parse_string("<r><a><b/></a><a><c/></a><a/></r>"))
+        got = assert_hybrid_equals_pure("_*.a[b?]", events)
+        assert [position for _, _, position, _ in got] == [2, 4, 6]
+
+    def test_root_candidate_closes_at_end_document(self):
+        """The planner never routes an ε-accepting spine here, but the
+        core must not depend on that: ``$`` is then a candidate in the
+        root frame, determined by a child ``b`` and closed at ``</$>``."""
+        query = parse("_*[b]")
+        plan = MultiQueryEngine({"q": query}).plans["q"]
+        assert plan.lane == "network"
+        core = FastLaneCore()
+        runner, lane, reason = build_lane_runner(
+            core,
+            "q",
+            query,
+            dataclasses.replace(plan, lane="hybrid"),
+            ALL_OPTIMIZATIONS,
+            lambda residual: None,
+        )
+        assert (lane, reason) == ("hybrid", None)
+        events = list(parse_string("<b><a><b/></a></b>")) + list(parse_string("<c/>"))
+        got = [
+            (index, "q", match.position, match.label)
+            for index, event in enumerate(events)
+            for match in runner.process_event(event)
+        ]
+        assert got == [(7, "q", 0, "$"), (7, "q", 2, "a")]
+        assert got == indexed_matches(
+            MultiQueryEngine({"q": query}, optimize=PURE_NETWORK).run, events
+        )
+        assert len(core._opened) == len(core._obligs) == 1
+
+
+@st.composite
+def hybrid_query_sets(draw, labels=LABELS):
+    """2–6 ``spine[condition]`` queries, so several slots share the frames
+    of every open element: a pure spine ending in a concrete label (the
+    planner then says hybrid), half of them under ``_*``, and a pure
+    condition — ε-accepting ones included."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    config = GeneratorConfig(labels=labels, allow_qualifiers=False, max_depth=2)
+    queries = {}
+    for index in range(draw(st.integers(min_value=2, max_value=6))):
+        spine = Concat(random_rpeq(rng, config), Label(rng.choice(labels)))
+        if rng.random() < 0.5:
+            spine = Concat(parse("_*"), spine)
+        queries[f"q{index}"] = Qualifier(spine, random_rpeq(rng, config))
+    return queries
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(hybrid_query_sets(), multi_document_streams())
+def test_hybrid_query_sets_match_pure_network_event_for_event(queries, events):
+    assert_hybrid_equals_pure(queries, events)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    hybrid_query_sets(labels=("a", "b", "c", "d", "e")),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_hybrid_query_sets_on_random_tree_documents(queries, seed):
+    events = list(random_tree(seed, elements=120, max_depth=7))
+    events += list(random_tree(seed + 1, elements=60, max_depth=4))
+    assert_hybrid_equals_pure(queries, events)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    hybrid_query_sets(labels=("S", "NP", "VP", "PP", "NN")),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_hybrid_query_sets_on_treebank_documents(queries, seed):
+    """Recursive documents: candidates of one query nest, each with its
+    own obligations in the same frames."""
+    assert_hybrid_equals_pure(queries, list(treebank(seed, sentences=6, max_depth=8)))
+
+
+class TestCheckpointCutsWithLiveObligations:
+    """Obligations are never serialized: a resumed pass rebuilds them by
+    replaying the open path below each pending candidate.  Cut after
+    every event of one recursive document, through a file."""
+
+    QUERIES = {
+        "clause": "_*.S[VP.S]",
+        "pp-below": "_*.S[_*.PP]",
+        "vp-pp": "_*.VP[PP]",
+        "np-pp": "_*.NP[PP.NP]",
+    }
+
+    @staticmethod
+    def pending(core):
+        """``(query, position, dead here)`` per open pending candidate:
+        *dead here* when no obligation of it reaches the innermost open
+        element — the cut sits in a dead branch of its subtree."""
+        here = {id(cand) for _, cand, _ in core._obligs[-1]}
+        return [
+            (slot.query_id, cand.pos, id(cand) not in here)
+            for slot in core._slots.values()
+            for cand in slot.queue
+            if cand.state == _PENDING and not cand.done
+        ]
+
+    def test_a_cut_after_every_event_resumes_bit_identically(self, tmp_path):
+        events = list(treebank(11, sentences=3, max_depth=8))
+        engine = MultiQueryEngine(self.QUERIES)
+        pump = engine.start_pump(cursor=StreamCursor())
+        full, cuts = [], []
+        path = str(tmp_path / "cut.json")
+        for index, event in enumerate(events):
+            full += [(index, q, m.position, m.label) for q, m in pump.feed(event)]
+            engine.checkpoint().save(path)
+            cuts.append((Checkpoint.load(path), self.pending(engine._fastlane_core)))
+        assert set(engine.lane_executions.values()) == {"hybrid"}
+
+        matched = {(q, position) for _, q, position, _ in full}
+        nested = [
+            cut
+            for cut, (_, pending) in enumerate(cuts)
+            if len({q for q, _, _ in pending}) < len(pending)
+        ]
+        revived = [
+            cut
+            for cut, (_, pending) in enumerate(cuts)
+            if any(dead and (q, pos) in matched for q, pos, dead in pending)
+        ]
+        assert nested and revived, "the document must exercise both shapes"
+
+        for cut, (checkpoint, _) in enumerate(cuts):
+            resumed = MultiQueryEngine.from_checkpoint(checkpoint).resume_pump(checkpoint)
+            tail = [
+                (index, q, m.position, m.label)
+                for index, event in enumerate(events[cut + 1 :], start=cut + 1)
+                for q, m in resumed.feed(event)
+            ]
+            assert tail == [row for row in full if row[0] > cut], cut
 
 
 def test_multi_document_streams_reset_cleanly(rng):

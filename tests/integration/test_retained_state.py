@@ -3,11 +3,13 @@
 The seed of the model-based harness ROADMAP item 1 asks for, on the one
 invariant two accidental findings (the fast-lane slot leak, the
 ``ServingReport.outcomes`` leak) showed nobody was checking: whatever
-the history of subscribes, departures, documents and crash/resume cuts,
-a serving pass holds what a **fresh** engine registered with the same
-live queries in the same order holds — and answers the next document
-the same way.  Rules to add as the harness grows: fault schedules,
-shard and server kills, knob flips, the DOM oracle.
+the history of subscribes, departures (between documents or at any
+event inside one, as the service closes a subscriber), documents and
+crash/resume cuts, a serving pass holds what a **fresh** engine
+registered with the same live queries in the same order holds — and
+answers the next document the same way.  Rules to add as the harness
+grows: fault schedules, shard and server kills, knob flips, the DOM
+oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro import Checkpoint, StreamCursor
+from repro.core.fastlane import _DROPPED, _PENDING
 from repro.core.multiquery import MultiQueryEngine
 from repro.workloads.generators import random_tree
 from repro.xmlstream.events import StartElement
+from repro.xmlstream.parser import parse_string
 
 #: two queries per lane (dfa, hybrid, gated, network).  No ``following::``:
 #: a network that outlives ``</$>`` lets it reach into the next document
@@ -68,6 +72,26 @@ def slot_indices(engine):
     return frozenset(core._slots) if core is not None else frozenset()
 
 
+def frame_entries(core):
+    """Every ``(slot, candidate)`` the core's per-element frames hold:
+    the candidates opened at each open element and the obligations."""
+    for frame in core._opened:
+        yield from frame
+    for frame in core._obligs:
+        for slot, cand, _ in frame:
+            yield slot, cand
+
+
+def assert_fresh_frames(engine):
+    """At ``<$>``: one root frame each, referring to live slots only."""
+    core = engine._fastlane_core
+    if core is None:
+        return
+    assert len(core._opened) == len(core._obligs) == 1
+    live = set(core._slots.values())
+    assert all(slot in live and slot.active for slot, _ in frame_entries(core))
+
+
 class ServingPass(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -97,34 +121,63 @@ class ServingPass(RuleBasedStateMachine):
         self.engine.remove_query(query_id)
         del self.live[query_id], self.fed[query_id]
 
+    def depart_inside(self, query_id, fresh, fresh_pump):
+        """Close + remove at a cut inside a document, on both passes: the
+        departed slot's candidates and obligations stay in the frames of
+        the open elements until they close, but inert."""
+        flushed = self.pump.close(query_id)
+        self.engine.remove_query(query_id)
+        assert [(m.position - self.fed[query_id], m.label) for m in flushed] == [
+            (m.position, m.label) for m in fresh_pump.close(query_id)
+        ]
+        fresh.remove_query(query_id)
+        del self.live[query_id], self.fed[query_id]
+        core = self.engine._fastlane_core
+        if core is not None:
+            assert all(
+                cand.state == _DROPPED
+                for slot, cand in frame_entries(core)
+                if slot.query_id == query_id
+            )
+
     @rule(
         number=st.sampled_from(range(len(DOCUMENTS))),
         cut=st.none() | st.integers(1, 50),
+        leave=st.none() | st.integers(1, 50),
+        data=st.data(),
     )
-    def feed_a_document(self, number, cut):
-        """One document, optionally through a crash after ``cut`` events."""
+    def feed_a_document(self, number, cut, leave, data):
+        """One document, optionally through a crash after ``cut`` events
+        and a departure at event ``leave``."""
         document = DOCUMENTS[number]
         fresh = MultiQueryEngine(dict(self.live))
         fresh_pump = fresh.start_pump(cursor=StreamCursor())
+        leaving = data.draw(st.sampled_from(sorted(self.live))) if self.live else None
         assert self.pump.feed(document[0]) == fresh_pump.feed(document[0]) == []
         # the <$> boundary: everyone attached has joined, everyone who
-        # left is gone from the shared DFA
+        # left is gone from the shared DFA and from every frame
         assert retained(self.engine, self.pump) == retained(fresh, fresh_pump)
+        assert_fresh_frames(self.engine)
         regrown = slot_indices(self.engine) != self.indices
         if regrown:
             # the slot set changed, so the lazy DFA started over
             assert states(self.engine) == states(fresh)
         got, expected = [], []
         for index, event in enumerate(document[1:], start=1):
+            if index == leave and leaving is not None:
+                self.depart_inside(leaving, fresh, fresh_pump)
             if index == cut:
                 self.resume_from_a_file()
                 regrown = False  # the new process explored the tail only
-            got += self.pump.feed(event)
-            expected += fresh_pump.feed(event)
-        assert [
-            (query_id, match.position - self.fed[query_id], match.label)
-            for query_id, match in got
-        ] == [(query_id, match.position, match.label) for query_id, match in expected]
+            got += [
+                (query_id, match.position - self.fed[query_id], match.label)
+                for query_id, match in self.pump.feed(event)
+            ]
+            expected += [
+                (query_id, match.position, match.label)
+                for query_id, match in fresh_pump.feed(event)
+            ]
+        assert got == expected
         if regrown:
             assert states(self.engine) == states(fresh)
         self.indices = slot_indices(self.engine)
@@ -184,3 +237,39 @@ def test_a_thousand_connections_leave_nothing_behind():
         return len(json.dumps(checkpoint.to_dict()))
 
     assert abs(size(engine.checkpoint()) - size(fresh.checkpoint())) < 200
+
+
+def test_closing_a_hybrid_subscriber_with_live_obligations():
+    """The service closes a subscriber at any event: here a hybrid one
+    whose candidate is open and whose obligation is live.  What it left
+    in the frames is inert, ``<$>`` clears it, and the rest answer the
+    next document as a fresh engine does."""
+    queries = {"keep": "_*.a[b].c", "h": "_*.a[c]", "h2": "_*.c[d.e]"}
+    engine = MultiQueryEngine(queries)
+    pump = engine.start_pump(cursor=StreamCursor())
+    document = list(parse_string("<r><a><x/><c><d><e/></d></c></a></r>"))
+    got = []
+    for event in document[:3]:  # <$> <r> <a>
+        got += pump.feed(event)
+    core = engine._fastlane_core
+    slot = core._by_query["h"]
+    assert [(s, c.pos) for s, c in core._opened[-1]] == [(slot, 2)]
+    assert [(s, c.state) for s, c, _ in core._obligs[-1]] == [(slot, _PENDING)]
+    assert pump.close("h") == []
+    engine.remove_query("h")
+    assert all(c.state == _DROPPED for s, c in frame_entries(core) if s is slot)
+    for event in document[3:]:
+        got += pump.feed(event)
+    # the a had a c to come: staying, "h" would have answered it
+    assert [(q, m.position) for q, m in got] == [("h2", 4)]
+
+    del queries["h"]
+    fresh_pump = MultiQueryEngine(queries).start_pump(cursor=StreamCursor())
+    offset = sum(isinstance(e, StartElement) for e in document)
+    for index, event in enumerate(DOCUMENTS[0]):
+        assert [(q, m.position - offset, m.label) for q, m in pump.feed(event)] == [
+            (q, m.position, m.label) for q, m in fresh_pump.feed(event)
+        ]
+        if index == 0:  # <$>
+            assert_fresh_frames(engine)
+            assert slot not in core._slots.values()
