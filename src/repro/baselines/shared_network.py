@@ -14,14 +14,16 @@ from typing import Iterable, Iterator, Mapping
 
 from ..analysis.rewrite import concat_spine
 from ..conditions.store import ConditionStore, VariableAllocator
+from ..core.clock import as_clock
 from ..core.compiler import _Compiler
 from ..core.network import Network
 from ..core.output_tx import Match, OutputTransducer
 from ..core.path_transducers import InputTransducer
-from ..limits import ResourceLimits
+from ..limits import ResourceLimits, stream_guard
 from ..rpeq.ast import Rpeq
 from ..rpeq.parser import parse
 from ..xmlstream.events import Event
+from ..xmlstream.offsets import StreamCursor
 from ..xmlstream.parser import iter_events
 
 
@@ -97,7 +99,11 @@ class SharedNetworkEngine:
     def run(self, source: str | Iterable[Event]) -> Iterator[tuple[str, Match]]:
         """One stream pass; yields ``(query_id, match)`` progressively."""
         network, sinks = self.compile()
-        for event in iter_events(source):
+        cursor = StreamCursor()
+        guard = stream_guard(self.limits, cursor, as_clock(None))
+        for event in cursor.attach(iter_events(source)):
+            if guard is not None:
+                guard(event)
             network.process_event(event)
             for query_id, sink in sinks.items():
                 while sink.results:

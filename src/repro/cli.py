@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         dest="max_depth",
         help="abort (strict) or skip the document when stream nesting "
-        "exceeds N (depth-bomb guard)",
+        "exceeds N (depth-bomb guard, checked once per event)",
     )
     query.add_argument(
         "--max-buffered",
@@ -811,7 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         metavar="N",
         dest="max_depth",
-        help="per-query depth guard, and the admission depth bound",
+        help="stream depth guard, checked once per event (every query "
+        "keeps its lane), and the admission depth bound",
     )
     serve.add_argument(
         "--max-buffered",

@@ -13,7 +13,7 @@ zero.
 Format: a single JSON document::
 
     {
-      "version": 3,            # format version, checked on load
+      "version": 4,            # format version, checked on load
       "kind": "spex",          # which engine wrote it ("spex"/"multiquery")
       "payload": {...},        # engine-specific state (stable dict forms)
       "checksum": "sha256:..." # over the canonical encoding of the rest
@@ -44,8 +44,10 @@ from ..errors import CheckpointError
 #: version-2 ``"queries"`` dict lost that order through a file) and holds
 #: one ``snapshot()`` per runner under ``"runners"``; a network's
 #: snapshot includes its condition store and allocator; ``"optimize"``
-#: is always the three-key dict.
-CHECKPOINT_VERSION = 3
+#: is always the three-key dict.  Version 4: stream position is the
+#: ``"cursor"``'s alone; no runner snapshot repeats the open path, the
+#: element count or the document's event count.
+CHECKPOINT_VERSION = 4
 
 
 def _canonical(body: dict) -> bytes:

@@ -9,7 +9,7 @@ uses :data:`SYSTEM_CLOCK`, tests pass a :class:`FakeClock` and advance
 it deterministically.
 
 Adopters: :class:`~repro.core.supervisor.Supervisor` (backoff and
-checkpoint cadence), :class:`~repro.core.network.Network` (per-document
+checkpoint cadence), :func:`repro.limits.stream_guard` (per-document
 wall-clock budget), the serving layer
 (:mod:`repro.core.serving` deadlines), and
 :class:`~repro.xmlstream.faults.FaultInjector` (``stall`` and

@@ -17,14 +17,13 @@ the paper's evaluation model.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 from ..analysis.metrics import QueryProfile, analyze
 from ..errors import CheckpointError, EngineError
-from ..limits import ResourceLimits
+from ..limits import ResourceLimits, stream_guard
 from ..rpeq.ast import Rpeq
 from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
@@ -38,6 +37,7 @@ from ..xmlstream.recovery import (
     recovered_documents,
 )
 from .checkpoint import Checkpoint
+from .clock import as_clock
 from .compiler import compile_network
 from .network import Network, NetworkStats
 from .optimize import OptimizationFlags, as_flags
@@ -378,16 +378,20 @@ class SpexEngine:
         self._last_store = store
         return network
 
-    @staticmethod
     def _run_strict(
+        self,
         network: Network,
         events: Iterable[Event],
         cursor: StreamCursor,
         require_end: bool,
     ) -> Iterator[Match]:
         """The strict per-event loop of :meth:`run` and :meth:`resume`:
-        each event is checked and counted by ``cursor``, then evaluated."""
+        each event is checked and counted by ``cursor``, held to the
+        stream limits, then evaluated."""
+        guard = stream_guard(self.limits, cursor, as_clock(None))
         for event in cursor.attach(events, require_end=require_end):
+            if guard is not None:
+                guard(event)
             yield from network.process_event(event)
 
     def _run_recovering(
@@ -399,9 +403,10 @@ class SpexEngine:
     ) -> Iterator[Match]:
         """Document-wise evaluation behind a recovery policy.
 
-        Every recovered document gets a fresh network (so a poisoned
-        document cannot corrupt transducer state for its successors) and
-        its matches are buffered until the document completes; a
+        Every recovered document is a strict run of its own, on a fresh
+        network and cursor (so a poisoned document cannot corrupt
+        transducer state for its successors), and its matches are
+        buffered until the document completes; a
         :class:`~repro.errors.ResourceLimitError` mid-document discards
         that document's matches and files a ``"limit"`` record.
         """
@@ -410,11 +415,9 @@ class SpexEngine:
             events, policy, report, require_end=require_end
         ):
             network = self._fresh_network()
+            run = self._run_strict(network, document, StreamCursor(), False)
             matches: list[Match] = []
-            results = itertools.chain.from_iterable(
-                map(network.process_event, document)
-            )
-            if report.collect_document(results, matches):
+            if report.collect_document(run, matches):
                 yield from matches
 
     def evaluate(self, source: str | Iterable[Event]) -> list[Match]:

@@ -48,11 +48,14 @@ protocol :class:`~repro.core.multiquery.ServePump` drives a plain
 :class:`~repro.core.network.Network` through as well
 (``docs/architecture.md``) — so checkpoint/resume, shards and durable
 service sessions keep their exactly-once guarantees without knowing
-which lane a query runs on.  Snapshots carry the open element path;
-restore replays it through the subset construction and, below each
+which lane a query runs on.  Stream position — depth, the open labels,
+element ordinals — is the pass's
+:class:`~repro.xmlstream.offsets.StreamCursor`'s alone: the core reads
+it, and a checkpoint holds it once, in the cursor.  Restore replays the
+cursor's open path through the subset construction and, below each
 pending hybrid candidate, through its condition DFA, so automaton state
-— obligations included — is never serialized, only positions and
-candidates.
+— obligations included — is never serialized, and a runner snapshot
+holds only candidates and counters.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..analysis.planner import pure, split_at_prefix
-from ..errors import CheckpointError, UnsupportedFeatureError
+from ..errors import UnsupportedFeatureError
+from ..limits import DROP_OLDEST, ResourceLimits
 from ..rpeq.ast import (
     Concat,
     Empty,
@@ -87,6 +91,7 @@ from .output_tx import Match
 
 if TYPE_CHECKING:
     from ..analysis.planner import QueryPlan
+    from ..xmlstream.offsets import StreamCursor
     from .network import Network
     from .optimize import OptimizationFlags
 
@@ -343,21 +348,24 @@ class _Slot:
 
 
 class FastLaneCore:
-    """The shared lazily-determinized product automaton of one engine.
+    """The shared lazily-determinized product automaton of one pass.
 
-    Drivers call :meth:`advance` exactly once per stream event; an
-    adapter driven directly compares :attr:`steps` with its own count to
-    see that nobody has (events are shared objects, so their identity
-    says nothing about it).  All
-    registered slots share one DFA stack along the open-element path,
-    and two frames per open element beside it: the candidates opened at
-    the element (closed at its end tag) and the live hybrid obligations
+    The driver calls :meth:`advance` exactly once per stream event,
+    right after ``cursor`` has counted it; depth, labels and element
+    ordinals are read from the cursor, never kept here.  All registered
+    slots share one DFA stack along the open-element path, and two
+    frames per open element beside it: the candidates opened at the
+    element (closed at its end tag) and the live hybrid obligations
     there (derived from the parent's at its start tag).  Per-event cost
     is one transition lookup plus per-slot work only where candidates
     open or close and where a condition is still live.
     """
 
-    def __init__(self, max_states: int = DEFAULT_MAX_STATES) -> None:
+    def __init__(
+        self, cursor: "StreamCursor", max_states: int = DEFAULT_MAX_STATES
+    ) -> None:
+        #: the pass's stream position, which the core reads and never moves
+        self.cursor = cursor
         self.max_states = max_states
         #: live and not-yet-dropped slots by index; an index is never
         #: reused, so a pair ``(index, nfa_state)`` names one slot forever
@@ -368,19 +376,10 @@ class FastLaneCore:
         self._retired: list[_Slot] = []
         self._interned: dict[frozenset[tuple[int, int]], _DfaState] = {}
         self._init: _DfaState | None = None
+        #: per open element, the DFA state reached on its root path
+        #: (index 0 is ``$``, index ``d`` the element at cursor depth ``d``)
         self._stack: list[_DfaState] = []
-        #: labels of the open elements, root child first (depth 1..)
-        self._path: list[str] = []
-        #: ``ecount`` at each open element's start tag, parallel to
-        #: ``_path`` — the stream-global ordinal a headed runner needs
-        #: to feed a parked ancestor late under its true position
-        self._starts: list[int] = []
-        #: StartElements seen, ever (the OU position counter, global)
-        self.ecount = 0
-        #: events advanced over, ever — what a directly driven adapter
-        #: compares its own count with (see :meth:`_AdapterBase._sync`)
-        self.steps = 0
-        #: per open element, parallel to ``_stack`` (index 0 is ``$``):
+        #: per open element, parallel to ``_stack``:
         #: the candidates opened at it, closed at its end tag ...
         self._opened: list[list[tuple[_Slot, _Candidate]] | tuple[()]] = []
         #: ... and the obligations of the pending hybrid candidates at or
@@ -392,7 +391,6 @@ class FastLaneCore:
         self._dirty: list[_Slot] = []
         #: uncached subset-construction steps past the memo bound
         self.saturated_steps = 0
-        self._restored: tuple[tuple[str, ...], int, tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # registration
@@ -426,7 +424,7 @@ class FastLaneCore:
         """
         existing = self._by_query.get(query_id)
         if existing is not None and existing.kind == kind:
-            existing.reset(self.ecount)
+            existing.reset(self.cursor.elements_seen)
             return existing
         headed = nfa if isinstance(nfa, HeadedNfa) else None
         if headed is not None:
@@ -448,7 +446,7 @@ class FastLaneCore:
         if headed is not None:
             slot.head_accept = headed.head_accept
             slot.tail_inner = headed.tail_inner
-        slot.offset = self.ecount
+        slot.offset = self.cursor.elements_seen
         self._slots[slot.index] = slot
         self._by_query[query_id] = slot
         # The initial state must include the new slot's start closure.
@@ -558,45 +556,33 @@ class FastLaneCore:
     # the per-event transition
 
     def advance(self, event: Event) -> None:
-        """Process one stream event (exactly once per event)."""
-        self.steps += 1
+        """Process one stream event, which the cursor has just counted."""
         cls = event.__class__
         if cls is Text:
             return
         if cls is StartElement:
             label = event.label  # type: ignore[attr-defined]
-            self.ecount += 1
             stack = self._stack
-            if not stack:
-                stack.append(self._initial())
-                self._opened.append(())
-                self._obligs.append(())
             state = stack[-1]
             nxt = state.trans.get(label)
             if nxt is None:
                 nxt = self._step(state, label)
             stack.append(nxt)
-            self._path.append(label)
-            self._starts.append(self.ecount)
             obligs = self._obligs[-1]
             if obligs:
                 obligs = self._descend(obligs, label)
             if nxt.accepts:
-                self._open(nxt.accepts, label, len(self._path), obligs)
+                self._open(nxt.accepts, label, len(stack) - 1, obligs)
             else:
                 self._opened.append(())
                 self._obligs.append(obligs)
             return
         if cls is EndElement:
-            path = self._path
-            if path:
-                opened = self._opened.pop()
-                if opened:
-                    self._close(opened)
-                self._obligs.pop()
-                self._stack.pop()
-                path.pop()
-                self._starts.pop()
+            opened = self._opened.pop()
+            if opened:
+                self._close(opened)
+            self._obligs.pop()
+            self._stack.pop()
             return
         if cls is StartDocument:
             self._reset_document()
@@ -645,12 +631,12 @@ class FastLaneCore:
         pushed (``$`` at depth 0) and push the element's two frames."""
         opened: list[tuple[_Slot, _Candidate]] = []
         born: list[tuple[_Slot, _Candidate, _CondState]] = []
-        ecount = self.ecount
+        ordinal = self.cursor.elements_seen
         for si in accepts:
             slot = self._slots[si]
             if not slot.active:
                 continue
-            pos = ecount - slot.offset if depth else 0
+            pos = ordinal - slot.offset if depth else 0
             init = slot.cond_init
             if init is None or init.accept:
                 # dfa lane, or an ε-accepting condition ([b?], [a*]):
@@ -714,8 +700,6 @@ class FastLaneCore:
         init = self._initial()
         self._stack.clear()
         self._stack.append(init)
-        self._path.clear()
-        self._starts.clear()
         self._opened.clear()
         self._obligs.clear()
         # A query that accepts ε has the virtual root $ as a candidate at
@@ -747,35 +731,17 @@ class FastLaneCore:
     # ------------------------------------------------------------------
     # checkpointing
 
-    def path_state(self) -> dict[str, object]:
-        return {
-            "path": list(self._path),
-            "ecount": self.ecount,
-            "starts": list(self._starts),
-        }
+    def restore_path(self) -> None:
+        """Rebuild the DFA stack by replaying the cursor's open path.
 
-    def restore_path(self, payload: dict[str, object]) -> None:
-        """Rebuild the DFA stack by replaying the open-element path.
-
-        ``payload`` is an adapter snapshot carrying :meth:`path_state`.
-        Called by every restoring adapter; the first call replays, later
-        ones only verify their snapshots agree on the position.  Replay
-        is side-effect free: the frames start empty, and each adapter
-        puts its open candidates and their obligations back itself.
+        Called once on resume: after the cursor is restored and every
+        runner's slot registered, before any runner restores.  Replay is
+        side-effect free: the frames start empty, and each adapter puts
+        its open candidates and their obligations back itself.
         """
-        path = [str(p) for p in payload["path"]]  # type: ignore[union-attr]
-        ecount = int(payload["ecount"])  # type: ignore[call-overload]
-        starts = [int(n) for n in payload["starts"]]  # type: ignore[union-attr]
-        position = (tuple(path), ecount, tuple(starts))
-        if self._restored is not None:
-            if self._restored != position:
-                raise CheckpointError(
-                    "fast-lane snapshots disagree on the stream position"
-                )
-            return
         state = self._initial()
         stack = [state]
-        for label in path:
+        for label in self.cursor.open_labels:
             nxt = state.trans.get(label)
             if nxt is None:
                 nxt = self._step(state, label)
@@ -784,10 +750,6 @@ class FastLaneCore:
         self._stack = stack
         self._opened = [[] for _ in stack]
         self._obligs = [[] for _ in stack]
-        self._path = path
-        self._starts = starts
-        self.ecount = ecount
-        self._restored = position
 
 
 # ----------------------------------------------------------------------
@@ -799,8 +761,9 @@ class _AdapterBase:
 
     Its undelivered matches are the slot's ``out`` deque, which the
     driver collects through :meth:`FastLaneCore.drain_matches`;
-    :meth:`process_event` is for driving an adapter on its own.  Nothing
-    is ever buffered — a fast-lane query carries positions, not events.
+    :meth:`process_event` hands them over one event at a time instead,
+    once the core has advanced over it.  Nothing is ever buffered — a
+    fast-lane query carries positions, not events.
     """
 
     buffered_events = 0
@@ -809,17 +772,9 @@ class _AdapterBase:
         self._core = core
         self._slot = slot
         self.query = query
-        #: ``core.steps`` after the last event this adapter processed
-        self._seen = core.steps
 
     def process_event(self, event: Event) -> list[Match]:
-        core = self._core
-        if core.steps == self._seen:
-            # Direct (non-driver) use: nobody advanced the core yet.
-            core.advance(event)
-        self._seen = core.steps
-        out = self._slot.out
-        if not out:
+        if not self._slot.out:
             return _NO_MATCHES
         return self.flush()
 
@@ -838,11 +793,9 @@ class _AdapterBase:
     # -- checkpointing --------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
-        core = self._core
         slot = self._slot
         return {
             "fastlane": {
-                **core.path_state(),
                 "offset": slot.offset,
                 "candidates": [
                     [c.pos, c.label, c.depth, _STATE_NAMES[c.state], c.done]
@@ -855,14 +808,14 @@ class _AdapterBase:
     def restore(self, snap: dict[str, Any]) -> None:
         """Queue the snapshot's candidates, put the open ones back into
         the frames of the elements they opened at, and rebuild a pending
-        one's obligations by replaying the path below it through the
-        condition DFA — obligations are a pure function of the labels."""
+        one's obligations by replaying the cursor's path below it
+        through the condition DFA — obligations are a pure function of
+        the labels.  :meth:`FastLaneCore.restore_path` has run."""
         payload = snap["fastlane"]
         core = self._core
         slot = self._slot
-        core.restore_path(payload)
         slot.reset(int(payload["offset"]))
-        opened, obligs, path = core._opened, core._obligs, core._path
+        opened, obligs, path = core._opened, core._obligs, core.cursor.open_labels
         for pos, label, depth, state_name, done in payload["candidates"]:
             depth = int(depth)
             state_code = _STATE_CODES[str(state_name)]
@@ -911,9 +864,8 @@ class GatedNetworkAdapter:
       elements form a prefix of the open path and one depth counter
       (``_fed``) describes both;
     * a needed start tag first flushes its parked ancestors in document
-      order (labels from the core's open path, fire bits from its DFA
-      stack, true positions from its start ordinals), then is fed
-      itself;
+      order (labels and true positions from the cursor's open path, fire
+      bits from the core's DFA stack), then is fed itself;
     * an end tag is fed iff its start tag was; text iff the innermost
       open element was; document boundaries always.
 
@@ -923,14 +875,15 @@ class GatedNetworkAdapter:
     observe that entry — a needed descendant — it has been pushed.
     Elements never fed contribute nothing but their position, which the
     sink receives through
-    :meth:`~repro.core.output_tx.OutputTransducer.advance_positions`
-    right before the next fed start tag.
+    :meth:`~repro.core.output_tx.OutputTransducer.skip_to` right before
+    the next fed start tag.
     """
 
     def __init__(
         self, core: FastLaneCore, slot: _Slot, network: "Network", query: Rpeq
     ) -> None:
         self._core = core
+        self._cursor = core.cursor
         self._slot = slot
         self._index = slot.index
         self._network = network
@@ -943,11 +896,6 @@ class GatedNetworkAdapter:
         self.deactivate = network.deactivate
         #: depth of the innermost *fed* open element
         self._fed = 0
-        #: start tags the sink has accounted for (fed or advanced past),
-        #: i.e. the position of the last fed start tag
-        self._counted = 0
-        #: ``core.steps`` after the last event this adapter processed
-        self._seen = core.steps
 
     @property
     def buffered_events(self) -> int:
@@ -956,33 +904,30 @@ class GatedNetworkAdapter:
     @property
     def parked(self) -> int:
         """Open elements whose start tag has not been fed (≤ depth)."""
-        return len(self._core._path) - self._fed
+        return len(self._cursor.open_labels) - self._fed
 
     def process_event(self, event: Event) -> list[Match]:
-        core = self._core
-        if core.steps == self._seen:
-            # Direct (non-driver) use: nobody advanced the core yet.
-            core.advance(event)
-        self._seen = core.steps
+        """Feed ``event`` on demand; the cursor has counted it and the
+        core advanced over it."""
         cls = event.__class__
         if cls is StartElement:
-            if self._index not in core._stack[-1].needed:
+            if self._index not in self._core._stack[-1].needed:
                 return _NO_MATCHES
             return self._feed_start(event)
         if cls is EndElement:
-            # core.advance already popped: the closing element sat one
-            # level below the current path.
-            if self._fed <= len(core._path):
+            # the cursor already popped: the closing element sat one
+            # level below the open path
+            if self._fed <= len(self._cursor.open_labels):
                 self._slot.parked_events += 2  # its start tag and this
                 return _NO_MATCHES
             self._fed -= 1
         elif cls is Text:
-            if self._fed < len(core._path):
+            if self._fed < len(self._cursor.open_labels):
                 self._slot.parked_events += 1
                 return _NO_MATCHES
         elif cls is StartDocument:
             self._fed = 0
-            if self._index in core._stack[0].fire:
+            if self._index in self._core._stack[0].fire:
                 # The prefix accepts ε: the root $ is a context node.
                 self._source.arm()
         self._slot.fed_events += 1
@@ -990,15 +935,15 @@ class GatedNetworkAdapter:
 
     def _feed_start(self, event: Event) -> list[Match]:
         """Feed a needed start tag, parked ancestors first."""
-        core = self._core
         index = self._index
-        stack = core._stack
-        starts = core._starts
+        stack = self._core._stack
+        labels = self._cursor.open_labels
+        starts = self._cursor.open_starts
         depth = len(starts)
         out = _NO_MATCHES
         for level in range(self._fed + 1, depth):
             matches = self._feed_at(
-                start_tag(core._path[level - 1]),
+                start_tag(labels[level - 1]),
                 starts[level - 1],
                 index in stack[level].fire,
             )
@@ -1011,12 +956,8 @@ class GatedNetworkAdapter:
     def _feed_at(self, event: Event, ordinal: int, fire: bool) -> list[Match]:
         """Feed one start tag under its stream-global position."""
         slot = self._slot
-        position = ordinal - slot.offset
-        unseen = position - 1 - self._counted
-        if unseen:
-            for sink in self._sinks:
-                sink.advance_positions(unseen)
-        self._counted = position
+        for sink in self._sinks:
+            sink.skip_to(ordinal - slot.offset)
         if fire:
             self._source.arm()
         slot.fed_events += 1
@@ -1026,10 +967,8 @@ class GatedNetworkAdapter:
         slot = self._slot
         return {
             "fastlane": {
-                **self._core.path_state(),
                 "offset": slot.offset,
                 "parked": self.parked,
-                "counted": self._counted,
                 "fed_events": slot.fed_events,
                 "parked_events": slot.parked_events,
             },
@@ -1038,14 +977,12 @@ class GatedNetworkAdapter:
 
     def restore(self, snap: dict[str, Any]) -> None:
         payload = snap["fastlane"]
-        core = self._core
         slot = self._slot
-        core.restore_path(payload)
         slot.offset = int(payload["offset"])
         # Which open elements are parked is all the snapshot says; their
-        # labels, fire bits and ordinals come from the replayed path.
-        self._fed = len(core._path) - int(payload["parked"])
-        self._counted = int(payload["counted"])
+        # labels and ordinals come from the cursor, their fire bits from
+        # the replayed DFA stack.
+        self._fed = len(self._cursor.open_labels) - int(payload["parked"])
         slot.fed_events = int(payload["fed_events"])
         slot.parked_events = int(payload["parked_events"])
         self._network.restore(snap["network"])
@@ -1062,12 +999,15 @@ def build_lane_runner(
     plan: "QueryPlan | None",
     flags: "OptimizationFlags",
     network_factory: Callable[[Rpeq], "Network"],
+    limits: ResourceLimits | None = None,
 ) -> tuple[object | None, str, str | None]:
     """Compile one query onto its planned execution lane.
 
     ``network_factory(residual)`` compiles the residual network of a
     gated query: ``residual`` behind a
     :class:`~repro.core.path_transducers.DemandInputTransducer`.
+    ``limits`` are the query's own: of them only
+    ``max_pending_candidates`` can refuse a fast lane.
 
     Returns ``(runner, lane, demotion_reason)``: ``runner`` is ``None``
     when the query must run on the plain network (lane ``"network"``),
@@ -1079,11 +1019,13 @@ def build_lane_runner(
     lane = plan.lane
     try:
         if lane == "dfa" and flags.dfa_lane:
+            _refuse_pending_ceiling(limits, gated=False)
             nfa = compile_nfa(expr, allow_qualifiers=False)
             slot = core.register(query_id, KIND_DFA, nfa)
             return FastLaneAdapter(core, slot, expr), "dfa", None
         if lane == "hybrid" and flags.hybrid_gate:
             native = native_hybrid_split(expr)
+            _refuse_pending_ceiling(limits, gated=native is None)
             if native is not None:
                 spine, condition = native
                 nfa = compile_nfa(spine, allow_qualifiers=False)
@@ -1098,3 +1040,22 @@ def build_lane_runner(
     except (FastLaneUnsupported, UnsupportedFeatureError) as exc:
         return None, "network", str(exc)
     return None, "network", None
+
+
+def _refuse_pending_ceiling(limits: ResourceLimits | None, gated: bool) -> None:
+    """The one limit a fast lane cannot keep as the network does (a
+    gated query's residual network raises at the network's events)."""
+    if limits is None or limits.max_pending_candidates is None:
+        return
+    ceiling = limits.max_pending_candidates
+    if not gated:
+        raise FastLaneUnsupported(
+            f"max_pending_candidates={ceiling} is enforced by an output "
+            f"transducer, which the dfa and hybrid lanes do not have"
+        )
+    if limits.on_buffer_overflow == DROP_OLDEST:
+        raise FastLaneUnsupported(
+            f"max_pending_candidates={ceiling} under drop_oldest: behind the "
+            f"gate an eviction's matches wait for the next end tag the "
+            f"residual network is fed, not the next one in the stream"
+        )

@@ -35,7 +35,7 @@ from collections.abc import Callable
 from typing import Iterable, Iterator, Mapping, Protocol
 
 from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
-from ..limits import ResourceLimits
+from ..limits import ResourceLimits, stream_guard
 from ..rpeq.ast import Empty, Rpeq
 from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
@@ -107,9 +107,9 @@ class MultiQueryEngine:
             collect_events: whether matches should carry event fragments;
                 off by default, as SDI workloads usually need match
                 notifications, not reconstructed fragments.
-            limits: resource guards applied to every network (see
-                :class:`repro.limits.ResourceLimits`) — on a shared
-                SDI pass, the defense that keeps one depth-bomb document
+            limits: resource guards (see
+                :class:`repro.limits.ResourceLimits`) — on a shared SDI
+                pass, the defense that keeps one depth-bomb document
                 from taking every subscription down with it.
             preflight: statically analyze every registered query before
                 accepting the engine; per-query reports are kept in
@@ -335,19 +335,21 @@ class MultiQueryEngine:
     def _compile_one(
         self,
         query_id: str,
-        clock: Clock | None = None,
+        cursor: StreamCursor,
         collect_events: bool | None = None,
         lane: str | None = None,
     ) -> Runner:
-        """Compile one query onto its execution lane.
+        """Compile one query onto its execution lane, for the pass that
+        ``cursor`` counts.
 
         Returns a *runner* (``docs/architecture.md``): a plain
         transducer :class:`Network` or one of the fast-lane runners of
-        :mod:`repro.core.fastlane`.  Fast lanes require the plain-match
-        configuration they were proved against: no event collection and
-        no per-query resource limits (a limit-armed network must see
-        every event to count it, and a gated query's residual network
-        is only fed the events it needs).
+        :mod:`repro.core.fastlane`.  Fast lanes require what they were
+        proved against: no event collection.  Limits keep the lanes (the
+        stream's are checked against the cursor, and no fast lane
+        buffers an event or builds a formula) but for one ceiling,
+        ``max_pending_candidates``, which demotes as
+        :func:`~repro.core.fastlane.build_lane_runner` says.
 
         ``lane`` is the lane a checkpoint says the query was executing
         on; the runner compiled here must land on it to take its
@@ -364,26 +366,18 @@ class MultiQueryEngine:
         def factory(
             expr: Rpeq = query, source: InputTransducer | None = None
         ) -> Network:
-            network = compile_network(
+            return compile_network(
                 expr,
                 collect_events=collect,
                 optimize=self.optimize,
                 limits=limits,
                 source=source,
             )[0]
-            if clock is not None:
-                network.clock = clock
-            return network
 
         runner: Runner | None = None
         executed = "network"
         flags = self.optimize
-        if (
-            lane != "network"
-            and not collect
-            and limits is None
-            and (flags.dfa_lane or flags.hybrid_gate)
-        ):
+        if lane != "network" and not collect and (flags.dfa_lane or flags.hybrid_gate):
             plan = self.plans.get(query_id)
             if __debug__ and plan is not None:
                 # The executed split and the planned prefix are one
@@ -396,7 +390,7 @@ class MultiQueryEngine:
                 have = None if isinstance(prefix, Empty) else unparse(prefix)
                 assert have == plan.prefix, (query_id, have, plan.prefix)
             if self._fastlane_core is None:
-                self._fastlane_core = FastLaneCore()
+                self._fastlane_core = FastLaneCore(cursor)
             runner, executed, reason = build_lane_runner(
                 self._fastlane_core,
                 query_id,
@@ -404,6 +398,7 @@ class MultiQueryEngine:
                 plan,
                 flags,
                 lambda residual: factory(residual, DemandInputTransducer()),
+                limits,
             )
             if reason is not None:
                 self.lane_demotions[query_id] = reason
@@ -411,16 +406,14 @@ class MultiQueryEngine:
             raise CheckpointError(
                 f"query {query_id!r} was checkpointed on the {lane} lane but "
                 f"compiles onto the {executed} lane here; resume with the "
-                f"checkpoint's optimization flags and without limits the "
-                f"checkpointed pass did not have"
+                f"checkpoint's optimization flags and the checkpointed "
+                f"pass's max_pending_candidates"
             )
         self.lane_executions[query_id] = executed
         return runner if runner is not None else factory()
 
     def _compile_all(
-        self,
-        collect_events: bool | None = None,
-        clock: Clock | None = None,
+        self, cursor: StreamCursor, collect_events: bool | None = None
     ) -> dict[str, Runner]:
         # A fresh pass gets a fresh shared DFA: networks restart their
         # per-pass state, so the fast-lane core must too.
@@ -431,9 +424,7 @@ class MultiQueryEngine:
         for query_id in self.queries:
             if not self._is_admitted(query_id):
                 continue
-            runners[query_id] = self._compile_one(
-                query_id, clock=clock, collect_events=collect_events
-            )
+            runners[query_id] = self._compile_one(query_id, cursor, collect_events)
         return runners
 
     def run(
@@ -479,15 +470,15 @@ class MultiQueryEngine:
         state.
         """
         clock = as_clock(clock)
-        runners = self._compile_all(collect_events, clock)
+        self._last_cursor = cursor
+        if cursor is None:
+            cursor = StreamCursor()  # private: checks, but cannot checkpoint
+        runners = self._compile_all(cursor, collect_events)
         breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in runners}
         self._last_runners = runners
-        self._last_cursor = cursor
         self._breakers = breakers if serving is not None else None
         if serving is None:
             serving = ServingReport()
-        if cursor is None:
-            cursor = StreamCursor()  # private: checks, but cannot checkpoint
         return ServePump(self, runners, policy, serving, breakers, clock, cursor)
 
     def _drive(
@@ -787,22 +778,24 @@ class MultiQueryEngine:
                 f"optimize={self.optimize.describe()}"
             )
         # Two-phase revival: every runner is compiled (and its fast-lane
-        # slot registered in the shared DFA) before any state is
-        # restored, so the product automaton's initial state covers the
-        # full slot set when the first restore replays the open path.
+        # slot registered in the shared DFA) before the core replays the
+        # cursor's open path, so the product automaton's initial state
+        # covers the full slot set; then each runner restores.
         self._fastlane_core = None
         self.lane_executions = {}
         self.lane_demotions = {}
         clock = as_clock(clock)
+        cursor = StreamCursor.from_state(payload["cursor"])
         states = payload["runners"]
         runners: dict[str, Runner] = {
-            query_id: self._compile_one(query_id, clock, lane=lane)
+            query_id: self._compile_one(query_id, cursor, lane=lane)
             for query_id, _text, lane in subscriptions  # the live set's order
             if query_id in states and self._is_admitted(query_id)
         }
+        if self._fastlane_core is not None:
+            self._fastlane_core.restore_path()
         for query_id, runner in runners.items():
             runner.restore(states[query_id])
-        cursor = StreamCursor.from_state(payload["cursor"])
         self._last_runners = runners
         self._last_cursor = cursor
         self.robustness.restores += 1
@@ -993,6 +986,10 @@ class ServePump:
         self._breakers = breakers
         self._clock = clock
         self._cursor = cursor
+        #: the stream limits' per-event check (``None`` unarmed): one for
+        #: the whole pass, so its wall-clock budget outlives every
+        #: recompile of the transition
+        self._guard = stream_guard(engine.limits, cursor, clock)
         #: set once the stream deadline expired: the pass is over and
         #: further :meth:`feed` calls are a :class:`~repro.errors.EngineError`.
         self.finished = False
@@ -1119,6 +1116,18 @@ class ServePump:
         outcome.degraded = True
         return self._unlink(query_id) if query_id in self._live else []
 
+    def _trip(self, exc: ResourceLimitError, event: Event) -> list[tuple[str, Match]]:
+        """A stream limit refused ``event`` — for every query alike: each
+        live one is quarantined, in registration order, and the event
+        goes on through the emptied live set, so the shared core keeps
+        following the stream."""
+        out = [
+            (query_id, match)
+            for query_id in list(self._live)
+            for match in self._quarantine(query_id, exc)
+        ]
+        return out + (self._compile()(event, True) or [])
+
     def _quarantine(self, query_id: str, exc: Exception) -> list[Match]:
         code = "LIMIT" if isinstance(exc, ResourceLimitError) else "ERROR"
         flushed = self._detach(query_id, "quarantined", code, str(exc))
@@ -1231,7 +1240,7 @@ class ServePump:
             outcome = serving.outcome(query_id)
             if outcome.status == "rejected" or not breaker.admits():
                 continue
-            live[query_id] = engine._compile_one(query_id, self._clock)
+            live[query_id] = engine._compile_one(query_id, self._cursor)
             if breaker.state is BreakerState.HALF_OPEN:
                 serving.probes += 1
             outcome.status = "ok"
@@ -1280,7 +1289,7 @@ class ServePump:
         changes — which queries need a per-event call at all (network
         and gated runners; core-backed lanes cost one shared
         ``advance`` and a bulk drain), whether there is a deadline, a
-        shedding mark — is decided here, once, and whatever
+        shedding mark, a stream limit — is decided here, once, and whatever
         changes the live set makes the next event compile again
         (:meth:`_stale`).
         """
@@ -1300,6 +1309,7 @@ class ServePump:
         outcomes = {query_id: serving.outcome(query_id) for query_id in live}
         rank = {query_id: index for index, query_id in enumerate(live)}
         check_and_count = self._cursor.advance
+        guard = self._guard
         policy = self.policy
         bulkheads = policy.quarantine
         timed = policy.stream_deadline is not None or policy.doc_deadline is not None
@@ -1315,6 +1325,15 @@ class ServePump:
             if not reopened:
                 # Raises on a malformed stream before anything has moved.
                 check_and_count(event)
+                if guard is not None:
+                    # the stream limits, which never trip at <$>
+                    try:
+                        guard(event)
+                    except ResourceLimitError as exc:
+                        if live:
+                            if not bulkheads:
+                                raise
+                            return self._trip(exc, event)
                 if cls is StartDocument and self._open_document():
                     # re-admissions changed the live set under this closure
                     return self._compile()(event, True)
@@ -1393,7 +1412,7 @@ class ServePump:
         for document in documents:
             if self.serving.documents_seen:
                 for query_id in live:
-                    live[query_id] = engine._compile_one(query_id, self._clock)
+                    live[query_id] = engine._compile_one(query_id, self._cursor)
                 self._stale()
             held: list[tuple[str, Match]] = []
             if report.collect_document(self._pull(document), held):

@@ -20,15 +20,7 @@ from typing import Iterable, Iterator
 
 from ..errors import EngineError, ResourceLimitError
 from ..limits import ResourceLimits
-from .clock import SYSTEM_CLOCK, Clock
-from ..xmlstream.events import (
-    EndDocument,
-    EndElement,
-    Event,
-    StartDocument,
-    StartElement,
-    Text,
-)
+from ..xmlstream.events import EndElement, Event, StartElement, Text
 from ..conditions.store import ConditionStore, VariableAllocator
 from .flow_transducers import JoinTransducer
 from .messages import Doc, Message
@@ -72,9 +64,10 @@ class Network:
 
         ``sink`` is the network's primary output transducer; multi-sink
         networks (conjunctive queries, Sec. VII) pass ``None`` and drain
-        their output transducers directly.  ``limits`` (when set and not
-        unbounded) arms the per-event resource guards — depth, formula
-        size and per-document event/time budgets.  ``flags``
+        their output transducers directly.  Of ``limits`` the network
+        enforces ``max_formula_size`` after every event; the stream
+        limits are the driver's (checked against its cursor) and
+        the buffer ceilings the output transducer's.  ``flags``
         (:mod:`repro.core.optimize`) selects the per-event driver
         installed at :meth:`finalize` time: the production closure
         (:func:`make_fused_runner`, the default) or, with
@@ -83,15 +76,9 @@ class Network:
         """
         self.source = source
         self.sink = sink
-        self.limits = limits if limits is not None and not limits.unbounded else None
+        #: the σ ceiling, or ``None``
+        self.max_formula_size = limits.max_formula_size if limits is not None else None
         self.flags = ALL_OPTIMIZATIONS if flags is None else as_flags(flags)
-        #: time source for the per-document wall-clock budget; the
-        #: serving layer swaps in its (possibly fake) clock so all
-        #: deadline machinery shares one notion of "now"
-        self.clock: Clock = SYSTEM_CLOCK
-        self._depth = 0
-        self._doc_events = 0
-        self._doc_deadline: float | None = None
         #: set by the compiler; drives deferred variable release at the
         #: end of every event (see ConditionStore.end_of_event)
         self.condition_store: ConditionStore | None = None
@@ -248,15 +235,13 @@ class Network:
         :func:`make_fused_runner`'s closure at :meth:`finalize`.
 
         Raises:
-            ResourceLimitError: a configured :class:`ResourceLimits`
-                bound (depth, per-document events/time, formula size)
-                was exceeded by this event.
+            ResourceLimitError: this event grew a condition formula past
+                ``max_formula_size``, or an output transducer past its
+                buffer ceilings.
         """
         if not self._finalized:
             raise EngineError("network not finalized")
         self._events += 1
-        if self.limits is not None:
-            self._guard(event)
         outputs: list[list[Message]] = [None] * len(self._nodes)  # type: ignore[list-item]
         outputs[0] = self.source.feed([Doc(event)])
         slot = 1
@@ -266,7 +251,7 @@ class Network:
             else:
                 outputs[slot] = node.feed(outputs[left])
             slot += 1
-        if self.limits is not None and self.limits.max_formula_size is not None:
+        if self.max_formula_size is not None:
             self._guard_formula_size()
         store = self.condition_store
         if store is not None and store._release_pending:
@@ -278,56 +263,10 @@ class Network:
         sink.results.clear()
         return matches
 
-    def _guard(self, event: Event) -> None:
-        """Enforce depth and per-document budgets before the event runs.
-
-        Rejecting the event *before* it reaches any transducer keeps
-        every per-transducer stack within ``max_depth`` — the defense
-        against billion-laughs-style depth bombs the paper's ``d``-bound
-        memory analysis makes predictable.
-        """
-        limits = self.limits
-        assert limits is not None  # armed networks only
-        cls = event.__class__
-        if cls is StartDocument:
-            self._doc_events = 0
-            if limits.max_seconds_per_document is not None:
-                self._doc_deadline = (
-                    self.clock.monotonic() + limits.max_seconds_per_document
-                )
-        self._doc_events += 1
-        if (
-            limits.max_events_per_document is not None
-            and self._doc_events > limits.max_events_per_document
-        ):
-            raise ResourceLimitError(
-                f"document exceeded {limits.max_events_per_document} events",
-                limit="max_events_per_document",
-                observed=self._doc_events,
-            )
-        if cls is StartElement or cls is StartDocument:
-            self._depth += 1
-            if limits.max_depth is not None and self._depth > limits.max_depth:
-                raise ResourceLimitError(
-                    f"stream depth {self._depth} exceeds limit {limits.max_depth}",
-                    limit="max_depth",
-                    observed=self._depth,
-                )
-        elif cls is EndElement or cls is EndDocument:
-            if self._depth > 0:
-                self._depth -= 1
-        if self._doc_deadline is not None and self.clock.monotonic() > self._doc_deadline:
-            raise ResourceLimitError(
-                f"document exceeded {limits.max_seconds_per_document}s wall clock",
-                limit="max_seconds_per_document",
-                observed=limits.max_seconds_per_document,
-            )
-
     def _guard_formula_size(self) -> None:
         """Enforce the σ ceiling after the event's message batch settled."""
-        limits = self.limits
-        assert limits is not None and limits.max_formula_size is not None
-        ceiling = limits.max_formula_size
+        ceiling = self.max_formula_size
+        assert ceiling is not None
         for node in self._nodes:
             size = node.stats.max_formula_size
             if size > ceiling:
@@ -381,20 +320,13 @@ class Network:
         store, allocator = self.condition_store, self.allocator
         return {
             "nodes": {node.name: node.snapshot() for node in self._nodes},
-            "depth": self._depth,
-            "doc_events": self._doc_events,
             "events": self._events,
             "store": store.snapshot() if store is not None else None,
             "allocator": allocator.snapshot() if allocator is not None else None,
         }
 
     def restore(self, state: dict) -> None:
-        """Restore a snapshot into this (freshly compiled) network.
-
-        The per-document wall-clock deadline is deliberately *not*
-        restored: wall time spent before a crash is gone, so the budget
-        restarts when the resumed document's next event arrives.
-        """
+        """Restore a snapshot into this (freshly compiled) network."""
         if not self._finalized:
             raise EngineError("cannot restore into an unfinalized network")
         nodes = state["nodes"]
@@ -412,10 +344,7 @@ class Network:
             self.condition_store.restore(state["store"])
         if self.allocator is not None:
             self.allocator.restore(state["allocator"])
-        self._depth = int(state["depth"])
-        self._doc_events = int(state["doc_events"])
         self._events = int(state["events"])
-        self._doc_deadline = None
 
     def stats(self) -> NetworkStats:
         """Roll up per-transducer instrumentation."""
@@ -449,9 +378,9 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
     points; document boundaries run the hooks), one pooled document
     message (every slot read happens within the event, in topological
     order, so in-place mutation is never observed across events) and —
-    only when the network is limit-armed — the two guard calls.
-    Multi-sink networks (``sink=None``) drain their sinks themselves and
-    always get the shared empty list.
+    only under a ``max_formula_size`` — the σ guard.  Multi-sink
+    networks (``sink=None``) drain their sinks themselves and always get
+    the shared empty list.
     """
     boundary = network._compile_pass("feed")
     pass_of = {
@@ -461,12 +390,8 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
     }.get
     store = network.condition_store
     sink = network.sink
-    limits = network.limits
-    guard = network._guard if limits is not None else None
     guard_sigma = (
-        network._guard_formula_size
-        if limits is not None and limits.max_formula_size is not None
-        else None
+        network._guard_formula_size if network.max_formula_size is not None else None
     )
     doc = Doc(None)  # type: ignore[arg-type]
     batch: list[Message] = [doc]
@@ -474,8 +399,6 @@ def make_fused_runner(network: Network) -> Callable[[Event], list[Match]]:
 
     def process_event(event: Event) -> list[Match]:
         network._events += 1
-        if guard is not None:
-            guard(event)
         set_event(doc, "event", event)
         pass_of(event.__class__, boundary)(batch)
         if guard_sigma is not None:

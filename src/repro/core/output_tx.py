@@ -203,15 +203,15 @@ class OutputTransducer(Transducer):
         """Currently undecided result candidates."""
         return self._live
 
-    def advance_positions(self, count: int) -> None:
-        """Account for ``count`` start tags this network never saw.
+    def skip_to(self, position: int) -> None:
+        """The next start tag is the one at ``position``.
 
         A fast-lane residual network (:mod:`repro.core.fastlane`) is fed
         only the elements its DFA head says it needs; positions are
         stream-global, so the start tags withheld since the last fed
         one must still advance the element counter before the next.
         """
-        self._element_count += count
+        self._element_count = position - 1
 
     # ------------------------------------------------------------------
     # message handling

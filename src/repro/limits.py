@@ -12,9 +12,15 @@ quantity into an enforceable ceiling.
 
 Enforcement points:
 
-* :meth:`repro.core.network.Network.process_event` — ``max_depth``,
-  ``max_events_per_document``, ``max_seconds_per_document`` and
-  ``max_formula_size``;
+* :func:`stream_guard` — ``max_depth``, ``max_events_per_document`` and
+  ``max_seconds_per_document`` are properties of the stream, not of a
+  query: they are checked once per event against the pass's
+  :class:`~repro.xmlstream.offsets.StreamCursor`, before any query sees
+  the event, so a limit-armed pass keeps every query on its planned
+  execution lane;
+* :meth:`repro.core.network.Network.process_event` —
+  ``max_formula_size``, the σ of the network's own condition formulas
+  (the fast lanes build none);
 * :class:`repro.core.output_tx.OutputTransducer` —
   ``max_buffered_events`` and ``max_pending_candidates``, either raising
   :class:`~repro.errors.ResourceLimitError` or, under the
@@ -26,6 +32,14 @@ Enforcement points:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
+
+from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    from .core.clock import Clock
+    from .xmlstream.events import Event
+    from .xmlstream.offsets import StreamCursor
 
 
 #: Overflow policies for the output transducer's buffers.
@@ -52,7 +66,8 @@ class ResourceLimits:
         max_events_per_document: per-document event budget; reset at
             every ``<$>``.
         max_seconds_per_document: per-document wall-clock budget; reset
-            at every ``<$>``.
+            at every ``<$>``, and started afresh at the first event of a
+            document resumed from a checkpoint.
         on_buffer_overflow: ``"raise"`` (default) aborts the run with
             :class:`~repro.errors.ResourceLimitError`; ``"drop_oldest"``
             evicts the oldest pending candidate (and the log prefix only
@@ -90,14 +105,61 @@ class ResourceLimits:
                 f"got {self.on_buffer_overflow!r}"
             )
 
-    @property
-    def unbounded(self) -> bool:
-        """``True`` when no limit is set (the hot path can skip checks)."""
-        return (
-            self.max_depth is None
-            and self.max_formula_size is None
-            and self.max_buffered_events is None
-            and self.max_pending_candidates is None
-            and self.max_events_per_document is None
-            and self.max_seconds_per_document is None
-        )
+
+def stream_guard(
+    limits: ResourceLimits | None, cursor: "StreamCursor", clock: "Clock"
+) -> Callable[["Event"], None] | None:
+    """The per-event check of the stream limits — ``None`` when
+    ``limits`` sets none of them — for events ``cursor`` has counted.
+
+    It raises :class:`~repro.errors.ResourceLimitError` on the first
+    event over a bound, before anything evaluates it, so nothing holds
+    more than ``max_depth`` open elements (``$`` counting as one, as in
+    the paper's ``d``).  The wall-clock budget is armed at every ``<$>``
+    and, in a document resumed mid-way, at its first event after the
+    cut: time spent before a crash is gone, not charged.
+    """
+    from .xmlstream.events import StartDocument, StartElement  # a cycle at import
+
+    if limits is None:
+        return None
+    max_depth = limits.max_depth
+    max_events = limits.max_events_per_document
+    budget = limits.max_seconds_per_document
+    if max_depth is None and max_events is None and budget is None:
+        return None
+    now = clock.monotonic
+    deadline: float | None = None
+
+    def check(event: "Event") -> None:
+        nonlocal deadline
+        if max_events is not None:
+            seen = cursor.events_read - cursor.document_start
+            if seen > max_events:
+                raise ResourceLimitError(
+                    f"document exceeded {max_events} events",
+                    limit="max_events_per_document",
+                    observed=seen,
+                )
+        if (
+            max_depth is not None
+            and event.__class__ is StartElement
+            and len(cursor.open_labels) >= max_depth
+        ):
+            depth = len(cursor.open_labels) + 1
+            raise ResourceLimitError(
+                f"stream depth {depth} exceeds limit {max_depth}",
+                limit="max_depth",
+                observed=depth,
+            )
+        if budget is not None:
+            if deadline is None or event.__class__ is StartDocument:
+                deadline = now() + budget
+            elif now() > deadline:
+                raise ResourceLimitError(
+                    f"document exceeded {budget}s wall clock",
+                    limit="max_seconds_per_document",
+                    observed=budget,
+                )
+
+    return check

@@ -132,7 +132,8 @@ class ServiceConfig:
             shedding — all of it applies to wire subscribers too).
         admission: d·σ admission policy applied to every ``subscribe``
             (``None`` admits everything as ``ADMIT000``).
-        limits: per-query :class:`~repro.limits.ResourceLimits`.
+        limits: :class:`~repro.limits.ResourceLimits`; the stream
+            limits are checked once per event and keep every lane.
         clock: injectable time source for every timeout decision.
         handshake_timeout: seconds a connection may sit without a
             ``hello`` (``SVC003``).

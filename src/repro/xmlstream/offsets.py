@@ -35,18 +35,27 @@ class StreamCursor:
     every end tag closes the most recent open start tag, and nothing but
     a ``<$>`` may stand between documents.
 
+    It is the one owner of stream position: the fast lanes and the
+    stream limits (:func:`repro.limits.stream_guard`) read it.
+
     Attributes:
         events_read: number of events that have passed the cursor.
         open_labels: labels of the currently open elements (innermost
             last).
+        open_starts: each open element's stream-global ordinal.
+        elements_seen: number of start tags that have passed, ever.
         in_document: whether a ``<$>`` is open at this position.
+        document_start: ``events_read`` just before the open ``<$>``.
         documents_seen: number of ``<$>`` events that have passed.
     """
 
     def __init__(self) -> None:
         self.events_read = 0
         self.open_labels: list[str] = []
+        self.open_starts: list[int] = []
+        self.elements_seen = 0
         self.in_document = False
+        self.document_start = 0
         self.documents_seen = 0
 
     def attach(
@@ -80,6 +89,7 @@ class StreamCursor:
             if self.in_document:
                 raise StreamError("duplicate <$>")
             self.in_document = True
+            self.document_start = self.events_read
             self.documents_seen += 1
         elif not self.in_document:
             if cls is EndDocument:
@@ -89,6 +99,8 @@ class StreamCursor:
             raise StreamError(f"{event} before <$>")
         elif cls is StartElement:
             self.open_labels.append(event.label)  # type: ignore[attr-defined]
+            self.elements_seen += 1
+            self.open_starts.append(self.elements_seen)
         elif cls is EndElement:
             labels = self.open_labels
             label = event.label  # type: ignore[attr-defined]
@@ -97,6 +109,7 @@ class StreamCursor:
             if labels[-1] != label:
                 raise StreamError(f"</{label}> does not close <{labels[-1]}>")
             labels.pop()
+            self.open_starts.pop()
         elif cls is EndDocument:
             if self.open_labels:
                 raise StreamError(f"</$> with unclosed elements {self.open_labels}")
@@ -115,6 +128,7 @@ class StreamCursor:
         """A recovery policy or a resource guard dropped the rest of the
         open document: the position is between documents again."""
         self.open_labels.clear()
+        self.open_starts.clear()
         self.in_document = False
 
     def state(self) -> dict:
@@ -122,7 +136,10 @@ class StreamCursor:
         return {
             "events_read": self.events_read,
             "open_labels": list(self.open_labels),
+            "open_starts": list(self.open_starts),
+            "elements_seen": self.elements_seen,
             "in_document": self.in_document,
+            "document_start": self.document_start,
             "documents_seen": self.documents_seen,
         }
 
@@ -133,7 +150,10 @@ class StreamCursor:
         cursor = cls()
         cursor.events_read = int(state["events_read"])
         cursor.open_labels = [str(label) for label in state["open_labels"]]
+        cursor.open_starts = [int(ordinal) for ordinal in state["open_starts"]]
+        cursor.elements_seen = int(state["elements_seen"])
         cursor.in_document = bool(state["in_document"])
+        cursor.document_start = int(state["document_start"])
         cursor.documents_seen = int(state["documents_seen"])
         return cursor
 

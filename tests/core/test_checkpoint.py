@@ -396,8 +396,8 @@ class TestMultiQueryCheckpointContract:
 
 class TestGatedSnapshot:
     """The gated lane's snapshot: a residual network plus how many open
-    elements are parked — everything else is rebuilt from the replayed
-    DFA path on restore."""
+    elements are parked — the open path itself is the cursor's, once per
+    checkpoint, and the DFA stack is replayed from it on restore."""
 
     QUERY = {"q": "_*.a[b].c"}
     GATED_DOC = "<r><a><x><y/></x><b/><c/><x><a><y/><c/></a></x></a></r>"
@@ -439,9 +439,11 @@ class TestGatedSnapshot:
         # has fired: the restored runner must arm the source for it when
         # <b> flushes the ancestors.
         checkpoint, snapshot, got = self.cut(5)
-        assert snapshot["path"] == ["r", "a", "x", "y"]
+        assert checkpoint.payload["cursor"]["open_labels"] == ["r", "a", "x", "y"]
+        assert not {"path", "ecount", "starts"} & set(snapshot)
         assert snapshot["parked"] == 4
-        assert snapshot["counted"] == 0
+        ou = checkpoint.payload["runners"]["q"]["network"]["nodes"]["OU"]["extra"]
+        assert ou["element_count"] == 0  # nothing fed yet
         assert "skip" not in snapshot
         self.resumed(checkpoint, got)
 
@@ -449,9 +451,10 @@ class TestGatedSnapshot:
         # ... <b/> <c/> <x> <a> <y> — r and the outer a are fed, x, the
         # inner (fired) a and y are parked.
         checkpoint, snapshot, got = self.cut(14)
-        assert snapshot["path"] == ["r", "a", "x", "a", "y"]
+        cursor = checkpoint.payload["cursor"]
+        assert cursor["open_labels"] == ["r", "a", "x", "a", "y"]
         assert snapshot["parked"] == 3
-        assert snapshot["starts"] == [1, 2, 7, 8, 9]
+        assert cursor["open_starts"] == [1, 2, 7, 8, 9]
         assert got == [("q", 6)]
         fresh = self.resumed(checkpoint, got)
         fed, parked = fresh.gate_counts["q"]
@@ -464,12 +467,13 @@ class TestGatedSnapshot:
         assert "VC(q0)" in nodes
 
     def test_pre_headed_checkpoint_names_its_version(self):
-        """Formats 1 (full network behind the gate) and 2 (``"queries"``
-        dict, ``network``/``store``/``allocator`` triples) must be
-        refused by version, at every door a checkpoint comes in by —
-        not by a ``KeyError`` deep inside."""
+        """Formats 1 (full network behind the gate), 2 (``"queries"``
+        dict, ``network``/``store``/``allocator`` triples) and 3 (the
+        open path in every fast-lane runner, depth and event count in
+        every network) must be refused by version, at every door a
+        checkpoint comes in by — not by a ``KeyError`` deep inside."""
         checkpoint, _, _ = self.cut(5)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             data = checkpoint.to_dict()
             data["version"] = version
             with pytest.raises(CheckpointError, match=f"version {version}"):

@@ -55,6 +55,14 @@ from ..conftest import (
     rpeq_queries,
 )
 
+
+def advance(core, event):
+    """What the pump does before any runner sees ``event``: the core's
+    cursor counts it, then the core advances over it."""
+    core.cursor.advance(event)
+    core.advance(event)
+
+
 # ----------------------------------------------------------------------
 # AST surgery: hybrid split and the gate over-approximation
 
@@ -170,7 +178,7 @@ class TestLaneRouting:
 
 class TestMemoBound:
     def test_oversized_automaton_is_rejected_at_registration(self):
-        core = FastLaneCore(max_states=2)
+        core = FastLaneCore(StreamCursor(), max_states=2)
         nfa = compile_nfa(parse("_*.a.b.c"), allow_qualifiers=False)
         with pytest.raises(FastLaneUnsupported, match="determinization budget"):
             core.register("q", KIND_DFA, nfa)
@@ -180,7 +188,7 @@ class TestMemoBound:
         plan = engine.plans["q"]
         assert plan.lane == "dfa"
         runner, lane, reason = build_lane_runner(
-            FastLaneCore(max_states=2),
+            FastLaneCore(StreamCursor(), max_states=2),
             "q",
             engine.queries["q"],
             plan,
@@ -210,7 +218,7 @@ class TestMemoBound:
             ).evaluate(iter(events)).items()
         }
 
-        core = FastLaneCore(max_states=14)
+        core = FastLaneCore(StreamCursor(), max_states=14)
         adapters = {}
         for query_id, text in queries.items():
             expr = parse(text)
@@ -220,7 +228,7 @@ class TestMemoBound:
             adapters[query_id] = FastLaneAdapter(core, slot, expr)
         got = {query_id: [] for query_id in queries}
         for event in events:
-            core.advance(event)
+            advance(core, event)
             for query_id, adapter in adapters.items():
                 got[query_id].extend(
                     (m.position, m.label) for m in adapter.process_event(event)
@@ -235,20 +243,21 @@ class TestMemoBound:
 
 
 class TestDirectDrive:
-    """An adapter driven directly advances the shared core itself — once
-    per event, however often the same event *object* comes by: events
-    are shared, one per label, so identity says nothing about "seen"."""
+    """Runners driven outside a pump, in its order — cursor, core, runner
+    — see each event once, however often the same event *object* comes
+    by: events are shared, one per label, so identity says nothing about
+    "seen"."""
 
     @staticmethod
     def drive(query, events, gated=False):
         engine = MultiQueryEngine({"q": query})
-        runner = engine._compile_all()["q"]
+        runner = engine._compile_all(StreamCursor())["q"]
         assert isinstance(runner, GatedNetworkAdapter if gated else FastLaneAdapter)
-        return [
-            (match.position, match.label)
-            for event in events
-            for match in runner.process_event(event)
-        ]
+        got = []
+        for event in events:
+            advance(engine._fastlane_core, event)
+            got += [(match.position, match.label) for match in runner.process_event(event)]
+        return got
 
     def test_a_reused_event_object_is_a_new_event(self):
         a, close = StartElement("a"), EndElement("a")
@@ -264,7 +273,7 @@ class TestDirectDrive:
         assert sorted(self.drive("_*.a[b].c", events, gated=True)) == [(3, "c"), (6, "c")]
 
     def test_two_adapters_share_one_advance_per_event(self):
-        core = FastLaneCore()
+        core = FastLaneCore(StreamCursor())
         adapters = []
         for query_id, text in (("q1", "_*.a"), ("q2", "_*.a.a")):
             expr = parse(text)
@@ -273,10 +282,11 @@ class TestDirectDrive:
         events = list(parse_string("<a><a><a/></a></a>"))
         got = [[], []]
         for event in events:
+            advance(core, event)
             for out, adapter in zip(got, adapters):
                 out.extend(match.position for match in adapter.process_event(event))
         assert got == [[1, 2, 3], [2, 3]]
-        assert core.steps == len(events)
+        assert core.cursor.events_read == len(events)
 
 
 # ----------------------------------------------------------------------
@@ -330,12 +340,14 @@ def assert_headed_equals_pure(query, events):
     fed, parked = engine.gate_counts["q"]
     assert fed + parked == len(events)
 
-    runners = MultiQueryEngine({"q": query})._compile_all()
-    runner = runners["q"]
+    direct = MultiQueryEngine({"q": query})
+    runner = direct._compile_all(StreamCursor())["q"]
     assert isinstance(runner, GatedNetworkAdapter)
+    core = direct._fastlane_core
     for event in events:
+        advance(core, event)
         runner.process_event(event)
-        assert 0 <= runner.parked <= len(runner._core._path)
+        assert 0 <= runner.parked <= len(core.cursor.open_labels)
     return engine
 
 
@@ -424,7 +436,7 @@ class TestHeadedRunner:
         events = []
         for _ in range(6):
             events.extend(make_random_events(rng, max_children=4, max_depth=6))
-        core = FastLaneCore(max_states=24)
+        core = FastLaneCore(StreamCursor(), max_states=24)
         for index, text in enumerate(("_*.a", "_*.b.c", "(a|b)._*.c", "_*.d.(a|b)")):
             other = compile_nfa(parse(text), allow_qualifiers=False)
             core.register(f"other{index}", KIND_DFA, other)
@@ -439,11 +451,10 @@ class TestHeadedRunner:
             )[0],
         )
         assert (lane, reason) == ("gated", None)
-        got = [
-            (index, match.position, match.label)
-            for index, event in enumerate(events)
-            for match in runner.process_event(event)
-        ]
+        got = []
+        for index, event in enumerate(events):
+            advance(core, event)
+            got += [(index, m.position, m.label) for m in runner.process_event(event)]
         assert core.saturated_steps > 0
         assert got == [
             row[:1] + row[2:]
@@ -585,7 +596,7 @@ class TestObligationFrames:
         query = parse("_*[b]")
         plan = MultiQueryEngine({"q": query}).plans["q"]
         assert plan.lane == "network"
-        core = FastLaneCore()
+        core = FastLaneCore(StreamCursor())
         runner, lane, reason = build_lane_runner(
             core,
             "q",
@@ -596,11 +607,10 @@ class TestObligationFrames:
         )
         assert (lane, reason) == ("hybrid", None)
         events = list(parse_string("<b><a><b/></a></b>")) + list(parse_string("<c/>"))
-        got = [
-            (index, "q", match.position, match.label)
-            for index, event in enumerate(events)
-            for match in runner.process_event(event)
-        ]
+        got = []
+        for index, event in enumerate(events):
+            advance(core, event)
+            got += [(index, "q", m.position, m.label) for m in runner.process_event(event)]
         assert got == [(7, "q", 0, "$"), (7, "q", 2, "a")]
         assert got == indexed_matches(
             MultiQueryEngine({"q": query}, optimize=PURE_NETWORK).run, events

@@ -1,18 +1,28 @@
 """Resource guards: depth, σ, buffers, per-document budgets."""
 
+import json
+from unittest import mock
+
 import pytest
 
-from repro import ResourceLimitError, ResourceLimits, SpexEngine
+from repro import Checkpoint, ResourceLimitError, ResourceLimits, SpexEngine, StreamCursor
+from repro.core import clock as clock_module
+from repro.core.clock import FakeClock
 from repro.core.multiquery import MultiQueryEngine
+from repro.core.serving import AdmissionPolicy
+from repro.limits import stream_guard
 from repro.xmlstream import ErrorReport, events_from_tags
+from repro.xmlstream.parser import iter_events
 
 
 class TestResourceLimitsConfig:
     def test_defaults_are_unbounded(self):
-        assert ResourceLimits().unbounded
+        assert stream_guard(ResourceLimits(), StreamCursor(), FakeClock()) is None
 
     def test_any_bound_arms_the_guards(self):
-        assert not ResourceLimits(max_depth=5).unbounded
+        for bound in ("max_depth", "max_events_per_document", "max_seconds_per_document"):
+            limits = ResourceLimits(**{bound: 5})
+            assert stream_guard(limits, StreamCursor(), FakeClock()) is not None
 
     def test_nonpositive_bounds_rejected(self):
         with pytest.raises(ValueError, match="max_depth"):
@@ -185,6 +195,137 @@ class TestLimitsUnderRecovery:
         assert len(results["q1"]) == 1
         assert len(results["q2"]) == 1
         assert report.limit_hits == 1
+
+
+class TestResumedDocumentBudget:
+    """A document cut mid-way keeps a wall-clock budget after a resume.
+
+    Time spent before a crash is gone, so the budget starts afresh at the
+    resumed document's first event; a stall after that must trip it at
+    the very next event, at every door a cut comes back in by."""
+
+    DOC = "<r><a><b/></a><a><c/></a><a><b/><c/></a></r>"
+    QUERIES = {"dfa": "_*.b", "hybrid": "_*.a[c]", "gated": "_*.a[b].c", "network": "_*[b].c"}
+    LIMITS = ResourceLimits(max_seconds_per_document=5.0)
+    CUT = 6  # <$> <r> <a> <b> </b> </a>: the cut is inside the document
+
+    def events(self):
+        return list(iter_events(self.DOC))
+
+    def stalling(self, clock, drawn):
+        """The stream, with a stall past the budget right before the
+        second event after the cut."""
+        for drawn[0], event in enumerate(self.events()):
+            if drawn[0] == self.CUT + 1:
+                clock.advance(10.0)
+            yield event
+
+    def test_resume(self):
+        engine = MultiQueryEngine(self.QUERIES, limits=self.LIMITS)
+        list(engine.run(iter(self.events()[: self.CUT]), cursor=StreamCursor()))
+        checkpoint = Checkpoint.from_dict(json.loads(json.dumps(engine.checkpoint().to_dict())))
+        fresh = MultiQueryEngine.from_checkpoint(checkpoint, limits=self.LIMITS)
+        clock, drawn = FakeClock(), [-1]
+        with pytest.raises(ResourceLimitError) as info:
+            list(fresh.resume(checkpoint, self.stalling(clock, drawn), clock=clock))
+        assert info.value.limit == "max_seconds_per_document"
+        assert drawn[0] == self.CUT + 1
+
+    def test_resume_pump(self):
+        clock = FakeClock()
+        engine = MultiQueryEngine(self.QUERIES, limits=self.LIMITS)
+        pump = engine.start_pump(clock=clock, cursor=StreamCursor())
+        events = self.events()
+        for event in events[: self.CUT]:
+            pump.feed(event)
+        checkpoint = Checkpoint.from_dict(json.loads(json.dumps(engine.checkpoint().to_dict())))
+        fresh = MultiQueryEngine.from_checkpoint(checkpoint, limits=self.LIMITS)
+        resumed = fresh.resume_pump(checkpoint, clock=clock)
+        resumed.feed(events[self.CUT])
+        assert resumed.live_queries == sorted(self.QUERIES)
+        clock.advance(10.0)
+        resumed.feed(events[self.CUT + 1])
+        assert resumed.live_queries == []
+        assert {
+            query_id: (outcome.status, outcome.code)
+            for query_id, outcome in resumed.serving.outcomes.items()
+        } == dict.fromkeys(self.QUERIES, ("quarantined", "LIMIT"))
+
+    def test_spex_engine_resume(self):
+        engine = SpexEngine("_*.a[b].c", collect_events=False, limits=self.LIMITS)
+        head = iter(self.events()[: self.CUT])
+        list(engine.run(head, require_end=False, cursor=StreamCursor()))
+        checkpoint = engine.checkpoint()
+        clock, drawn = FakeClock(), [-1]
+        with mock.patch.object(clock_module, "SYSTEM_CLOCK", clock):
+            with pytest.raises(ResourceLimitError) as info:
+                list(engine.resume(checkpoint, self.stalling(clock, drawn)))
+        assert info.value.limit == "max_seconds_per_document"
+        assert drawn[0] == self.CUT + 1
+
+
+class TestPendingCeilingDemotion:
+    """The one limit that still costs a lane is named where lanes are
+    reported: ``max_pending_candidates`` is an output transducer's
+    ceiling, so a dfa or hybrid query under one runs on the network, and
+    so does a gated one under ``drop_oldest``."""
+
+    QUERIES = {"dfa": "_*.a", "hybrid": "_*.a[b]", "gated": "_*.a[b].c", "network": "_*[b].c"}
+
+    def lanes(self, engine):
+        engine.evaluate("<r><a><b/><c/></a></r>")
+        return engine.lane_executions
+
+    def test_engine_ceiling(self):
+        engine = MultiQueryEngine(
+            self.QUERIES, limits=ResourceLimits(max_pending_candidates=5)
+        )
+        assert self.lanes(engine) == {
+            "dfa": "network",
+            "hybrid": "network",
+            "gated": "gated",
+            "network": "network",
+        }
+        assert sorted(engine.lane_demotions) == ["dfa", "hybrid"]
+        for reason in engine.lane_demotions.values():
+            assert "max_pending_candidates=5" in reason
+        assert engine.stats.fastlane_demotions == 2
+
+    def test_drop_oldest_demotes_the_gated_lane_too(self):
+        limits = ResourceLimits(max_pending_candidates=5, on_buffer_overflow="drop_oldest")
+        engine = MultiQueryEngine(self.QUERIES, limits=limits)
+        assert set(self.lanes(engine).values()) == {"network"}
+        assert "drop_oldest" in engine.lane_demotions["gated"]
+        assert engine.stats.fastlane_demotions == 3
+
+    def test_degraded_admission(self):
+        """A degraded admission runs under tightened buffer ceilings,
+        its own ``max_pending_candidates`` among them."""
+        admission = AdmissionPolicy(degrade_sigma=1, depth_bound=16)
+        engine = MultiQueryEngine(
+            {"clean": "_*.a", "degraded": "_*.a[_*.b]"}, admission=admission
+        )
+        assert engine.admissions["degraded"].degraded
+        assert self.lanes(engine) == {"clean": "dfa", "degraded": "network"}
+        assert "max_pending_candidates=1024" in engine.lane_demotions["degraded"]
+        assert engine.stats.fastlane_demotions == 1
+
+    def test_other_ceilings_keep_the_lanes(self):
+        limits = ResourceLimits(
+            max_depth=64,
+            max_events_per_document=10_000,
+            max_buffered_events=8,
+            max_formula_size=8,
+            on_buffer_overflow="drop_oldest",
+        )
+        engine = MultiQueryEngine(self.QUERIES, limits=limits)
+        assert self.lanes(engine) == {
+            "dfa": "dfa",
+            "hybrid": "hybrid",
+            "gated": "gated",
+            "network": "network",
+        }
+        assert engine.lane_demotions == {}
 
 
 class TestStatsSummary:

@@ -7,7 +7,10 @@ the history of subscribes, departures (between documents or at any
 event inside one, as the service closes a subscriber), documents and
 crash/resume cuts, a serving pass holds what a **fresh** engine
 registered with the same live queries in the same order holds — and
-answers the next document the same way.  Rules to add as the harness
+answers the next document the same way.  Half the passes are
+limit-armed (``max_depth``): they keep the same lanes and the same
+state, and no checkpoint holds stream position anywhere but in its
+cursor.  Rules to add as the harness
 grows: fault schedules, shard and server kills, knob flips, the DOM
 oracle.
 """
@@ -20,9 +23,9 @@ import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
-from repro import Checkpoint, StreamCursor
+from repro import Checkpoint, ResourceLimits, StreamCursor
 from repro.core.fastlane import _DROPPED, _PENDING
 from repro.core.multiquery import MultiQueryEngine
 from repro.workloads.generators import random_tree
@@ -50,6 +53,7 @@ def retained(engine, pump):
     """What the pass holds per subscription, in comparable form."""
     core = engine._fastlane_core
     payload = engine.checkpoint().payload
+    assert_position_in_the_cursor_only(payload)
     return {
         "slots": len(core._slots) if core is not None else 0,
         "outcomes": sorted(pump.serving.outcomes),
@@ -59,6 +63,16 @@ def retained(engine, pump):
         "runners": list(payload["runners"]),
         "lanes": engine.lane_executions,
     }
+
+
+def assert_position_in_the_cursor_only(payload):
+    """The open path, the element count and the document's event count
+    are the cursor's: no runner snapshot repeats them."""
+    assert {"open_labels", "open_starts", "elements_seen"} <= set(payload["cursor"])
+    for snapshot in payload["runners"].values():
+        assert not {"path", "ecount", "starts"} & set(snapshot.get("fastlane", {}))
+        network = snapshot.get("network", snapshot)
+        assert not {"depth", "doc_events"} & set(network or {})
 
 
 def states(engine):
@@ -95,13 +109,18 @@ def assert_fresh_frames(engine):
 class ServingPass(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.engine = MultiQueryEngine({})
-        self.pump = self.engine.start_pump(cursor=StreamCursor())
         #: live query id -> query, in registration order
         self.live: dict[str, str] = {}
         #: live query id -> start tags it has been fed since it joined
         self.fed: dict[str, int] = {}
         self.minted = 0
+
+    @initialize(armed=st.booleans())
+    def open_the_pass(self, armed):
+        #: a depth ceiling no document reaches: it must change nothing
+        self.limits = ResourceLimits(max_depth=64) if armed else None
+        self.engine = MultiQueryEngine({}, limits=self.limits)
+        self.pump = self.engine.start_pump(cursor=StreamCursor())
         self.indices = slot_indices(self.engine)
 
     @rule(query=st.sampled_from(QUERIES))
@@ -150,7 +169,7 @@ class ServingPass(RuleBasedStateMachine):
         """One document, optionally through a crash after ``cut`` events
         and a departure at event ``leave``."""
         document = DOCUMENTS[number]
-        fresh = MultiQueryEngine(dict(self.live))
+        fresh = MultiQueryEngine(dict(self.live), limits=self.limits)
         fresh_pump = fresh.start_pump(cursor=StreamCursor())
         leaving = data.draw(st.sampled_from(sorted(self.live))) if self.live else None
         assert self.pump.feed(document[0]) == fresh_pump.feed(document[0]) == []
@@ -190,7 +209,7 @@ class ServingPass(RuleBasedStateMachine):
             path = os.path.join(directory, "checkpoint.json")
             self.engine.checkpoint().save(path)
             loaded = Checkpoint.load(path)
-        self.engine = MultiQueryEngine.from_checkpoint(loaded)
+        self.engine = MultiQueryEngine.from_checkpoint(loaded, limits=self.limits)
         self.pump = self.engine.resume_pump(loaded)
         assert list(self.engine.queries) == list(self.live)
 
