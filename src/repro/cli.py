@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core.engine import SpexEngine
 from .cq.engine import CqEngine
@@ -33,6 +33,10 @@ from .xmlstream.events import Event
 from .xmlstream.parser import parse_file, parse_stream
 from .xmlstream.recovery import ErrorReport
 from .xmlstream.stats import measure
+
+if TYPE_CHECKING:
+    from .core.serving import AdmissionPolicy, ServingPolicy
+    from .xmlstream.parser import ParserLimits
 
 #: Process exit codes, uniform across every serving mode (in-process,
 #: ``--shards N``, ``--listen``): 0 = clean, 1 = fatal error, 2 = usage,
@@ -68,6 +72,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     on_error = getattr(args, "on_error", "strict")
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     resume = getattr(args, "resume", False)
+    if getattr(args, "checkpoint_every", None) is not None and checkpoint_dir is None:
+        print(
+            "error: --checkpoint-every needs --checkpoint-dir to write the "
+            "checkpoints to",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     supervisor = None
     if checkpoint_dir is not None or resume:
         import os
@@ -228,10 +239,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     priorities: dict[str, int] = {}
     for spec in args.priority or ():
         query_id, _, value = spec.partition("=")
-        if not value or query_id not in queries:
+        try:
+            if query_id not in queries:
+                raise ValueError(query_id)
+            priorities[query_id] = int(value)
+        except ValueError:
             print(f"error: bad --priority {spec!r} (want ID=N)", file=sys.stderr)
             return EXIT_USAGE
-        priorities[query_id] = int(value)
 
     policy = ServingPolicy(
         quarantine=args.quarantine != "off",
@@ -260,7 +274,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = ErrorReport()
     files = args.file or []
     if not files:
-        source: object = parse_stream(sys.stdin.buffer, limits=parser_limits)
+        source: str | Iterable[Event] = parse_stream(
+            sys.stdin.buffer, limits=parser_limits
+        )
     elif len(files) == 1:
         source = files[0]
     else:
@@ -297,7 +313,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_listen(
-    args: argparse.Namespace, queries: dict[str, str], policy, admission
+    args: argparse.Namespace,
+    queries: dict[str, str],
+    policy: ServingPolicy,
+    admission: AdmissionPolicy | None,
 ) -> int:
     """``spex serve --listen HOST:PORT``: the asyncio network frontend."""
     import asyncio
@@ -412,9 +431,9 @@ def _serve_listen(
 def _serve_sharded(
     args: argparse.Namespace,
     queries: dict[str, str],
-    policy,
-    admission,
-    parser_limits,
+    policy: ServingPolicy,
+    admission: AdmissionPolicy | None,
+    parser_limits: ParserLimits | None,
 ) -> int:
     """``spex serve --shards N``: crash-isolated multi-process serving."""
     from .core.shards import ShardCoordinator, ShardConfig
@@ -430,7 +449,9 @@ def _serve_sharded(
         )
     files = args.file or []
     if not files:
-        source: object = parse_stream(sys.stdin.buffer, limits=parser_limits)
+        source: str | Iterable[Event] = parse_stream(
+            sys.stdin.buffer, limits=parser_limits
+        )
     elif len(files) == 1:
         source = files[0]
     else:

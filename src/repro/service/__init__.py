@@ -42,7 +42,7 @@ from .supervisor import (
     ServiceSupervisorConfig,
     ServiceSupervisorError,
 )
-from .wal import SessionRecovery, WalError, WalRecovery, WriteAheadLog
+from .wal import Session, SessionStore, WalError, WalRecovery, WriteAheadLog
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -61,7 +61,8 @@ __all__ = [
     "ServiceSupervisor",
     "ServiceSupervisorConfig",
     "ServiceSupervisorError",
-    "SessionRecovery",
+    "Session",
+    "SessionStore",
     "SpexService",
     "SubscriberClient",
     "SubscriberResult",

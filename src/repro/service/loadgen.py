@@ -249,7 +249,6 @@ async def _subscriber_task(
     ready: asyncio.Barrier,
 ) -> SubscriberResult:
     result = SubscriberResult(index=index, queries=dict(subscriptions))
-    slow = index < config.slow_subscribers
     # disconnectors are taken from the tail so slow/disconnect don't overlap
     disconnect = index >= config.subscribers - config.disconnect_subscribers
     client = await SubscriberClient.connect(
@@ -265,37 +264,15 @@ async def _subscriber_task(
             result.rejected.append(verdict)
     await ready.wait()
     try:
-        async for frame in client.frames():
-            kind = frame.get("type")
-            if kind == "match":
-                document = int(frame["document"])
-                match = frame["match"]
-                result.matches.append(
-                    (
-                        str(frame["query_id"]),
-                        document,
-                        int(match["position"]),
-                        str(match["label"]),
-                    )
-                )
-                sent = send_times.get(document)
-                if sent is not None:
-                    result.latencies.append(time.monotonic() - sent)
-                if (
-                    disconnect
-                    and len(result.matches) >= config.disconnect_after_matches
-                ):
-                    result.disconnected = True
-                    await client.close()
-                    return result
-            elif kind == "heartbeat":
-                result.heartbeats += 1
-            elif kind == "notice":
-                result.notices.append(frame)
-            elif kind == "bye":
-                result.bye_code = frame.get("code")
-            if slow:
-                await asyncio.sleep(config.slow_delay)
+        outcome = await _consume_frames(
+            client,
+            result,
+            send_times,
+            {},
+            stop_after=config.disconnect_after_matches if disconnect else None,
+            delay=config.slow_delay if index < config.slow_subscribers else 0.0,
+        )
+        result.disconnected = outcome == "stop"
     except (ConnectionError, asyncio.IncompleteReadError):
         result.disconnected = True
     finally:
@@ -309,8 +286,11 @@ async def _consume_frames(
     send_times: dict[int, float],
     floors: dict[str, int],
     stop_after: int | None = None,
+    delay: float = 0.0,
 ) -> str:
-    """Drive one frame loop; returns ``"crash"``/``"bye"``/``"eof"``."""
+    """Drive one frame loop, sleeping ``delay`` seconds after each frame
+    (a slow consumer); returns ``"stop"`` once ``stop_after`` matches
+    arrived, else ``"bye"`` or ``"eof"``."""
     async for frame in client.frames():
         kind = frame.get("type")
         if kind == "match":
@@ -333,7 +313,7 @@ async def _consume_frames(
             if sent is not None:
                 result.latencies.append(time.monotonic() - sent)
             if stop_after is not None and len(result.matches) >= stop_after:
-                return "crash"
+                return "stop"
         elif kind == "heartbeat":
             result.heartbeats += 1
         elif kind == "notice":
@@ -341,6 +321,8 @@ async def _consume_frames(
         elif kind == "bye":
             result.bye_code = frame.get("code")
             return "bye"
+        if delay:
+            await asyncio.sleep(delay)
     return "eof"
 
 
@@ -388,7 +370,7 @@ async def _crash_reconnect_task(
         outcome = await _consume_frames(
             client, result, send_times, floors, stop_after=crash_after
         )
-        if outcome == "crash" and token is not None:
+        if outcome == "stop" and token is not None:
             await client.close()
             await asyncio.sleep(rng.uniform(0.005, 0.02))
             restarted = time.monotonic()

@@ -120,6 +120,13 @@ def decode_frame(line: bytes, max_bytes: int = MAX_FRAME_BYTES) -> dict:
     return frame
 
 
+def integer_field(value: object, name: str) -> int:
+    """A client-supplied integer field, or ``SVC002``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # client → server frames
 

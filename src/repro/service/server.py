@@ -42,9 +42,10 @@ Robustness properties, each enforced structurally rather than by luck:
   ``bye`` (``SVC007``).
 * **Durable sessions.**  With a write-ahead log configured
   (:attr:`ServiceConfig.wal_path`), subscribers may open *durable
-  sessions*: every match carries a monotone per-subscription sequence
-  number and is logged (:mod:`repro.service.wal`) before delivery, the
-  engine is checkpointed in the background at document boundaries
+  sessions*, whose state one :class:`~repro.service.wal.SessionStore`
+  owns: every match carries a monotone per-subscription sequence number
+  and is logged before delivery, the engine is checkpointed in the
+  background at document boundaries
   without stopping ingestion, and ``resume=True`` reconstructs the
   whole serving pass — pump, subscriptions, admission verdicts and
   quarantine latches — *as a service*, directly into a listening
@@ -60,11 +61,8 @@ Robustness properties, each enforced structurally rather than by luck:
 from __future__ import annotations
 
 import asyncio
-import os
-import secrets
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..core.checkpoint import Checkpoint
 from ..core.clock import Clock, as_clock
@@ -90,8 +88,6 @@ from .protocol import (
     SVC_IDLE_TIMEOUT,
     SVC_OVERFLOW,
     SVC_PROTOCOL,
-    SVC_SESSION_EXPIRED,
-    SVC_SESSION_UNKNOWN,
     SVC_TENANT_BUDGET,
     SVC_WRITE_TIMEOUT,
     ProtocolError,
@@ -102,9 +98,9 @@ from .protocol import (
     events_from_frame,
     heartbeat_frame,
     ingested_frame,
+    integer_field,
     match_frame,
     match_from_obj,
-    match_to_obj,
     notice_frame,
     pong_frame,
     rejected_frame,
@@ -112,7 +108,7 @@ from .protocol import (
     subscribed_frame,
     welcome_frame,
 )
-from .wal import SessionRecovery, WalError, WalRecovery, WriteAheadLog
+from .wal import Session, SessionStore
 
 
 #: Sentinels for the engine input queue and subscriber output queues.
@@ -269,43 +265,6 @@ class ServiceStats:
     wal_compactions: int = 0
 
 
-class _Session:
-    """One durable subscriber session; outlives its connections.
-
-    The session is the durability unit of the wire protocol: its
-    subscriptions keep running (and their matches keep accruing in the
-    write-ahead log) while no connection is attached, and a client
-    presenting the token reattaches with a ``resume`` frame carrying
-    its observed per-query sequence floors.
-    """
-
-    def __init__(self, token: str, tenant: str, opened_doc: int) -> None:
-        self.token = token
-        self.tenant = tenant
-        #: client query id -> {"engine_id", "query", "attach_doc"}
-        self.subscriptions: dict[str, dict[str, Any]] = {}
-        #: client query id -> highest sequence number the client observed
-        #: (live delivery at or below it is suppressed; the WAL tail
-        #: above it is what a resume replays).
-        self.floors: dict[str, int] = {}
-        self.conn: _Connection | None = None
-        self.opened_doc = opened_doc
-        self.last_doc = opened_doc
-
-    def recovery_form(self) -> SessionRecovery:
-        """The session as the WAL compactor re-emits it."""
-        return SessionRecovery(
-            token=self.token,
-            tenant=self.tenant,
-            subscriptions={
-                qid: dict(sub) for qid, sub in self.subscriptions.items()
-            },
-            acked=dict(self.floors),
-            opened_doc=self.opened_doc,
-            last_doc=self.last_doc,
-        )
-
-
 class _Connection:
     """Per-socket state; every field is touched only from the event loop."""
 
@@ -336,7 +295,7 @@ class _Connection:
         self.writing_since: float | None = None
         self.writer_task: asyncio.Task | None = None
         # durable-session state
-        self.session: "_Session | None" = None
+        self.session: Session | None = None
         #: replay in progress: live matches divert to ``resume_buffer``
         #: so the WAL tail stays strictly before them in the queue.
         self.resuming = False
@@ -378,7 +337,8 @@ class SpexService:
         self.pump: ServePump | None = None
         self.address: tuple[str, int] | None = None
         self.checkpoint: Checkpoint | None = None
-        self.wal: WriteAheadLog | None = None
+        #: every durable session's state; ``None`` without a WAL
+        self.durable: SessionStore | None = None
         self.resumed = False
         self._server: asyncio.Server | None = None
         self._input: asyncio.Queue | None = None
@@ -393,25 +353,10 @@ class SpexService:
         self._engine_done: asyncio.Event | None = None
         self._done: asyncio.Event | None = None
         self._last_heartbeat = 0.0
-        # durable-session machinery
-        self._sessions: dict[str, _Session] = {}
-        self._engine_sessions: dict[str, tuple[_Session, str]] = {}
-        self._seqs: dict[str, int] = {}
         #: complete documents committed (1-based count; WAL marker unit).
         self._committed_documents = 0
         #: documents accepted onto the input queue (>= committed).
         self._accepted_documents = 0
-        #: replayed documents at or below this count rebuild engine state
-        #: silently: their matches are already in the WAL, so delivery
-        #: and logging are suppressed for the engine ids that existed at
-        #: the crash (fresh subscriptions still see them live).
-        self._rebuild_until = 0
-        self._rebuild_eids: set[str] = set()
-        #: (attach_doc, engine_id, query, qid, session) — recovered
-        #: subscriptions younger than the checkpoint, re-attached when
-        #: the rebuild replay reaches their original join point.
-        self._deferred_attach: list[tuple[int, str, str, str, _Session]] = []
-        self._expired_tokens: set[str] = set()
         self._checkpoint_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -426,12 +371,12 @@ class SpexService:
         the listener binds — the service-native resume path.
         """
         config = self.config
-        recovery = None
         if config.wal_path is not None:
-            if not config.resume and os.path.exists(config.wal_path):
-                os.unlink(config.wal_path)  # stale log from an old run
-            self.wal, recovery = WriteAheadLog.open(
-                config.wal_path, config.wal_fsync_documents
+            self.durable = SessionStore(
+                config.wal_path,
+                config.wal_fsync_documents,
+                resume=config.resume,
+                retention=config.session_retention_documents,
             )
         snapshot = self._load_resume_checkpoint() if config.resume else None
         if snapshot is not None:
@@ -449,8 +394,8 @@ class SpexService:
             self.pump = self.engine.start_pump(
                 policy=config.serving, clock=self.clock, cursor=StreamCursor()
             )
-        if config.resume and recovery is not None:
-            self._install_recovery(recovery)
+        if config.resume and self.durable is not None:
+            self._install_recovery(self.durable)
         self._input = asyncio.Queue(maxsize=config.input_queue_documents)
         self._engine_done = asyncio.Event()
         self._done = asyncio.Event()
@@ -493,7 +438,7 @@ class SpexService:
     @property
     def session_count(self) -> int:
         """Live durable sessions (attached or awaiting a resume)."""
-        return len(self._sessions)
+        return len(self.durable.sessions) if self.durable is not None else 0
 
     @property
     def degraded(self) -> bool:
@@ -526,84 +471,41 @@ class SpexService:
         except CheckpointError:
             return None
 
-    def _install_recovery(self, recovery: "WalRecovery") -> None:
-        """Rebuild sessions, routes-to-be and counters from the WAL.
-
-        The engine (restored from the checkpoint) may trail the log by
-        up to one checkpoint interval; the difference is bridged by the
-        producer replay contract — ``welcome`` tells producers to
-        re-send from the engine's position, and documents at or below
-        the committed count rebuild state with delivery suppressed.
-        """
-        assert self.pump is not None and self.wal is not None
+    def _install_recovery(self, durable: SessionStore) -> None:
+        """Resume the recovered sessions on the restored pump; ``welcome``
+        tells producers to re-send from the engine's position."""
+        assert self.pump is not None
         engine_documents = self.pump.serving.documents_seen
-        self._committed_documents = max(
-            recovery.committed_documents, engine_documents
+        self._committed_documents = durable.resume(
+            engine_documents, self.engine.queries
         )
         self._accepted_documents = engine_documents
-        self._rebuild_until = self._committed_documents
-        self._seqs = dict(recovery.seqs)
-        self.wal.documents = self._committed_documents
-        deferred: list[tuple[int, str, str, str, _Session]] = []
-        for token in sorted(recovery.sessions):
-            record = recovery.sessions[token]
-            session = _Session(token, record.tenant, record.opened_doc)
-            session.last_doc = record.last_doc
-            session.floors = dict(record.acked)
-            session.subscriptions = {
-                qid: dict(sub) for qid, sub in record.subscriptions.items()
-            }
-            self._sessions[token] = session
-            for qid, sub in session.subscriptions.items():
-                engine_id = str(sub["engine_id"])
-                self._engine_sessions[engine_id] = (session, qid)
-                self._rebuild_eids.add(engine_id)
-                self._tenant_counts[session.tenant] += 1
-                if engine_id not in self.engine.queries:
-                    # Subscribed after the checkpoint cut: re-register at
-                    # its original join point during the rebuild replay.
-                    attach_doc = max(int(sub["attach_doc"]), engine_documents)
-                    deferred.append(
-                        (attach_doc, engine_id, str(sub["query"]), qid, session)
-                    )
-        self._deferred_attach = sorted(deferred, key=lambda item: item[0])
+        self._tenant_counts.update(durable.tenants())
         # Checkpointed queries no durable session claims belonged to
         # non-durable subscribers of the dead process: close them out
         # (their subscribers are gone and cannot resume).
         for engine_id in list(self.engine.queries):
-            if engine_id not in self._engine_sessions:
+            if not durable.owns(engine_id):
                 self._retire_query(
                     engine_id, None, reason="non-durable subscriber lost in crash"
                 )
 
-    def _attach_deferred(self) -> None:
-        """Re-attach recovered subscriptions whose join point arrived.
-
-        A subscription recorded at document count ``k`` joined the pass
-        at document ``k + 1``; during the rebuild replay it must join at
-        exactly that boundary again — gauged by the *pump's* position,
-        which climbs back through the replayed documents — or its
-        regenerated matches (and every later sequence number) would
-        diverge from the log.
-        """
+    def _attach_deferred(self, durable: SessionStore) -> None:
+        """Re-attach recovered subscriptions whose join point the pump's
+        position, climbing back through the replayed documents, reached."""
         assert self.pump is not None
-        while (
-            self._deferred_attach
-            and self._deferred_attach[0][0] <= self.pump.serving.documents_seen
-        ):
-            _, engine_id, query, qid, session = self._deferred_attach.pop(0)
+        for engine_id, query, tenant in durable.due(self.pump.serving.documents_seen):
             try:
                 self.engine.add_query(engine_id, query)
+                attached = self.pump.attach(engine_id)
             except ReproError:
-                session.subscriptions.pop(qid, None)
-                self._engine_sessions.pop(engine_id, None)
-                continue
-            if not self.pump.attach(engine_id):
+                attached = False
+            if not attached:
                 # Deterministic admission re-rejects only what it
                 # rejected before; a recovered subscription was admitted.
-                self.engine.remove_query(engine_id)
-                session.subscriptions.pop(qid, None)
-                self._engine_sessions.pop(engine_id, None)
+                self._retire_query(
+                    engine_id, tenant, reason="recovered subscription refused"
+                )
 
     # ------------------------------------------------------------------
     # engine task: the single consumer of the document queue
@@ -616,7 +518,8 @@ class SpexService:
                 if item is _DRAIN:
                     break
                 producer, document = item
-                self._attach_deferred()
+                if self.durable is not None:
+                    self._attach_deferred(self.durable)
                 for event in document:
                     # the transition itself: ``feed`` would allocate a
                     # list for each of the (many) events deciding nothing
@@ -645,23 +548,19 @@ class SpexService:
         # replay it climbs back toward the already-committed count (which
         # therefore must not advance), and past it they move together.
         count = self.pump.serving.documents_seen
-        rebuilding = count <= self._rebuild_until
         self._committed_documents = max(self._committed_documents, count)
-        if rebuilding:
+        durable = self.durable
+        if durable is None:
+            return
+        if count <= durable.rebuild_until:
             self.stats.documents_rebuilt += 1
-        elif self.wal is not None:
-            self.wal.append_document(count, self.pump.cursor.events_read)
-            self._maybe_background_checkpoint(count)
-        if (
-            producer is not None
-            and not producer.closed
-            and self.wal is not None
-        ):
-            producer.send_now(
-                ingested_frame(count, self.wal.durable_documents)
-            )
+        else:
+            durable.wal.append_document(count, self.pump.cursor.events_read)
+            self._maybe_background_checkpoint(durable, count)
+        if producer is not None and not producer.closed:
+            producer.send_now(ingested_frame(count, durable.wal.durable_documents))
 
-    def _maybe_background_checkpoint(self, count: int) -> None:
+    def _maybe_background_checkpoint(self, durable: SessionStore, count: int) -> None:
         """Live checkpoint at the cadence, without stopping ingestion.
 
         The snapshot itself is taken synchronously (it is an in-memory
@@ -679,18 +578,17 @@ class SpexService:
             return
         if self._checkpoint_task is not None and not self._checkpoint_task.done():
             return
-        if self.wal is not None:
-            self.wal.sync()  # the WAL must never trail the checkpoint
-            self._expire_stale_sessions(count)
-            if self.wal.size_bytes > config.wal_max_bytes:
-                self.wal.compact(
-                    {
-                        token: session.recovery_form()
-                        for token, session in self._sessions.items()
-                    },
-                    self.pump.cursor.events_read if self.pump is not None else 0,
+        assert self.pump is not None
+        durable.wal.sync()  # the WAL must never trail the checkpoint
+        for tenant, engine_ids in durable.expire(count):
+            self.stats.sessions_expired += 1
+            for engine_id in engine_ids:
+                self._retire_query(
+                    engine_id, tenant, reason="durable session expired"
                 )
-                self.stats.wal_compactions += 1
+        if durable.wal.size_bytes > config.wal_max_bytes:
+            durable.wal.compact(durable.sessions, self.pump.cursor.events_read)
+            self.stats.wal_compactions += 1
         try:
             snapshot = self.engine.checkpoint()
         except ReproError:  # pragma: no cover - no cursor-tracked pass
@@ -711,69 +609,22 @@ class SpexService:
         except (ReproError, OSError):  # pragma: no cover - disk trouble
             pass
 
-    def _expire_stale_sessions(self, count: int) -> None:
-        """Expire disconnected sessions past the retention window."""
-        retention = self.config.session_retention_documents
-        for token in list(self._sessions):
-            session = self._sessions[token]
-            if session.conn is not None:
-                continue
-            if count - session.last_doc <= retention:
-                continue
-            self._sessions.pop(token)
-            self._expired_tokens.add(token)
-            self.stats.sessions_expired += 1
-            if self.wal is not None:
-                self.wal.append_session(
-                    {"op": "expire", "sid": token, "doc": count},
-                    durable=False,
-                )
-            for sub in session.subscriptions.values():
-                engine_id = str(sub["engine_id"])
-                self._engine_sessions.pop(engine_id, None)
-                self._rebuild_eids.discard(engine_id)
-                # the token is random and can never resume (SVC011), so
-                # nothing will read this id's sequence counter again
-                self._seqs.pop(engine_id, None)
-                if self.wal is not None:
-                    self.wal.release(engine_id)
-                self._retire_query(
-                    engine_id, session.tenant, reason="durable session expired"
-                )
-            session.subscriptions.clear()
-
     async def _deliver(self, engine_id: str, match: Match) -> None:
         assert self.pump is not None
-        document = self.pump.serving.documents_seen - 1
-        owner = self._engine_sessions.get(engine_id)
+        documents_seen = self.pump.serving.documents_seen
         seq: int | None = None
-        if owner is not None:
-            owner_session, owner_qid = owner
-            if (
-                self.pump.serving.documents_seen <= self._rebuild_until
-                and engine_id in self._rebuild_eids
-            ):
-                # Rebuild replay: this match is already in the WAL with
-                # this exact sequence number; the resume replay delivers
-                # it, so regenerating it must stay silent.
-                return
-            seq = self._seqs.get(engine_id, 0) + 1
-            self._seqs[engine_id] = seq
-            if self.wal is not None:
-                self.wal.append_match(
-                    engine_id, seq, document, match_to_obj(match)
-                )
+        if self.durable is not None:
+            seq, deliver = self.durable.stamp(engine_id, documents_seen, match)
+            if seq is not None:
                 self.stats.matches_logged += 1
-            if seq <= owner_session.floors.get(owner_qid, 0):
-                # The client observed this match before the crash; the
-                # regenerated copy must not be delivered twice.
+            if not deliver:
                 return
         route = self._routes.get(engine_id)
         if route is None:
             return
         conn, client_id = route
         assert conn.queue is not None
-        frame = match_frame(client_id, match, document, seq=seq)
+        frame = match_frame(client_id, match, documents_seen - 1, seq=seq)
         if conn.resuming:
             # WAL-tail replay in progress: live frames park here and
             # follow the replayed tail in order.
@@ -886,7 +737,7 @@ class SpexService:
         conn.last_activity = self.clock.monotonic()
         if role == ROLE_PRODUCER:
             self.stats.producers += 1
-            if self.wal is not None:
+            if self.durable is not None:
                 # Replay contract: the producer re-sends everything after
                 # the service's accepted position — during a resume that
                 # is the checkpoint cut, so the rebuild replay regrows
@@ -907,107 +758,43 @@ class SpexService:
         if overflow not in OVERFLOW_POLICIES:
             raise ProtocolError(f"unknown overflow policy {overflow!r}")
         conn.overflow = overflow
-        queue_size = int(frame.get("queue_size", self.config.subscriber_queue))
+        queue_size = integer_field(
+            frame.get("queue_size", self.config.subscriber_queue), "queue_size"
+        )
         if queue_size < 1:
             raise ProtocolError("queue_size must be at least 1")
-        durable = bool(frame.get("durable", False))
         token = frame.get("session")
-        if (durable or token is not None) and self.wal is None:
-            raise ProtocolError(
-                "durable sessions need a write-ahead log "
-                "(server started without --wal-file)"
-            )
-        session: _Session | None = None
-        if token is not None:
-            session = self._sessions.get(str(token))
-            if session is None:
-                if str(token) in self._expired_tokens:
-                    code, why = (
-                        SVC_SESSION_EXPIRED,
-                        f"session {token!r} expired past the retention "
-                        f"window of "
-                        f"{self.config.session_retention_documents} "
-                        f"document(s)",
-                    )
-                else:
-                    code, why = (
-                        SVC_SESSION_UNKNOWN,
-                        f"unknown session {token!r}",
-                    )
-                # The writer task does not exist yet, so the refusal
-                # goes straight onto the transport — a client-chosen
-                # queue size (even 1) cannot shed or wedge the flush.
-                conn.send_now(error_frame(code, why))
-                conn.send_now(bye_frame(code, "cannot resume"))
-                try:
-                    await conn.writer.drain()
-                except ConnectionError:
-                    pass
-                return
-            if session.conn is not None and not session.conn.closed:
+        session: Session | None = None
+        if token is not None or frame.get("durable", False):
+            if self.durable is None:
                 raise ProtocolError(
-                    f"session {token!r} is attached on another connection"
+                    "durable sessions need a write-ahead log "
+                    "(server started without --wal-file)"
                 )
+            # A refused token raises before the writer task exists, so
+            # the error and bye go straight onto the transport — a
+            # client-chosen queue size (even 1) cannot shed the refusal.
+            if token is not None:
+                session = self.durable.find(str(token))
+            else:
+                session = self.durable.open_session(
+                    conn.tenant, self._committed_documents
+                )
+                self.stats.sessions_opened += 1
         conn.queue = asyncio.Queue(maxsize=queue_size)
         conn.writer_task = asyncio.create_task(self._writer_loop(conn))
-        if session is not None:
-            self._adopt_session(conn, session)
-            self._enqueue_control(
-                conn, welcome_frame(role, session=session.token)
-            )
-        elif durable:
-            session = self._open_session(conn)
-            self._enqueue_control(
-                conn, welcome_frame(role, session=session.token)
-            )
+        if session is not None and self.durable is not None:
+            # Routes go in at once so live matches flow (through the
+            # floor filter); a ``resume`` frame then replays the tail.
+            conn.session = session
+            conn.tenant = session.tenant
+            for qid, engine_id in self.durable.attach(session, conn).items():
+                conn.queries[qid] = engine_id
+                self._routes[engine_id] = (conn, qid)
+            self._enqueue_control(conn, welcome_frame(role, session=session.token))
         else:
             self._enqueue_control(conn, welcome_frame(role))
         await self._subscriber_loop(conn)
-
-    def _open_session(self, conn: _Connection) -> _Session:
-        """Mint a durable session for a fresh ``durable`` hello.
-
-        Tokens are unguessable (``secrets``) rather than sequential:
-        the token is the *only* credential a resume presents, so a
-        guessable one would let any client adopt another tenant's
-        session — and a counter-derived one could be re-minted after a
-        crash if the counter's high-water mark predated the surviving
-        WAL records, silently handing an old client's matches to a new
-        one.  Random tokens rule out both recycling and hijacking.
-        """
-        assert self.wal is not None
-        token = f"sess-{secrets.token_urlsafe(12)}"
-        while token in self._sessions or token in self._expired_tokens:
-            token = f"sess-{secrets.token_urlsafe(12)}"  # pragma: no cover
-        session = _Session(token, conn.tenant, self._committed_documents)
-        session.conn = conn
-        conn.session = session
-        self._sessions[token] = session
-        self.wal.append_session(
-            {
-                "op": "open",
-                "sid": token,
-                "tenant": conn.tenant,
-                "doc": session.opened_doc,
-            }
-        )
-        self.stats.sessions_opened += 1
-        return session
-
-    def _adopt_session(self, conn: _Connection, session: "_Session") -> None:
-        """Bind a reconnecting connection to its recovered session.
-
-        Routes and ``conn.queries`` are installed immediately so live
-        matches start flowing (through the floor filter); the client's
-        ``resume`` frame then replays the WAL tail and lifts the floors.
-        """
-        session.conn = conn
-        conn.session = session
-        conn.tenant = session.tenant
-        for qid, sub in session.subscriptions.items():
-            engine_id = str(sub["engine_id"])
-            conn.queries[qid] = engine_id
-            self._routes[engine_id] = (conn, qid)
 
     # -------------------------------- producers
 
@@ -1141,36 +928,26 @@ class SpexService:
         before the ``resumed`` frame clears the diversion.
         """
         session = conn.session
-        if session is None or self.wal is None:
+        if session is None or self.durable is None:
             self._enqueue_control(
                 conn,
                 error_frame(SVC_PROTOCOL, "resume needs a durable session"),
             )
             return
         acked = frame.get("acked")
-        if not isinstance(acked, dict):
-            acked = {}
+        claims = {
+            str(qid): integer_field(seq, "acked floor")
+            for qid, seq in (acked.items() if isinstance(acked, dict) else ())
+        }
+        tail = self.durable.replay(session, claims, self._committed_documents)
         conn.resuming = True
         try:
-            for qid in sorted(session.subscriptions):
-                sub = session.subscriptions[qid]
-                engine_id = str(sub["engine_id"])
-                # Clamp to the highest assigned sequence: a floor above
-                # the counter would suppress every future delivery.
-                claimed = min(
-                    int(acked.get(qid, 0)), self._seqs.get(engine_id, 0)
+            for qid, seq, document, match_obj in tail:
+                replayed = match_frame(
+                    qid, match_from_obj(match_obj), document, seq=seq
                 )
-                floor = max(session.floors.get(qid, 0), claimed)
-                session.floors[qid] = floor
-                self.wal.acknowledge(engine_id, floor)
-                for seq, document, match_obj in self.wal.replay_tail(
-                    engine_id, floor
-                ):
-                    replayed = match_frame(
-                        qid, match_from_obj(match_obj), document, seq=seq
-                    )
-                    await conn.queue.put(replayed)  # type: ignore[union-attr]
-                    self.stats.matches_replayed += 1
+                await conn.queue.put(replayed)  # type: ignore[union-attr]
+                self.stats.matches_replayed += 1
             # Drain-and-recheck: a blocking put below may let the engine
             # task append more live matches to the buffer, so loop until
             # a check finds it empty — then clear ``resuming`` with no
@@ -1184,49 +961,22 @@ class SpexService:
             conn.resuming = False
             await conn.queue.put(  # type: ignore[union-attr]
                 resumed_frame(
-                    {
-                        qid: self._seqs.get(
-                            str(session.subscriptions[qid]["engine_id"]), 0
-                        )
-                        for qid in sorted(session.subscriptions)
-                    },
-                    self._committed_documents,
+                    self.durable.counters(session), self._committed_documents
                 )
             )
         finally:
             conn.resuming = False
-        session.last_doc = self._committed_documents
         self.stats.sessions_resumed += 1
 
     def _handle_ack(self, conn: _Connection, frame: dict) -> None:
         """Lift a floor: the log tail at or below it can be pruned."""
-        session = conn.session
-        if session is None or self.wal is None:
-            return
-        qid = str(frame.get("query_id", ""))
-        sub = session.subscriptions.get(qid)
-        if sub is None:
+        if conn.session is None or self.durable is None:
             return
         try:
             seq = int(frame.get("seq", 0))
         except (TypeError, ValueError):
             return
-        engine_id = str(sub["engine_id"])
-        # Clamp to the highest assigned sequence: an ack past the
-        # counter would raise the floor above every future match,
-        # silently blackholing the subscription (and pruning the WAL).
-        seq = min(seq, self._seqs.get(engine_id, 0))
-        if seq <= session.floors.get(qid, 0):
-            return
-        session.floors[qid] = seq
-        self.wal.acknowledge(engine_id, seq)
-        # Ack records trim the tail a *future* recovery replays; losing
-        # the latest one merely re-replays a few acked matches, which
-        # the client's own floor filter drops — no eager fsync needed.
-        self.wal.append_session(
-            {"op": "ack", "sid": session.token, "qid": qid, "seq": seq},
-            durable=False,
-        )
+        self.durable.ack(conn.session, str(frame.get("query_id", "")), seq)
 
     async def _subscribe(self, conn: _Connection, frame: dict) -> None:
         assert self.pump is not None and conn.queue is not None
@@ -1268,7 +1018,7 @@ class SpexService:
         if session is not None:
             # Session-scoped id: stable across reconnects, so the WAL
             # tail and sequence counter survive the connection.
-            engine_id = f"{session.token}.{client_id}"
+            engine_id = session.engine_id(client_id)
         else:
             engine_id = f"c{conn.id}.{client_id}"
         try:
@@ -1289,28 +1039,13 @@ class SpexService:
         conn.queries[client_id] = engine_id
         self._routes[engine_id] = (conn, client_id)
         self._tenant_counts[conn.tenant] += 1
-        if session is not None:
-            assert self.wal is not None
+        if session is not None and self.durable is not None:
             # attach() joins at the next <$>, i.e. document
             # ``documents_seen + 1`` whether called at a boundary or
             # mid-document — record the position so a rebuild replay
             # re-attaches at exactly the same join point.
-            attach_doc = self.pump.serving.documents_seen
-            session.subscriptions[client_id] = {
-                "engine_id": engine_id,
-                "query": query,
-                "attach_doc": attach_doc,
-            }
-            self._engine_sessions[engine_id] = (session, client_id)
-            self.wal.append_session(
-                {
-                    "op": "sub",
-                    "sid": session.token,
-                    "qid": client_id,
-                    "eid": engine_id,
-                    "query": query,
-                    "doc": attach_doc,
-                }
+            self.durable.subscribe(
+                session, client_id, query, self.pump.serving.documents_seen
             )
         status = "degraded" if decision is not None and decision.degraded else "admit"
         await conn.queue.put(
@@ -1332,35 +1067,9 @@ class SpexService:
                 error_frame(SVC_PROTOCOL, f"not subscribed: {client_id!r}"),
             )
             return
-        session = conn.session
-        durable = session is not None and client_id in session.subscriptions
-        for match in self._retire_query(engine_id, conn.tenant, conn):
-            seq: int | None = None
-            if durable:
-                seq = self._seqs.get(engine_id, 0) + 1
-                self._seqs[engine_id] = seq
-            await conn.queue.put(
-                match_frame(
-                    client_id,
-                    match,
-                    self.pump.serving.documents_seen - 1,
-                    seq=seq,
-                )
-            )
-        if durable and session is not None:
-            # The subscription ends with the session's blessing: its log
-            # tail and recovery entry go away (an unsubscribed query is
-            # never replayed), though its sequence counter stays so a
-            # re-subscribe under the same id continues monotonically.
-            session.subscriptions.pop(client_id, None)
-            session.floors.pop(client_id, None)
-            self._engine_sessions.pop(engine_id, None)
-            self._rebuild_eids.discard(engine_id)
-            if self.wal is not None:
-                self.wal.release(engine_id)
-                self.wal.append_session(
-                    {"op": "unsub", "sid": session.token, "qid": client_id}
-                )
+        document = self.pump.serving.documents_seen - 1
+        for seq, match in self._retire_query(engine_id, conn.tenant, conn):
+            await conn.queue.put(match_frame(client_id, match, document, seq=seq))
         await conn.queue.put(
             notice_frame("CLOSED", "unsubscribed", client_id)
         )
@@ -1373,12 +1082,14 @@ class SpexService:
         code: str | None = None,
         reason: str | None = None,
         degraded: bool = False,
-    ) -> list[Match]:
+    ) -> list[tuple[int | None, Match]]:
         """The one way a subscription ends, whoever ends it: its route
         and notice memory (on ``conn``) go, the pump closes it, the
         engine unregisters it — folding its outcome into the report's
-        totals — and the tenant gets the budget slot back (``None``: a
-        crash orphan, never counted).  Returns its undelivered matches."""
+        totals — the tenant gets the budget slot back (``None``: a
+        crash orphan, never counted), and the session store ends its
+        durable state.  Returns its undelivered matches, with their
+        sequence numbers."""
         assert self.pump is not None
         self._routes.pop(engine_id, None)
         if conn is not None:
@@ -1394,7 +1105,11 @@ class SpexService:
             self._tenant_counts[tenant] -= 1
             if self._tenant_counts[tenant] <= 0:
                 del self._tenant_counts[tenant]
-        return flushed
+        if self.durable is None:
+            return [(None, match) for match in flushed]
+        return self.durable.end(
+            engine_id, flushed, self.pump.serving.documents_seen
+        )
 
     def _detach_session_conn(self, conn: _Connection) -> None:
         """Unbind a durable session from a dying connection.
@@ -1404,8 +1119,7 @@ class SpexService:
         ``resume`` with the token replays them.  Nothing is degraded;
         by the exactly-once contract the client loses no matches.
         """
-        session = conn.session
-        assert session is not None
+        assert conn.session is not None and self.durable is not None
         for engine_id in conn.queries.values():
             route = self._routes.get(engine_id)
             if route is not None and route[0] is conn:
@@ -1413,8 +1127,7 @@ class SpexService:
         conn.queries.clear()
         conn.notified.clear()
         conn.resume_buffer = []
-        session.conn = None
-        session.last_doc = max(session.last_doc, self._committed_documents)
+        self.durable.detach(conn.session, self._committed_documents)
         conn.session = None
 
     def _force_close_subscriber(
@@ -1579,8 +1292,8 @@ class SpexService:
             # let an in-flight background save finish before the final
             # one (two concurrent rotations on one path would race)
             await asyncio.wait([self._checkpoint_task])
-        if self.wal is not None:
-            self.wal.sync()  # checkpoint never leads the log
+        if self.durable is not None:
+            self.durable.wal.sync()  # checkpoint never leads the log
         # Document-boundary checkpoint: the pump only ever stops between
         # documents here (only whole documents enter the queue), so the
         # cut is exact and resumable.
@@ -1622,11 +1335,8 @@ class SpexService:
             if not conn.closed:
                 conn.closed = True
                 conn.writer.close()
-        if self.wal is not None:
-            try:
-                self.wal.close()
-            except WalError:  # pragma: no cover - already closed
-                pass
+        if self.durable is not None:
+            self.durable.wal.close()
         self._done.set()
 
     # ------------------------------------------------------------------

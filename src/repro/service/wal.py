@@ -37,18 +37,38 @@ the WAL's document marker is fsynced **before** the engine checkpoint
 covering that document is saved.  A checkpoint may therefore lag the
 log (recovery replays the difference) but never lead it — the
 configuration under which a crash could lose matches silently.
+
+:class:`SessionStore` is the one owner of durable-session state in a
+running service: the sessions (one :class:`Session` each, holding its
+subscriptions, sequence counters and ack floors), the expired tokens
+and the rebuild replay of a resume.  The log's replay tail is keyed by
+engine id, and an engine id names its session (``<token>.<query id>``),
+so nothing maps one to the other by hand.  A session's counters, floors
+and tail end with it: compaction and recovery keep counters of live
+sessions only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import secrets
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Container, Iterator
 
+from ..core.output_tx import Match
 from ..errors import ReproError
+from .protocol import (
+    SVC_SESSION_EXPIRED,
+    SVC_SESSION_UNKNOWN,
+    ProtocolError,
+    match_to_obj,
+)
+
+#: One retained match: ``(seq, document_index, match_obj)``.
+Triple = tuple[int, int, dict[str, Any]]
 
 
 class WalError(ReproError):
@@ -82,28 +102,75 @@ def _decode(line: bytes) -> dict[str, Any] | None:
 
 
 @dataclass
-class SessionRecovery:
-    """One durable session as reconstructed from the log.
+class Session:
+    """One durable subscriber session; it outlives its connections.
+
+    The session is the durability unit of the wire protocol: its
+    subscriptions keep running (and their matches keep accruing in the
+    log) while no connection is attached, and a client presenting the
+    token reattaches with a ``resume`` frame carrying its observed
+    per-query sequence floors.
 
     Attributes:
-        token: the wire session token.
+        token: the wire session token, the only credential a resume
+            presents.
         tenant: the tenant the session opened under (budget accounting).
-        subscriptions: ``query_id -> {"engine_id", "query", "attach_doc"}``
-            — the session's live queries, with the document count at
-            which each one joined the pass (``attach_doc``; the query is
-            active from document ``attach_doc + 1`` on).
+        subscriptions: ``query_id -> (query, attach_doc)`` — the live
+            queries, with the document count at which each one joined
+            the pass (the query is active from document
+            ``attach_doc + 1`` on).
         acked: ``query_id -> seq`` — the client's observed floor;
-            matches at or below it are never re-delivered.
+            matches at or below it are never delivered again.
+        seqs: ``query_id -> seq`` — the last sequence number assigned.
+            A counter outlives an unsubscribe, so a re-subscribe under
+            the same id continues monotonically.
         opened_doc: document count when the session opened.
-        last_doc: document count of the session's last logged activity.
+        last_doc: document count of the session's last activity.
+        conn: the attached connection (``None`` while awaiting a resume).
     """
 
     token: str
     tenant: str = "default"
-    subscriptions: dict[str, dict[str, Any]] = field(default_factory=dict)
+    subscriptions: dict[str, tuple[str, int]] = field(default_factory=dict)
     acked: dict[str, int] = field(default_factory=dict)
+    seqs: dict[str, int] = field(default_factory=dict)
     opened_doc: int = 0
     last_doc: int = 0
+    conn: Any = None
+
+    def engine_id(self, query_id: str) -> str:
+        """The engine-side id of one of this session's queries."""
+        return f"{self.token}.{query_id}"
+
+    def records(self) -> Iterator[dict[str, Any]]:
+        """The ``sess`` records that rebuild this session (compaction)."""
+        sid, doc = self.token, self.last_doc
+        yield {"op": "open", "sid": sid, "tenant": self.tenant, "doc": self.opened_doc}
+        for qid in sorted(self.subscriptions):
+            query, attach_doc = self.subscriptions[qid]
+            eid = self.engine_id(qid)
+            yield {"op": "sub", "sid": sid, "qid": qid, "eid": eid, "query": query,
+                   "attach_doc": attach_doc, "doc": doc}
+        for qid in sorted(self.acked):
+            yield {"op": "ack", "sid": sid, "qid": qid, "seq": self.acked[qid], "doc": doc}
+
+
+def _seq_table(sessions: dict[str, Session]) -> dict[str, int]:
+    """Every live session's counters, by engine id."""
+    return {
+        session.engine_id(qid): seq
+        for session in sessions.values()
+        for qid, seq in session.seqs.items()
+    }
+
+
+def _owner(sessions: dict[str, Session], engine_id: str) -> tuple[Session, str] | None:
+    """The session and query id an engine id names, while subscribed."""
+    token, _, qid = engine_id.partition(".")
+    session = sessions.get(token)
+    if session is None or qid not in session.subscriptions:
+        return None
+    return session, qid
 
 
 @dataclass
@@ -115,9 +182,8 @@ class WalRecovery:
             resume position of the *stream* (the engine checkpoint may
             trail it; the producer replays the difference).
         committed_events: events read at the last document marker.
-        seqs: per-engine-id sequence counters as of the committed cut
-            (the next match of engine id ``q`` gets ``seqs[q] + 1``).
-        sessions: durable sessions by token.
+        sessions: durable sessions by token, counters included (as of
+            the committed cut).
         matches: per-engine-id replay tail — committed, not-yet-acked
             matches as ``(seq, document_index, match_obj)`` triples.
         truncated_bytes: torn-tail bytes dropped during recovery.
@@ -126,18 +192,19 @@ class WalRecovery:
 
     committed_documents: int = 0
     committed_events: int = 0
-    seqs: dict[str, int] = field(default_factory=dict)
-    sessions: dict[str, SessionRecovery] = field(default_factory=dict)
-    matches: dict[str, list[tuple[int, int, dict[str, Any]]]] = field(
-        default_factory=dict
-    )
+    sessions: dict[str, Session] = field(default_factory=dict)
+    matches: dict[str, list[Triple]] = field(default_factory=dict)
     truncated_bytes: int = 0
     records: int = 0
 
+    @property
+    def seqs(self) -> dict[str, int]:
+        """Per-engine-id sequence counters of the recovered sessions (the
+        next match of engine id ``q`` gets ``seqs[q] + 1``)."""
+        return _seq_table(self.sessions)
 
-def _apply_session(
-    sessions: dict[str, SessionRecovery], record: dict[str, Any]
-) -> None:
+
+def _apply_session(sessions: dict[str, Session], record: dict[str, Any]) -> None:
     """Fold one ``sess`` record into the recovery state (idempotent)."""
     op = record.get("op")
     token = str(record.get("sid", ""))
@@ -145,9 +212,8 @@ def _apply_session(
     if not token:
         return
     if op == "open":
-        session = sessions.get(token)
-        if session is None:
-            sessions[token] = SessionRecovery(
+        if token not in sessions:
+            sessions[token] = Session(
                 token=token,
                 tenant=str(record.get("tenant", "default")),
                 opened_doc=doc,
@@ -158,17 +224,13 @@ def _apply_session(
     if session is None:
         return  # subscribe/ack for a session whose open was compacted away
     session.last_doc = max(session.last_doc, doc)
+    qid = str(record.get("qid", ""))
     if op == "sub":
-        qid = str(record.get("qid", ""))
-        session.subscriptions[qid] = {
-            "engine_id": str(record.get("eid", "")),
-            "query": str(record.get("query", "")),
-            "attach_doc": int(record.get("attach_doc", doc)),
-        }
+        query = str(record.get("query", ""))
+        session.subscriptions[qid] = (query, int(record.get("attach_doc", doc)))
     elif op == "unsub":
-        session.subscriptions.pop(str(record.get("qid", "")), None)
+        session.subscriptions.pop(qid, None)
     elif op == "ack":
-        qid = str(record.get("qid", ""))
         seq = int(record.get("seq", 0))
         session.acked[qid] = max(session.acked.get(qid, 0), seq)
     elif op == "expire":
@@ -191,10 +253,8 @@ class WriteAheadLog:
         self.documents = 0
         #: document count covered by the last fsync.
         self.durable_documents = 0
-        #: per-engine-id sequence counters (last assigned seq).
-        self.seqs: dict[str, int] = {}
         #: per-engine-id replay tail: (seq, document, match_obj), ordered.
-        self.matches: dict[str, list[tuple[int, int, dict[str, Any]]]] = {}
+        self.matches: dict[str, list[Triple]] = {}
         self.size_bytes = 0
         self.appended_records = 0
         self.compactions = 0
@@ -226,17 +286,16 @@ class WriteAheadLog:
         valid_bytes, records = cls._scan(raw)
         recovery.truncated_bytes = len(raw) - valid_bytes
         recovery.records = len(records)
-        matches: dict[str, list[tuple[int, int, dict[str, Any]]]] = {}
+        seqs: dict[str, int] = {}
+        matches: dict[str, list[Triple]] = {}
         for record in records:
             kind = record.get("t")
             if kind == "base":
                 recovery.committed_documents = int(record.get("doc", 0))
                 recovery.committed_events = int(record.get("ev", 0))
-                seqs = record.get("seqs")
-                if isinstance(seqs, dict):
-                    recovery.seqs = {
-                        str(eid): int(seq) for eid, seq in seqs.items()
-                    }
+                base = record.get("seqs")
+                if isinstance(base, dict):
+                    seqs = {str(eid): int(seq) for eid, seq in base.items()}
             elif kind == "m":
                 eid = str(record.get("q", ""))
                 matches.setdefault(eid, []).append(
@@ -261,24 +320,23 @@ class WriteAheadLog:
         for eid, triples in matches.items():
             kept = [t for t in triples if t[1] < committed]
             for seq, _doc, _obj in kept:
-                recovery.seqs[eid] = max(recovery.seqs.get(eid, 0), seq)
-            if kept:
-                recovery.matches[eid] = kept
-        # Prune the replay tail below each owning session's ack floor;
-        # engine ids no durable session subscribes to have no possible
-        # replayer and are dropped outright.
-        owners: dict[str, int] = {}
-        for session in recovery.sessions.values():
-            for qid, sub in session.subscriptions.items():
-                owners[str(sub["engine_id"])] = session.acked.get(qid, 0)
-        recovery.matches = {
-            eid: [t for t in triples if t[0] > owners[eid]]
-            for eid, triples in recovery.matches.items()
-            if eid in owners
-        }
-        recovery.matches = {
-            eid: triples for eid, triples in recovery.matches.items() if triples
-        }
+                seqs[eid] = max(seqs.get(eid, 0), seq)
+            # Prune the replay tail below its session's ack floor; an
+            # engine id no live session subscribes to has no possible
+            # replayer, and its tail is dropped outright.
+            owner = _owner(recovery.sessions, eid)
+            if owner is not None:
+                session, qid = owner
+                floor = session.acked.get(qid, 0)
+                tail = [t for t in kept if t[0] > floor]
+                if tail:
+                    recovery.matches[eid] = tail
+        # Counters go to their sessions; those of expired sessions (which
+        # no token can ever resume) are dropped with them.
+        for eid, seq in seqs.items():
+            token, _, qid = eid.partition(".")
+            if token in recovery.sessions:
+                recovery.sessions[token].seqs[qid] = seq
         # Truncate the torn tail before reopening for append.
         if recovery.truncated_bytes:
             with open(path, "rb+") as handle:
@@ -289,7 +347,6 @@ class WriteAheadLog:
         wal.size_bytes = valid_bytes
         wal.documents = recovery.committed_documents
         wal.durable_documents = recovery.committed_documents
-        wal.seqs = dict(recovery.seqs)
         wal.matches = {eid: list(t) for eid, t in recovery.matches.items()}
         return wal, recovery
 
@@ -317,7 +374,6 @@ class WriteAheadLog:
     ) -> None:
         """Log one durable match (not yet committed — see marker)."""
         self._append({"t": "m", "q": engine_id, "s": seq, "d": document, "m": match_obj})
-        self.seqs[engine_id] = max(self.seqs.get(engine_id, 0), seq)
         self.matches.setdefault(engine_id, []).append((seq, document, match_obj))
 
     def append_document(self, count: int, events_read: int) -> bool:
@@ -359,12 +415,6 @@ class WriteAheadLog:
         """Forget an engine id's replay tail (unsubscribed / expired)."""
         self.matches.pop(engine_id, None)
 
-    def replay_tail(
-        self, engine_id: str, after_seq: int
-    ) -> list[tuple[int, int, dict[str, Any]]]:
-        """The retained matches of ``engine_id`` with seq > ``after_seq``."""
-        return [t for t in self.matches.get(engine_id, ()) if t[0] > after_seq]
-
     def sync(self) -> None:
         """Flush and fsync everything appended so far."""
         if self._handle is None:
@@ -392,15 +442,11 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # compaction
 
-    def compact(
-        self,
-        sessions: dict[str, SessionRecovery],
-        committed_events: int,
-    ) -> None:
+    def compact(self, sessions: dict[str, Session], committed_events: int) -> None:
         """Atomically rewrite the log from the retained in-memory state.
 
         The new file holds: a ``base`` record pinning the committed
-        document count and every sequence counter; the current session
+        document count and the live sessions' counters; the current session
         set (re-emitted as ``open``/``sub``/``ack`` records); the
         unacked replay tails; and a final document marker.  Everything
         acked, unsubscribed or superseded is gone.  The rewrite is
@@ -423,50 +469,11 @@ class WriteAheadLog:
                     handle.write(data)
                     size += len(data)
 
-                emit(
-                    {
-                        "t": "base",
-                        "doc": committed,
-                        "ev": committed_events,
-                        "seqs": dict(sorted(self.seqs.items())),
-                    }
-                )
+                seqs = dict(sorted(_seq_table(sessions).items()))
+                emit({"t": "base", "doc": committed, "ev": committed_events, "seqs": seqs})
                 for token in sorted(sessions):
-                    session = sessions[token]
-                    emit(
-                        {
-                            "t": "sess",
-                            "op": "open",
-                            "sid": token,
-                            "tenant": session.tenant,
-                            "doc": session.opened_doc,
-                        }
-                    )
-                    for qid in sorted(session.subscriptions):
-                        sub = session.subscriptions[qid]
-                        emit(
-                            {
-                                "t": "sess",
-                                "op": "sub",
-                                "sid": token,
-                                "qid": qid,
-                                "eid": sub["engine_id"],
-                                "query": sub["query"],
-                                "attach_doc": sub["attach_doc"],
-                                "doc": session.last_doc,
-                            }
-                        )
-                    for qid in sorted(session.acked):
-                        emit(
-                            {
-                                "t": "sess",
-                                "op": "ack",
-                                "sid": token,
-                                "qid": qid,
-                                "seq": session.acked[qid],
-                                "doc": session.last_doc,
-                            }
-                        )
+                    for record in sessions[token].records():
+                        emit({"t": "sess", **record})
                 for eid in sorted(self.matches):
                     for seq, doc, obj in self.matches[eid]:
                         emit({"t": "m", "q": eid, "s": seq, "d": doc, "m": obj})
@@ -499,3 +506,279 @@ class WriteAheadLog:
         self.size_bytes = size
         self.durable_documents = committed
         self.compactions += 1
+
+
+class SessionStore:
+    """The one owner of durable-session state, beside the log that persists it.
+
+    A service builds one only when it has a write-ahead log.  It holds
+    the live :class:`Session` objects, the tokens of expired ones, and
+    the rebuild replay of a resume; the server asks it which sequence
+    number a match gets and whether to deliver it (:meth:`stamp`), and
+    ends every subscription through :meth:`end`.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        fsync_every_documents: int = 1,
+        resume: bool = False,
+        retention: int = 1024,
+    ) -> None:
+        if not resume and os.path.exists(path):
+            os.unlink(path)  # a stale log from an old run
+        self.wal, recovery = WriteAheadLog.open(path, fsync_every_documents)
+        self.sessions = recovery.sessions
+        #: a disconnected session idle for more documents than this expires
+        self.retention = retention
+        #: tokens aged out by retention: a resume gets SVC011, not SVC010
+        self.expired: set[str] = set()
+        #: replayed documents at or below this count rebuild engine state
+        #: silently: their matches are already in the log, so delivery and
+        #: logging are suppressed for the engine ids that existed at the
+        #: crash (fresh subscriptions still see them live).
+        self.rebuild_until = 0
+        self._rebuilding: set[str] = set()
+        #: (attach_doc, engine_id, query, tenant) — recovered subscriptions
+        #: younger than the checkpoint, re-attached when the rebuild replay
+        #: reaches their original join point.
+        self._deferred: list[tuple[int, str, str, str]] = []
+
+    @property
+    def seqs(self) -> dict[str, int]:
+        """Every live session's sequence counters, by engine id."""
+        return _seq_table(self.sessions)
+
+    def owns(self, engine_id: str) -> bool:
+        """Whether a live session subscribes under ``engine_id``."""
+        return _owner(self.sessions, engine_id) is not None
+
+    # ------------------------------------------------------------------
+    # resume
+
+    def resume(self, engine_documents: int, registered: Container[str]) -> int:
+        """Arm the rebuild replay of a resume; returns the committed count.
+
+        The engine, restored from the checkpoint, may trail the log by up
+        to one checkpoint interval: the producer re-sends from the
+        engine's position, documents up to the committed count rebuild
+        state silently, and a subscription not in ``registered`` (younger
+        than the checkpoint) re-attaches at its join point (:meth:`due`).
+        """
+        committed = max(self.wal.documents, engine_documents)
+        self.wal.documents = committed
+        self.rebuild_until = committed
+        deferred = []
+        for token in sorted(self.sessions):
+            session = self.sessions[token]
+            for qid, (query, attach_doc) in session.subscriptions.items():
+                engine_id = session.engine_id(qid)
+                self._rebuilding.add(engine_id)
+                if engine_id not in registered:
+                    join = max(attach_doc, engine_documents)
+                    deferred.append((join, engine_id, query, session.tenant))
+        self._deferred = sorted(deferred, key=lambda item: item[0])
+        return committed
+
+    def tenants(self) -> list[str]:
+        """One tenant per live subscription (budget accounting)."""
+        return [s.tenant for s in self.sessions.values() for _ in s.subscriptions]
+
+    def due(self, documents_seen: int) -> list[tuple[str, str, str]]:
+        """``(engine_id, query, tenant)`` of the deferred subscriptions
+        whose join point the pump's position has reached.
+
+        A subscription recorded at document count ``k`` joined the pass
+        at document ``k + 1``; during the rebuild replay it must join at
+        exactly that boundary again, or its regenerated matches (and
+        every later sequence number) would diverge from the log.
+        """
+        due = []
+        while self._deferred and self._deferred[0][0] <= documents_seen:
+            due.append(self._deferred.pop(0)[1:])
+        return due
+
+    # ------------------------------------------------------------------
+    # sessions and their subscriptions
+
+    def open_session(self, tenant: str, document: int) -> Session:
+        """Mint and log a session for a fresh ``durable`` hello.
+
+        The token is the *only* credential a resume presents, so it is
+        unguessable (``secrets``): a sequential one could be hijacked, or
+        re-minted after a crash and hand an old client's matches to a
+        new one.
+        """
+        token = f"sess-{secrets.token_urlsafe(12)}"
+        while token in self.sessions or token in self.expired:
+            token = f"sess-{secrets.token_urlsafe(12)}"  # pragma: no cover
+        session = Session(token, tenant, opened_doc=document, last_doc=document)
+        self.sessions[token] = session
+        self.wal.append_session(
+            {"op": "open", "sid": token, "tenant": tenant, "doc": document}
+        )
+        return session
+
+    def find(self, token: str) -> Session:
+        """The detached session a resuming hello names.
+
+        Raises :class:`~repro.service.protocol.ProtocolError`: SVC011 for
+        an expired token, SVC010 for an unknown one, SVC002 for a session
+        attached on another connection.
+        """
+        session = self.sessions.get(token)
+        if session is None:
+            if token in self.expired:
+                raise ProtocolError(
+                    f"session {token!r} expired past the retention window "
+                    f"of {self.retention} document(s)",
+                    SVC_SESSION_EXPIRED,
+                )
+            raise ProtocolError(f"unknown session {token!r}", SVC_SESSION_UNKNOWN)
+        if session.conn is not None and not session.conn.closed:
+            raise ProtocolError(f"session {token!r} is attached on another connection")
+        return session
+
+    def attach(self, session: Session, conn: Any) -> dict[str, str]:
+        """Bind a connection; returns its routes, query id → engine id."""
+        session.conn = conn
+        return {qid: session.engine_id(qid) for qid in session.subscriptions}
+
+    def detach(self, session: Session, document: int) -> None:
+        """Unbind the connection; the retention clock starts at ``document``."""
+        session.conn = None
+        session.last_doc = max(session.last_doc, document)
+
+    def subscribe(
+        self, session: Session, qid: str, query: str, attach_doc: int
+    ) -> None:
+        """Record and log a subscription joining at ``attach_doc + 1``."""
+        session.subscriptions[qid] = (query, attach_doc)
+        self.wal.append_session(
+            {
+                "op": "sub",
+                "sid": session.token,
+                "qid": qid,
+                "eid": session.engine_id(qid),
+                "query": query,
+                "doc": attach_doc,
+            }
+        )
+
+    def end(
+        self, engine_id: str, flushed: list[Match], documents_seen: int
+    ) -> list[tuple[int | None, Match]]:
+        """Every ending subscription passes here: unsubscribe, expiry, a
+        crash orphan, a refused re-attach, a departed connection.
+
+        The query's undelivered ``flushed`` matches are stamped like any
+        other (:meth:`stamp`) and returned for delivery.  Then its replay
+        tail, rebuild entry and floor go, and, while its session lives,
+        an ``unsub`` record is logged; the session keeps the counter.
+        """
+        out = []
+        for match in flushed:
+            seq, deliver = self.stamp(engine_id, documents_seen, match)
+            if deliver:
+                out.append((seq, match))
+        self._rebuilding.discard(engine_id)
+        self.wal.release(engine_id)
+        owner = _owner(self.sessions, engine_id)
+        if owner is not None:
+            session, qid = owner
+            del session.subscriptions[qid]
+            session.acked.pop(qid, None)
+            self.wal.append_session({"op": "unsub", "sid": session.token, "qid": qid})
+        return out
+
+    def expire(self, document: int) -> list[tuple[str, list[str]]]:
+        """Drop disconnected sessions idle past the retention window.
+
+        Returns ``(tenant, engine_ids)`` per expired session, for the
+        caller to end each query (:meth:`end`).  The session's counters
+        and floors leave with it; only the token stays, to tell SVC011
+        from SVC010.
+        """
+        out = []
+        for token in list(self.sessions):
+            session = self.sessions[token]
+            if session.conn is not None or document - session.last_doc <= self.retention:
+                continue
+            del self.sessions[token]
+            self.expired.add(token)
+            self.wal.append_session(
+                {"op": "expire", "sid": token, "doc": document}, durable=False
+            )
+            out.append(
+                (session.tenant, [session.engine_id(qid) for qid in session.subscriptions])
+            )
+        return out
+
+    # ------------------------------------------------------------------
+    # delivery
+
+    def stamp(
+        self, engine_id: str, documents_seen: int, match: Match
+    ) -> tuple[int | None, bool]:
+        """``(seq, deliver)`` for one match of ``engine_id``.
+
+        A query no session owns gets ``(None, True)``.  An owned one is
+        silent while the rebuild replay regenerates what the log already
+        holds; otherwise it takes the next sequence number, is logged,
+        and is delivered unless the client observed it before a crash.
+        """
+        owner = _owner(self.sessions, engine_id)
+        if owner is None:
+            return None, True
+        if documents_seen <= self.rebuild_until and engine_id in self._rebuilding:
+            return None, False
+        session, qid = owner
+        seq = session.seqs.get(qid, 0) + 1
+        session.seqs[qid] = seq
+        self.wal.append_match(engine_id, seq, documents_seen - 1, match_to_obj(match))
+        return seq, seq > session.acked.get(qid, 0)
+
+    def _lift(self, session: Session, qid: str, seq: int) -> int:
+        """Raise a floor toward ``seq`` and prune the tail; returns the floor.
+
+        The claim is clamped to the highest assigned sequence number: a
+        floor above the counter would suppress every future delivery and
+        prune the log under it.
+        """
+        floor = max(session.acked.get(qid, 0), min(seq, session.seqs.get(qid, 0)))
+        session.acked[qid] = floor
+        self.wal.acknowledge(session.engine_id(qid), floor)
+        return floor
+
+    def ack(self, session: Session, qid: str, seq: int) -> None:
+        """A client's cumulative ack: lift the floor, prune the tail."""
+        if qid not in session.subscriptions:
+            return
+        before = session.acked.get(qid, 0)
+        floor = self._lift(session, qid, seq)
+        if floor > before:
+            # Ack records trim the tail a *future* recovery replays;
+            # losing the latest one merely re-replays a few acked
+            # matches, which the client's own floor filter drops.
+            self.wal.append_session(
+                {"op": "ack", "sid": session.token, "qid": qid, "seq": floor},
+                durable=False,
+            )
+
+    def replay(
+        self, session: Session, acked: dict[str, int], document: int
+    ) -> list[tuple[str, int, int, dict[str, Any]]]:
+        """Lift the floors a resuming client claims; returns the retained
+        tail above them as ``(qid, seq, document, match_obj)``, query by
+        query, taken before any of it is sent."""
+        tail = []
+        for qid in sorted(session.subscriptions):
+            self._lift(session, qid, acked.get(qid, 0))  # prunes the tail
+            for seq, doc, obj in self.wal.matches.get(session.engine_id(qid), ()):
+                tail.append((qid, seq, doc, obj))
+        session.last_doc = document
+        return tail
+
+    def counters(self, session: Session) -> dict[str, int]:
+        """Highest assigned sequence number per subscribed query."""
+        return {qid: session.seqs.get(qid, 0) for qid in sorted(session.subscriptions)}

@@ -186,6 +186,10 @@ class TestCheckpointFlags:
         assert main(["query", "a", doc_file, "--resume"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    def test_checkpoint_every_requires_checkpoint_dir(self, doc_file, capsys):
+        assert main(["query", "a", doc_file, "--checkpoint-every", "4"]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_clean_query_exits_zero(self, capsys):
@@ -366,6 +370,11 @@ class TestServeCommand:
 
     def test_bad_priority_rejected(self, doc_file, capsys):
         assert main(["serve", "q=a", "--priority", "zz=1", "--file", doc_file]) == 2
+        assert "--priority" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["q=abc", "q="])
+    def test_non_integer_priority_is_a_usage_error(self, doc_file, capsys, spec):
+        assert main(["serve", "q=a", "--priority", spec, "--file", doc_file]) == 2
         assert "--priority" in capsys.readouterr().err
 
     def test_sharded_counts_match_single_process(self, doc_file, capsys):

@@ -9,6 +9,7 @@ pass with strictly contiguous sequence numbers.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -566,11 +567,53 @@ class TestResumedLatches:
             # tells SVC011 from SVC010: the token can never resume, so
             # its sequence counter, tenant slot and outcome are dropped
             assert service.stats.matches_logged > 0  # it had a counter
-            assert service._seqs == {}
+            assert service.durable.seqs == {}
             assert not service._tenant_counts
             assert service.engine.serving.outcomes == {}
             assert service.engine.serving.departed == 1
             await service.stop()
+
+        run(scenario())
+
+    def test_expired_sessions_leave_no_counter_behind(self, tmp_path):
+        """Regression: the log kept a second counter table, which every
+        compaction rewrote into its base record and every resume read
+        back, so counters of expired sessions outlived them for good."""
+        expired = 3
+
+        async def scenario():
+            config = durable_config(
+                tmp_path,
+                session_retention_documents=1,
+                checkpoint_every_documents=2,
+                wal_max_bytes=1,  # compact at every checkpoint cadence
+            )
+            service = SpexService(config)
+            host, port = await service.start()
+            for _ in range(expired):
+                sub = await SubscriberClient.connect(host, port, durable=True)
+                await sub.subscribe("q1", QUERY)
+                await sub.close()  # disconnect: retention clock starts
+            producer = await ProducerClient.connect(host, port)
+            for document in documents_for(seed=2, count=8):
+                await producer.send_events(document)
+            await wait_for(lambda: service.stats.sessions_expired == expired)
+            await wait_for(lambda: service.committed_documents == 8)
+            await producer.close()
+            assert service.stats.matches_logged >= expired  # they had counters
+            assert service.stats.wal_compactions > 0
+            assert service.durable.seqs == {}
+            await service.stop()
+            with open(config.wal_path, "rb") as handle:
+                base = json.loads(handle.readline())
+            assert base["t"] == "base"
+            assert base["seqs"] == {}
+
+            resumed = SpexService(durable_config(tmp_path, resume=True))
+            await resumed.start()
+            assert resumed.session_count == 0
+            assert resumed.durable.seqs == {}
+            await resumed.stop()
 
         run(scenario())
 

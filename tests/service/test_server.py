@@ -2,6 +2,7 @@
 FakeClock can decide the deadline instead)."""
 
 import asyncio
+import json
 from collections import defaultdict
 
 import pytest
@@ -19,6 +20,7 @@ from repro.service.protocol import (
     SVC_OVERFLOW,
     SVC_PROTOCOL,
     SVC_TENANT_BUDGET,
+    encode_frame,
 )
 from repro.service.server import ServiceConfig, SpexService
 from repro.xmlstream.events import (
@@ -395,6 +397,64 @@ class TestOverflow:
         assert any(f["code"] == "SHED001" for f in notices)
         assert len(match_tuples(frames, "q")) < 4000
         assert service.degraded
+
+
+async def refusal_of(reader, writer, frame: dict) -> list:
+    """Send one raw frame; the frames the server sends until it closes."""
+    writer.write(encode_frame(frame))
+    await writer.drain()
+    frames = []
+    while line := await reader.readline():
+        frames.append(json.loads(line))
+    writer.close()
+    return frames
+
+
+class TestMalformedFields:
+    """A malformed field earns ``SVC002`` + ``bye``, never a silent close
+    or an exception escaping the connection task."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("overflow", "yolo"),
+            ("queue_size", "x"),
+            ("queue_size", None),
+            ("queue_size", 2.5),
+            ("queue_size", True),
+        ],
+    )
+    def test_bad_hello_field_is_refused(self, field, value):
+        async def scenario():
+            service = SpexService(fast_config())
+            host, port = await service.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            hello = {"type": "hello", "role": "subscriber", field: value}
+            frames = await refusal_of(reader, writer, hello)
+            await service.stop()
+            return frames
+
+        frames = run(scenario())
+        assert [f["type"] for f in frames] == ["error", "bye"]
+        assert all(f["code"] == SVC_PROTOCOL for f in frames)
+
+    def test_non_integer_resume_floor_is_refused(self, tmp_path):
+        async def scenario():
+            service = SpexService(fast_config(wal_path=str(tmp_path / "w.wal")))
+            host, port = await service.start()
+            sub = await SubscriberClient.connect(host, port, durable=True)
+            await sub.subscribe("q", "_*.a")
+            frames = await refusal_of(
+                sub.conn.reader,
+                sub.conn.writer,
+                {"type": "resume", "acked": {"q": "x"}},
+            )
+            await service.stop()
+            return frames
+
+        frames = run(scenario())
+        assert [f["type"] for f in frames] == ["error", "bye"]
+        assert all(f["code"] == SVC_PROTOCOL for f in frames)
 
 
 class TestClockedTimeouts:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.wal import (
-    SessionRecovery,
     WriteAheadLog,
     _canonical,
 )
@@ -72,7 +71,7 @@ class TestRecovery:
         assert recovery.committed_documents == 3
         assert recovery.seqs == {EID: total}
         session = recovery.sessions["sess-000001"]
-        assert session.subscriptions["q"]["engine_id"] == EID
+        assert session.engine_id("q") == EID
         # nothing acked: the whole committed tail is replayable
         assert [t[0] for t in recovery.matches[EID]] == list(
             range(1, total + 1)
@@ -112,7 +111,7 @@ class TestRecovery:
         wal.close()
         wal, recovery = WriteAheadLog.open(str(path))
         assert recovery.matches == {}
-        assert recovery.seqs == {"ghost.q": 1}, "seq counters still pin"
+        assert recovery.seqs == {}, "a counter no session owns is dropped"
         wal.close()
 
 
@@ -166,18 +165,7 @@ class TestCompaction:
         total = _write_run(path, [3, 2, 4], acked=2)
         wal, before = WriteAheadLog.open(str(path))
         size_before = wal.size_bytes
-        sessions = {
-            token: SessionRecovery(
-                token=token,
-                tenant=record.tenant,
-                subscriptions=record.subscriptions,
-                acked=record.acked,
-                opened_doc=record.opened_doc,
-                last_doc=record.last_doc,
-            )
-            for token, record in before.sessions.items()
-        }
-        wal.compact(sessions, committed_events=100)
+        wal.compact(before.sessions, committed_events=100)
         assert wal.compactions == 1
         assert wal.size_bytes < size_before
         wal.close()
@@ -194,10 +182,7 @@ class TestCompaction:
         path = tmp_path / "w.wal"
         total = _write_run(path, [2, 2])
         wal, before = WriteAheadLog.open(str(path))
-        sessions = {
-            token: record for token, record in before.sessions.items()
-        }
-        wal.compact(sessions, committed_events=50)
+        wal.compact(before.sessions, committed_events=50)
         wal.append_match(EID, total + 1, 2, {"position": 9, "label": "a"})
         wal.append_document(3, 60)
         wal.close()
