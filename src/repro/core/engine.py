@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from operator import length_hint
 from typing import Iterable, Iterator
 
 from ..analysis.metrics import QueryProfile, analyze
@@ -207,6 +208,16 @@ def recovery_policy(
     return policy
 
 
+def refuse_mid_event(undelivered: int) -> None:
+    """Refuse a cut while ``undelivered`` matches of the last event, which
+    the cursor counts already, are not consumed: a resume would skip them."""
+    if undelivered:
+        raise CheckpointError(
+            f"{undelivered} match(es) of the last event not consumed yet; "
+            f"checkpoint after its last match"
+        )
+
+
 class SpexEngine:
     """Streamed, progressive rpeq evaluation (the paper's contribution)."""
 
@@ -289,6 +300,7 @@ class SpexEngine:
         self._last_store = None
         self._last_report: ErrorReport | None = None
         self._last_cursor: StreamCursor | None = None
+        self._held: Iterator[Match] = iter(())  # the last event's matches
 
     # ------------------------------------------------------------------
     # evaluation
@@ -376,6 +388,7 @@ class SpexEngine:
         )
         self._last_network = network
         self._last_store = store
+        self._held = iter(())
         return network
 
     def _run_strict(
@@ -392,7 +405,10 @@ class SpexEngine:
         for event in cursor.attach(events, require_end=require_end):
             if guard is not None:
                 guard(event)
-            yield from network.process_event(event)
+            matches = network.process_event(event)
+            if matches:
+                self._held = held = iter(matches)
+                yield from held
 
     def _run_recovering(
         self,
@@ -466,20 +482,21 @@ class SpexEngine:
         """Capture the in-flight run as a :class:`Checkpoint`.
 
         Valid between events of a strict :meth:`run` that was given a
-        ``cursor`` (and immediately after it finishes).  Take the
-        checkpoint only when the matches yielded so far have been
-        consumed: the cursor points just past the last event the network
-        processed, so a resumed run continues with the next event —
-        no event is evaluated twice and no match is duplicated.
+        ``cursor`` (and immediately after it finishes): the cursor points
+        just past the last event the network processed, so a resumed run
+        continues with the next event — no event is evaluated twice and
+        no match is duplicated.  So the cut must follow the last match
+        of that event: between two of them it is refused.
 
         Raises:
-            CheckpointError: no cursor-tracked strict run to capture.
+            CheckpointError: no cursor-tracked strict run, or a mid-event cut.
         """
         if self._last_cursor is None or self._last_network is None:
             raise CheckpointError(
                 "nothing to checkpoint: pass a StreamCursor to run() "
                 "(strict mode) and start consuming it first"
             )
+        refuse_mid_event(length_hint(self._held))
         payload = {
             "query": unparse(self.query),
             "collect_events": self.collect_events,

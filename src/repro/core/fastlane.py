@@ -42,14 +42,15 @@ Three execution shapes hang off the shared core:
   flushes it, and is never fed at all otherwise — with match positions
   kept stream-global through the sink's position counter.
 
-Every adapter is a *runner* — ``process_event``, ``flush``,
-``buffered_events``, ``deactivate``, ``snapshot``/``restore``, the
-protocol :class:`~repro.core.multiquery.ServePump` drives a plain
-:class:`~repro.core.network.Network` through as well
-(``docs/architecture.md``) — so checkpoint/resume, shards and durable
-service sessions keep their exactly-once guarantees without knowing
-which lane a query runs on.  Stream position — depth, the open labels,
-element ordinals — is the pass's
+The core has no per-event method: the one loop of
+:class:`~repro.core.multiquery.ServePump` steps it inline.  Every adapter
+is a *runner* — ``flush``, ``buffered_events``, ``deactivate``,
+``snapshot``/``restore``, and ``process_event`` on the gated one: the
+protocol the pump drives a plain :class:`~repro.core.network.Network`
+through as well (``docs/architecture.md``) — so checkpoint/resume,
+shards and durable service sessions keep their exactly-once guarantees
+without knowing which lane a query runs on.  Stream position — depth,
+the open labels, element ordinals — is the pass's
 :class:`~repro.xmlstream.offsets.StreamCursor`'s alone: the core reads
 it, and a checkpoint holds it once, in the cursor.  Restore replays the
 cursor's open path through the subset construction and, below each
@@ -79,7 +80,6 @@ from ..rpeq.ast import (
 from ..rpeq.nfa import HeadedNfa, Nfa, compile_headed_nfa, compile_nfa
 from ..xmlstream.events import (
     DOCUMENT_LABEL,
-    EndDocument,
     EndElement,
     Event,
     StartDocument,
@@ -92,6 +92,7 @@ from .output_tx import Match
 if TYPE_CHECKING:
     from ..analysis.planner import QueryPlan
     from ..xmlstream.offsets import StreamCursor
+    from .multiquery import Runner
     from .network import Network
     from .optimize import OptimizationFlags
 
@@ -105,9 +106,9 @@ DEFAULT_MAX_STATES = 4096
 #: events that decide nothing, so the hot path allocates no list.
 _NO_MATCHES: list[Match] = []
 
-#: Lanes whose runners need no per-event call from the driver: one
-#: :meth:`FastLaneCore.advance` does their work and
-#: :meth:`FastLaneCore.drain_matches` collects it.
+#: Lanes whose runners need no per-event call from the driver: the
+#: pump's loop steps the core over each event once for all of them and
+#: :meth:`FastLaneCore.drain_matches` collects their matches.
 CORE_DRIVEN_LANES = frozenset({"dfa", "hybrid"})
 
 KIND_DFA = 1
@@ -350,8 +351,9 @@ class _Slot:
 class FastLaneCore:
     """The shared lazily-determinized product automaton of one pass.
 
-    The driver calls :meth:`advance` exactly once per stream event,
-    right after ``cursor`` has counted it; depth, labels and element
+    The pump's loop steps it once per stream event, right after
+    ``cursor`` has counted it (:meth:`_step`, :meth:`_descend`,
+    :meth:`_open` and :meth:`_close` at tags); depth, labels and element
     ordinals are read from the cursor, never kept here.  All registered
     slots share one DFA stack along the open-element path, and two
     frames per open element beside it: the candidates opened at the
@@ -417,7 +419,7 @@ class FastLaneCore:
         interned product state stays valid — and resets its runtime
         state with the position offset a freshly compiled network would
         start from.  A new slot drops the memo, as a retired one does
-        (:meth:`_reset_document`): the states interned without it would
+        (:meth:`start_document`): the states interned without it would
         stay correct — the slot is simply dead in them — but nothing
         reaches them from the new initial state, and a service that only
         ever gains subscribers would fill the memo with them.
@@ -553,46 +555,7 @@ class FastLaneCore:
         return nxt
 
     # ------------------------------------------------------------------
-    # the per-event transition
-
-    def advance(self, event: Event) -> None:
-        """Process one stream event, which the cursor has just counted."""
-        cls = event.__class__
-        if cls is Text:
-            return
-        if cls is StartElement:
-            label = event.label  # type: ignore[attr-defined]
-            stack = self._stack
-            state = stack[-1]
-            nxt = state.trans.get(label)
-            if nxt is None:
-                nxt = self._step(state, label)
-            stack.append(nxt)
-            obligs = self._obligs[-1]
-            if obligs:
-                obligs = self._descend(obligs, label)
-            if nxt.accepts:
-                self._open(nxt.accepts, label, len(stack) - 1, obligs)
-            else:
-                self._opened.append(())
-                self._obligs.append(obligs)
-            return
-        if cls is EndElement:
-            opened = self._opened.pop()
-            if opened:
-                self._close(opened)
-            self._obligs.pop()
-            self._stack.pop()
-            return
-        if cls is StartDocument:
-            self._reset_document()
-            return
-        if cls is EndDocument:
-            frames = self._opened
-            if frames and frames[0]:
-                root, frames[0] = frames[0], ()
-                self._close(root)
-            return
+    # the per-event transition, stepped by the pump's loop
 
     def _descend(
         self,
@@ -684,7 +647,8 @@ class FastLaneCore:
             slot.dirty = True
             self._dirty.append(slot)
 
-    def _reset_document(self) -> None:
+    def start_document(self) -> None:
+        """``<$>``: the initial state, fresh frames, the root candidates."""
         if self._retired:
             # Every interned state may carry pairs of a retired slot, and
             # the initial state carries all of them: drop the memo whole.
@@ -705,6 +669,13 @@ class FastLaneCore:
         # A query that accepts ε has the virtual root $ as a candidate at
         # position 0, completing at </$> — OU's document-root rule.
         self._open(init.accepts, DOCUMENT_LABEL, 0, ())
+
+    def end_document(self) -> None:
+        """``</$>``: close the candidates opened at ``$``."""
+        frames = self._opened
+        if frames and frames[0]:
+            root, frames[0] = frames[0], ()
+            self._close(root)
 
     def drain_matches(self) -> list[tuple[str, Match]]:
         """Bulk-drain every slot that emitted (the driver's one drain)."""
@@ -737,7 +708,8 @@ class FastLaneCore:
         Called once on resume: after the cursor is restored and every
         runner's slot registered, before any runner restores.  Replay is
         side-effect free: the frames start empty, and each adapter puts
-        its open candidates and their obligations back itself.
+        its open candidates and their obligations back itself.  The lists
+        are refilled in place, as the pump's loop holds them.
         """
         state = self._initial()
         stack = [state]
@@ -747,9 +719,9 @@ class FastLaneCore:
                 nxt = self._step(state, label)
             stack.append(nxt)
             state = nxt
-        self._stack = stack
-        self._opened = [[] for _ in stack]
-        self._obligs = [[] for _ in stack]
+        self._stack[:] = stack
+        self._opened[:] = [[] for _ in stack]
+        self._obligs[:] = [[] for _ in stack]
 
 
 # ----------------------------------------------------------------------
@@ -759,11 +731,9 @@ class FastLaneCore:
 class _AdapterBase:
     """The runner of a query that lives entirely in the shared core.
 
-    Its undelivered matches are the slot's ``out`` deque, which the
-    driver collects through :meth:`FastLaneCore.drain_matches`;
-    :meth:`process_event` hands them over one event at a time instead,
-    once the core has advanced over it.  Nothing is ever buffered — a
-    fast-lane query carries positions, not events.
+    No per-event call: the driver steps the core and drains the slot's
+    ``out`` deque (:meth:`FastLaneCore.drain_matches`).  Nothing is ever
+    buffered — a fast-lane query carries positions, not events.
     """
 
     buffered_events = 0
@@ -772,11 +742,6 @@ class _AdapterBase:
         self._core = core
         self._slot = slot
         self.query = query
-
-    def process_event(self, event: Event) -> list[Match]:
-        if not self._slot.out:
-            return _NO_MATCHES
-        return self.flush()
 
     def flush(self) -> list[Match]:
         out = self._slot.out
@@ -1000,7 +965,7 @@ def build_lane_runner(
     flags: "OptimizationFlags",
     network_factory: Callable[[Rpeq], "Network"],
     limits: ResourceLimits | None = None,
-) -> tuple[object | None, str, str | None]:
+) -> tuple["Runner | None", str, str | None]:
     """Compile one query onto its planned execution lane.
 
     ``network_factory(residual)`` compiles the residual network of a

@@ -31,15 +31,17 @@ Every way of consuming a pass is a caller of that transition:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
-from typing import Iterable, Iterator, Mapping, Protocol
+from collections.abc import Iterable, Iterator, Mapping
+from operator import length_hint
+from typing import Any, Protocol, cast
 
+from ..analysis.diagnostics import AnalysisReport
 from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
 from ..limits import ResourceLimits, stream_guard
 from ..rpeq.ast import Empty, Rpeq
 from ..rpeq.parser import parse
 from ..rpeq.unparse import unparse
-from ..xmlstream.events import EndDocument, Event, StartDocument
+from ..xmlstream.events import EndDocument, EndElement, Event, StartDocument, StartElement
 from ..xmlstream.offsets import StreamCursor, skip_events
 from ..xmlstream.parser import ParserLimits, iter_events
 from ..xmlstream.recovery import (
@@ -51,7 +53,7 @@ from ..xmlstream.recovery import (
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
 from .compiler import compile_network
-from .engine import EngineStats, RobustnessCounters, recovery_policy
+from .engine import EngineStats, RobustnessCounters, recovery_policy, refuse_mid_event
 from .fastlane import CORE_DRIVEN_LANES, FastLaneCore, build_lane_runner
 from .network import Network
 from .optimize import OptimizationFlags, as_flags
@@ -62,7 +64,6 @@ from .serving import (
     AdmissionPolicy,
     BreakerState,
     CircuitBreaker,
-    QueryOutcome,
     ServingPolicy,
     ServingReport,
     classify_admission,
@@ -76,13 +77,18 @@ class Runner(Protocol):
     call owes.  A :class:`~repro.core.network.Network` is one, and so is
     each adapter of :mod:`repro.core.fastlane`."""
 
-    def process_event(self, event: Event) -> list[Match]: ...
     def flush(self) -> list[Match]: ...
     @property
     def buffered_events(self) -> int: ...
     def deactivate(self) -> None: ...
     def snapshot(self) -> dict: ...
     def restore(self, state: dict) -> None: ...
+
+
+class EventRunner(Runner, Protocol):
+    """A runner the loop calls per event: one off the ``CORE_DRIVEN_LANES``."""
+
+    def process_event(self, event: Event) -> list[Match]: ...
 
 
 class MultiQueryEngine:
@@ -179,7 +185,7 @@ class MultiQueryEngine:
         #: :class:`~repro.core.serving.ServingReport` of the most recent
         #: :meth:`serve` pass (``None`` before the first one)
         self.serving: ServingReport | None = None
-        self._last_runners: dict[str, Runner] | None = None
+        self._pump: ServePump | None = None  # of the most recent pass
         self._last_cursor: StreamCursor | None = None
         self._breakers: dict[str, CircuitBreaker] | None = None
 
@@ -234,7 +240,7 @@ class MultiQueryEngine:
             return decision.limits
         return self.limits
 
-    def _preflight_one(self, query_id: str, query: Rpeq):
+    def _preflight_one(self, query_id: str, query: Rpeq) -> AnalysisReport:
         from ..analysis.preflight import ensure_preflight
         from ..errors import StaticAnalysisError
 
@@ -475,11 +481,11 @@ class MultiQueryEngine:
             cursor = StreamCursor()  # private: checks, but cannot checkpoint
         runners = self._compile_all(cursor, collect_events)
         breakers = {query_id: CircuitBreaker(policy.breaker) for query_id in runners}
-        self._last_runners = runners
         self._breakers = breakers if serving is not None else None
         if serving is None:
             serving = ServingReport()
-        return ServePump(self, runners, policy, serving, breakers, clock, cursor)
+        self._pump = ServePump(self, runners, policy, serving, breakers, clock, cursor)
+        return self._pump
 
     def _drive(
         self,
@@ -626,16 +632,19 @@ class MultiQueryEngine:
 
         Valid between events of a strict :meth:`run` that was given a
         ``cursor``; every live subscription's runner is snapshotted
-        against the one shared source position.
+        against the one shared source position.  A pulled pass is
+        between events once it has yielded the last match of one.
 
         Raises:
-            CheckpointError: no cursor-tracked strict pass to capture.
+            CheckpointError: no cursor-tracked strict pass, or a mid-event cut.
         """
-        if self._last_cursor is None or self._last_runners is None:
+        pump = self._pump
+        if self._last_cursor is None or pump is None:
             raise CheckpointError(
                 "nothing to checkpoint: pass a StreamCursor to run() "
                 "(strict mode) and start consuming it first"
             )
+        refuse_mid_event(length_hint(pump._held))
         payload = {
             # registration order is the cross-query emission order, so
             # it is data: a list, which a sorted-key file cannot reorder
@@ -647,8 +656,7 @@ class MultiQueryEngine:
             "optimize": self.optimize.to_obj(),
             "cursor": self._last_cursor.state(),
             "runners": {
-                query_id: runner.snapshot()
-                for query_id, runner in self._last_runners.items()
+                query_id: runner.snapshot() for query_id, runner in pump._live.items()
             },
         }
         if self._breakers is not None and self.serving is not None:
@@ -796,16 +804,16 @@ class MultiQueryEngine:
             self._fastlane_core.restore_path()
         for query_id, runner in runners.items():
             runner.restore(states[query_id])
-        self._last_runners = runners
         self._last_cursor = cursor
         self.robustness.restores += 1
         state = payload.get("serving")
         if state is None:
             self._breakers = None
             breakers = {query_id: CircuitBreaker() for query_id in runners}
-            return ServePump(
+            self._pump = ServePump(
                 self, runners, _INERT, ServingReport(), breakers, clock, cursor
             )
+            return self._pump
         policy = policy if policy is not None else ServingPolicy()
         serving = ServingReport.from_obj(state)
         breakers = {}
@@ -814,7 +822,8 @@ class MultiQueryEngine:
             breakers[query_id].restore(snap)
         self.serving = serving
         self._breakers = breakers
-        return ServePump(self, runners, policy, serving, breakers, clock, cursor)
+        self._pump = ServePump(self, runners, policy, serving, breakers, clock, cursor)
+        return self._pump
 
     @classmethod
     def from_checkpoint(
@@ -879,13 +888,13 @@ class MultiQueryEngine:
         query closed at its first match."""
         pump = self._open_pump(_INERT, collect_events=False)
         matched: dict[str, bool] = {query_id: False for query_id in self.queries}
-        for event in events:
-            if not pump._live:
-                break
-            for query_id, _match in pump._step(event) or ():
+        if pump._live:
+            for query_id, _match in pump._pull(events):
                 if not matched[query_id]:
                     matched[query_id] = True
                     pump.close(query_id)
+                    if not pump._live:
+                        break  # every verdict is in: read no further
         return matched
 
     def _filter_recovered(
@@ -940,14 +949,15 @@ _INERT = ServingPolicy(quarantine=False)
 
 
 class ServePump:
-    """Push-mode bulkhead state machine: one :meth:`feed` per event.
+    """The bulkhead state machine of one pass, and its one loop.
 
     Every per-event door of :class:`MultiQueryEngine` runs through this
     class — :meth:`~MultiQueryEngine.run`, :meth:`~MultiQueryEngine.serve`
     and :meth:`~MultiQueryEngine.resume` pull a source iterable through
     it, the ``filter_*`` methods close each query at its first match,
-    and the asyncio service frontend (:mod:`repro.service`) pushes
-    events arriving over the network into it.  The lane advance, the
+    the asyncio service frontend (:mod:`repro.service`) pulls each
+    ingested document and the shard workers push one event at a time
+    (:meth:`feed`), all through :meth:`_advance`.  The lane advance, the
     per-query dispatch, the emission order and every bulkhead semantic
     of the serving layer (quarantine, breakers, deadlines, shedding,
     document-boundary re-admission) therefore have exactly one
@@ -988,7 +998,7 @@ class ServePump:
         self._cursor = cursor
         #: the stream limits' per-event check (``None`` unarmed): one for
         #: the whole pass, so its wall-clock budget outlives every
-        #: recompile of the transition
+        #: rebinding of the loop
         self._guard = stream_guard(engine.limits, cursor, clock)
         #: set once the stream deadline expired: the pass is over and
         #: further :meth:`feed` calls are a :class:`~repro.errors.EngineError`.
@@ -999,10 +1009,11 @@ class ServePump:
             else None
         )
         self._doc_deadline: float | None = None
-        #: the per-event transition compiled for the current live set
-        #: (:meth:`_compile`), :meth:`_restep` while there is none;
-        #: ``None`` for an event that decided nothing
-        self._step: Callable[..., list[tuple[str, Match]] | None] = self._restep
+        #: what the loop reads for the current live set (:meth:`_compile`);
+        #: ``None`` once the live set changed
+        self._bound: tuple[Any, ...] | None = None
+        #: the last event's pairs as :meth:`_pull` yields them
+        self._held: Iterator[tuple[str, Match]] = iter(())
 
     # ------------------------------------------------------------------
     # introspection
@@ -1081,13 +1092,8 @@ class ServePump:
         return flushed
 
     def _stale(self) -> None:
-        """The live set changed: the next event compiles a new transition."""
-        self._step = self._restep
-
-    def _restep(self, event: Event) -> list[tuple[str, Match]] | None:
-        if self.finished:
-            raise EngineError("serving pass is finished (stream deadline)")
-        return self._compile()(event)
+        """The live set changed: the loop binds it anew after this event."""
+        self._bound = None
 
     def _unlink(self, query_id: str) -> list[Match]:
         """Drop a live query's runner; return its undelivered matches.
@@ -1115,18 +1121,6 @@ class ServePump:
         outcome.document = serving.documents_seen - 1 if serving.documents_seen else None
         outcome.degraded = True
         return self._unlink(query_id) if query_id in self._live else []
-
-    def _trip(self, exc: ResourceLimitError, event: Event) -> list[tuple[str, Match]]:
-        """A stream limit refused ``event`` — for every query alike: each
-        live one is quarantined, in registration order, and the event
-        goes on through the emptied live set, so the shared core keeps
-        following the stream."""
-        out = [
-            (query_id, match)
-            for query_id in list(self._live)
-            for match in self._quarantine(query_id, exc)
-        ]
-        return out + (self._compile()(event, True) or [])
 
     def _quarantine(self, query_id: str, exc: Exception) -> list[Match]:
         code = "LIMIT" if isinstance(exc, ResourceLimitError) else "ERROR"
@@ -1214,7 +1208,7 @@ class ServePump:
             out += [(query_id, match) for match in flushed]
             self.serving.deadline_hits += 1
             self._engine.robustness.deadline_hits += 1
-        self._stale()  # a finished pump must reach the refusal
+        self._stale()  # and a finished pump refuses to bind again
         return out
 
     def _open_document(self) -> bool:
@@ -1224,8 +1218,8 @@ class ServePump:
         Shed and doc-deadline detachments carry no breaker penalty, so
         their (closed) breakers re-admit immediately; quarantined queries
         wait out the cooldown and come back as half-open probes.
-        Returns whether the live set changed — the transition then
-        hands the ``<$>`` to a recompiled one.
+        Returns whether the live set changed — the loop then binds the
+        new one before the ``<$>`` goes on.
         """
         engine = self._engine
         serving = self.serving
@@ -1274,127 +1268,183 @@ class ServePump:
         partial matches flushed, and buffer pressure sheds the
         lowest-priority queries.  Within one event, matches come in
         registration order across queries (whatever a query's
-        detach/re-admit history) and in decision order within a query.
+        detach/re-admit history) and in decision order within a query:
+        the one loop, :meth:`_advance`, over this one event.
 
         Raises:
             EngineError: the pass is :attr:`finished`.
         """
-        return self._step(event) or []
+        return self._advance((event,)) or []
 
-    def _compile(self) -> Callable[..., list[tuple[str, Match]] | None]:
-        """Burn the current live set and policy into one closure.
+    def _compile(self) -> tuple[Any, ...]:
+        """Bind what :meth:`_advance` reads (its first statement names
+        it all) for the current live set, which :meth:`_stale` unbinds.
 
-        The way :func:`~repro.core.network.make_fused_runner` flattens
-        one network's driver: what is constant until the live set
-        changes — which queries need a per-event call at all (network
-        and gated runners; core-backed lanes cost one shared
-        ``advance`` and a bulk drain), whether there is a deadline, a
-        shedding mark, a stream limit — is decided here, once, and whatever
-        changes the live set makes the next event compile again
-        (:meth:`_stale`).
+        Raises:
+            EngineError: the pass is :attr:`finished`.
         """
-        engine = self._engine
+        if self.finished:
+            raise EngineError("serving pass is finished (stream deadline)")
         live = self._live
-        serving = self.serving
-        core = engine._fastlane_core
-        lanes = engine.lane_executions
-        runners = [
-            (query_id, runner.process_event)
-            for query_id, runner in live.items()
-            if lanes.get(query_id) not in CORE_DRIVEN_LANES
-        ]
-        advance = core.advance if core is not None else None
-        dirty = core._dirty if core is not None else ()
-        drain = core.drain_matches if core is not None else None
-        outcomes = {query_id: serving.outcome(query_id) for query_id in live}
-        rank = {query_id: index for index, query_id in enumerate(live)}
-        check_and_count = self._cursor.advance
-        guard = self._guard
+        core = self._engine._fastlane_core
+        lanes = self._engine.lane_executions
+        cursor = self._cursor
         policy = self.policy
-        bulkheads = policy.quarantine
-        timed = policy.stream_deadline is not None or policy.doc_deadline is not None
-        shed_above = policy.shed_buffered_events
+        self._bound = (
+            [
+                (query_id, cast(EventRunner, runner).process_event)
+                for query_id, runner in live.items()
+                if lanes.get(query_id) not in CORE_DRIVEN_LANES
+            ],
+            {query_id: self.serving.outcome(query_id) for query_id in live},
+            {query_id: rank for rank, query_id in enumerate(live)},
+            core,
+            *(
+                ([], [], [], [])
+                if core is None
+                else (core._stack, core._opened, core._obligs, core._dirty)
+            ),
+            cursor,
+            cursor.open_labels,
+            cursor.open_starts,
+            cursor.advance,
+            self._guard,
+            policy.stream_deadline is not None or policy.doc_deadline is not None,
+            policy.shed_buffered_events,
+        )
+        return self._bound
 
-        def by_rank(pair: tuple[str, Match]) -> int:
-            return rank[pair[0]]
+    def _advance(self, events: Iterable[Event]) -> list[tuple[str, Match]] | None:
+        """The transition, over ``events`` up to the first event that
+        decides something: that event's ``(query_id, match)`` pairs, or
+        ``None`` once ``events`` is exhausted.
 
-        def transition(
-            event: Event, reopened: bool = False
-        ) -> list[tuple[str, Match]] | None:
+        Each pass of the body is the list in ``docs/architecture.md``,
+        *One per-event driver*.  A change to the live set leaves the
+        event's pairs a list, so the call returns there and the next one
+        binds the new set; ``<$>``'s re-admissions bind at once.
+        """
+        (
+            runners, outcomes, rank, core, stack, opened, obligs, dirty,
+            cursor, labels, starts, check_and_count, guard, timed, shed_above,
+        ) = self._bound or self._compile()  # fmt: skip
+        for event in events:
             cls = event.__class__
-            if not reopened:
-                # Raises on a malformed stream before anything has moved.
+            if cls is StartElement:
+                label = event.label  # type: ignore[attr-defined]
+                if labels:  # open elements: inside a document
+                    labels.append(label)
+                    ordinal = cursor.elements_seen + 1
+                    cursor.elements_seen = ordinal
+                    starts.append(ordinal)
+                    cursor.events_read += 1
+                else:
+                    check_and_count(event)
+            elif cls is EndElement and labels and labels[-1] == event.label:  # type: ignore[attr-defined]
+                labels.pop()
+                starts.pop()
+                cursor.events_read += 1
+            else:
                 check_and_count(event)
-                if guard is not None:
-                    # the stream limits, which never trip at <$>
-                    try:
-                        guard(event)
-                    except ResourceLimitError as exc:
-                        if live:
-                            if not bulkheads:
-                                raise
-                            return self._trip(exc, event)
-                if cls is StartDocument and self._open_document():
-                    # re-admissions changed the live set under this closure
-                    return self._compile()(event, True)
             out: list[tuple[str, Match]] | None = None
             todo = runners
+            if guard is not None:
+                # the stream limits, which never trip at <$>
+                try:
+                    guard(event)
+                except ResourceLimitError as exc:
+                    if self._live:
+                        if not self.policy.quarantine:
+                            raise
+                        # every live query alike, in registration order; the
+                        # event goes on, so the core keeps following the stream
+                        out = [
+                            (query_id, match)
+                            for query_id in list(self._live)
+                            for match in self._quarantine(query_id, exc)
+                        ]
+                        todo = []
+            if cls is StartDocument and self._open_document():
+                runners, outcomes, rank, core, stack, opened, obligs, dirty = (
+                    self._compile()[:8]
+                )
+                todo = runners
             if timed:
-                out = self._expire()
-                if out is not None:
-                    if self.finished:
-                        return out
+                expired = self._expire()
+                if expired is not None:
+                    out = expired if out is None else out + expired
                     todo = []  # everything live was just detached
-            if advance is not None:
-                advance(event)
+            if core is not None:
+                if cls is StartElement:
+                    state = stack[-1]
+                    nxt = state.trans.get(label) or core._step(state, label)
+                    stack.append(nxt)
+                    frame = obligs[-1]
+                    if frame:
+                        frame = core._descend(frame, label)
+                    if nxt.accepts:
+                        core._open(nxt.accepts, label, len(stack) - 1, frame)
+                    else:
+                        opened.append(())
+                        obligs.append(frame)
+                elif cls is EndElement:
+                    frame = opened.pop()
+                    if frame:
+                        core._close(frame)
+                    obligs.pop()
+                    stack.pop()
+                elif cls is StartDocument:
+                    core.start_document()
+                elif cls is EndDocument:
+                    core.end_document()
             if todo:
                 for query_id, process_event in todo:
                     try:
                         matches = process_event(event)
                     except Exception as exc:
-                        if not bulkheads:
+                        if not self.policy.quarantine:
                             raise
                         matches = self._quarantine(query_id, exc)
+                        out = out or []  # the live set changed
                     else:
                         if matches:
                             outcomes[query_id].matches += len(matches)
                     if matches:
-                        if out is None:
-                            out = []
-                        for match in matches:
-                            out.append((query_id, match))
+                        out = out or []
+                        out += [(query_id, match) for match in matches]
             if dirty:
                 # Fast-lane drains arrive in close order; a stable sort
                 # on the registration rank merges them bit-identically
                 # to the pure-network pass (match-bearing events only).
-                drained = drain()
+                drained = core.drain_matches()  # type: ignore[union-attr]
                 for query_id, _match in drained:
                     outcomes[query_id].matches += 1
                 out = drained if out is None else out + drained
                 if len(out) > 1:
-                    out.sort(key=by_rank)
+                    out.sort(key=lambda pair: rank[pair[0]])
             if cls is EndDocument:
                 self._close_document()
-            if shed_above is not None and live:
-                total = sum(runner.buffered_events for runner in live.values())
+            if shed_above is not None and self._live:
+                total = sum(runner.buffered_events for runner in self._live.values())
                 if total > shed_above:
                     out = [*(out or ()), *self._shed(total)]
-            return out
+            if out is not None:
+                return out
+        return None
 
-        self._step = transition
-        return transition
+    def _pull(self, events: Iterable[Event]) -> Iterator[tuple[str, Match]]:
+        """Run the transition over ``events``; yield each event's pairs
+        before the next event is taken from the iterator."""
+        events = iter(events)
+        while (out := self._advance(events)) is not None:
+            # the cursor counts the event: checkpoint() waits for its last pair
+            self._held = held = iter(out)
+            yield from held
+            if self.finished:
+                return
 
     # ------------------------------------------------------------------
     # pull-mode drivers
-
-    def _pull(self, events: Iterable[Event]) -> Iterator[tuple[str, Match]]:
-        """Feed every event of ``events``; yield the matches as decided."""
-        for event in events:
-            out = self._step(event)
-            if out is not None:
-                yield from out
-                if self.finished:  # only an expiry sets it, and returns a list
-                    return
 
     def _pull_documents(
         self, documents: Iterable[Iterable[Event]], report: ErrorReport

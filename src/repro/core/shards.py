@@ -347,9 +347,9 @@ def _drive(
         if hook is not None:
             hook(spec.shard, spec.incarnation, index, frozenset(pump.live_queries))
         index += 1
-        out = pump._step(event)
+        out = pump.feed(event)
         if uplink is not None:
-            for query_id, match in out or ():
+            for query_id, match in out:
                 uplink.put(("match", query_id, match))
                 uplink.maybe()
         if pump.finished:

@@ -520,11 +520,8 @@ class SpexService:
                 producer, document = item
                 if self.durable is not None:
                     self._attach_deferred(self.durable)
-                for event in document:
-                    # the transition itself: ``feed`` would allocate a
-                    # list for each of the (many) events deciding nothing
-                    for engine_id, match in self.pump._step(event) or ():
-                        await self._deliver(engine_id, match)
+                for engine_id, match in self.pump._pull(document):
+                    await self._deliver(engine_id, match)
                 await self._commit_document(producer)
                 self._notify_detachments()
                 # cooperative yield: one giant document must not starve

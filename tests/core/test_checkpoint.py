@@ -394,6 +394,75 @@ class TestMultiQueryCheckpointContract:
         assert got == baseline
 
 
+class TestCutBetweenMatchesOfOneEvent:
+    """Regression: an event that decides several matches is behind a
+    pulled pass once its *last* match is consumed.  A checkpoint taken
+    between two of them was accepted, and as the cursor had already
+    counted the event, the resumed pass never delivered the rest.  Now
+    that cut is refused, naming how many are still out, and the cut
+    after the event's last match stays exact."""
+
+    @staticmethod
+    def cut_after_each_match(engine, run, resume):
+        """Checkpoint (through its dict form) after every match ``run``
+        yields: per match, the refusal or what the pass so far plus a
+        resume from the cut delivers."""
+        got, results = [], []
+        for match in run:
+            got.append(match)
+            try:
+                checkpoint = Checkpoint.from_dict(engine.checkpoint().to_dict())
+            except CheckpointError as refusal:
+                results.append(str(refusal))
+            else:
+                results.append(got + list(resume(checkpoint)))
+        return got, results
+
+    def test_multiquery_engine(self):
+        doc = "<r><a><b/></a><a/></r>"
+        queries = {"q1": "_*.a", "q2": "_*.a"}
+        engine = MultiQueryEngine(queries)
+        got, results = self.cut_after_each_match(
+            engine,
+            ((q, m.position) for q, m in engine.run(doc, cursor=StreamCursor())),
+            lambda checkpoint: (
+                (q, m.position)
+                for q, m in MultiQueryEngine.from_checkpoint(checkpoint).resume(
+                    checkpoint, doc
+                )
+            ),
+        )
+        assert got == [("q1", 2), ("q2", 2), ("q1", 4), ("q2", 4)]
+        assert results[1] == results[3] == got
+        for refused in (results[0], results[2]):
+            assert "1 match(es)" in refused and "checkpoint after its last" in refused
+
+    def test_spex_engine(self):
+        doc = "<r><a><a/></a></r>"
+        engine = SpexEngine("_*.a")
+        got, results = self.cut_after_each_match(
+            engine,
+            (m.position for m in engine.run(doc, cursor=StreamCursor())),
+            lambda checkpoint: (
+                m.position
+                for m in SpexEngine.from_checkpoint(checkpoint).resume(checkpoint, doc)
+            ),
+        )
+        assert got == [2, 3]  # both at the outer </a>
+        assert "1 match(es)" in results[0]
+        assert results[1] == got
+
+    def test_an_abandoned_pass_leaves_its_cut_refused(self):
+        """A consumer that stops between two matches of one event has
+        lost the rest; no checkpoint may pretend otherwise."""
+        engine = MultiQueryEngine({"q1": "_*.a", "q2": "_*.a", "q3": "_*.a"})
+        run = engine.run("<a/>", cursor=StreamCursor())
+        next(run)
+        run.close()
+        with pytest.raises(CheckpointError, match="2 match"):
+            engine.checkpoint()
+
+
 class TestGatedSnapshot:
     """The gated lane's snapshot: a residual network plus how many open
     elements are parked — the open path itself is the cursor's, once per

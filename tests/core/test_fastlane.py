@@ -56,11 +56,10 @@ from ..conftest import (
 )
 
 
-def advance(core, event):
-    """What the pump does before any runner sees ``event``: the core's
-    cursor counts it, then the core advances over it."""
-    core.cursor.advance(event)
-    core.advance(event)
+def advance(pump, event):
+    """Drive a pass by hand, one event at a time: the pump's own loop
+    over that one event (there is no other way to step the core)."""
+    return [(query_id, match.position, match.label) for query_id, match in pump.feed(event)]
 
 
 # ----------------------------------------------------------------------
@@ -218,46 +217,36 @@ class TestMemoBound:
             ).evaluate(iter(events)).items()
         }
 
-        core = FastLaneCore(StreamCursor(), max_states=14)
-        adapters = {}
-        for query_id, text in queries.items():
-            expr = parse(text)
-            nfa = compile_nfa(expr, allow_qualifiers=False)
-            assert nfa.size <= core.max_states, "pre-check must admit these"
-            slot = core.register(query_id, KIND_DFA, nfa)
-            adapters[query_id] = FastLaneAdapter(core, slot, expr)
+        engine = MultiQueryEngine(queries)
+        pump = engine.start_pump()
+        core = engine._fastlane_core
+        assert set(engine.lane_executions.values()) == {"dfa"}
+        assert not core.states_interned, "nothing interned before the first <$>"
+        core.max_states = 14
         got = {query_id: [] for query_id in queries}
         for event in events:
-            advance(core, event)
-            for query_id, adapter in adapters.items():
-                got[query_id].extend(
-                    (m.position, m.label) for m in adapter.process_event(event)
-                )
+            for query_id, position, label in advance(pump, event):
+                got[query_id].append((position, label))
         assert got == reference
         assert core.saturated_steps > 0
         assert core.states_interned <= core.max_states
 
 
 # ----------------------------------------------------------------------
-# adapters driven without a pump
+# a pass driven by hand, one push per event
 
 
 class TestDirectDrive:
-    """Runners driven outside a pump, in its order — cursor, core, runner
-    — see each event once, however often the same event *object* comes
-    by: events are shared, one per label, so identity says nothing about
-    "seen"."""
+    """A pass driven by hand, one event per push, sees each event once,
+    however often the same event *object* comes by: events are shared,
+    one per label, so identity says nothing about "seen"."""
 
     @staticmethod
     def drive(query, events, gated=False):
         engine = MultiQueryEngine({"q": query})
-        runner = engine._compile_all(StreamCursor())["q"]
-        assert isinstance(runner, GatedNetworkAdapter if gated else FastLaneAdapter)
-        got = []
-        for event in events:
-            advance(engine._fastlane_core, event)
-            got += [(match.position, match.label) for match in runner.process_event(event)]
-        return got
+        pump = engine.start_pump()
+        assert isinstance(pump._live["q"], GatedNetworkAdapter if gated else FastLaneAdapter)
+        return [(position, label) for event in events for _, position, label in advance(pump, event)]
 
     def test_a_reused_event_object_is_a_new_event(self):
         a, close = StartElement("a"), EndElement("a")
@@ -273,20 +262,16 @@ class TestDirectDrive:
         assert sorted(self.drive("_*.a[b].c", events, gated=True)) == [(3, "c"), (6, "c")]
 
     def test_two_adapters_share_one_advance_per_event(self):
-        core = FastLaneCore(StreamCursor())
-        adapters = []
-        for query_id, text in (("q1", "_*.a"), ("q2", "_*.a.a")):
-            expr = parse(text)
-            nfa = compile_nfa(expr, allow_qualifiers=False)
-            adapters.append(FastLaneAdapter(core, core.register(query_id, KIND_DFA, nfa), expr))
+        engine = MultiQueryEngine({"q1": "_*.a", "q2": "_*.a.a"})
+        pump = engine.start_pump()
         events = list(parse_string("<a><a><a/></a></a>"))
-        got = [[], []]
+        got = {"q1": [], "q2": []}
         for event in events:
-            advance(core, event)
-            for out, adapter in zip(got, adapters):
-                out.extend(match.position for match in adapter.process_event(event))
-        assert got == [[1, 2, 3], [2, 3]]
-        assert core.cursor.events_read == len(events)
+            for query_id, position, _ in advance(pump, event):
+                got[query_id].append(position)
+        assert got == {"q1": [1, 2, 3], "q2": [2, 3]}
+        assert len(engine._fastlane_core._slots) == 2
+        assert engine._fastlane_core.cursor.events_read == len(events)
 
 
 # ----------------------------------------------------------------------
@@ -340,14 +325,12 @@ def assert_headed_equals_pure(query, events):
     fed, parked = engine.gate_counts["q"]
     assert fed + parked == len(events)
 
-    direct = MultiQueryEngine({"q": query})
-    runner = direct._compile_all(StreamCursor())["q"]
+    pump = MultiQueryEngine({"q": query}).start_pump()
+    runner = pump._live["q"]
     assert isinstance(runner, GatedNetworkAdapter)
-    core = direct._fastlane_core
     for event in events:
-        advance(core, event)
-        runner.process_event(event)
-        assert 0 <= runner.parked <= len(core.cursor.open_labels)
+        advance(pump, event)
+        assert 0 <= runner.parked <= len(pump.cursor.open_labels)
     return engine
 
 
@@ -429,32 +412,24 @@ class TestHeadedRunner:
 
     def test_saturated_memo_keeps_the_fire_and_needed_flags(self, rng):
         """Past the memo bound the flags ride on transient states."""
-        from repro.core.compiler import compile_network
-        from repro.core.path_transducers import DemandInputTransducer
-
         query = parse("_*.a[b]._*.c")
         events = []
         for _ in range(6):
             events.extend(make_random_events(rng, max_children=4, max_depth=6))
-        core = FastLaneCore(StreamCursor(), max_states=24)
-        for index, text in enumerate(("_*.a", "_*.b.c", "(a|b)._*.c", "_*.d.(a|b)")):
-            other = compile_nfa(parse(text), allow_qualifiers=False)
-            core.register(f"other{index}", KIND_DFA, other)
-        runner, lane, reason = build_lane_runner(
-            core,
-            "q",
-            query,
-            MultiQueryEngine({"q": query}).plans["q"],
-            ALL_OPTIMIZATIONS,
-            lambda residual: compile_network(
-                residual, collect_events=False, source=DemandInputTransducer()
-            )[0],
+        others = ("_*.a", "_*.b.c", "(a|b)._*.c", "_*.d.(a|b)")
+        engine = MultiQueryEngine(
+            {**{f"other{index}": text for index, text in enumerate(others)}, "q": query}
         )
-        assert (lane, reason) == ("gated", None)
-        got = []
-        for index, event in enumerate(events):
-            advance(core, event)
-            got += [(index, m.position, m.label) for m in runner.process_event(event)]
+        pump = engine.start_pump()
+        core = engine._fastlane_core
+        assert engine.lane_executions["q"] == "gated"
+        core.max_states = 24
+        got = [
+            (index, position, label)
+            for index, event in enumerate(events)
+            for query_id, position, label in advance(pump, event)
+            if query_id == "q"
+        ]
         assert core.saturated_steps > 0
         assert got == [
             row[:1] + row[2:]
@@ -594,23 +569,18 @@ class TestObligationFrames:
         core must not depend on that: ``$`` is then a candidate in the
         root frame, determined by a child ``b`` and closed at ``</$>``."""
         query = parse("_*[b]")
-        plan = MultiQueryEngine({"q": query}).plans["q"]
-        assert plan.lane == "network"
-        core = FastLaneCore(StreamCursor())
-        runner, lane, reason = build_lane_runner(
-            core,
-            "q",
-            query,
-            dataclasses.replace(plan, lane="hybrid"),
-            ALL_OPTIMIZATIONS,
-            lambda residual: None,
-        )
-        assert (lane, reason) == ("hybrid", None)
+        engine = MultiQueryEngine({"q": query})
+        assert engine.plans["q"].lane == "network"
+        engine.plans["q"] = dataclasses.replace(engine.plans["q"], lane="hybrid")
+        pump = engine.start_pump()
+        assert (engine.lane_executions, engine.lane_demotions) == ({"q": "hybrid"}, {})
+        core = engine._fastlane_core
         events = list(parse_string("<b><a><b/></a></b>")) + list(parse_string("<c/>"))
-        got = []
-        for index, event in enumerate(events):
-            advance(core, event)
-            got += [(index, "q", m.position, m.label) for m in runner.process_event(event)]
+        got = [
+            (index, *match)
+            for index, event in enumerate(events)
+            for match in advance(pump, event)
+        ]
         assert got == [(7, "q", 0, "$"), (7, "q", 2, "a")]
         assert got == indexed_matches(
             MultiQueryEngine({"q": query}, optimize=PURE_NETWORK).run, events
