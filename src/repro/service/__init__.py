@@ -23,8 +23,9 @@ Layering:
   crashed server with ``--resume`` under seeded backoff.
 """
 
-from .client import ProducerClient, ServiceConnection, SubscriberClient
-from .loadgen import LoadConfig, LoadReport, SubscriberResult, percentile, run_load
+from importlib import import_module
+from typing import TYPE_CHECKING
+
 from .protocol import (
     MAX_FRAME_BYTES,
     OVERFLOW_BLOCK,
@@ -37,12 +38,47 @@ from .protocol import (
     encode_frame,
 )
 from .server import ServiceConfig, ServiceStats, SpexService, run_service
-from .supervisor import (
-    ServiceSupervisor,
-    ServiceSupervisorConfig,
-    ServiceSupervisorError,
-)
-from .wal import Session, SessionStore, WalError, WalRecovery, WriteAheadLog
+
+if TYPE_CHECKING:
+    from .client import ProducerClient, ServiceConnection, SubscriberClient
+    from .loadgen import LoadConfig, LoadReport, SubscriberResult, percentile, run_load
+    from .supervisor import (
+        ServiceSupervisor,
+        ServiceSupervisorConfig,
+        ServiceSupervisorError,
+    )
+    from .wal import Session, SessionStore, WalError, WalRecovery, WriteAheadLog
+
+#: Names loaded on first use, so that ``spex serve --listen`` imports
+#: only what it serves (PEP 562).
+_LAZY = {
+    "ProducerClient": "client",
+    "ServiceConnection": "client",
+    "SubscriberClient": "client",
+    "LoadConfig": "loadgen",
+    "LoadReport": "loadgen",
+    "SubscriberResult": "loadgen",
+    "percentile": "loadgen",
+    "run_load": "loadgen",
+    "ServiceSupervisor": "supervisor",
+    "ServiceSupervisorConfig": "supervisor",
+    "ServiceSupervisorError": "supervisor",
+    "Session": "wal",
+    "SessionStore": "wal",
+    "WalError": "wal",
+    "WalRecovery": "wal",
+    "WriteAheadLog": "wal",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "MAX_FRAME_BYTES",

@@ -12,13 +12,17 @@ Robustness properties, each enforced structurally rather than by luck:
 
 * **Per-connection fault domains.**  Every connection runs in its own
   task; a client that sends garbage, crawls, or vanishes affects only
-  its own state.  Producer input is *document-atomic*: events are
-  buffered and well-formedness-checked per document before the engine
-  sees them, so a producer dying mid-document can never poison the
-  strict engine pump (the partial document is dropped, counted, and the
-  stream position never moves).
-* **End-to-end backpressure.**  Matches flow through a bounded
-  per-subscriber output queue; under the default ``block`` overflow
+  its own state.  Producer input is *document-atomic*: one pass of the
+  connection's :class:`~repro.service.protocol.DocumentAssembler` per
+  ``events`` frame decodes, checks and buffers each event, and a
+  document reaches the engine only once its ``</$>`` has passed that
+  check, so a producer dying mid-document can never poison the strict
+  engine pump (the partial document is dropped, counted, and the stream
+  position never moves).  A refused document, or a run of events
+  outside any ``<$>``, costs one ``SVC008`` error.
+* **End-to-end backpressure.**  Matches flow, each encoded once, through
+  a bounded per-subscriber output queue, which the subscriber's writer
+  empties with one write per wake-up; under the default ``block`` overflow
   policy a full queue suspends the engine task, which stops draining
   the bounded input document queue, which suspends producer read loops,
   which stops reading their sockets — the TCP receive window closes and
@@ -62,18 +66,18 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter
+from collections.abc import Coroutine
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.checkpoint import Checkpoint
 from ..core.clock import Clock, as_clock
 from ..core.multiquery import MultiQueryEngine, ServePump
 from ..core.output_tx import Match
 from ..core.serving import AdmissionPolicy, ServingPolicy
-from ..errors import CheckpointError, ReproError, StreamError
+from ..errors import CheckpointError, ReproError
 from ..limits import ResourceLimits
-from ..xmlstream.events import EndDocument, Event, StartDocument
 from ..xmlstream.offsets import StreamCursor
-from ..xmlstream.validate import checked
 from .protocol import (
     MAX_FRAME_BYTES,
     OVERFLOW_BLOCK,
@@ -82,7 +86,6 @@ from .protocol import (
     ROLE_PRODUCER,
     ROLE_SUBSCRIBER,
     ROLES,
-    SVC_BAD_DOCUMENT,
     SVC_DRAINING,
     SVC_HANDSHAKE_TIMEOUT,
     SVC_IDLE_TIMEOUT,
@@ -90,16 +93,16 @@ from .protocol import (
     SVC_PROTOCOL,
     SVC_TENANT_BUDGET,
     SVC_WRITE_TIMEOUT,
+    DocumentAssembler,
     ProtocolError,
     bye_frame,
     decode_frame,
     encode_frame,
+    encode_match,
     error_frame,
-    events_from_frame,
     heartbeat_frame,
     ingested_frame,
     integer_field,
-    match_frame,
     match_from_obj,
     notice_frame,
     pong_frame,
@@ -108,8 +111,9 @@ from .protocol import (
     subscribed_frame,
     welcome_frame,
 )
-from .wal import Session, SessionStore
 
+if TYPE_CHECKING:
+    from .wal import Session, SessionStore
 
 #: Sentinels for the engine input queue and subscriber output queues.
 _DRAIN = object()
@@ -284,10 +288,12 @@ class _Connection:
         self.last_activity = self.opened_at
         self.closed = False
         self.drain_requested = False
-        # producer state: the in-flight (not yet complete) document
-        self.partial: list[Event] = []
+        # producer state: ingest, holding the in-flight document
+        self.assembler = DocumentAssembler()
         # subscriber state
         self.overflow = OVERFLOW_BLOCK
+        #: matches wait here as ``(client query id, encoded line)``,
+        #: control frames as dicts, encoded by the writer
         self.queue: asyncio.Queue | None = None
         self.queries: dict[str, str] = {}  # client query_id -> engine id
         self.notified: dict[str, str] = {}  # engine id -> last notice code
@@ -299,7 +305,7 @@ class _Connection:
         #: replay in progress: live matches divert to ``resume_buffer``
         #: so the WAL tail stays strictly before them in the queue.
         self.resuming = False
-        self.resume_buffer: list[dict] = []
+        self.resume_buffer: list[tuple[str, bytes]] = []
 
     def send_now(self, frame: dict) -> None:
         """Queue one line on the transport (never blocks, line-atomic)."""
@@ -372,6 +378,8 @@ class SpexService:
         """
         config = self.config
         if config.wal_path is not None:
+            from .wal import SessionStore
+
             self.durable = SessionStore(
                 config.wal_path,
                 config.wal_fsync_documents,
@@ -521,7 +529,9 @@ class SpexService:
                 if self.durable is not None:
                     self._attach_deferred(self.durable)
                 for engine_id, match in self.pump._pull(document):
-                    await self._deliver(engine_id, match)
+                    blocked = self._deliver(engine_id, match)
+                    if blocked is not None:
+                        await blocked
                 await self._commit_document(producer)
                 self._notify_detachments()
                 # cooperative yield: one giant document must not starve
@@ -606,7 +616,11 @@ class SpexService:
         except (ReproError, OSError):  # pragma: no cover - disk trouble
             pass
 
-    async def _deliver(self, engine_id: str, match: Match) -> None:
+    def _deliver(self, engine_id: str, match: Match) -> Coroutine | None:
+        """Queue one match, encoded once, for its subscriber.
+
+        Returns the put to await only when a ``block`` queue is full.
+        """
         assert self.pump is not None
         documents_seen = self.pump.serving.documents_seen
         seq: int | None = None
@@ -615,47 +629,50 @@ class SpexService:
             if seq is not None:
                 self.stats.matches_logged += 1
             if not deliver:
-                return
+                return None
         route = self._routes.get(engine_id)
         if route is None:
-            return
+            return None
         conn, client_id = route
-        assert conn.queue is not None
-        frame = match_frame(client_id, match, documents_seen - 1, seq=seq)
+        line = (client_id, encode_match(client_id, match, documents_seen - 1, seq))
         if conn.resuming:
-            # WAL-tail replay in progress: live frames park here and
+            # WAL-tail replay in progress: live matches park here and
             # follow the replayed tail in order.
-            conn.resume_buffer.append(frame)
-            return
+            conn.resume_buffer.append(line)
+            return None
+        queue = conn.queue
+        assert queue is not None
+        try:
+            queue.put_nowait(line)
+            return None
+        except asyncio.QueueFull:
+            pass
         if conn.overflow == OVERFLOW_BLOCK:
-            await conn.queue.put(frame)
-            return
+            return queue.put(line)
         if conn.overflow == OVERFLOW_SHED_OLDEST:
-            while conn.queue.full():
-                dropped = conn.queue.get_nowait()
+            while queue.full():
+                dropped = queue.get_nowait()
                 if dropped is _CLOSE or (
                     isinstance(dropped, dict) and dropped.get("type") == "bye"
                 ):
                     # never shed the connection's own shutdown frames
-                    conn.queue.put_nowait(dropped)
-                    return
+                    queue.put_nowait(dropped)
+                    return None
                 conn.shed_frames += 1
                 self.stats.frames_shed += 1
-                if isinstance(dropped, dict) and dropped.get("type") == "match":
-                    victim = conn.queries.get(dropped.get("query_id", ""))
+                if isinstance(dropped, tuple):  # a match: mark its query
+                    victim = conn.queries.get(dropped[0])
                     if victim is not None:
                         self.pump.serving.outcome(victim).degraded = True
-            conn.queue.put_nowait(frame)
-            return
+            queue.put_nowait(line)
+            return None
         # OVERFLOW_DISCONNECT
-        if conn.queue.full():
-            self._force_close_subscriber(
-                conn,
-                SVC_OVERFLOW,
-                f"output queue of {conn.queue.maxsize} frame(s) overflowed",
-            )
-            return
-        conn.queue.put_nowait(frame)
+        self._force_close_subscriber(
+            conn,
+            SVC_OVERFLOW,
+            f"output queue of {queue.maxsize} frame(s) overflowed",
+        )
+        return None
 
     def _notify_detachments(self) -> None:
         """Surface quarantine/deadline/shed outcomes as wire notices."""
@@ -809,7 +826,7 @@ class SpexService:
                         conn.reader.readline(), self.config.tick
                     )
                 except TimeoutError:
-                    if conn.partial:
+                    if conn.assembler.in_document:
                         continue  # mid-document: the grace window governs
                     conn.send_now(bye_frame(SVC_DRAINING, "drained; thank you"))
                     return
@@ -831,59 +848,27 @@ class SpexService:
                     )
                 )
                 continue
-            try:
-                events = events_from_frame(frame)
-            except ProtocolError as exc:
-                conn.send_now(error_frame(exc.code, str(exc)))
-                continue
-            await self._ingest(conn, events)
+            await self._ingest(conn, frame)
 
-    async def _ingest(self, conn: _Connection, events: list[Event]) -> None:
-        """Document-atomic ingestion.
-
-        Only *complete, well-formed* documents ever reach the engine
-        queue — a producer can disconnect, stall or babble mid-document
-        and the shared pass never sees a single event of it.
-        """
+    async def _ingest(self, conn: _Connection, frame: dict) -> None:
+        """Document-atomic ingestion of one ``events`` frame: only
+        complete, well-formed documents reach the engine queue, in one
+        pass of the connection's assembler; each refusal is one error."""
         assert self._input is not None
-        for event in events:
-            if isinstance(event, StartDocument):
-                if conn.partial:
-                    self.stats.documents_rejected += 1
-                    conn.partial = []
-                    conn.send_now(
-                        error_frame(
-                            SVC_BAD_DOCUMENT,
-                            "new <$> before </$>: partial document dropped",
-                        )
-                    )
-                conn.partial.append(event)
-                continue
-            if not conn.partial:
+        try:
+            done = conn.assembler.feed(frame)
+        except ProtocolError as exc:
+            conn.send_now(error_frame(exc.code, str(exc)))
+            return
+        for item in done:
+            if isinstance(item, dict):
                 self.stats.documents_rejected += 1
-                conn.send_now(
-                    error_frame(
-                        SVC_BAD_DOCUMENT,
-                        f"event {event} outside a <$> envelope: dropped",
-                    )
-                )
+                conn.send_now(item)
                 continue
-            conn.partial.append(event)
-            if isinstance(event, EndDocument):
-                document = conn.partial
-                conn.partial = []
-                try:
-                    list(checked(iter(document)))
-                except StreamError as exc:
-                    self.stats.documents_rejected += 1
-                    conn.send_now(
-                        error_frame(SVC_BAD_DOCUMENT, f"document dropped: {exc}")
-                    )
-                    continue
-                # bounded queue: this await is the backpressure point
-                await self._input.put((conn, document))
-                self._accepted_documents += 1
-                self.stats.documents_ingested += 1
+            # bounded queue: this await is the backpressure point
+            await self._input.put((conn, item))
+            self._accepted_documents += 1
+            self.stats.documents_ingested += 1
 
     # -------------------------------- subscribers
 
@@ -940,10 +925,8 @@ class SpexService:
         conn.resuming = True
         try:
             for qid, seq, document, match_obj in tail:
-                replayed = match_frame(
-                    qid, match_from_obj(match_obj), document, seq=seq
-                )
-                await conn.queue.put(replayed)  # type: ignore[union-attr]
+                replayed = encode_match(qid, match_from_obj(match_obj), document, seq)
+                await conn.queue.put((qid, replayed))  # type: ignore[union-attr]
                 self.stats.matches_replayed += 1
             # Drain-and-recheck: a blocking put below may let the engine
             # task append more live matches to the buffer, so loop until
@@ -1066,7 +1049,9 @@ class SpexService:
             return
         document = self.pump.serving.documents_seen - 1
         for seq, match in self._retire_query(engine_id, conn.tenant, conn):
-            await conn.queue.put(match_frame(client_id, match, document, seq=seq))
+            await conn.queue.put(
+                (client_id, encode_match(client_id, match, document, seq))
+            )
         await conn.queue.put(
             notice_frame("CLOSED", "unsubscribed", client_id)
         )
@@ -1156,29 +1141,42 @@ class SpexService:
         conn.close_queue()
 
     async def _writer_loop(self, conn: _Connection) -> None:
-        """Single writer per subscriber: ordered, clocked, abortable."""
-        assert conn.queue is not None
+        """Single writer per subscriber: ordered, clocked, abortable.
+
+        Each wake-up takes everything queued and writes it with one
+        ``write`` and one ``drain``; at the close sentinel it writes what
+        came before it and stops.  A ``SHED001`` notice leads the first
+        write after frames were shed.
+        """
+        queue = conn.queue
+        assert queue is not None
         try:
             while True:
-                frame = await conn.queue.get()
-                if frame is _CLOSE:
-                    break
-                conn.writing_since = self.clock.monotonic()
-                conn.writer.write(encode_frame(frame))
-                await conn.writer.drain()
-                conn.writing_since = None
-                if conn.shed_frames and conn.queue.empty():
-                    conn.writer.write(
-                        encode_frame(
-                            notice_frame(
-                                "SHED001",
-                                f"{conn.shed_frames} frame(s) shed "
-                                f"(slow consumer, overflow=shed_oldest)",
-                            )
-                        )
+                items = [await queue.get()]
+                while not queue.empty():
+                    items.append(queue.get_nowait())
+                lines = []
+                for item in items:
+                    if item is _CLOSE:
+                        break
+                    lines.append(
+                        item[1] if isinstance(item, tuple) else encode_frame(item)
                     )
+                if lines:
+                    if conn.shed_frames:
+                        notice = notice_frame(
+                            "SHED001",
+                            f"{conn.shed_frames} frame(s) shed "
+                            f"(slow consumer, overflow=shed_oldest)",
+                        )
+                        lines.insert(0, encode_frame(notice))
+                        conn.shed_frames = 0
+                    conn.writing_since = self.clock.monotonic()
+                    conn.writer.write(b"".join(lines))
                     await conn.writer.drain()
-                    conn.shed_frames = 0
+                    conn.writing_since = None
+                if item is _CLOSE:
+                    break
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -1339,10 +1337,9 @@ class SpexService:
     # ------------------------------------------------------------------
 
     def _cleanup_connection(self, conn: _Connection) -> None:
-        if conn.role == ROLE_PRODUCER and conn.partial:
+        if conn.role == ROLE_PRODUCER and conn.assembler.in_document:
             # died mid-document: the document never reached the engine
             self.stats.partial_documents += 1
-            conn.partial = []
         if conn.role == ROLE_SUBSCRIBER and conn.session is not None:
             # a durable session outlives its connection: queries keep
             # running, matches keep accruing in the WAL

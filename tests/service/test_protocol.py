@@ -10,6 +10,7 @@ from repro.service.protocol import (
     SVC_MALFORMED_FRAME,
     decode_frame,
     encode_frame,
+    encode_match,
     events_frame,
     events_from_frame,
     hello_frame,
@@ -100,6 +101,42 @@ class TestMatchCodec:
         frame = match_frame("q", Match(position=2, label="c"), document=7)
         assert frame["document"] == 7
         assert frame["query_id"] == "q"
+
+
+class TestMatchEncoder:
+    """``encode_match`` writes the bytes ``encode_frame(match_frame(...))``
+    writes, without the dict."""
+
+    TEXTS = [
+        "q",
+        "",
+        'say "hi"',
+        "back\\slash",
+        "ctrl\x00\x01\x1f\x7f\n\t\r",
+        "caf\u00e9 \u2603 \U0001f600 \ud800",
+        "x" * 300,  # past the quote cache's length cap
+    ]
+
+    @pytest.mark.parametrize("seq", [None, 0, 41])
+    @pytest.mark.parametrize("document", [-1, 0, 12])
+    def test_byte_identical(self, document, seq):
+        for query_id in self.TEXTS:
+            for label in self.TEXTS:
+                match = Match(position=5, label=label)
+                assert encode_match(query_id, match, document, seq) == encode_frame(
+                    match_frame(query_id, match, document, seq)
+                )
+
+    @pytest.mark.parametrize("seq", [None, 3])
+    def test_fragment_bearing_match(self, seq):
+        match = Match(
+            position=1,
+            label="a",
+            events=(StartElement("a", {"k": '"v"'}), Text("\u00e9"), EndElement("a")),
+        )
+        assert encode_match("q\\", match, 0, seq) == encode_frame(
+            match_frame("q\\", match, 0, seq)
+        )
 
 
 class TestHello:

@@ -3,12 +3,16 @@ FakeClock can decide the deadline instead)."""
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 
 import pytest
 
 from repro.core.clock import FakeClock
 from repro.core.multiquery import MultiQueryEngine
+from repro.core.output_tx import Match
 from repro.core.serving import AdmissionPolicy, classify_admission
 from repro.rpeq.parser import parse
 from repro.service.client import ProducerClient, SubscriberClient
@@ -20,14 +24,18 @@ from repro.service.protocol import (
     SVC_OVERFLOW,
     SVC_PROTOCOL,
     SVC_TENANT_BUDGET,
+    bye_frame,
     encode_frame,
+    encode_match,
+    notice_frame,
 )
-from repro.service.server import ServiceConfig, SpexService
+from repro.service.server import _CLOSE, ServiceConfig, SpexService, _Connection
 from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     StartDocument,
     StartElement,
+    Text,
 )
 
 
@@ -339,6 +347,32 @@ class TestProducerFaultDomain:
         assert service.engine.serving.documents_seen == 1
         assert not service.degraded
 
+    def test_a_run_of_stray_events_is_one_refusal(self):
+        strays = [Text("x")] * 1000 + [StartElement("a"), EndElement("a")]
+
+        async def scenario():
+            service = SpexService(fast_config())
+            host, port = await service.start()
+            producer = await ProducerClient.connect(host, port)
+            await producer.send_events(strays)
+            await producer.conn.send({"type": "ping"})
+            answers = []
+            while (frame := await producer.conn.recv())["type"] != "pong":
+                answers.append(frame)
+            await producer.send_events(flat_doc("a"))
+            await producer.close()
+            await service.stop()
+            return service, answers
+
+        service, answers = run(scenario())
+        assert [(f["type"], f["code"]) for f in answers] == [
+            ("error", SVC_BAD_DOCUMENT)
+        ]
+        assert answers[0]["reason"].startswith("1002 event(s) outside a <$>")
+        assert answers[0]["reason"].endswith("the first: x")
+        assert service.stats.documents_rejected == 1
+        assert service.stats.documents_ingested == 1
+
 
 class TestOverflow:
     def test_disconnect_policy_cuts_slow_subscriber(self):
@@ -592,3 +626,100 @@ class TestExitStatus:
             ServiceConfig(subscriber_queue=0)
         with pytest.raises(ValueError):
             ServiceConfig(idle_timeout=-1)
+
+
+class RecordingWriter:
+    """A ``StreamWriter`` stand-in that records each ``write``."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+        self.closed = False
+        self.transport = None
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    async def drain(self) -> None:
+        await asyncio.sleep(0)
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestWriter:
+    def test_one_write_per_wake_up_in_queue_order(self):
+        def line(position):
+            return ("q", encode_match("q", Match(position, "a"), 0))
+
+        async def scenario():
+            service = SpexService(fast_config())
+            conn = _Connection(0, None, RecordingWriter(), service.clock)
+            conn.queue = asyncio.Queue()
+            first = [line(1), notice_frame("N", "x", "q"), line(2)]
+            second = [line(3), bye_frame(SVC_DRAINING, "done"), _CLOSE]
+            for item in first:
+                conn.queue.put_nowait(item)
+            writer = asyncio.create_task(service._writer_loop(conn))
+            while not conn.writer.writes:
+                await asyncio.sleep(0)
+            for item in second:
+                conn.queue.put_nowait(item)
+            await writer
+            return conn.writer, first + second[:-1]
+
+        writer, queued = run(scenario())
+        assert len(writer.writes) == 2
+        expected = [
+            item[1] if isinstance(item, tuple) else encode_frame(item)
+            for item in queued
+        ]
+        assert b"".join(writer.writes) == b"".join(expected)
+        assert writer.writes[0] == b"".join(expected[:3])
+        assert json.loads(writer.writes[-1].splitlines()[-1])["type"] == "bye"
+        assert writer.closed
+
+    def test_shed_oldest_with_one_slot_still_notices_and_says_bye(self):
+        async def scenario():
+            service = SpexService(fast_config())
+            host, port = await service.start()
+            lossy = await SubscriberClient.connect(
+                host, port, overflow="shed_oldest", queue_size=1
+            )
+            await lossy.subscribe("q", "_*.a")
+            producer = await ProducerClient.connect(host, port)
+            await producer.send_events(flat_doc(*["a"] * 4000))
+            lossy_task = asyncio.create_task(collect_frames(lossy))
+            await producer.close()
+            await service.stop()
+            frames = await lossy_task
+            await lossy.close()
+            return service, frames
+
+        service, frames = run(scenario())
+        assert service.stats.frames_shed > 0
+        assert any(f.get("code") == "SHED001" for f in frames)
+        assert frames[-1]["type"] == "bye"
+        assert frames[-1]["code"] == SVC_DRAINING
+        assert len(match_tuples(frames, "q")) < 4000
+        assert service.degraded
+
+
+class TestImports:
+    def test_serving_imports_only_what_it_serves(self):
+        probe = (
+            "import sys, repro.service.server; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for module in ("wal", "loadgen", "supervisor"):
+            assert f"repro.service.{module}'" not in loaded
+        assert "repro.service.server'" in loaded
