@@ -14,7 +14,7 @@ Format: a single JSON document::
 
     {
       "version": 4,            # format version, checked on load
-      "kind": "spex",          # which engine wrote it ("spex"/"multiquery")
+      "kind": "multiquery",    # which engine wrote it (the one kind left)
       "payload": {...},        # engine-specific state (stable dict forms)
       "checksum": "sha256:..." # over the canonical encoding of the rest
     }
@@ -72,9 +72,10 @@ class Checkpoint:
     """One resumable cut of a streaming run.
 
     Attributes:
-        kind: the engine family that wrote it (``"spex"`` for
-            :class:`~repro.core.engine.SpexEngine`, ``"multiquery"`` for
-            :class:`~repro.core.multiquery.MultiQueryEngine`).
+        kind: the engine family that wrote it: ``"multiquery"``, for
+            :class:`~repro.core.multiquery.MultiQueryEngine` and the
+            :class:`~repro.core.engine.SpexEngine` facade over one (a
+            retired ``"spex"`` checkpoint is refused by this name).
         payload: engine-specific state in stable dict form.  Always
             contains a ``"cursor"`` entry with the source position.
     """

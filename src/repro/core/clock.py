@@ -8,6 +8,9 @@ which made wall-clock behaviour untestable without real sleeping.
 uses :data:`SYSTEM_CLOCK`, tests pass a :class:`FakeClock` and advance
 it deterministically.
 
+:class:`ExponentialBackoff` is the one retry schedule, so a supervised
+reconnect, a shard restart and a service restart back off alike.
+
 Adopters: :class:`~repro.core.supervisor.Supervisor` (backoff and
 checkpoint cadence), :func:`repro.limits.stream_guard` (per-document
 wall-clock budget), the serving layer
@@ -18,8 +21,9 @@ wall-clock budget), the serving layer
 
 from __future__ import annotations
 
+import random
 import time
-from typing import Callable
+from collections.abc import Callable
 
 
 class Clock:
@@ -111,3 +115,35 @@ def as_clock(value: Clock | Callable[[], float] | None) -> Clock:
     if callable(value):
         return _CallableClock(monotonic=value)
     raise TypeError(f"not a clock: {value!r}")
+
+
+class ExponentialBackoff:
+    """Seeded exponential backoff with jitter, shared retry discipline.
+
+    The supervisor (:mod:`repro.core.supervisor`), the shard coordinator
+    (:mod:`repro.core.shards`) and the service supervisor
+    (:mod:`repro.service.supervisor`) all restart under this schedule.
+    ``delay(failures)`` is a pure function of the seeded RNG stream, so
+    schedules are reproducible.
+    """
+
+    def __init__(
+        self,
+        initial: float = 0.1,
+        factor: float = 2.0,
+        maximum: float = 30.0,
+        jitter: float = 0.1,
+        seed: int = 0,
+    ) -> None:
+        self.initial = initial
+        self.factor = factor
+        self.maximum = maximum
+        self.jitter = jitter
+        self._rng = random.Random(seed)
+
+    def delay(self, failures: int) -> float:
+        """Backoff delay for the ``failures``-th consecutive failure (≥1)."""
+        delay = min(self.maximum, self.initial * self.factor ** (failures - 1))
+        if self.jitter:
+            delay *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
+        return max(0.0, delay)

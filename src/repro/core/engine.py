@@ -12,33 +12,28 @@ An engine holds the *query* (parsed once); each :meth:`run` compiles a
 fresh transducer network (linear time, Lemma V.1) so engines are reusable
 and runs are independent.  Results are yielded progressively, in document
 order, as soon as their membership is decided — the defining property of
-the paper's evaluation model.
+the paper's evaluation model.  The pass itself is the one per-event
+transition every door of :mod:`repro.core.multiquery` runs, over an
+engine with this query as its only subscription.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
-from operator import length_hint
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import cast
 
 from ..analysis.metrics import QueryProfile, analyze
+from ..conditions.store import ConditionStore
 from ..errors import CheckpointError, EngineError
-from ..limits import ResourceLimits, stream_guard
+from ..limits import ResourceLimits
 from ..rpeq.ast import Rpeq
 from ..rpeq.parser import parse
-from ..rpeq.unparse import unparse
 from ..xmlstream.events import Event
-from ..xmlstream.offsets import StreamCursor, skip_events
-from ..xmlstream.parser import iter_events
-from ..xmlstream.recovery import (
-    ErrorReport,
-    RecoveryPolicy,
-    as_policy,
-    recovered_documents,
-)
+from ..xmlstream.offsets import StreamCursor
+from ..xmlstream.recovery import ErrorReport, RecoveryPolicy, as_policy
 from .checkpoint import Checkpoint
-from .clock import as_clock
 from .compiler import compile_network
 from .network import Network, NetworkStats
 from .optimize import OptimizationFlags, as_flags
@@ -208,18 +203,15 @@ def recovery_policy(
     return policy
 
 
-def refuse_mid_event(undelivered: int) -> None:
-    """Refuse a cut while ``undelivered`` matches of the last event, which
-    the cursor counts already, are not consumed: a resume would skip them."""
-    if undelivered:
-        raise CheckpointError(
-            f"{undelivered} match(es) of the last event not consumed yet; "
-            f"checkpoint after its last match"
-        )
-
-
 class SpexEngine:
-    """Streamed, progressive rpeq evaluation (the paper's contribution)."""
+    """Streamed, progressive rpeq evaluation (the paper's contribution).
+
+    A facade over a :class:`~repro.core.multiquery.MultiQueryEngine`
+    holding one subscription, whose id is :attr:`name`, with the fast
+    lanes off: every pass is the inert pump's one per-event transition
+    (:class:`~repro.core.multiquery.ServePump`) over the query's
+    transducer network, and a checkpoint is the inner engine's.
+    """
 
     name = "spex"
 
@@ -227,7 +219,7 @@ class SpexEngine:
         self,
         query: str | Rpeq,
         collect_events: bool = True,
-        optimize: "bool | OptimizationFlags" = True,
+        optimize: bool | OptimizationFlags = True,
         limits: ResourceLimits | None = None,
         preflight: bool = True,
         rewrite: bool = False,
@@ -293,14 +285,23 @@ class SpexEngine:
                 optimize=optimize,
                 collect_events=collect_events,
             )
+        from .multiquery import MultiQueryEngine  # it imports this module
+
+        # Lanes off: the network lane is what the exact counts of
+        # ``stats`` (and the paper's figures) measure.
+        flags = replace(as_flags(optimize), dfa_lane=False, hybrid_gate=False)
+        self._engine = MultiQueryEngine(
+            {self.name: self.query},
+            collect_events=bool(collect_events),
+            limits=limits,
+            preflight=False,
+            optimize=flags,
+        )
         #: lifetime recovery counters (checkpoints, restores, retries,
-        #: stalls); the supervisor increments the latter two
-        self.robustness = RobustnessCounters()
-        self._last_network: Network | None = None
-        self._last_store = None
+        #: stalls), the inner engine's; the supervisor increments the
+        #: latter two
+        self.robustness = self._engine.robustness
         self._last_report: ErrorReport | None = None
-        self._last_cursor: StreamCursor | None = None
-        self._held: Iterator[Match] = iter(())  # the last event's matches
 
     # ------------------------------------------------------------------
     # evaluation
@@ -359,6 +360,8 @@ class SpexEngine:
             stream prefix read so far decides it (strict mode) or as
             soon as its document is known good (skip/repair).
         """
+        from .multiquery import _INERT
+
         policy = recovery_policy(on_error, cursor)
         if require_end is None:
             # Finite sources (text/files) end; every truncation there is
@@ -366,75 +369,18 @@ class SpexEngine:
             # finite read is just a prefix.
             require_end = isinstance(source, (str, os.PathLike))
         self._last_report = report if report is not None else ErrorReport()
-        if policy is not RecoveryPolicy.STRICT:
-            self._last_cursor = None
-            yield from self._run_recovering(
-                source, policy, self._last_report, require_end
-            )
-            return
-        network = self._fresh_network()
-        self._last_cursor = cursor
-        if cursor is None:
-            cursor = StreamCursor()  # private: checks, but cannot checkpoint
-        yield from self._run_strict(network, iter_events(source), cursor, require_end)
-
-    def _fresh_network(self) -> Network:
-        """Compile the network (and condition store) of the next pass."""
-        network, store = compile_network(
-            self.query,
-            collect_events=self.collect_events,
-            optimize=self.optimize,
-            limits=self.limits,
+        engine = self._engine
+        pump = engine._open_pump(_INERT, cursor=cursor)
+        # Not MultiQueryEngine.run, which requires the end of every
+        # source under a recovery policy: here a live iterable's
+        # trailing document is a prefix there too.
+        pairs = engine._drive(
+            pump, source, policy, self._last_report, require_end=require_end
         )
-        self._last_network = network
-        self._last_store = store
-        self._held = iter(())
-        return network
-
-    def _run_strict(
-        self,
-        network: Network,
-        events: Iterable[Event],
-        cursor: StreamCursor,
-        require_end: bool,
-    ) -> Iterator[Match]:
-        """The strict per-event loop of :meth:`run` and :meth:`resume`:
-        each event is checked and counted by ``cursor``, held to the
-        stream limits, then evaluated."""
-        guard = stream_guard(self.limits, cursor, as_clock(None))
-        for event in cursor.attach(events, require_end=require_end):
-            if guard is not None:
-                guard(event)
-            matches = network.process_event(event)
-            if matches:
-                self._held = held = iter(matches)
-                yield from held
-
-    def _run_recovering(
-        self,
-        source: str | Iterable[Event],
-        policy: RecoveryPolicy,
-        report: ErrorReport,
-        require_end: bool,
-    ) -> Iterator[Match]:
-        """Document-wise evaluation behind a recovery policy.
-
-        Every recovered document is a strict run of its own, on a fresh
-        network and cursor (so a poisoned document cannot corrupt
-        transducer state for its successors), and its matches are
-        buffered until the document completes; a
-        :class:`~repro.errors.ResourceLimitError` mid-document discards
-        that document's matches and files a ``"limit"`` record.
-        """
-        events = iter_events(source)
-        for document in recovered_documents(
-            events, policy, report, require_end=require_end
-        ):
-            network = self._fresh_network()
-            run = self._run_strict(network, document, StreamCursor(), False)
-            matches: list[Match] = []
-            if report.collect_document(run, matches):
-                yield from matches
+        for _query_id, match in pairs:
+            yield match
+        if require_end and policy is RecoveryPolicy.STRICT:
+            pump.cursor.end()
 
     def evaluate(self, source: str | Iterable[Event]) -> list[Match]:
         """Evaluate eagerly and return all matches."""
@@ -491,21 +437,7 @@ class SpexEngine:
         Raises:
             CheckpointError: no cursor-tracked strict run, or a mid-event cut.
         """
-        if self._last_cursor is None or self._last_network is None:
-            raise CheckpointError(
-                "nothing to checkpoint: pass a StreamCursor to run() "
-                "(strict mode) and start consuming it first"
-            )
-        refuse_mid_event(length_hint(self._held))
-        payload = {
-            "query": unparse(self.query),
-            "collect_events": self.collect_events,
-            "optimize": as_flags(self.optimize).to_obj(),
-            "cursor": self._last_cursor.state(),
-            "network": self._last_network.snapshot(),
-        }
-        self.robustness.checkpoints_written += 1
-        return Checkpoint(kind="spex", payload=payload)
+        return self._engine.checkpoint()
 
     def resume(
         self,
@@ -534,48 +466,16 @@ class SpexEngine:
             StreamError: ``source`` is shorter than the checkpointed
                 position (it is not the same stream).
         """
-        payload = checkpoint.require(self.name)
-        query_text = unparse(self.query)
-        if payload["query"] != query_text:
-            raise CheckpointError(
-                f"checkpoint is for query {payload['query']!r}, this engine "
-                f"evaluates {query_text!r}"
-            )
-        if bool(payload["collect_events"]) != bool(self.collect_events):
-            raise CheckpointError(
-                f"checkpoint was taken with collect_events="
-                f"{bool(payload['collect_events'])}, engine has "
-                f"collect_events={bool(self.collect_events)}"
-            )
-        # The production and the reference network differ in compiled
-        # topology and node names (fused DS vs. split/closure/join).
-        if (
-            as_flags(payload["optimize"]).production_network
-            != as_flags(self.optimize).production_network
-        ):
-            raise CheckpointError(
-                "checkpoint was taken with a different production_network "
-                "setting; the compiled topologies are incompatible"
-            )
-        network = self._fresh_network()
-        network.restore(payload["network"])
-        cursor = StreamCursor.from_state(payload["cursor"])
-        self._last_cursor = cursor
+        pairs = self._engine.resume(checkpoint, source)
         self._last_report = ErrorReport()
-        self.robustness.restores += 1
-        return self._run_strict(
-            network,
-            skip_events(iter_events(source), cursor.events_read),
-            cursor,
-            isinstance(source, (str, os.PathLike)),
-        )
+        return (match for _query_id, match in pairs)
 
     @classmethod
     def from_checkpoint(
         cls,
         checkpoint: Checkpoint,
         limits: ResourceLimits | None = None,
-    ) -> "SpexEngine":
+    ) -> SpexEngine:
         """Build an engine configured exactly as the checkpoint requires.
 
         Convenience for cold restarts where only the checkpoint file
@@ -583,9 +483,15 @@ class SpexEngine:
         payload, so ``engine.resume(checkpoint, source)`` is guaranteed
         compatible.
         """
-        payload = checkpoint.require(cls.name)
+        payload = checkpoint.require("multiquery")
+        subscriptions = payload["subscriptions"]
+        if len(subscriptions) != 1:
+            raise CheckpointError(
+                f"checkpoint holds {len(subscriptions)} subscriptions; a "
+                f"SpexEngine resumes exactly one"
+            )
         return cls(
-            payload["query"],
+            subscriptions[0][1],
             collect_events=bool(payload["collect_events"]),
             optimize=as_flags(payload["optimize"]),
             limits=limits,
@@ -611,6 +517,18 @@ class SpexEngine:
         stats.limit_hits += stats.output.candidates_evicted
         self.robustness.copy_into(stats)
         return stats
+
+    @property
+    def _last_network(self) -> Network | None:
+        """The network of the most recent pass: its pump's one runner."""
+        pump = self._engine._pump
+        return None if pump is None else cast(Network, pump._live.get(self.name))
+
+    @property
+    def _last_store(self) -> ConditionStore | None:
+        """The condition store of :attr:`_last_network`."""
+        network = self._last_network
+        return None if network is None else network.condition_store
 
     def describe_network(self) -> str:
         """Wiring of a freshly compiled network for this query."""

@@ -53,7 +53,7 @@ from ..xmlstream.recovery import (
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
 from .compiler import compile_network
-from .engine import EngineStats, RobustnessCounters, recovery_policy, refuse_mid_event
+from .engine import EngineStats, RobustnessCounters, recovery_policy
 from .fastlane import CORE_DRIVEN_LANES, FastLaneCore, build_lane_runner
 from .network import Network
 from .optimize import OptimizationFlags, as_flags
@@ -155,7 +155,7 @@ class MultiQueryEngine:
         self.collect_events = collect_events
         self.limits = limits
         self.optimize = as_flags(optimize)
-        #: lifetime recovery counters, mirroring ``SpexEngine.robustness``
+        #: lifetime recovery counters (a ``SpexEngine``'s are these)
         self.robustness = RobustnessCounters()
         #: the execution lane each compiled query actually runs on
         #: (``"dfa"``/``"hybrid"``/``"gated"``/``"network"``), refreshed
@@ -450,8 +450,7 @@ class MultiQueryEngine:
         shared pipeline.
 
         Passing a ``cursor`` (strict mode only) makes the pass
-        checkpointable via :meth:`checkpoint`, as for
-        :meth:`SpexEngine.run <repro.core.engine.SpexEngine.run>`.
+        checkpointable via :meth:`checkpoint`.
 
         The pass is a :class:`ServePump` under the inert policy: no
         bulkheads (a failing query propagates), no deadlines, no
@@ -644,7 +643,11 @@ class MultiQueryEngine:
                 "nothing to checkpoint: pass a StreamCursor to run() "
                 "(strict mode) and start consuming it first"
             )
-        refuse_mid_event(length_hint(pump._held))
+        if undelivered := length_hint(pump._held):  # a resume would skip them
+            raise CheckpointError(
+                f"{undelivered} match(es) of the last event not consumed yet; "
+                f"checkpoint after its last match"
+            )
         payload = {
             # registration order is the cross-query emission order, so
             # it is data: a list, which a sorted-key file cannot reorder
@@ -680,11 +683,9 @@ class MultiQueryEngine:
     ) -> Iterator[tuple[str, Match]]:
         """Continue a checkpointed shared pass against ``source``.
 
-        Same contract as :meth:`SpexEngine.resume
-        <repro.core.engine.SpexEngine.resume>`: the source must replay
-        the stream the checkpoint was taken from; matches before the
-        checkpoint plus matches after this resume equal an uninterrupted
-        pass.  Compatibility checks are eager.
+        The source must replay the stream the checkpoint was taken
+        from; matches before the checkpoint plus matches after this
+        resume equal an uninterrupted pass.  Compatibility checks are eager.
 
         Checkpoints taken from a :meth:`serve` pass carry quarantine and
         breaker state: only the queries that were live at the cut are
@@ -771,7 +772,7 @@ class MultiQueryEngine:
         ]:
             raise CheckpointError(
                 "checkpoint subscription set does not match this engine's "
-                "queries in their registration order"
+                "query set in its registration order"
             )
         if bool(payload["collect_events"]) != self.collect_events:
             raise CheckpointError(
@@ -942,9 +943,8 @@ class MultiQueryEngine:
         yield from self._filter_recovered(source, policy, report, False)
 
 
-#: What :meth:`MultiQueryEngine.run`, the ``filter_*`` methods and the
-#: resume of a non-serving checkpoint drive the pump with: a failing
-#: query propagates, nothing expires, nothing is shed.
+#: The policy of every pass that is not a serving one (``SpexEngine``'s
+#: too): a failing query propagates, nothing expires, nothing is shed.
 _INERT = ServingPolicy(quarantine=False)
 
 
@@ -1406,13 +1406,13 @@ class ServePump:
                         if not self.policy.quarantine:
                             raise
                         matches = self._quarantine(query_id, exc)
-                        out = out or []  # the live set changed
                     else:
-                        if matches:
-                            outcomes[query_id].matches += len(matches)
-                    if matches:
-                        out = out or []
-                        out += [(query_id, match) for match in matches]
+                        if not matches:
+                            continue
+                        outcomes[query_id].matches += len(matches)
+                    out = out or []  # a match, or the live set changed
+                    for match in matches:
+                        out.append((query_id, match))
             if dirty:
                 # Fast-lane drains arrive in close order; a stable sort
                 # on the registration rank merges them bit-identically

@@ -22,7 +22,7 @@ the same fault-domain discipline one level up:
   stall (missed heartbeats, via :class:`HeartbeatMonitor` on an
   injectable :class:`~repro.core.clock.Clock`), kills and restarts the
   shard from its last committed :class:`~repro.core.checkpoint.Checkpoint`
-  under the supervisor's :class:`~repro.core.supervisor.ExponentialBackoff`
+  under the shared :class:`~repro.core.clock.ExponentialBackoff`
   discipline — surviving shards keep streaming the whole time;
 * after :attr:`ShardConfig.max_trips` crash-restarts from the same
   position, the coordinator runs solo **isolation probes** to convict
@@ -62,12 +62,11 @@ from ..xmlstream.events import EndDocument, Event
 from ..xmlstream.offsets import StreamCursor
 from ..xmlstream.parser import ParserLimits, iter_events
 from .checkpoint import Checkpoint
-from .clock import SYSTEM_CLOCK, Clock, as_clock
+from .clock import SYSTEM_CLOCK, Clock, ExponentialBackoff, as_clock
 from .engine import RobustnessCounters
 from .multiquery import MultiQueryEngine, ServePump
 from .output_tx import Match
 from .serving import AdmissionPolicy, QueryOutcome, ServingPolicy, ServingReport
-from .supervisor import ExponentialBackoff
 
 #: Per-shard outcome codes carried by the merged report's shard log.
 SHARD_CRASH = "SHARD_CRASH"  #: worker process died (non-zero exit / signal)
@@ -100,7 +99,7 @@ class ShardConfig:
             the backpressure window between coordinator and worker.
         backoff_initial/backoff_factor/backoff_max/jitter/seed: restart
             backoff schedule, shared with
-            :class:`~repro.core.supervisor.ExponentialBackoff`.
+            :class:`~repro.core.clock.ExponentialBackoff`.
         probe_timeout: wall-clock budget per isolation probe; a probe
             that neither exits nor finishes inside it is convicted.
         checkpoint_dir: when set, each worker persists its rolling

@@ -49,23 +49,26 @@ Typical use::
 from __future__ import annotations
 
 import os
-import random
+import threading
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from queue import Empty, Queue
-from threading import Thread
-from typing import Callable, Iterable, Iterator
+from queue import Empty, Full, Queue
 
 from ..errors import CheckpointError, ReproError
 from ..xmlstream.events import Event
 from ..xmlstream.offsets import StreamCursor
 from ..xmlstream.parser import iter_events
 from .checkpoint import Checkpoint
-from .clock import SYSTEM_CLOCK, Clock, _CallableClock
+from .clock import SYSTEM_CLOCK, Clock, ExponentialBackoff, _CallableClock
 
 #: File name the supervisor writes inside ``checkpoint_dir``.  A single
 #: rolling file — each save atomically replaces the previous one, so the
 #: directory always holds exactly one good checkpoint.
 CHECKPOINT_FILENAME = "checkpoint.json"
+
+#: How long a watchdog's reader waits on a full queue before it looks
+#: again whether its consumer is gone.
+_POLL_SECONDS = 0.05
 
 
 class StallError(ReproError):
@@ -129,38 +132,6 @@ class SupervisorConfig:
             )
 
 
-class ExponentialBackoff:
-    """Seeded exponential backoff with jitter, shared retry discipline.
-
-    Extracted from the supervisor so the shard coordinator
-    (:mod:`repro.core.shards`) restarts crashed workers under exactly
-    the same schedule a supervised reconnect uses.  ``delay(failures)``
-    is a pure function of the seeded RNG stream, so schedules are
-    reproducible.
-    """
-
-    def __init__(
-        self,
-        initial: float = 0.1,
-        factor: float = 2.0,
-        maximum: float = 30.0,
-        jitter: float = 0.1,
-        seed: int = 0,
-    ) -> None:
-        self.initial = initial
-        self.factor = factor
-        self.maximum = maximum
-        self.jitter = jitter
-        self._rng = random.Random(seed)
-
-    def delay(self, failures: int) -> float:
-        """Backoff delay for the ``failures``-th consecutive failure (≥1)."""
-        delay = min(self.maximum, self.initial * self.factor ** (failures - 1))
-        if self.jitter:
-            delay *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
-        return max(0.0, delay)
-
-
 @dataclass
 class SupervisorReport:
     """What one supervised run went through (readable mid-run).
@@ -188,32 +159,48 @@ def _watchdog(events: Iterable[Event], timeout: float) -> Iterator[Event]:
     A daemon reader thread drains the source into a bounded queue; the
     consumer side waits at most ``timeout`` per event.  The buffer means
     slow *engine* processing never trips the watchdog — only a source
-    that stops producing does.
+    that stops producing does.  Once the consumer is done (a stall, the
+    end, an error) the reader stops at its next event, so an abandoned
+    connection never holds a thread blocked on a full queue.
     """
     queue: Queue = Queue(maxsize=64)
+    done = threading.Event()
+
+    def put(item: tuple) -> bool:
+        while not done.is_set():
+            try:
+                queue.put(item, timeout=_POLL_SECONDS)
+                return True
+            except Full:
+                continue
+        return False
 
     def reader() -> None:
         try:
             for event in events:
-                queue.put(("event", event))
-            queue.put(("end", None))
+                if not put(("event", event)):
+                    return
+            put(("end", None))
         except BaseException as exc:  # propagate everything to the consumer
-            queue.put(("raise", exc))
+            put(("raise", exc))
 
-    Thread(target=reader, daemon=True, name="spex-source-reader").start()
-    while True:
-        try:
-            kind, value = queue.get(timeout=timeout)
-        except Empty:
-            raise StallError(
-                f"source produced no event for {timeout}s"
-            ) from None
-        if kind == "event":
-            yield value
-        elif kind == "end":
-            return
-        else:
-            raise value
+    threading.Thread(target=reader, daemon=True, name="spex-source-reader").start()
+    try:
+        while True:
+            try:
+                kind, value = queue.get(timeout=timeout)
+            except Empty:
+                raise StallError(
+                    f"source produced no event for {timeout}s"
+                ) from None
+            if kind == "event":
+                yield value
+            elif kind == "end":
+                return
+            else:
+                raise value
+    finally:
+        done.set()
 
 
 class Supervisor:
@@ -270,7 +257,9 @@ class Supervisor:
             jitter=self.config.jitter,
             seed=self.config.seed,
         )
-        self._cursor: StreamCursor | None = None
+        #: events this connection has passed to the engine, the resume
+        #: skip included: the absolute stream position
+        self._position = 0
         self._checkpointed_position = -1
         self._last_checkpoint_time = self.clock.monotonic()
 
@@ -313,10 +302,7 @@ class Supervisor:
                     checkpoint = banked
                 if stalled and config.on_stall == "checkpoint_exit":
                     raise
-                progressed = (
-                    self._cursor is not None
-                    and self._cursor.events_read > started_at
-                )
+                progressed = self._position > started_at
                 failures = 1 if progressed else failures + 1
                 if failures > config.max_retries:
                     raise
@@ -332,6 +318,7 @@ class Supervisor:
 
     def _attempt(self, checkpoint: Checkpoint | None) -> Iterator[object]:
         """One connection's worth of evaluation."""
+        self._position = 0
         source = self.source_factory()
         self.report.connects += 1
         events: Iterable[Event] = iter_events(source)
@@ -339,14 +326,9 @@ class Supervisor:
             events = _watchdog(events, self.config.heartbeat_timeout)
         events = self._with_cadence(events)
         if checkpoint is None:
-            self._cursor = StreamCursor()
-            yield from self.engine.run(events, cursor=self._cursor)
+            yield from self.engine.run(events, cursor=StreamCursor())
         else:
-            run = self.engine.resume(checkpoint, events)
-            # resume() installed the restored cursor; track it for
-            # cadence and progress accounting.
-            self._cursor = self.engine._last_cursor
-            yield from run
+            yield from self.engine.resume(checkpoint, events)
 
     # ------------------------------------------------------------------
     # checkpoint cadence
@@ -357,8 +339,12 @@ class Supervisor:
         The code after ``yield`` runs when the engine requests the next
         event — by then the previous event is fully processed and its
         matches consumed, the exact boundary where checkpointing is safe.
+        Every connection replays the stream from its start, and a resume
+        skips the checkpointed prefix through here too, so the count of
+        events passed is the stream position.
         """
         for event in events:
+            self._position += 1
             yield event
             self._maybe_checkpoint()
 
@@ -369,12 +355,12 @@ class Supervisor:
             and config.checkpoint_every_seconds is None
         ):
             return
-        cursor = self._cursor
-        if cursor is None or cursor.events_read <= self._checkpointed_position:
+        position = self._position
+        if position <= self._checkpointed_position:
             return  # no progress since the last checkpoint (e.g. resume skip)
         due = (
             config.checkpoint_every_events is not None
-            and cursor.events_read - max(self._checkpointed_position, 0)
+            and position - max(self._checkpointed_position, 0)
             >= config.checkpoint_every_events
         ) or (
             config.checkpoint_every_seconds is not None

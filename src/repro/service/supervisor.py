@@ -3,7 +3,7 @@
 :class:`ServiceSupervisor` wraps ``spex serve --listen`` in a child
 process and keeps it alive: when the server dies — SIGKILL, OOM, a bug —
 the supervisor relaunches it with ``--resume`` under the same seeded
-:class:`~repro.core.supervisor.ExponentialBackoff` schedule the
+:class:`~repro.core.clock.ExponentialBackoff` schedule the
 in-process supervisor and the shard coordinator use, so restart storms
 are damped and schedules are reproducible.  Combined with the
 write-ahead log (:mod:`repro.service.wal`) and the service-native resume
@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..core.supervisor import ExponentialBackoff
+from ..core.clock import ExponentialBackoff
 from ..errors import ReproError
 
 #: The stdout line the server prints once its listener is bound.

@@ -152,9 +152,9 @@ class TestCheckpointContainer:
 
     def test_require_kind(self):
         checkpoint = self.make()
-        assert checkpoint.require("spex") is checkpoint.payload
-        with pytest.raises(CheckpointError, match="multiquery"):
-            checkpoint.require("multiquery")
+        assert checkpoint.require("multiquery") is checkpoint.payload
+        with pytest.raises(CheckpointError, match="'multiquery' engine"):
+            checkpoint.require("spex")
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +238,24 @@ class TestEngineCheckpointContract:
             mismatched.resume(checkpoint, DOC)
 
     def test_resume_checks_kind(self):
-        multi = MultiQueryEngine({"q": "_*.a"})
-        cursor = StreamCursor()
-        list(multi.run(DOC, cursor=cursor))
+        """A checkpoint of the retired ``"spex"`` kind is refused by name."""
+        engine = SpexEngine("_*.a")
+        run_with_cursor(engine, DOC, 5)
+        old = Checkpoint(kind="spex", payload=engine.checkpoint().payload)
+        for door in (
+            SpexEngine.from_checkpoint,
+            lambda checkpoint: SpexEngine("_*.a").resume(checkpoint, DOC),
+        ):
+            with pytest.raises(CheckpointError, match="'spex' engine"):
+                door(old)
+
+    def test_resume_takes_one_subscription(self):
+        multi = MultiQueryEngine({"q": "_*.a", "r": "_*.b"})
+        list(multi.run(DOC, cursor=StreamCursor()))
         checkpoint = multi.checkpoint()
-        with pytest.raises(CheckpointError, match="multiquery"):
+        with pytest.raises(CheckpointError, match="2 subscriptions"):
+            SpexEngine.from_checkpoint(checkpoint)
+        with pytest.raises(CheckpointError, match="query set"):
             SpexEngine("_*.a").resume(checkpoint, DOC)
 
     def test_resume_verification_is_eager(self):
@@ -602,7 +615,7 @@ class TestResumeInsideQualifierScope:
         _, early = run_with_cursor(engine, self.SCOPED_DOC, self.CUT)
         assert early == []
         checkpoint = engine.checkpoint()
-        nodes = checkpoint.payload["network"]["nodes"]
+        nodes = checkpoint.payload["runners"][SpexEngine.name]["nodes"]
         assert nodes["VC(q0)"]["stack"][-3] is not None  # the open a
         assert len(nodes["OU"]["extra"]["queue"]) == 1
         pulled = [0]

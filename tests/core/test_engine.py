@@ -194,3 +194,101 @@ class TestEarlyExitOnInfiniteStreams:
 
     def test_first_none_on_finite_miss(self):
         assert SpexEngine("_*.zz").first("<a><b/></a>") is None
+
+
+class TestTrailingDocument:
+    """A live event source that stops inside its last document: prefix
+    semantics keep that document back, under every policy, unless the
+    caller requires the end."""
+
+    @staticmethod
+    def stream():
+        from repro.xmlstream.parser import parse_string
+
+        good = list(parse_string("<r><a/></r>"))
+        truncated = list(parse_string("<r><a/><a/></r>"))[:-2]  # no </r></$>
+        return good + truncated
+
+    def run(self, **kwargs):
+        from repro.xmlstream import ErrorReport
+
+        engine = SpexEngine("_*.a")
+        report = ErrorReport()
+        positions = [
+            match.position
+            for match in engine.run(self.stream(), report=report, **kwargs)
+        ]
+        return positions, report, engine.stats
+
+    def test_skip_withholds_it_without_a_record(self):
+        positions, report, stats = self.run(on_error="skip")
+        assert positions == [2]
+        assert stats.documents_skipped == 0
+        assert report.ok
+
+    def test_required_end_skips_it_with_one_record(self):
+        positions, report, stats = self.run(on_error="skip", require_end=True)
+        assert positions == [2]
+        assert report.documents_skipped == stats.documents_skipped == 1
+        assert len(report.records) == 1
+
+    def test_repair_withholds_it_too(self):
+        positions, report, _stats = self.run(on_error="repair")
+        assert positions == [2]
+        assert report.ok
+
+    def test_strict_required_end_raises(self):
+        from repro.errors import StreamError
+
+        with pytest.raises(StreamError, match="ended before"):
+            self.run(require_end=True)
+        assert self.run()[0] == [2, 4, 5]  # strict positions span documents
+
+
+class TestStatsParity:
+    """``stats`` of a pass equals a bare network driven event by event:
+    the ladder's exact work counts (``core.network.messages``,
+    ``max_stack``, ``max_formula_size``) are read off ``stats``."""
+
+    @staticmethod
+    def queries():
+        from repro.workloads import query_corpus
+
+        corpus = dict.fromkeys(query_corpus().values())
+        return [*corpus, "_*.a[b].c", "_*.b[_*.c].d"]
+
+    @staticmethod
+    def document(query):
+        """A seeded random tree over the query's own labels and one more."""
+        import re
+
+        from repro.workloads import random_tree
+
+        labels = sorted({*re.findall(r"[A-Za-z]\w*", query), "x"})
+        return list(random_tree(seed=7, elements=800, max_depth=8, labels=labels))
+
+    @staticmethod
+    def reference(query, events, optimize):
+        from repro.core.compiler import compile_network
+
+        network, store = compile_network(
+            parse(query), collect_events=False, optimize=optimize
+        )
+        for event in events:
+            network.process_event(event)
+        return network, store
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_stats_equal_a_direct_network_loop(self, optimize):
+        for query in self.queries():
+            events = self.document(query)
+            engine = SpexEngine(query, collect_events=False, optimize=optimize)
+            matches = engine.count(iter(events))
+            network, store = self.reference(query, events, optimize)
+            stats = engine.stats
+            assert stats.network == network.stats(), query
+            assert stats.output == network.sink.output_stats, query
+            assert stats.condition_variables == store.total_variables, query
+            assert stats.peak_live_variables == store.peak_live_variables, query
+            output = stats.output
+            assert matches == output.candidates_created - output.candidates_dropped

@@ -2,7 +2,7 @@
 
 Covers partitioning (hash stability), the heartbeat monitor on a fake
 clock, checkpoint quarantine surgery, the extracted
-:class:`~repro.core.supervisor.ExponentialBackoff`, per-shard fault
+:class:`~repro.core.clock.ExponentialBackoff`, per-shard fault
 seeding, breaker latching, the mergeable
 :class:`~repro.core.serving.ServingReport` codec, and a coordinator's
 per-pass fault log, and what a worker sends back.  End-to-end crash /
@@ -41,7 +41,7 @@ from repro.core.shards import (
     _WorkerSpec,
     quarantine_in_checkpoint,
 )
-from repro.core.supervisor import ExponentialBackoff
+from repro.core.clock import ExponentialBackoff
 from repro.xmlstream import iter_events
 from repro.xmlstream.faults import FaultInjector
 

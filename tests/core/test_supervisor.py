@@ -309,3 +309,30 @@ class TestAcrossEngines:
             engine, source, max_retries=3, backoff_initial=0.0, jitter=0.0
         )
         assert [m.position for m in matches] == BASELINE
+
+
+class TestWatchdogReaders:
+    def test_a_stalled_connection_leaves_no_reader_behind(self):
+        """Each stall abandons a connection; its reader thread must stop
+        rather than block forever on the full queue the consumer left."""
+        import threading
+
+        doc = "<r>" + "<a><b/></a>" * 200 + "</r>"
+        events = list(iter_events(doc))
+        before = set(threading.enumerate())
+        # each of the first six connections hangs once, a little further in
+        script = [("stall", 100 * (k + 1)) for k in range(6)]
+        source = FlakySource(events, script=script, stall_seconds=0.3)
+        supervisor = Supervisor(
+            SpexEngine("_*.a"), source, fast_config(heartbeat_timeout=0.1)
+        )
+        assert len(list(supervisor.run())) == 200
+        assert supervisor.report.stalls >= 6
+        readers = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name == "spex-source-reader"
+        ]
+        for thread in readers:
+            thread.join(timeout=1.0)
+        assert [thread for thread in readers if thread.is_alive()] == []
