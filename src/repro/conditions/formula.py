@@ -23,11 +23,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 _counter = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
     """Base class of condition formulas.
 
@@ -38,6 +39,8 @@ class Formula:
     message, and connectives precompute theirs at construction instead
     of re-walking the tree on every read.
     """
+
+    __slots__ = ()
 
     #: the paper's σ; shadowed by a precomputed slot on ``And``/``Or``
     size = 1
@@ -65,9 +68,17 @@ TRUE = _True()
 FALSE = _False()
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Formula):
+#: ``Var`` construction that skips the Python-level ``Var.__new__``:
+#: ``_new_var(Var, (uid, qualifier))``, for allocators on the hot path
+_new_var = tuple.__new__
+
+
+class Var(tuple[int, str], Formula):
     """A condition variable — one instance of one qualifier.
+
+    A ``(uid, qualifier)`` value: a tuple, so hashing and equality run
+    in C — ``Var`` is the hottest dict key in the engine (condition-store
+    states, watcher sets, dependent sets).
 
     Attributes:
         uid: globally unique id (allocation order, which is also document
@@ -77,22 +88,35 @@ class Var(Formula):
             on this.
     """
 
-    uid: int
-    qualifier: str
+    __slots__ = ()
+
+    if TYPE_CHECKING:
+
+        @property
+        def uid(self) -> int: ...
+
+        @property
+        def qualifier(self) -> str: ...
+
+    else:
+        uid = property(itemgetter(0))
+        qualifier = property(itemgetter(1))
+
+    def __new__(cls, uid: int, qualifier: str) -> Var:
+        return _new_var(cls, (uid, qualifier))
+
+    def __getnewargs__(self) -> tuple[int, str]:  # type: ignore[override]
+        # tuple's own would hand __new__ one argument, the whole pair
+        return (self[0], self[1])
 
     def variables(self) -> frozenset[Var]:
         return frozenset((self,))
 
-    def __hash__(self) -> int:
-        # Uids are allocation-unique per engine, so they are the whole
-        # identity; hashing the (uid, qualifier) tuple the dataclass
-        # would generate costs a tuple build per lookup, and Var is the
-        # hottest dict key in the engine (condition-store states,
-        # watcher sets, dependent sets).
-        return self.uid
+    def __repr__(self) -> str:
+        return f"Var(uid={self[0]!r}, qualifier={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.qualifier}{self.uid}"
+        return f"{self[1]}{self[0]}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,12 @@ store propagates determinations eagerly along a reverse-dependency index,
 so :meth:`contribute` and :meth:`close` return every variable that became
 determined as a consequence — the output transducer uses that list to
 re-evaluate exactly the candidates that could have changed.
+
+Most qualifier instances are never observed: they close with no
+evidence, no dependent and no consumer watching them.  Such a variable
+costs one dict slot — it has no state object of its own while open, and
+its close stores one shared closed-false state without a cascade or a
+broadcast (see :meth:`ConditionStore.close`).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .formula import (
     TRUE,
     Formula,
     Var,
+    _new_var,
     evaluate,
     formula_from_obj,
     formula_to_obj,
@@ -55,7 +62,7 @@ class VariableAllocator:
 
     def fresh(self, qualifier: str) -> Var:
         """Allocate the next variable for a qualifier instance."""
-        var = Var(self._next, qualifier)
+        var = _new_var(Var, (self._next, qualifier))
         self._next += 1
         return var
 
@@ -75,6 +82,14 @@ class _VarState:
     value: bool | None = None
 
 
+#: The slot of a registered variable nothing has observed yet: open,
+#: undetermined, no contributions.  Shared by every such variable and
+#: never mutated — the first contribution or dependent replaces it.
+_UNOBSERVED = _VarState()
+#: The state of an unobserved variable after its close, shared the same way.
+_CLOSED_FALSE = _VarState(closed=True, value=False)
+
+
 class ConditionStore:
     """Tracks determination state for every live condition variable.
 
@@ -86,14 +101,21 @@ class ConditionStore:
         self._states: dict[Var, _VarState] = {}
         self._dependents: dict[Var, set[Var]] = {}
         self._listeners: list[Callable[[list[Var]], None]] = []
+        # every listener ignores batches of variables no retainer holds,
+        # so an unobserved close may skip the broadcast
+        self._quiet = True
         self._retainers: list[Callable[[Var], bool]] = []
-        self._release_pending: set[Var] = set()
+        # a dict, not a set: snapshot order is insertion order, whatever
+        # the variables hash to
+        self._release_pending: dict[Var, None] = {}
         self._live = 0
         self.peak_live_variables = 0
         self.total_variables = 0
         self.total_contributions = 0
 
-    def subscribe(self, listener: Callable[[list[Var]], None]) -> None:
+    def subscribe(
+        self, listener: Callable[[list[Var]], None], watched_only: bool = False
+    ) -> None:
         """Register a callback invoked with every newly-determined batch.
 
         Multi-sink networks (conjunctive queries, shared multi-query
@@ -101,8 +123,13 @@ class ConditionStore:
         determination message resolves the variable globally, so the
         return values of :meth:`contribute`/:meth:`close` reach only that
         sink.  Listeners broadcast the batch to every sink instead.
+
+        ``watched_only`` declares that the listener does nothing for a
+        batch whose variables no retainer holds.  While every listener
+        says so, the close of an unobserved variable skips the broadcast.
         """
         self._listeners.append(listener)
+        self._quiet = self._quiet and watched_only
 
     def add_retainer(self, retainer: Callable[[Var], bool]) -> None:
         """Register a predicate blocking release of variables in use.
@@ -122,14 +149,16 @@ class ConditionStore:
         end-of-event (:meth:`end_of_event`, called by the network) every
         node has seen the batch, so release is safe.
         """
-        self._release_pending.add(var)
+        self._release_pending[var] = None
 
     def end_of_event(self) -> None:
         """Release every deferred variable that became releasable."""
         if not self._release_pending:
             return
-        released = [var for var in self._release_pending if self.maybe_release(var)]
-        self._release_pending.difference_update(released)
+        maybe_release = self.maybe_release
+        self._release_pending = {
+            var: None for var in self._release_pending if not maybe_release(var)
+        }
 
     @property
     def live_variables(self) -> int:
@@ -140,7 +169,7 @@ class ConditionStore:
         """Declare a freshly created variable (undetermined, open)."""
         if var in self._states:
             raise EngineError(f"variable {var} registered twice")
-        self._states[var] = _VarState()
+        self._states[var] = _UNOBSERVED
         self.total_variables += 1
         self._live += 1
         if self._live > self.peak_live_variables:
@@ -169,21 +198,30 @@ class ConditionStore:
         # stored contribution only ever references undetermined variables
         # (this is what makes releasing determined variables safe).
         residual = substitute(formula, self.value)
-        if residual is TRUE:
-            return self._determine(var, True)
         if residual is FALSE:
             # Evidence already dead (its inner variables resolved false);
             # only a close can still decide the variable.
             return []
+        states = self._states
+        if state is _UNOBSERVED:
+            state = states[var] = _VarState()
+        if residual is TRUE:
+            return self._determine(var, True)
         state.contributions.append(residual)
         for dependency in residual.variables():
+            # a dependency is observed: its close must cascade
+            if states[dependency] is _UNOBSERVED:
+                states[dependency] = _VarState()
             self._dependents.setdefault(dependency, set()).add(var)
         return []
 
     def close(self, var: Var) -> list[Var]:
         """Mark a variable's scope ended: no further contributions.
 
-        The paper's ``{c, false}`` message.
+        The paper's ``{c, false}`` message.  An unobserved variable — no
+        contribution, no dependent, no retainer holding it — becomes
+        false without a cascade (nothing depends on it) and, while every
+        listener is ``watched_only``, without a broadcast.
 
         Returns:
             Variables that became determined, in cascade order.
@@ -194,6 +232,12 @@ class ConditionStore:
             return []
         if state.closed:
             return []
+        if state is _UNOBSERVED:
+            if self._quiet and not self._retained(var):
+                self._states[var] = _CLOSED_FALSE
+                self._live -= 1
+                return [var]
+            state = self._states[var] = _VarState()
         state.closed = True
         if state.value is not None:
             return []
@@ -217,15 +261,28 @@ class ConditionStore:
         state = self._states.get(var)
         if state is None:
             return True
+        if state is _CLOSED_FALSE:
+            # No retainer held it at its close, and none can take it up
+            # after: a sink's later candidate substitutes it away, and the
+            # one consumer that keeps formulas past a scope (``following``)
+            # is not ``watched_only``, so its store never shares this state.
+            del self._states[var]
+            return True
         if state.value is None or not state.closed:
             return False
         if self._dependents.get(var):
             return False
-        if any(retainer(var) for retainer in self._retainers):
+        if self._retained(var):
             return False
         del self._states[var]
         self._dependents.pop(var, None)
         return True
+
+    def _retained(self, var: Var) -> bool:
+        for retainer in self._retainers:
+            if retainer(var):
+                return True
+        return False
 
     def value(self, var: Var) -> bool | None:
         """Current three-valued knowledge about a variable."""
@@ -237,12 +294,6 @@ class ConditionStore:
     def evaluate(self, formula: Formula) -> bool | None:
         """Three-valued evaluation of a formula under current knowledge."""
         return evaluate(formula, self.value)
-
-    def _require(self, var: Var) -> _VarState:
-        state = self._states.get(var)
-        if state is None:
-            raise EngineError(f"unknown condition variable {var}")
-        return state
 
     def _determine(self, var: Var, value: bool) -> list[Var]:
         """Fix a variable's value and cascade through dependents."""
@@ -394,9 +445,9 @@ class ConditionStore:
             for contribution in state.contributions:
                 for reference in contribution.variables():
                     self._dependents.setdefault(reference, set()).add(var)
-        self._release_pending = {
+        self._release_pending = dict.fromkeys(
             formula_from_obj(obj) for obj in data["release_pending"]
-        }
+        )
         self._live = int(data["live"])
         self.peak_live_variables = int(data["peak_live_variables"])
         self.total_variables = int(data["total_variables"])

@@ -170,8 +170,11 @@ class OutputTransducer(Transducer):
         # Determinations are broadcast by the store so every sink of a
         # multi-sink network reacts, no matter which sink's message
         # triggered the resolution; the retainer blocks variable release
-        # while this sink's candidates still watch the variable.
-        store.subscribe(self._handle_determined)
+        # while this sink's candidates still watch the variable.  A batch
+        # of unwatched variables changes no candidate, so the flush it
+        # triggers is a no-op — unless an eviction left a decided front
+        # behind, which only the buffer limits do.
+        store.subscribe(self._handle_determined, watched_only=self._limits is None)
         store.add_retainer(self._retains)
         self._collect_events = collect_events
         #: completed matches, drained by the engine after every event
@@ -226,7 +229,7 @@ class OutputTransducer(Transducer):
         if len(batch) > 1:
             for message in self._absorb(batch):
                 self.on_condition(message)
-        event = batch[-1].event
+        event = batch[-1].event  # type: ignore[attr-defined]
         self._gidx += 1
         self._element_count += 1
         candidate = None
@@ -240,7 +243,8 @@ class OutputTransducer(Transducer):
         stack.append(None)
         if len(stack) > stats.max_stack:
             stats.max_stack = len(stack)
-        self._log_event(event)
+        if self._collect_events:
+            self._log_event(event)
         return _EMPTY_BATCH
 
     def end(self, batch: list[Message]) -> list[Message]:
@@ -249,19 +253,22 @@ class OutputTransducer(Transducer):
             for message in self._absorb(batch):
                 self.on_condition(message)
         self._gidx += 1
-        self._log_event(batch[-1].event)
+        if self._collect_events:
+            self._log_event(batch[-1].event)  # type: ignore[attr-defined]
         self.pop_entry()
         candidate = self._open.pop()
         if candidate is not None:
             candidate.end_gidx = self._gidx
-        self._flush()
+        if self._queue:
+            self._flush()
         return _EMPTY_BATCH
 
     def text(self, batch: list[Message]) -> list[Message]:
         # nothing emits at character data: the batch is the lone document message
         self.stats.messages += len(batch)
         self._gidx += 1
-        self._log_event(batch[-1].event)
+        if self._collect_events:
+            self._log_event(batch[-1].event)  # type: ignore[attr-defined]
         return _EMPTY_BATCH
 
     def on_activation(self, message: Activation) -> list[Message]:
@@ -303,7 +310,7 @@ class OutputTransducer(Transducer):
 
     def on_condition(self, message: Contribute | Close) -> list[Message]:
         if message.__class__ is Contribute:
-            self._store.contribute(message.var, message.evidence)
+            self._store.contribute(message.var, message.evidence)  # type: ignore[union-attr]
         else:
             self._store.close(message.var)
             # Schedule release: once this event's batch has passed every
@@ -401,6 +408,7 @@ class OutputTransducer(Transducer):
     def _to_match(self, candidate: _Candidate) -> Match:
         if not self._collect_events:
             return Match(candidate.position, candidate.label, None)
+        assert candidate.end_gidx is not None  # only complete ones are emitted
         lo = candidate.start_gidx - self._log_start
         hi = candidate.end_gidx - self._log_start + 1
         events = tuple(self._log[lo:hi])
@@ -440,6 +448,7 @@ class OutputTransducer(Transducer):
         reclaimed, until both buffers are back under their ceilings.
         """
         limits = self._limits
+        assert limits is not None  # called only under a buffer ceiling
         if limits.on_buffer_overflow != DROP_OLDEST:
             if (
                 limits.max_buffered_events is not None
@@ -558,7 +567,7 @@ class OutputTransducer(Transducer):
         self._queue = deque(queue)
         self._live = sum(1 for c in queue if c.state != "dropped")
 
-        def decode_open(obj: object) -> _Candidate | None:
+        def decode_open(obj: list | None) -> _Candidate | None:
             if obj is None:
                 return None
             tag, payload = obj

@@ -22,7 +22,10 @@ A qualifier ``E[F]`` compiles (Fig. 11) into::
 
 from __future__ import annotations
 
+from typing import cast
+
 from ..conditions.formula import (
+    TRUE,
     Var,
     conj,
     dnf,
@@ -79,12 +82,13 @@ class VariableCreator(Transducer):
             var = self._allocator.fresh(self.qualifier)
             self._store.register(var)
             stack.append(var)
-            emit = conj(pending, var)
+            # conj(TRUE, var) is var itself
+            emit = var if pending is TRUE else conj(pending, var)
         if len(stack) > stats.max_stack:
             stats.max_stack = len(stack)
         if emit is None and head is None:
             return batch
-        return self._emit(head, emit, batch[-1])
+        return self._emit(head, emit, batch[-1])  # type: ignore[arg-type]
 
     def end(self, batch: list[Message]) -> list[Message]:
         self.stats.messages += len(batch)
@@ -146,7 +150,9 @@ class VariableCreator(Transducer):
         return {"deferred": [formula_to_obj(var) for var in self._deferred]}
 
     def _restore_extra(self, extra: dict) -> None:
-        self._deferred = [formula_from_obj(obj) for obj in extra.get("deferred", [])]
+        self._deferred = [
+            cast(Var, formula_from_obj(obj)) for obj in extra.get("deferred", [])
+        ]
 
 
 class VariableFilter(Transducer):

@@ -1,5 +1,8 @@
 """Unit and property tests for boolean condition formulas."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -159,6 +162,44 @@ class TestFreshVar:
 
     def test_qualifier_recorded(self):
         assert fresh_var("q7").qualifier == "q7"
+
+
+#: a variable alone and inside each connective
+_VALUES = [V3, conj(V1, V3), disj(V1, conj(V2, V3))]
+
+
+class TestVarIsAValue:
+    """``Var`` is a ``(uid, qualifier)`` value that survives copying."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("formula", _VALUES, ids=str)
+    def test_pickle_round_trip(self, formula, protocol):
+        copied = pickle.loads(pickle.dumps(formula, protocol))
+        assert type(copied) is type(formula)
+        assert copied == formula and hash(copied) == hash(formula)
+        assert str(copied) == str(formula)
+        assert copied.variables() == formula.variables()
+
+    @pytest.mark.parametrize("formula", _VALUES, ids=str)
+    def test_deepcopy(self, formula):
+        copied = copy.deepcopy(formula)
+        assert type(copied) is type(formula)
+        assert copied == formula and hash(copied) == hash(formula)
+        assert {(v.uid, v.qualifier) for v in copied.variables()} == {
+            (v.uid, v.qualifier) for v in formula.variables()
+        }
+
+    def test_equal_pairs_are_equal_and_hash_alike(self):
+        assert Var(7, "q2") == Var(7, "q2")
+        assert hash(Var(7, "q2")) == hash(Var(7, "q2"))
+        twin = conj(Var(1, "q0"), Var(3, "q1"))
+        assert twin == conj(V1, V3) and hash(twin) == hash(conj(V1, V3))
+        assert len({Var(7, "q2"), Var(7, "q2")}) == 1
+
+    def test_same_uid_under_another_qualifier_is_unequal(self):
+        assert Var(1, "q0") != Var(1, "q1")
+        assert conj(V1, V3) != conj(Var(1, "q1"), V3)
+        assert disj(V1, V3) != disj(V1, Var(3, "q0"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Unit tests for the condition store (determination protocol)."""
 
+import json
+
 import pytest
 
 from repro.conditions.formula import TRUE, Var, conj, disj
 from repro.conditions.store import ConditionStore, VariableAllocator
+from repro.core.axis_transducers import FollowingTransducer
+from repro.core.messages import Activation, Doc
+from repro.core.output_tx import OutputTransducer
 from repro.errors import EngineError
+from repro.rpeq.ast import Label
+from repro.xmlstream.events import events_from_tags
 
 
 @pytest.fixture
@@ -161,6 +168,96 @@ class TestRelease:
 
     def test_release_of_unknown_is_noop(self, store):
         assert store.maybe_release(Var(99, "qx"))
+
+
+def recorder(store):
+    """Every batch the store broadcasts, from a sink-like listener."""
+    batches = []
+    store.subscribe(batches.append, watched_only=True)
+    return batches
+
+
+def docs(*tags):
+    return [Doc(event) for event in events_from_tags(tags)]
+
+
+class TestUnobservedVariables:
+    """A variable nothing observes costs a slot; its contract is unchanged."""
+
+    def test_close_is_false_until_end_of_event_releases(self, store):
+        batches = recorder(store)
+        c = var(store, 1)
+        assert store.close(c) == [c]
+        assert store.value(c) is False
+        assert store.is_closed(c)
+        assert store.contribute(c, TRUE) == []  # late evidence: no-op
+        assert store.close(c) == []
+        assert store.live_variables == 0
+        store.defer_release(c)
+        assert store.value(c) is False
+        store.end_of_event()
+        with pytest.raises(EngineError):
+            store.value(c)
+        # nothing watched it, so nothing was told
+        assert batches == []
+
+    def test_sink_watcher_retains_and_gets_one_broadcast(self, store):
+        sink = OutputTransducer(store, collect_events=False)
+        batches = recorder(store)
+        c = var(store, 1)
+        d = docs("<$>", "<a>", "</a>", "</$>")
+        sink.feed([d[0]])
+        sink.feed([Activation(c), d[1]])  # a candidate for <a> watching c
+        assert store.close(c) == [c]
+        assert batches == [[c]]
+        assert sink.output_stats.candidates_dropped == 1
+        store.defer_release(c)
+        store.end_of_event()
+        assert batches == [[c]]
+        with pytest.raises(EngineError):
+            store.value(c)
+
+    def test_following_formula_retains_and_gets_one_broadcast(self, store):
+        following = FollowingTransducer(Label("b"), store)
+        batches = recorder(store)
+        c = var(store, 1)
+        d = docs("<$>", "<a>", "</a>", "</$>")
+        following.feed([d[0]])
+        following.feed([Activation(c), d[1]])
+        following.feed([d[2]])  # </a>: c joins the *after* formula
+        assert following._retains(c)
+        assert store.close(c) == [c]
+        assert batches == [[c]]
+        store.defer_release(c)
+        store.end_of_event()
+        assert batches == [[c]]
+        with pytest.raises(EngineError):
+            store.value(c)
+
+    def test_dependent_gets_one_broadcast(self, store):
+        batches = recorder(store)
+        outer, inner = var(store, 1, "q0"), var(store, 2, "q1")
+        store.contribute(outer, inner)
+        assert store.close(inner) == [inner]
+        assert batches == [[inner]]
+        assert store.close(outer) == [outer]
+        assert batches == [[inner], [outer]]
+
+    def test_snapshot_round_trip(self, store):
+        open_, closed, proven, outer = (var(store, uid) for uid in (1, 2, 3, 4))
+        store.close(closed)
+        store.defer_release(closed)
+        store.contribute(proven, TRUE)
+        store.contribute(outer, var(store, 5, "q1"))
+        first = store.snapshot()
+        states = {entry[0][1]: entry[1:] for entry in first["states"]}
+        assert states[open_.uid] == [[], False, None]
+        assert states[closed.uid] == [[], True, False]
+        assert states[5] == [[], False, None]  # observed by a dependent
+        restored = ConditionStore()
+        restored.restore(json.loads(json.dumps(first)))
+        assert json.dumps(restored.snapshot()) == json.dumps(first)
+        assert restored.close(open_) == [open_]
 
 
 class TestErrors:
