@@ -456,12 +456,17 @@ def _serve_sharded(
         source = files[0]
     else:
         source = iter_documents(files, limits=parser_limits)
-    coordinator = ShardCoordinator(
-        queries,
-        config=ShardConfig(
+    try:
+        config = ShardConfig(
             shards=args.shards,
             heartbeat_timeout=args.heartbeat_ms / 1000.0,
-        ),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    coordinator = ShardCoordinator(
+        queries,
+        config=config,
         policy=policy,
         collect_events=not args.count,
         limits=_limits_from(args),
@@ -903,8 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         dest="checkpoint_every_docs",
         help="--listen only: also checkpoint in the background every N "
-        "committed documents, without stopping ingestion (default: "
-        "drain-only)",
+        "committed documents, without stopping ingestion; needs "
+        "--wal-file and --checkpoint-file (default: drain-only)",
     )
     serve.add_argument(
         "--checkpoint-keep",

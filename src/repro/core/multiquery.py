@@ -926,7 +926,9 @@ class MultiQueryEngine:
         Splits a concatenated multi-document stream (see
         :func:`repro.xmlstream.split_documents`) and yields, per
         document, the boolean match verdict of every subscription — the
-        routing decision the paper's Sec. I scenario needs.
+        routing decision the paper's Sec. I scenario needs.  A document
+        the source ends inside gets no verdict: a finite read of an
+        iterable is a prefix, as for :meth:`run`.
 
         With a non-strict ``on_error`` policy, documents the recovery
         layer quarantines (and documents that trip a resource limit)
@@ -935,10 +937,15 @@ class MultiQueryEngine:
         """
         policy = as_policy(on_error)
         if policy is RecoveryPolicy.STRICT:
-            from ..xmlstream.documents import split_documents
+            from ..xmlstream.documents import _split
 
-            for document in split_documents(iter_events(source)):
-                yield self._filter_one(document)
+            cursor = StreamCursor()
+            for document in _split(iter_events(source), cursor, require_end=False):
+                verdicts = self._filter_one(document)
+                for _event in document:  # read to its </$>, or the end
+                    pass
+                if not cursor.in_document:
+                    yield verdicts
             return
         yield from self._filter_recovered(source, policy, report, False)
 

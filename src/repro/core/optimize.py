@@ -31,8 +31,8 @@ ladder):
   needs (:mod:`repro.core.fastlane`).
 
 None of the knobs may change answers;
-``tests/core/test_optimize_differential.py`` and
-``tests/integration/test_lane_differential.py`` enforce that.
+``tests/core/test_optimize_differential.py`` and the door sweep of
+``tests/integration/test_doors.py`` enforce that.
 """
 
 from __future__ import annotations

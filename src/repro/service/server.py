@@ -158,7 +158,9 @@ class ServiceConfig:
             snapshot is taken (in memory, synchronously — bounded by
             the paper's d·σ state bound) and written in a worker thread
             every N committed documents, *without* stopping ingestion;
-            ``None`` keeps the drain-only behaviour.
+            ``None`` keeps the drain-only behaviour.  A document commits
+            through the write-ahead log, so the cadence needs both
+            ``wal_path`` and ``checkpoint_path``.
         checkpoint_keep: checkpoint generations to retain (rotation);
             :meth:`Checkpoint.load <repro.core.checkpoint.Checkpoint.load>`
             falls back to the newest verifying one.
@@ -241,6 +243,13 @@ class ServiceConfig:
         ):
             raise ValueError(
                 "checkpoint_every_documents must be at least 1 when set"
+            )
+        if self.checkpoint_every_documents is not None and (
+            self.wal_path is None or self.checkpoint_path is None
+        ):
+            raise ValueError(
+                "checkpoint_every_documents needs both wal_path and "
+                "checkpoint_path"
             )
         if self.wal_max_bytes < 1:
             raise ValueError("wal_max_bytes must be positive")

@@ -436,6 +436,13 @@ class TestServeCommand:
         assert excinfo.value.code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_a_heartbeat_within_the_interval_is_a_usage_error(self, doc_file, capsys):
+        argv = ["serve", "q=a", "--shards", "2", "--heartbeat-ms", "50"]
+        assert main([*argv, "--file", doc_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: heartbeat_timeout must exceed")
+        assert "Traceback" not in err
+
 
 class TestServeListen:
     """``spex serve --listen``: usage guards and the real subprocess."""

@@ -626,6 +626,11 @@ class TestExitStatus:
             ServiceConfig(subscriber_queue=0)
         with pytest.raises(ValueError):
             ServiceConfig(idle_timeout=-1)
+        # the cadence runs at a WAL commit: without a log it never would
+        for paths in ({}, {"wal_path": "w"}, {"checkpoint_path": "c"}):
+            with pytest.raises(ValueError, match="checkpoint_every_documents"):
+                ServiceConfig(checkpoint_every_documents=1, **paths)
+        ServiceConfig(checkpoint_every_documents=1, wal_path="w", checkpoint_path="c")
 
 
 class RecordingWriter:
