@@ -10,15 +10,15 @@ for the full catalogue):
 * :func:`verify_network` — structural invariants of the compiled
   transducer DAG (``NET001``–``NET010``): acyclicity, single
   input/output, split/join and creator/filter/determinant pairing,
-  condition-variable scope, reachability.
+  condition-variable scope, reachability; run by ``spex analyze``.
 * :func:`certify_cost` — the paper's ``d·σ`` worst-case memory bound,
   cross-checked against :class:`~repro.limits.ResourceLimits`
   (``COST0xx``).
 * :func:`check_snapshot_coverage` — behavioral meta-check that
   checkpoint snapshots capture all mutated transducer state
   (``NET020``/``NET021``).
-* :func:`preflight` / :func:`ensure_preflight` — the chain the engines
-  run before consuming a stream (opt-out via ``preflight=False``).
+* :func:`preflight` / :func:`ensure_preflight` — lint and cost, what the
+  engines run before consuming a stream (opt-out via ``preflight=False``).
 * :func:`rewrite_query` / :func:`factor_common_prefixes` — the certified
   rewrite engine (``RWR0xx``): every applied rule emits a diagnostic and
   a machine-checked equivalence certificate, discharged by differential

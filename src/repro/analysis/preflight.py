@@ -1,15 +1,12 @@
 """Pre-flight analysis: everything checkable before a stream is consumed.
 
-:func:`preflight` chains the three static passes — lint the query,
-compile a probe network and verify its structure, certify the ``d·σ``
-memory bound against the configured limits — into one report.  The
-engines run it at construction (opt-out via ``preflight=False``) and
-raise :class:`~repro.errors.StaticAnalysisError` on any error-severity
+:func:`preflight` lints the query and certifies the ``d·σ`` memory
+bound against the configured limits, one report for both.  The engines
+run it at construction (opt-out via ``preflight=False``) and raise
+:class:`~repro.errors.StaticAnalysisError` on any error-severity
 finding, so a query that cannot work never starts consuming events.
-
-The probe network compiled here is thrown away: networks carry
-evaluation state, so the engine compiles a fresh one per run anyway
-(compilation is linear in the query, Lemma V.1 — the probe is cheap).
+The certificate's network degree is counted on the AST
+(:func:`~repro.core.compiler.translation_degree`); no network is built.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from ..rpeq.parser import parse
 from .diagnostics import AnalysisReport
 from .cost import certify_cost
 from .lint import lint_query
-from .netcheck import verify_network
 
 
 def preflight(
@@ -34,29 +30,19 @@ def preflight(
     optimize: "bool | OptimizationFlags" = True,
     collect_events: bool = True,
 ) -> AnalysisReport:
-    """Run all static passes over one query; returns the merged report."""
+    """Lint one query and certify its cost; returns the merged report."""
+    # Import here, not at module top: importing the compiler imports
+    # ``repro.rpeq``, whose package imports this module.
+    from ..core.compiler import translation_degree
+
     report = AnalysisReport()
-    if isinstance(query, str):
-        expr = parse(query)
-        lint_query(query, dtd=dtd, report=report)
-    else:
-        expr = query
-        lint_query(expr, dtd=dtd, report=report)
-
-    # Import here, not at module top: the compiler pulls in the full
-    # transducer zoo, and this module is imported by the engine during
-    # package initialization.
-    from ..core.compiler import compile_network
-
-    network, _store = compile_network(
-        expr, collect_events=collect_events, optimize=optimize, limits=limits
-    )
-    verify_network(network, report=report)
+    expr = parse(query) if isinstance(query, str) else query
+    lint_query(query, dtd=dtd, report=report)
     certify_cost(
         expr,
         limits=limits,
         dtd=dtd,
-        degree=network.degree,
+        degree=translation_degree(expr, optimize),
         collect_events=collect_events,
         report=report,
     )

@@ -536,7 +536,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import all_codes, preflight
+    from .analysis import all_codes, preflight, verify_network
+    from .core.compiler import compile_network
+    from .rpeq.parser import parse
 
     if args.list_codes:
         for code, info in all_codes().items():
@@ -579,6 +581,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     reports = {
         name: preflight(text, limits=limits, dtd=dtd) for name, text in targets
     }
+    for name, text in targets:  # the compiler's check, which pre-flight skips
+        network, _store = compile_network(parse(text), limits=limits)
+        verify_network(network, report=reports[name])
     plans = {}
     if args.plan:
         from .analysis import factor_common_prefixes, lane_counts, plan_query

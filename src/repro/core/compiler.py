@@ -153,7 +153,7 @@ class _Compiler:
                     stack.append(node.left)
                 else:
                     parts.append(node)
-            owned: frozenset[str] = frozenset()
+            owned = frozenset()
             for part in parts:
                 tape, part_owned = self.compile(part, tape, branch_head)
                 owned |= part_owned
@@ -189,10 +189,29 @@ class _Compiler:
         raise CompilationError(f"cannot compile {type(expr).__name__}")
 
 
+#: the table above, per construct: a label is its step's one transducer
+#: (``CH``, ``CL``, ``DS`` or an axis's), around which ``label*`` adds the
+#: literal network's ``SP`` and ``JO``
+_TRANSDUCERS: dict[type[Rpeq], int] = {
+    Empty: 0, Label: 1, Plus: 0, Following: 0, Preceding: 0, Star: 2,
+    OptionalExpr: 2, Union: 3, Concat: 0, Qualifier: 5,
+}  # fmt: skip
+
+
+def translation_degree(expr: Rpeq, optimize: bool | OptimizationFlags = True) -> int:
+    """The degree of ``compile_network(expr, optimize=optimize)``'s network,
+    counted on the AST: ``IN``, ``OU`` and each construct's transducers."""
+    fused = as_flags(optimize).production_network
+    return 2 + sum(
+        0 if fused and type(node) is Star else _TRANSDUCERS[type(node)]
+        for node in expr.walk()
+    )
+
+
 def compile_network(
     expr: Rpeq,
     collect_events: bool = True,
-    optimize: "bool | OptimizationFlags" = True,
+    optimize: bool | OptimizationFlags = True,
     limits=None,
     source: InputTransducer | None = None,
 ) -> tuple[Network, ConditionStore]:

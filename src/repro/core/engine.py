@@ -34,7 +34,7 @@ from ..xmlstream.events import Event
 from ..xmlstream.offsets import StreamCursor
 from ..xmlstream.recovery import ErrorReport, RecoveryPolicy, as_policy
 from .checkpoint import Checkpoint
-from .compiler import compile_network
+from .compiler import compile_network, translation_degree
 from .network import Network, NetworkStats
 from .optimize import OptimizationFlags, as_flags
 from .output_tx import Match, OutputStats
@@ -239,10 +239,9 @@ class SpexEngine:
             limits: resource guards applied to every run (see
                 :class:`repro.limits.ResourceLimits`); ``None`` means
                 unbounded, the paper's trusting default.
-            preflight: run the static analyzer (:mod:`repro.analysis`)
-                over the query, a probe network, and the limits before
-                accepting the engine; the report is kept as
-                :attr:`analysis`.
+            preflight: lint the query and certify its cost against
+                the limits (:mod:`repro.analysis`) before accepting the
+                engine; the report is kept as :attr:`analysis`.
             rewrite: opt-in certified query rewriting
                 (:func:`repro.analysis.rewrite.rewrite_query`), applied
                 before pre-flight and compilation, so redundant
@@ -539,10 +538,7 @@ class SpexEngine:
 
     def network_degree(self) -> int:
         """Number of transducers the query compiles to (Lemma V.1)."""
-        network, _store = compile_network(
-            self.query, collect_events=False, optimize=self.optimize
-        )
-        return network.degree
+        return translation_degree(self.query, self.optimize)
 
 
 def evaluate(query: str | Rpeq, source: str | Iterable[Event]) -> list[Match]:

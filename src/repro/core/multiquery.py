@@ -246,7 +246,10 @@ class MultiQueryEngine:
 
         try:
             return ensure_preflight(
-                query, limits=self.limits, collect_events=self.collect_events
+                query,
+                limits=self.limits,
+                optimize=self.optimize,
+                collect_events=self.collect_events,
             )
         except StaticAnalysisError as exc:
             raise StaticAnalysisError(

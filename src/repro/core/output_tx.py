@@ -201,11 +201,6 @@ class OutputTransducer(Transducer):
         """
         return len(self._log)
 
-    @property
-    def pending_candidates(self) -> int:
-        """Currently undecided result candidates."""
-        return self._live
-
     def skip_to(self, position: int) -> None:
         """The next start tag is the one at ``position``.
 

@@ -136,9 +136,6 @@ class Dtd:
     def declaration(self, name: str) -> ElementDecl | None:
         return self.elements.get(name)
 
-    def declared_names(self) -> set[str]:
-        return set(self.elements)
-
     def is_recursive(self) -> bool:
         """Whether some element can (transitively) contain itself.
 

@@ -144,12 +144,11 @@ class CompilationError(ReproError):
 
 
 class StaticAnalysisError(ReproError):
-    """The pre-flight static analyzer rejected a query or network.
+    """The pre-flight static analyzer rejected a query.
 
-    Raised by :class:`~repro.core.engine.SpexEngine` (and the CLI) when
-    an error-severity diagnostic is found before any stream is consumed
-    — e.g. a statically unsatisfiable query under a DTD, a malformed
-    transducer network, or a certified worst-case memory bound that
+    Raised by the engines when an error-severity diagnostic is found
+    before any stream is consumed — e.g. a statically unsatisfiable
+    query under a DTD, or a certified worst-case memory bound that
     already exceeds the configured :class:`~repro.limits.ResourceLimits`.
     The full :class:`~repro.analysis.AnalysisReport` is attached as
     ``report``.

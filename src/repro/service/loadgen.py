@@ -167,10 +167,6 @@ class LoadReport:
         return sum(sub.reconnects for sub in self.subscribers)
 
     @property
-    def p50_recovery(self) -> float:
-        return percentile(self.recovery_times, 50.0)
-
-    @property
     def max_recovery(self) -> float:
         times = self.recovery_times
         return max(times) if times else 0.0

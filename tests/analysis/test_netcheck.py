@@ -6,13 +6,20 @@ compiler change could introduce, so the tests plant those
 inconsistencies by hand and assert the coded findings.
 """
 
+import random
+
 import pytest
 
-from repro.analysis import verify_network
-from repro.core.compiler import compile_network
+from repro.analysis import split_at_prefix, verify_network
+from repro.core.compiler import compile_network, translation_degree
 from repro.core.flow_transducers import JoinTransducer
+from repro.core.path_transducers import DemandInputTransducer
 from repro.core.qualifier_transducers import VariableDeterminant
+from repro.rpeq.generate import random_rpeq
 from repro.rpeq.parser import parse
+from repro.workloads import query_corpus
+
+from ..integration.doors import CORPUS
 
 
 def compiled(query, **kwargs):
@@ -51,9 +58,6 @@ class TestCleanNetworks:
     def test_residual_networks_verify(self, query, optimize):
         """What the gated lane actually runs: the residual of the split
         behind a demand-activated source is a well-formed network too."""
-        from repro.analysis import split_at_prefix
-        from repro.core.path_transducers import DemandInputTransducer
-
         _prefix, residual = split_at_prefix(parse(query))
         network, _store = compile_network(
             residual,
@@ -65,12 +69,33 @@ class TestCleanNetworks:
         report = verify_network(network)
         assert report.ok, report.render()
 
-    def test_workload_corpus_passes(self):
-        from repro.workloads import query_corpus
 
-        for name, text in query_corpus().items():
-            report = verify_network(compiled(text))
-            assert report.ok, f"{name}: {report.render()}"
+#: the shapes the compiler is checked on: the queries the doors run,
+#: the workload corpus, and a seeded batch of generated ones
+SHAPES = {
+    "doors": [parse(text) for text in CORPUS.values()],
+    "workloads": [parse(text) for text in query_corpus().values()],
+    "random": [random_rpeq(random.Random(seed)) for seed in range(240)],
+}
+
+
+@pytest.mark.parametrize("production", [True, False])
+@pytest.mark.parametrize("shapes", SHAPES)
+def test_every_compiled_network_verifies(shapes, production):
+    """The compiler's structure, checked here rather than on every
+    subscribe: each query compiles to a verified network, whole and as
+    the residual the gated lane runs behind a demand-activated source,
+    and its degree is the one pre-flight counts on the AST."""
+    for expr in SHAPES[shapes]:
+        residual = split_at_prefix(expr)[1]
+        for collect in (True, False):
+            for shape, source in ((expr, None), (residual, DemandInputTransducer())):
+                network, _store = compile_network(
+                    shape, collect_events=collect, optimize=production, source=source
+                )
+                report = verify_network(network)
+                assert report.ok, f"{shape}: {report.render()}"
+                assert network.degree == translation_degree(shape, production), shape
 
 
 class TestCorruptedNetworks:

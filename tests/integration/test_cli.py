@@ -284,6 +284,29 @@ class TestAnalyzeCommand:
         assert main(["analyze", "a.b", "--plan", "--check-lanes"]) == 1
         assert "does not exercise every lane" in capsys.readouterr().err
 
+    def test_network_findings_surface(self, monkeypatch, capsys):
+        """A compiler fault shows in ``spex analyze``, which compiles the
+        query; pre-flight, which builds no network, never meets it."""
+        from repro.analysis import preflight
+        from repro.core import compiler
+        from repro.core.flow_transducers import JoinTransducer
+
+        compile_network = compiler.compile_network
+        calls = []
+
+        def unbalanced(*args, **kwargs):
+            calls.append(args)
+            network, store = compile_network(*args, **kwargs)
+            join = next(n for n in network.nodes if isinstance(n, JoinTransducer))
+            left = network._predecessors[id(join)][0]
+            network._predecessors[id(join)] = [left, left]
+            return network, store
+
+        monkeypatch.setattr(compiler, "compile_network", unbalanced)
+        assert preflight("a?").ok and not calls
+        assert main(["analyze", "a?"]) == 1
+        assert "NET007" in capsys.readouterr().out and calls
+
     def test_dtd_findings_surface(self, tmp_path, capsys):
         dtd = tmp_path / "doc.dtd"
         dtd.write_text("<!ELEMENT a (b*)>\n<!ELEMENT b EMPTY>")

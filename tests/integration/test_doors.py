@@ -241,6 +241,26 @@ def test_every_door_trips_where_the_network_does(limit, door):
     assert seen, "the limit never tripped: the door was not exercised"
 
 
+def test_the_stream_guard_runs_before_the_runners():
+    """The event that trips a stream limit reaches no runner, so no door
+    delivers a match at it.  It is the inner ``c``, which the dfa queries
+    ``a.b.c`` and ``_*.c`` select; unarmed it delivers the outer ``c``
+    of ``a[b.c].(b|c)``, whose qualifier it decides after that candidate
+    closed (the other lanes deliver at end tags) — on the gated lane,
+    and with the lanes off on its network."""
+    events = list(parse_string("<a><c/><b><c/></b></a>"))
+    limits = ResourceLimits(max_depth=3)
+    trip = DOORS["run"][0](events, NO_OPTIMIZATIONS, limits)[1][0]
+    assert events[trip] == StartElement("c") and trip == 5
+    unarmed = [row for row in Reference(events).rows if row[0] == trip]
+    assert unarmed == [(trip, "gated-inner", 2, "c")]
+    for door in ("run", "serve", "pump", "resume_pump", "spex"):
+        for flags in (ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS):
+            rows, refused, *extras = DOORS[door][0](events, flags, limits)
+            assert trips((rows, refused, *extras)), (door, flags)
+            assert all(row[0] != trip for row in rows), (door, flags, rows)
+
+
 # ----------------------------------------------------------------------
 # pull and push under churn
 
