@@ -328,7 +328,7 @@ class SpexEngine:
                 violation instead of silently confusing the transducer
                 stacks.  ``"skip"`` and
                 ``"repair"`` treat the source as a sequence of
-                documents, evaluate each with a fresh network, and
+                documents, evaluate each as if alone, and
                 survive malformed documents and resource-limit hits: the
                 poisoned document yields an error record in ``report``
                 instead of killing the run.  Under these policies

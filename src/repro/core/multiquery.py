@@ -24,19 +24,26 @@ Every way of consuming a pass is a caller of that transition:
   — either of them continued from a :meth:`~MultiQueryEngine.checkpoint`.
 * :meth:`MultiQueryEngine.filter_documents` /
   :meth:`~MultiQueryEngine.filter_stream` — XFilter-style boolean
-  matching: a query is closed at its first match, so it costs nothing
-  for the rest of the document.
+  matching: a query's first match (in a document) is its verdict, so
+  what follows it costs nothing once every verdict is in.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from operator import length_hint
 from typing import Any, Protocol, cast
 
 from ..analysis.diagnostics import AnalysisReport
-from ..errors import CheckpointError, DeadlineExceeded, EngineError, ResourceLimitError
+from ..errors import (
+    CheckpointError,
+    DeadlineExceeded,
+    EngineError,
+    ResourceLimitError,
+    StreamError,
+)
 from ..limits import ResourceLimits, stream_guard
 from ..rpeq.ast import Empty, Rpeq
 from ..rpeq.parser import parse
@@ -48,7 +55,7 @@ from ..xmlstream.recovery import (
     ErrorReport,
     RecoveryPolicy,
     as_policy,
-    recovered_documents,
+    recovering,
 )
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
@@ -446,11 +453,12 @@ class MultiQueryEngine:
         """Evaluate all queries in one pass; yield matches progressively.
 
         With ``on_error="skip"``/``"repair"`` the source is treated as a
-        sequence of documents; a malformed document (or one that trips a
-        resource limit) files a per-document record in ``report`` and
-        the pass continues with the next document, fresh networks and
-        all — one poisoned subscriber document no longer kills the
-        shared pipeline.
+        sequence of documents, each evaluated as if alone; a malformed
+        document (or one that trips a resource limit) files a
+        per-document record in ``report`` and the pass continues with
+        the next document — one poisoned subscriber document no longer
+        kills the shared pipeline.  The pass holds a document's matches,
+        not its events, until its ``</$>`` (:meth:`ServePump._recover`).
 
         Passing a ``cursor`` (strict mode only) makes the pass
         checkpointable via :meth:`checkpoint`.
@@ -505,11 +513,7 @@ class MultiQueryEngine:
             # input raises the documented StreamError instead of silently
             # confusing every subscription's transducer stacks at once.
             return pump._pull(events)
-        report = report if report is not None else ErrorReport()
-        documents = recovered_documents(
-            events, recovery, report, require_end=require_end
-        )
-        return pump._pull_documents(documents, report)
+        return chain.from_iterable(pump._recover(events, recovery, report, require_end))
 
     # ------------------------------------------------------------------
     # serving: bulkheads, breakers, deadlines, shedding
@@ -548,7 +552,7 @@ class MultiQueryEngine:
         (:class:`~repro.xmlstream.parser.ParserLimits`).
 
         Under ``on_error="skip"``/``"repair"`` every recovered document
-        runs on a fresh live set and its matches are delivered together
+        is evaluated as if alone and its matches are delivered together
         at its ``</$>``, in the order a strict pass emits them.
         """
         recovery = recovery_policy(on_error, cursor)
@@ -876,47 +880,17 @@ class MultiQueryEngine:
         query's verdict is ``True`` iff it matched any *surviving*
         document.
         """
-        policy = as_policy(on_error)
-        if policy is RecoveryPolicy.STRICT:
-            return self._filter_one(iter_events(source))
-        matched = {query_id: False for query_id in self.queries}
-        for verdicts in self._filter_recovered(source, policy, report, True):
-            for query_id, hit in verdicts.items():
-                matched[query_id] = matched[query_id] or hit
-            if all(matched.values()):
-                break
-        return matched
-
-    def _filter_one(self, events: Iterable[Event]) -> dict[str, bool]:
-        """One boolean pass over ``events``: the inert pump, with every
-        query closed at its first match."""
         pump = self._open_pump(_INERT, collect_events=False)
+        pairs = self._drive(pump, source, as_policy(on_error), report, require_end=True)
         matched: dict[str, bool] = {query_id: False for query_id in self.queries}
         if pump._live:
-            for query_id, _match in pump._pull(events):
-                if not matched[query_id]:
+            for query_id, _match in pairs:
+                if not matched[query_id]:  # final: recovery delivers at </$>
                     matched[query_id] = True
                     pump.close(query_id)
                     if not pump._live:
                         break  # every verdict is in: read no further
         return matched
-
-    def _filter_recovered(
-        self,
-        source: str | Iterable[Event],
-        policy: RecoveryPolicy,
-        report: ErrorReport | None,
-        require_end: bool,
-    ) -> Iterator[dict[str, bool]]:
-        """Per-document verdicts of the documents that survive recovery."""
-        report = report if report is not None else ErrorReport()
-        for document in recovered_documents(
-            iter_events(source), policy, report, require_end=require_end
-        ):
-            # one verdict, or none where a resource limit cut the pass short
-            verdicts: list[dict[str, bool]] = []
-            report.collect_document(map(self._filter_one, (document,)), verdicts)
-            yield from verdicts
 
     def filter_stream(
         self,
@@ -926,31 +900,26 @@ class MultiQueryEngine:
     ) -> Iterator[dict[str, bool]]:
         """SDI over a *sequence* of documents on one connection.
 
-        Splits a concatenated multi-document stream (see
-        :func:`repro.xmlstream.split_documents`) and yields, per
-        document, the boolean match verdict of every subscription — the
-        routing decision the paper's Sec. I scenario needs.  A document
-        the source ends inside gets no verdict: a finite read of an
-        iterable is a prefix, as for :meth:`run`.
+        Yields, per document of a concatenated multi-document stream
+        (see :func:`repro.xmlstream.split_documents`), the boolean match
+        verdict of every subscription — the routing decision the paper's
+        Sec. I scenario needs.  Each document is evaluated as if alone,
+        in one pass over the stream.  A document the source ends inside
+        gets no verdict: a finite read of an iterable is a prefix, as
+        for :meth:`run`.
 
         With a non-strict ``on_error`` policy, documents the recovery
         layer quarantines (and documents that trip a resource limit)
         yield no verdict; their error records land in ``report`` and the
         connection keeps flowing.
         """
-        policy = as_policy(on_error)
-        if policy is RecoveryPolicy.STRICT:
-            from ..xmlstream.documents import _split
-
-            cursor = StreamCursor()
-            for document in _split(iter_events(source), cursor, require_end=False):
-                verdicts = self._filter_one(document)
-                for _event in document:  # read to its </$>, or the end
-                    pass
-                if not cursor.in_document:
-                    yield verdicts
-            return
-        yield from self._filter_recovered(source, policy, report, False)
+        pump = self._open_pump(_INERT, collect_events=False)
+        documents = pump._recover(
+            iter_events(source), as_policy(on_error), report, False, verdicts=True
+        )
+        for pairs in documents:
+            hit = {query_id for query_id, _match in pairs}
+            yield {query_id: query_id in hit for query_id in self.queries}
 
 
 #: The policy of every pass that is not a serving one (``SpexEngine``'s
@@ -964,7 +933,7 @@ class ServePump:
     Every per-event door of :class:`MultiQueryEngine` runs through this
     class — :meth:`~MultiQueryEngine.run`, :meth:`~MultiQueryEngine.serve`
     and :meth:`~MultiQueryEngine.resume` pull a source iterable through
-    it, the ``filter_*`` methods close each query at its first match,
+    it, the ``filter_*`` methods as far as their verdicts need,
     the asyncio service frontend (:mod:`repro.service`) pulls each
     ingested document, the shard workers pull each chunk they are sent,
     and a caller handed one event at a time pushes it (:meth:`feed`),
@@ -1145,7 +1114,17 @@ class ServePump:
         serving.breaker_trips += 1
         robustness.quarantines += 1
         robustness.breaker_trips += 1
+        if breaker.latched:
+            self._convict(query_id)
         return flushed
+
+    def _convict(self, query_id: str) -> None:
+        """A latched query holds what a resumed pass gives it: no lane, no
+        slot in the shared DFA from the next ``<$>`` (as :meth:`close`)."""
+        engine = self._engine
+        if engine._fastlane_core is not None:
+            engine._fastlane_core.retire(query_id)
+        engine.lane_executions.pop(query_id, None)
 
     def _latch_poisoned(self, quarantined: Iterable[str]) -> None:
         """Latch pre-convicted poison-pill queries before the first event.
@@ -1171,6 +1150,7 @@ class ServePump:
             self.serving.outcome(query_id).trips = breaker.trips
             self.serving.quarantines += 1
             self._engine.robustness.quarantines += 1
+            self._convict(query_id)
 
     def _shed(self, total: int) -> list[tuple[str, Match]]:
         """Shed lowest-priority queries until the pass fits again."""
@@ -1327,8 +1307,9 @@ class ServePump:
 
     def _advance(self, events: Iterable[Event]) -> list[tuple[str, Match]] | None:
         """The transition, over ``events`` up to the first event that
-        decides something: that event's ``(query_id, match)`` pairs, or
-        ``None`` once ``events`` is exhausted.
+        decides something or ends a document: that event's
+        ``(query_id, match)`` pairs, or ``None`` once ``events`` is
+        exhausted.
 
         Each pass of the body is the list in ``docs/architecture.md``,
         *One per-event driver*.  A change to the live set leaves the
@@ -1435,6 +1416,7 @@ class ServePump:
                     out.sort(key=lambda pair: rank[pair[0]])
             if cls is EndDocument:
                 self._close_document()
+                out = out or []  # a document ends a call: _recover's boundary
             if shed_above is not None and self._live:
                 total = sum(runner.buffered_events for runner in self._live.values())
                 if total > shed_above:
@@ -1454,33 +1436,115 @@ class ServePump:
             if self.finished:
                 return
 
-    # ------------------------------------------------------------------
-    # pull-mode drivers
-
-    def _pull_documents(
-        self, documents: Iterable[Iterable[Event]], report: ErrorReport
-    ) -> Iterator[tuple[str, Match]]:
-        """The ``skip``/``repair`` driver: one recovered document at a time.
-
-        Each document runs on a freshly compiled live set (a document
-        the pass gave up on leaves nothing behind) and its matches are
-        withheld until its ``</$>``, so a document that trips a resource
-        limit with bulkheads off is recorded in ``report`` and delivers
-        nothing.
-        """
-        engine = self._engine
-        live = self._live
-        for document in documents:
-            if self.serving.documents_seen:
-                for query_id in live:
-                    live[query_id] = engine._compile_one(query_id, self._cursor)
-                self._stale()
-            held: list[tuple[str, Match]] = []
-            if report.collect_document(self._pull(document), held):
-                yield from held
+    def _recover(
+        self,
+        events: Iterable[Event],
+        policy: RecoveryPolicy,
+        report: ErrorReport | None,
+        require_end: bool,
+        verdicts: bool = False,
+    ) -> Iterator[list[tuple[str, Match]]]:
+        """The one loop on runners compiled once, under a recovery policy:
+        each surviving document's pairs as one list after its ``</$>``,
+        each document as if alone (``docs/architecture.md``).  ``skip``
+        files what :func:`recovering` files; ``strict`` raises.  With
+        ``verdicts``, a document whose every live query has matched is
+        read on by the cursor alone, unless a limit is armed."""
+        engine, cursor, live = self._engine, self._cursor, self._live
+        report = report if report is not None else ErrorReport()
+        strict = policy is RecoveryPolicy.STRICT
+        counting = policy is not RecoveryPolicy.REPAIR  # (recovering counts)
+        if not counting:
+            events = recovering(events, policy, report, require_end)
+        source = iter(events)
+        fresh = {query_id: runner.snapshot() for query_id, runner in live.items()}
+        held: list[tuple[str, Match]] = []
+        ahead: tuple[Event, ...] = ()  # a resynced <$>
+        garbage_at = resync_at = -1  # documents_seen at a garbage record / a skip
+        skim = verdicts and engine.limits is None
+        decided: set[str] = set()  # the queries with a verdict in this document
+        while True:
+            error: StreamError | ResourceLimitError | None = None
+            try:
+                out = self._advance(chain(ahead, source) if ahead else source)
+            except (StreamError, ResourceLimitError) as exc:
+                if strict:
+                    raise
+                out, error = None, exc
+            ahead = ()
+            if out is not None:
+                held += out
+                if cursor.in_document and not self.finished:
+                    if not skim:
+                        continue
+                    decided.update(query_id for query_id, _match in out)
+                    if len(decided) < len(live):
+                        continue
+            limited = isinstance(error, ResourceLimitError)
+            if cursor.in_document and (limited or skim and out is not None):
+                try:  # a limit tripped, or every verdict is in: only check the rest
+                    for _event in cursor.attach(source):
+                        if not cursor.in_document:
+                            break
+                except StreamError as exc:
+                    if strict:
+                        raise
+                    out, error = None, exc
+                if cursor.in_document:  # the input is over inside the document
+                    out = None
+            if out is not None:
+                report.documents_seen += counting
+                yield held
+                if self.finished:
+                    return
             else:
-                self._cursor.abandon_document()
+                refused = error.event if isinstance(error, StreamError) else None
+                if not cursor.in_document:
+                    if refused is not None:  # garbage, or a skipped document's rest
+                        cursor.events_read += 1
+                        report.events_dropped += 1
+                        if garbage_at != cursor.documents_seen:
+                            garbage_at = cursor.documents_seen
+                            report.add(-1, f"event {refused} between documents", "dropped")
+                        continue
+                    if isinstance(error, StreamError) and resync_at != cursor.documents_seen:
+                        report.add(-1, f"source failed: {error}", "dropped")
+                    if not limited:
+                        return
+                report.documents_seen += counting
                 for query_id, _match in held:  # decided, never delivered
                     self.serving.outcome(query_id).matches -= 1
-            if self.finished:
-                return
+                index = cursor.documents_seen - 1
+                if refused is not None:
+                    # resync: the rest is garbage, unrecorded, up to a <$>
+                    # (a duplicate <$> is that next one)
+                    report.add(index, str(error), "skipped")
+                    garbage_at = resync_at = cursor.documents_seen
+                    cursor.abandon_document()
+                    if refused.__class__ is StartDocument:
+                        ahead = (refused,)
+                    else:
+                        cursor.events_read += 1
+                elif not cursor.in_document:  # the rest checked out
+                    report.add(index, str(error), "limit")
+                else:  # the input is over inside the document
+                    if isinstance(error, StreamError):
+                        message = f"source failed mid-document: {error}"
+                        report.add(index, message, "skipped")
+                    elif require_end:  # (a strict caller passes False)
+                        try:
+                            cursor.end()
+                        except StreamError as exc:
+                            report.add(index, str(exc), "skipped")
+                    return
+            held = []
+            decided.clear()
+            cursor.elements_seen = 0  # each document as if alone: positions restart
+            for query_id, runner in live.items():
+                # a plain network numbers positions and looks across </$>;
+                # a dropped or skimmed document stopped every runner midway
+                lane = engine.lane_executions[query_id]
+                if error is not None or skim or lane == "network":
+                    if query_id not in fresh:  # joined during the pass
+                        fresh[query_id] = engine._compile_one(query_id, cursor).snapshot()
+                    runner.restore(fresh[query_id])

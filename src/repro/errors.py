@@ -40,8 +40,14 @@ class StreamError(ReproError):
     """An XML event stream is malformed.
 
     Covers mismatched end tags, events outside the document envelope,
-    and premature end of stream.
+    and premature end of stream.  ``event`` is the event a
+    :class:`~repro.xmlstream.offsets.StreamCursor` refused, ``None``
+    where the source itself failed.
     """
+
+    def __init__(self, message: str, event: object = None) -> None:
+        super().__init__(message)
+        self.event = event
 
 
 class InputLimitError(StreamError):

@@ -45,7 +45,6 @@ from .recovery import (
     ErrorReport,
     RecoveryPolicy,
     as_policy,
-    recovered_documents,
     recovering,
 )
 from .serializer import serialize, write_events
@@ -93,7 +92,6 @@ __all__ = [
     "parse_file",
     "parse_stream",
     "parse_string",
-    "recovered_documents",
     "recovering",
     "serialize",
     "skip_events",

@@ -30,16 +30,8 @@ def split_documents(events: Iterable[Event]) -> Iterator[Iterator[Event]]:
             events between documents, a missing envelope, mismatched
             tags, a source that ends inside a document.
     """
-    return _split(events, StreamCursor(), require_end=True)
-
-
-def _split(
-    events: Iterable[Event], cursor: StreamCursor, require_end: bool
-) -> Iterator[Iterator[Event]]:
-    """:func:`split_documents` on ``cursor``; without ``require_end`` a
-    source that ends inside a document ends its last iterator early
-    (``cursor.in_document`` then tells it from a complete one)."""
-    checked = cursor.attach(events, require_end=require_end)
+    cursor = StreamCursor()
+    checked = cursor.attach(events, require_end=True)
 
     def one_document(first: Event) -> Iterator[Event]:
         yield first

@@ -81,38 +81,38 @@ class StreamCursor:
         """Check one event, then count it.
 
         Raises:
-            StreamError: the event violates the envelope or the nesting;
-                the cursor is left exactly as it was.
+            StreamError: the event (its ``event``) violates the envelope
+                or the nesting; the cursor is left exactly as it was.
         """
         cls = event.__class__
-        if cls is StartDocument:
+        if cls is StartElement and self.in_document:
+            self.open_labels.append(event.label)  # type: ignore[attr-defined]
+            self.elements_seen = ordinal = self.elements_seen + 1
+            self.open_starts.append(ordinal)
+        elif cls is StartDocument:
             if self.in_document:
-                raise StreamError("duplicate <$>")
+                raise StreamError("duplicate <$>", event)
             self.in_document = True
             self.document_start = self.events_read
             self.documents_seen += 1
         elif not self.in_document:
             if cls is EndDocument:
-                raise StreamError("</$> without <$>")
+                raise StreamError("</$> without <$>", event)
             if self.documents_seen:
-                raise StreamError(f"expected <$> between documents, got {event}")
-            raise StreamError(f"{event} before <$>")
-        elif cls is StartElement:
-            self.open_labels.append(event.label)  # type: ignore[attr-defined]
-            self.elements_seen += 1
-            self.open_starts.append(self.elements_seen)
+                raise StreamError(f"expected <$> between documents, got {event}", event)
+            raise StreamError(f"{event} before <$>", event)
         elif cls is EndElement:
             labels = self.open_labels
             label = event.label  # type: ignore[attr-defined]
             if not labels:
-                raise StreamError(f"</{label}> with no open element")
+                raise StreamError(f"</{label}> with no open element", event)
             if labels[-1] != label:
-                raise StreamError(f"</{label}> does not close <{labels[-1]}>")
+                raise StreamError(f"</{label}> does not close <{labels[-1]}>", event)
             labels.pop()
             self.open_starts.pop()
         elif cls is EndDocument:
             if self.open_labels:
-                raise StreamError(f"</$> with unclosed elements {self.open_labels}")
+                raise StreamError(f"</$> with unclosed elements {self.open_labels}", event)
             self.in_document = False
         self.events_read += 1
 

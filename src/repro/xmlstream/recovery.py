@@ -12,9 +12,9 @@ happens next:
   :class:`~repro.errors.StreamError` propagates.
 * :data:`RecoveryPolicy.SKIP_DOCUMENT` — quarantine the malformed
   document: its events are withheld, an :class:`ErrorRecord` is filed,
-  and the stream resumes at the next ``<$>``.  Documents are buffered
-  until their ``</$>`` validates, so a bad document is never partially
-  emitted (memory: one document, not the stream).
+  and the stream resumes at the next ``<$>``.  Here a document is held
+  until its ``</$>`` validates (memory: one document); the engines'
+  pass holds its matches, not its events (``ServePump._recover``).
 * :data:`RecoveryPolicy.REPAIR` — fix the stream in flight, without
   buffering: unclosed tags are auto-closed on truncation (a source that
   dies mid-document repairs into its readable prefix), a mismatched end
@@ -28,14 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
-from ..errors import ResourceLimitError, StreamError
+from ..errors import StreamError
 from .events import EndDocument, EndElement, Event, StartDocument, StartElement, Text
 from .offsets import StreamCursor
-
-
-_T = TypeVar("_T")
 
 
 class RecoveryPolicy(Enum):
@@ -68,7 +65,8 @@ class ErrorRecord:
         action: ``"skipped"`` (document quarantined), ``"repaired"``
             (events synthesized/dropped in place), ``"dropped"``
             (inter-document garbage discarded), or ``"limit"``
-            (a resource guard fired; filed by the engines).
+            (a resource guard fired, the document skipped; filed by the
+            engines).
     """
 
     document: int
@@ -96,28 +94,13 @@ class ErrorReport:
     def add(self, document: int, message: str, action: str) -> ErrorRecord:
         record = ErrorRecord(document, message, action)
         self.records.append(record)
-        if action == "skipped":
+        if action in ("skipped", "limit"):
             self.documents_skipped += 1
-        elif action == "limit":
+        if action == "limit":
             self.limit_hits += 1
         if self.callback is not None:
             self.callback(record)
         return record
-
-    def collect_document(self, results: Iterable[_T], held: list[_T]) -> bool:
-        """Hold one recovered document's ``results`` until it completes.
-
-        ``False`` when a resource guard cut the document short: a
-        ``"limit"`` record is filed, the document counts as skipped and
-        what ``held`` gathered so far must not be delivered.
-        """
-        try:
-            held.extend(results)
-        except ResourceLimitError as exc:
-            self.add(self.documents_seen - 1, str(exc), "limit")
-            self.documents_skipped += 1
-            return False
-        return True
 
     @property
     def ok(self) -> bool:
@@ -177,140 +160,105 @@ def recovering(
     report = report if report is not None else ErrorReport()
     source = iter(events)
     labels = cursor.open_labels
-    pushback: list[Event] = []
+    advance = cursor.advance
     buffer: list[Event] = []  # SKIP: events of the current document
     garbage_reported = False  # one record per run of inter-document garbage
-
-    def pull() -> Event | StreamError | None:
-        """Next event; ``None`` at the end; the source's error if it died."""
-        if pushback:
-            return pushback.pop()
-        try:
-            return next(source, None)
-        except StreamError as exc:
-            return exc
+    resyncing = False  # SKIP: dropping a quarantined document's rest
+    died: StreamError | None = None  # the source's own error
 
     def close_element() -> Event:
         report.events_repaired += 1
         closer = EndElement(labels[-1])
-        cursor.advance(closer)
+        advance(closer)
         return closer
 
-    while True:
-        event = pull()
-        doc = cursor.documents_seen - 1  # index of the current document
-
-        if not isinstance(event, Event):
-            if not cursor.in_document:
-                if event is not None:
-                    # The source died between documents (e.g. input that
-                    # is not XML at all): nothing to recover, but the
-                    # report must not read "ok".
-                    report.add(-1, f"source failed: {event}", "dropped")
-                return
-            if event is None and not require_end:
-                # Prefix semantics: an open document on a live source is
-                # not an error — but a SKIP buffer is withheld (it never
-                # validated) while REPAIR has already yielded the prefix.
-                return
-            if event is not None:
-                message = f"source failed mid-document: {event}"
+    try:
+        for event in source:
+            try:
+                advance(event)
+            except StreamError as exc:
+                message = str(exc)
             else:
-                try:
-                    cursor.end()  # inside a document: always raises
-                except StreamError as exc:
-                    message = str(exc)
-            report.add(doc, message, "skipped" if skip else "repaired")
-            if not skip:  # auto-close the truncation
-                while labels:
-                    yield close_element()
-                report.events_repaired += 1
-                yield EndDocument()
-            return
+                if event.__class__ is StartDocument:
+                    report.documents_seen += 1
+                    garbage_reported = resyncing = False
+                if not skip:
+                    yield event
+                else:
+                    buffer.append(event)
+                    if not cursor.in_document:
+                        yield from buffer
+                        buffer = []
+                continue
 
+            doc = cursor.documents_seen - 1  # index of the current document
+            closes = event.label if isinstance(event, EndElement) else None
+            if not cursor.in_document:
+                # Garbage between documents (or a missing <$>).
+                if not skip and isinstance(event, (StartElement, Text)):
+                    # Missing envelope open: synthesize it, then the
+                    # event goes on inside the new document.
+                    opener = StartDocument()
+                    advance(opener)
+                    report.documents_seen += 1
+                    report.events_repaired += 1
+                    report.add(doc + 1, f"missing <$> before {event}", "repaired")
+                    yield opener
+                    advance(event)
+                    yield event
+                    continue
+                report.events_dropped += 1
+                if not garbage_reported:
+                    garbage_reported = True
+                    report.add(-1, f"event {event} between documents", "dropped")
+            elif skip:
+                # Quarantine the document: up to the next <$> (a duplicate
+                # <$> is that next one) the rest is garbage, unrecorded.
+                report.add(doc, message, "skipped")
+                buffer = []
+                cursor.abandon_document()
+                garbage_reported = resyncing = True
+                if isinstance(event, StartDocument):
+                    advance(event)
+                    report.documents_seen += 1
+                    garbage_reported = resyncing = False
+                    buffer.append(event)
+            elif isinstance(event, EndDocument) or closes in labels:
+                # REPAIR: close the elements above the matching open tag
+                # (all of them at </$>).
+                report.add(doc, message, "repaired")
+                while labels and labels[-1] != closes:
+                    yield close_element()
+                advance(event)
+                yield event
+            else:  # REPAIR: an orphan end tag or a duplicate <$>
+                report.events_dropped += 1
+                report.add(doc, f"{message}; dropped", "repaired")
+    except StreamError as exc:
+        died = exc
+
+    if not cursor.in_document:
+        if died is not None and not resyncing:
+            # The source died between documents (e.g. input that is not
+            # XML at all): nothing to recover, but the report must not
+            # read "ok".
+            report.add(-1, f"source failed: {died}", "dropped")
+        return
+    if died is None and not require_end:
+        # Prefix semantics: an open document on a live source is not an
+        # error — but a SKIP buffer is withheld (it never validated)
+        # while REPAIR has already yielded the prefix.
+        return
+    if died is not None:
+        message = f"source failed mid-document: {died}"
+    else:
         try:
-            cursor.advance(event)
+            cursor.end()  # inside a document: always raises
         except StreamError as exc:
             message = str(exc)
-        else:
-            if isinstance(event, StartDocument):
-                report.documents_seen += 1
-                garbage_reported = False
-            if not skip:
-                yield event
-            else:
-                buffer.append(event)
-                if not cursor.in_document:
-                    yield from buffer
-                    buffer = []
-            continue
-
-        closes = event.label if isinstance(event, EndElement) else None
-        if not cursor.in_document:
-            # Garbage between documents (or a missing <$>).
-            if not skip and isinstance(event, (StartElement, Text)):
-                # Missing envelope open: synthesize it and re-process the
-                # event inside the new document.
-                opener = StartDocument()
-                cursor.advance(opener)
-                report.documents_seen += 1
-                report.events_repaired += 1
-                report.add(doc + 1, f"missing <$> before {event}", "repaired")
-                pushback.append(event)
-                yield opener
-                continue
-            report.events_dropped += 1
-            if not garbage_reported:
-                garbage_reported = True
-                report.add(-1, f"event {event} between documents", "dropped")
-        elif skip:
-            # Quarantine the document and resync to the next <$> (a
-            # duplicate <$> is that next one).
-            report.add(doc, message, "skipped")
-            buffer = []
-            cursor.abandon_document()
-            while not isinstance(event, StartDocument):
-                event = pull()
-                if not isinstance(event, Event):
-                    return  # ended, or the source is dead: nothing to resync to
-                if not isinstance(event, StartDocument):
-                    report.events_dropped += 1
-            pushback.append(event)
-        elif isinstance(event, EndDocument) or closes in labels:
-            # REPAIR: close the elements above the matching open tag
-            # (all of them at </$>).
-            report.add(doc, message, "repaired")
-            while labels and labels[-1] != closes:
-                yield close_element()
-            cursor.advance(event)
-            yield event
-        else:  # REPAIR: an orphan end tag or a duplicate <$>
-            report.events_dropped += 1
-            report.add(doc, f"{message}; dropped", "repaired")
-
-
-def recovered_documents(
-    events: Iterable[Event],
-    policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
-    report: ErrorReport | None = None,
-    require_end: bool = True,
-) -> Iterator[Iterator[Event]]:
-    """Split a recovering stream into per-document event iterators.
-
-    Every yielded document is guaranteed well-formed under
-    ``SKIP_DOCUMENT``/``REPAIR``, so downstream per-document evaluation
-    cannot trip over the input.  The split is single-pass and buffers
-    one document at a time (memory: one document, not the stream), so
-    an unbounded multi-document feed is processed incrementally.  With
-    ``require_end=False`` a trailing incomplete document — a prefix of
-    a live stream — is withheld rather than yielded half-open.
-    """
-    recovered = recovering(events, policy, report, require_end=require_end)
-    document: list[Event] = []
-    for event in recovered:
-        document.append(event)
-        if isinstance(event, EndDocument):
-            yield iter(document)
-            document = []
-    # Anything left is an unterminated prefix (only possible with
-    # require_end=False): withheld, per prefix semantics.
+    report.add(cursor.documents_seen - 1, message, "skipped" if skip else "repaired")
+    if not skip:  # auto-close the truncation
+        while labels:
+            yield close_element()
+        report.events_repaired += 1
+        yield EndDocument()

@@ -14,7 +14,12 @@ what is here, which is one of each thing a differential suite needs:
   document (:attr:`Reference.per_document`);
 * a door table, :data:`DOORS`: every way into
   :class:`~repro.core.multiquery.ServePump`'s loop, each with the view
-  of the reference it must reproduce.
+  of the reference it must reproduce;
+* for recovery, a second reference, :func:`recovered` (standalone
+  ``recovering``, split at each ``</$>``, each document run alone by a
+  fresh literal network), and the recovering doors, :data:`RECOVERING`,
+  whose ``run`` and ``serve`` door, :func:`recovering_pass`, also sits in
+  :data:`DOORS` (``run-skip``, ``run-repair``, ``serve-skip``).
 
 A door is ``door(events, flags, limits, cut)`` and returns
 ``(output, refusal, *extras)``: ``refusal`` is ``(event index, error
@@ -29,6 +34,7 @@ import asyncio
 import os
 import random
 import tempfile
+from collections import defaultdict
 from functools import cached_property
 
 from repro import Checkpoint, SpexEngine, StreamCursor
@@ -102,17 +108,17 @@ def refusal(index, exc):
     return index, type(exc).__name__, str(exc)
 
 
-def pulled(run, events, cursor=None):
+def pulled(run, events, counted=None):
     """What ``run(source)`` yields, each item with the index of the event
     drawn last (a door yields an event's output before it draws the
-    next), and its refusal.  Given the pass's ``cursor``, it also checks
-    that the loop never reads ahead: event ``n`` is drawn when the cursor
-    has counted ``n``."""
+    next), and its refusal.  Given ``counted``, how many events the pass
+    has taken in, it also checks that the loop never reads ahead: event
+    ``n`` is drawn when ``n`` are counted."""
     items, drawn = [], [-1]
 
     def source():
         for drawn[0], event in enumerate(events):
-            assert cursor is None or cursor.events_read == drawn[0], "read ahead"
+            assert counted is None or counted() == drawn[0], "read ahead"
             yield event
 
     try:
@@ -152,7 +158,9 @@ def interrupted(engine, events, cut, pairs=iter):
     whole of ``events`` (it skips what the cut had read)."""
     cursor = StreamCursor()
     items, refused = pulled(
-        lambda s: pairs(engine.run(s, cursor=cursor)), events[:cut], cursor
+        lambda s: pairs(engine.run(s, cursor=cursor)),
+        events[:cut],
+        lambda: cursor.events_read,
     )
     if cut is not None and refused is None:
         checkpoint = through_a_file(engine.checkpoint())
@@ -241,9 +249,18 @@ def served(ref):
 
 
 def within_documents(ref):
-    """``on_error="skip"`` starts every document afresh: the rows a pass
-    within the document selects, none refused, nothing recorded."""
-    return [row[1:] for row in ref.rows if row[1:3] in ref.within], None, [], 0
+    """``on_error="skip"``/``"repair"`` starts every document afresh: per
+    document that selects some, the rows a pass over it alone selects
+    (positions restart at its ``<$>``), delivered together at its
+    ``</$>``; nothing refused, nothing recorded."""
+    delivered = [[] for _ in ref.documents]
+    for index, q, p, label in ref.rows:
+        if (q, p) in ref.within:
+            for number, (first, last, before) in enumerate(ref.documents):
+                if first <= index <= last:
+                    delivered[number].append((q, p - before, label))
+    clean = ([], len(ref.documents), 0, 0, 0, 0)
+    return [rows for rows in delivered if rows], None, clean
 
 
 def verdict(ref):
@@ -284,31 +301,10 @@ def door_resume(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
 def door_serve(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
     served_by = engine(flags, limits)
     cursor = StreamCursor()
-    items, refused = pulled(lambda s: served_by.serve(s, cursor=cursor), events, cursor)
+    items, refused = pulled(
+        lambda s: served_by.serve(s, cursor=cursor), events, lambda: cursor.events_read
+    )
     return matches(items), refused, outcomes(served_by.serving)
-
-
-def skipping(method):
-    def door(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
-        """A document's matches come at its ``</$>``, in positions of a
-        pass over it alone: the stream position adds the start tags of
-        the documents before it."""
-        report = ErrorReport()
-        run = getattr(engine(flags, limits), method)
-        items, refused = pulled(
-            lambda s: run(s, on_error="skip", report=report), events
-        )
-        offsets, seen = [], 0
-        for event in events:
-            if event.__class__ is StartDocument:
-                offset = seen
-            offsets.append(offset)
-            seen += event.__class__ is StartElement
-        rows = [(q, m.position + offsets[index], m.label) for index, (q, m) in items]
-        records = [(r.document, r.message, r.action) for r in report.records]
-        return rows, refused, records, report.limit_hits
-
-    return door
 
 
 def door_pump(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
@@ -424,12 +420,70 @@ def door_service(events, flags=None, limits=None, cut=None):
     return rows, None
 
 
+def taken_in(recovering_engine, policy, report):
+    """How many events of the source a recovering pass has taken in: its
+    pump's cursor counts them under ``skip`` (refused and discarded ones
+    too); under ``repair`` it counts the repaired stream, which lacks
+    the events ``recovering`` dropped and has those it added."""
+    cursor = recovering_engine._pump.cursor
+    if policy == "skip":
+        return cursor.events_read
+    return cursor.events_read + report.events_dropped - report.events_repaired
+
+
+def summary(report):
+    """An :class:`ErrorReport`'s records and counters."""
+    return (
+        [(r.document, r.message, r.action) for r in report.records],
+        report.documents_seen,
+        report.documents_skipped,
+        report.events_repaired,
+        report.events_dropped,
+        report.limit_hits,
+    )
+
+
+def recovering_pass(method):
+    """``run``/``serve`` under a policy: the pairs of each event that
+    delivered some (one surviving document's, all at once).  The one
+    door of both tables: :data:`RECOVERING` calls it, and :data:`DOORS`
+    through :func:`under`."""
+
+    def door(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
+        report = ErrorReport()
+        passing = engine(flags, limits)
+        items, refused = pulled(
+            lambda s: getattr(passing, method)(s, on_error=policy, report=report),
+            events,
+            lambda: taken_in(passing, policy, report),
+        )
+        assert refused is None
+        delivered = defaultdict(list)
+        for index, (q, m) in items:
+            delivered[index].append((q, m.position, m.label))
+        return list(delivered.values()), summary(report)
+
+    return door
+
+
+def under(policy, door):
+    """A recovering door as a row of :data:`DOORS`: what it delivers at
+    each ``</$>``, no refusal, and its report."""
+
+    def row(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
+        delivered, report = door(events, policy, flags, limits)
+        return delivered, None, report
+
+    return row
+
+
 #: name -> (door, view of the reference it must reproduce)
 DOORS = {
     "run": (door_run, indexed),
-    "run-skip": (skipping("run"), within_documents),
+    "run-skip": (under("skip", recovering_pass("run")), within_documents),
+    "run-repair": (under("repair", recovering_pass("run")), within_documents),
     "serve": (door_serve, served),
-    "serve-skip": (skipping("serve"), within_documents),
+    "serve-skip": (under("skip", recovering_pass("serve")), within_documents),
     "pump": (door_pump, served),
     "filter_documents": (door_filter_documents, verdict),
     "filter_stream": (door_filter_stream, verdicts),
@@ -448,3 +502,114 @@ STRICT = (
     "run", "serve", "pump", "filter_documents", "filter_stream", "resume", "spex",
     "validators",
 )  # fmt: skip
+
+
+# ----------------------------------------------------------------------
+# the recovering doors and their reference
+
+
+def split(events):
+    """A stream's documents, each a list, as its ``</$>`` arrives; what
+    the stream ends inside of is left out."""
+    document = []
+    for event in events:
+        document.append(event)
+        if event.__class__ is EndDocument:
+            yield document
+            document = []
+
+
+def recovered(events, policy, require_end, limits=None):
+    """What a recovering pass must deliver: the documents of standalone
+    ``recovering``, each run alone by a fresh strict literal network as
+    soon as it completes.  Returns the rows ``(query, position, label)``
+    of each surviving document and the report's :func:`summary`; a
+    document that trips a limit files a ``"limit"`` record instead."""
+    report = ErrorReport()
+    documents = []
+    for document in split(recovering(iter(events), policy, report, require_end)):
+        alone = engine(NO_OPTIMIZATIONS, limits)
+        try:
+            documents.append([(q, m.position, m.label) for q, m in alone.run(document)])
+        except ResourceLimitError as exc:
+            report.add(report.documents_seen - 1, str(exc), "limit")
+    return documents, summary(report)
+
+
+class Dying:
+    """A source that raises :class:`StreamError` after ``at`` events, as
+    the parser does on a truncated file."""
+
+    def __init__(self, events, at):
+        self.events, self.at = events, at
+
+    def __iter__(self):
+        yield from self.events[: self.at]
+        raise StreamError("connection reset")
+
+
+def recovering_spex(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
+    """One ``SpexEngine`` per query, each with its own report."""
+    hits, reports = {}, []
+    for q, text in CORPUS.items():
+        report = ErrorReport()
+        spex = SpexEngine(
+            text, collect_events=False, optimize=flags, limits=limits, preflight=False
+        )
+        items, refused = pulled(
+            lambda s: spex.run(s, on_error=policy, report=report),
+            events,
+            lambda: taken_in(spex._engine, policy, report),
+        )
+        assert refused is None
+        hits[q] = [(m.position, m.label) for _, m in items]
+        reports.append(summary(report))
+    assert all(report == reports[0] for report in reports), reports
+    return hits, reports[0]
+
+
+def recovering_filter(method):
+    """``filter_documents``/``filter_stream`` under a policy."""
+
+    def door(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
+        report = ErrorReport()
+        filtering = engine(flags, limits)
+
+        def run(source):
+            verdicts = getattr(filtering, method)(source, on_error=policy, report=report)
+            return [verdicts] if isinstance(verdicts, dict) else verdicts
+
+        items, refused = pulled(run, events, lambda: taken_in(filtering, policy, report))
+        assert refused is None
+        verdicts = [verdict for _, verdict in items]
+        return (verdicts[0] if method == "filter_documents" else verdicts), summary(report)
+
+    return door
+
+
+def hit_lists(documents):
+    return [rows for rows in documents if rows]
+
+
+def hits_per_query(documents):
+    rows = [row for document in documents for row in document]
+    return {q: [(p, label) for query, p, label in rows if query == q] for q in CORPUS}
+
+
+def any_hit(documents):
+    return {q: any(row[0] == q for rows in documents for row in rows) for q in CORPUS}
+
+
+def hits_per_document(documents):
+    return [{q: any(row[0] == q for row in rows) for q in CORPUS} for rows in documents]
+
+
+#: name -> (door under a policy, its ``require_end``, view of the
+#: recovered reference it must reproduce)
+RECOVERING = {
+    "run": (recovering_pass("run"), True, hit_lists),
+    "serve": (recovering_pass("serve"), False, hit_lists),
+    "spex": (recovering_spex, False, hits_per_query),
+    "filter_documents": (recovering_filter("filter_documents"), True, any_hit),
+    "filter_stream": (recovering_filter("filter_stream"), False, hits_per_document),
+}

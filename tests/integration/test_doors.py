@@ -17,13 +17,18 @@ reference and the door table.  Here they are swept:
   truncated last document, as the others hold it back as a prefix;
 * under each stream limit every door trips where the literal network
   does through the same door, on the lanes it runs unarmed;
+* every recovering door, under ``skip`` and ``repair``, on clean,
+  faulted, cut and dying streams and under the stream limits, delivers
+  the recovery reference's matches, verdicts and report, reading one
+  event at a time;
 * pulled and pushed passes agree while the consumer changes the live set
-  at a match and a poisoned query is quarantined and rejoins;
+  at a match and a poisoned query is quarantined and rejoins, and a
+  convicted query holds what a resumed pass gives it;
 * a retained-state machine churns one serving pass — subscribe, close,
   depart mid-document, crash and resume from a file, flip the knobs, arm
-  a stream limit, feed a corrupted document — and holds it to fresh
-  engines: its answers to the literal network's, its retained state to
-  a same-flag engine's.
+  a stream limit, feed a corrupted document, convict — and holds it to
+  fresh engines: its answers to the literal network's, its retained
+  state to a same-flag engine's.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from repro.core.serving import BreakerPolicy, ServingPolicy
 from repro.errors import StreamError
 from repro.rpeq.parser import parse
 from repro.xmlstream import FaultInjector
-from repro.xmlstream.events import EndDocument, StartDocument, StartElement
+from repro.xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
 from repro.xmlstream.parser import iter_documents, parse_string
 
 from ..conftest import make_random_events
@@ -63,13 +68,16 @@ from .doors import (
     CROSSING,
     DOORS,
     LANES,
+    RECOVERING,
     STRICT,
     STRUCTURAL_FAULTS,
     TRIALS,
     UNKNOBBED,
+    Dying,
     Reference,
     corrupted,
     pushed,
+    recovered,
     stream,
     through_a_file,
 )
@@ -131,10 +139,12 @@ LIMITS = {
 @pytest.mark.parametrize("limit", [None, *LIMITS])
 def test_the_corpus_runs_every_lane(limit):
     """The planner's lanes execute, armed or not: the stream limits are
-    one check per event, which demotes nothing."""
+    one check per event, which demotes nothing.  (The breakers never
+    latch here: a convicted query leaves the lanes.)"""
     engine = MultiQueryEngine(CORPUS, limits=LIMITS.get(limit))
+    policy = ServingPolicy(breaker=BreakerPolicy(max_trips=None))
     with ticking():
-        list(engine.serve(iter(EVENTS)))
+        list(engine.serve(iter(EVENTS), policy))
     assert engine.lane_executions == LANES
     assert {q for q, reason in engine.lane_demotions.items() if reason} == {
         q for q in CORPUS if q.startswith("axis")
@@ -207,8 +217,8 @@ def trips(observed):
     """How often a door's output shows the limit at work."""
     _, refused, *extras = observed
     for extra in extras:
-        if isinstance(extra, int):  # recovery records
-            return extra
+        if isinstance(extra, tuple):  # a recovery report: its limit hits
+            return extra[-1]
         if isinstance(extra, dict):  # serving outcomes
             return sum(outcome[3] for outcome in extra.values())
     return refused is not None
@@ -259,6 +269,111 @@ def test_the_stream_guard_runs_before_the_runners():
             rows, refused, *extras = DOORS[door][0](events, flags, limits)
             assert trips((rows, refused, *extras)), (door, flags)
             assert all(row[0] != trip for row in rows), (door, flags, rows)
+
+
+# ----------------------------------------------------------------------
+# recovery: one pass, held to standalone ``recovering``
+
+#: what a recovering pass survives: nothing, each structural fault, a
+#: stream cut inside its last document and a source that dies there
+RECOVERY_FAULTS = (None, *STRUCTURAL_FAULTS, "cut", "source dies")
+#: each trips on some documents of the recovery sweep's streams
+RECOVERY_LIMITS = {
+    "max_depth": ResourceLimits(max_depth=4),
+    "max_events_per_document": ResourceLimits(max_events_per_document=24),
+}
+
+
+def faulty(kind, trial):
+    """Three documents, ``kind`` befalling one of them."""
+    if kind in STRUCTURAL_FAULTS:
+        return corrupted(kind, trial)[0]
+    events = stream(0x5EED + trial, depths=(4, 4, 4), max_children=3)
+    if kind is None:
+        return events
+    last = max(i for i, e in enumerate(events) if e.__class__ is StartDocument)
+    cut = random.Random(trial).randrange(last + 1, len(events))
+    return events[:cut] if kind == "cut" else Dying(events, cut)
+
+
+@pytest.mark.parametrize("policy", ["skip", "repair"])
+@pytest.mark.parametrize("kind", RECOVERY_FAULTS, ids=str)
+def test_every_recovering_door_delivers_the_recovered_reference(kind, policy):
+    """Matches, verdicts, records and counters, each door with its own
+    ``require_end``, never reading ahead; the knobs rotate by trial (a
+    third of ``TRIALS``, rounded up)."""
+    combinations = all_knob_combinations()
+    for trial in range(-(-TRIALS // 3)):
+        events = faulty(kind, trial)
+        flags = combinations[trial % len(combinations)]
+        references = {end: recovered(events, policy, end) for end in (False, True)}
+        for door, (run, require_end, view) in RECOVERING.items():
+            documents, report = references[require_end]
+            observed = run(events, policy, flags)
+            assert observed == (view(documents), report), (door, trial, flags)
+
+
+@pytest.mark.parametrize("policy", ["skip", "repair"])
+@pytest.mark.parametrize("limit", RECOVERY_LIMITS)
+def test_a_document_over_a_limit_delivers_nothing(limit, policy):
+    """With bulkheads off, a document that trips a limit is a ``"limit"``
+    record at its ``</$>`` — or a ``"skipped"`` one, where a fault
+    further on quarantines it whole."""
+    tripped = 0
+    for trial in range(-(-TRIALS // 4)):
+        events = faulty(RECOVERY_FAULTS[trial % len(RECOVERY_FAULTS)], trial)
+        limits = RECOVERY_LIMITS[limit]
+        references = {
+            end: recovered(events, policy, end, limits) for end in (False, True)
+        }
+        for door in ("run", "spex", "filter_documents", "filter_stream"):
+            run, require_end, view = RECOVERING[door]
+            documents, report = references[require_end]
+            observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
+            assert observed == (view(documents), report), (door, trial)
+        tripped += report[-1]
+    assert tripped, "the limit never tripped"
+
+
+def two_documents():
+    """``<$><a/><b/></$><$><c/></$>``: six events, then four."""
+    return [
+        event
+        for labels in (("a", "b"), ("c",))
+        for event in (
+            StartDocument(),
+            *(e for label in labels for e in (StartElement(label), EndElement(label))),
+            EndDocument(),
+        )
+    ]
+
+
+@pytest.mark.parametrize("policy", ["skip", "repair"])
+@pytest.mark.parametrize(
+    "limits",
+    [
+        ResourceLimits(max_events_per_document=5),
+        # one tick an event: the first document's </$> comes 5 s after its <$>
+        ResourceLimits(max_seconds_per_document=4.5),
+    ],
+    ids=["events", "seconds"],
+)
+def test_a_limit_tripped_at_end_document_spares_the_next_one(limits, policy):
+    """Regression: a limit tripped at a ``</$>`` sent the pass on to read
+    the next document by the cursor alone — its matches lost, the
+    ``"limit"`` record filed under its index, one document counted for
+    two.  (The sweeps above never trip at ``</$>``: their documents have
+    an even number of events, and their event limit is even.)"""
+    events = two_documents()
+    for door in ("run", "spex", "filter_documents", "filter_stream"):
+        run, require_end, view = RECOVERING[door]
+        with ticking():
+            documents, report = recovered(events, policy, require_end, limits)
+        assert documents == [[("dfa-closure", 1, "c")]]
+        assert [r[::2] for r in report[0]] == [(0, "limit")] and report[1] == 2
+        with ticking():
+            observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
+        assert observed == (view(documents), report), door
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +467,33 @@ def test_a_readmitted_query_keeps_its_registration_rank():
     assert [q for q, _ in engine.run(iter_documents(documents))] == ["q1", "q2"] * 3
 
 
+def test_a_convicted_query_holds_what_a_resumed_pass_gives_it():
+    """A gated query that fails every document it runs latches its
+    breaker at the third trip.  The live pass then holds what a pass
+    resumed from its checkpoint holds: no lane for it and, from the next
+    ``<$>``, no slot in the shared DFA (a live pass used to keep both)."""
+    engine = Poisoned(CORPUS["gated-inner"], trip=2)
+    pump = engine.start_pump(cursor=StreamCursor())
+    documents = [stream(seed, depths=(4,)) for seed in range(6)]
+    for document in documents[:5]:  # trips at 1, 3 and 5: cooldown 1
+        for event in document:
+            pump.feed(event)
+    assert pump._breakers["poison"].latched
+    checkpoint = through_a_file(engine.checkpoint())
+    fresh = MultiQueryEngine.from_checkpoint(checkpoint)
+    resumed = fresh.resume_pump(checkpoint)
+    for event in documents[5]:
+        assert pump.feed(event) == resumed.feed(event)
+    assert "poison" not in engine.lane_executions
+    assert engine.lane_executions == fresh.lane_executions
+
+    def slots(core):
+        return sorted(slot.query_id for slot in core._slots.values())
+
+    assert slots(engine._fastlane_core) == slots(fresh._fastlane_core)
+    assert "poison" not in slots(engine._fastlane_core)
+
+
 # ----------------------------------------------------------------------
 # the retained-state machine
 
@@ -360,16 +502,14 @@ def test_a_readmitted_query_keeps_its_registration_rank():
 QUERIES = tuple(text for q, text in CORPUS.items() if q not in (CROSSING, "dfa-never"))
 DOCUMENTS = [make_random_events(random.Random(seed), 3, 5) for seed in range(4)]
 ELEMENTS = [sum(e.__class__ is StartElement for e in doc) for doc in DOCUMENTS]
-#: what ``restart`` may arm: each trips on some of the documents
+#: what ``restart`` may arm: each trips on some of the documents, the
+#: last on every one, so three documents in a row convict
 MACHINE_LIMITS = (
     None,
     ResourceLimits(max_depth=4),
     ResourceLimits(max_events_per_document=30),
+    ResourceLimits(max_depth=2),
 )
-#: no conviction: a live pass keeps a latched query's slot and lane, a
-#: resumed one has neither (ROADMAP item 1), so every tripped query
-#: rejoins at the next <$>
-POLICY = ServingPolicy(breaker=BreakerPolicy(max_trips=None))
 
 
 def retained(engine, pump):
@@ -436,7 +576,8 @@ class ServingPass(RuleBasedStateMachine):
     Covered: subscribe; close and remove, between documents or at any
     event inside one; a crash at any event, resumed from the file; a
     flip to any of the eight knob combinations; one armed stream limit
-    (or none); a corrupted document.  Still out: killing a shard,
+    (or none); a corrupted document; a query's third trip, which
+    convicts it for the rest of the pass.  Still out: killing a shard,
     killing the server and its ``--resume``, the d·σ̂ buffering bound,
     each match's earliest event, the service's registry and ack floors.
     """
@@ -464,14 +605,17 @@ class ServingPass(RuleBasedStateMachine):
         (or none), its subscribers back in their order."""
         self.flags, self.limits = flags, limits
         self.engine = MultiQueryEngine(dict(self.live), optimize=flags, limits=limits)
-        self.pump = self.engine.start_pump(POLICY, cursor=StreamCursor())
+        self.pump = self.engine.start_pump(cursor=StreamCursor())
         self.fed = dict.fromkeys(self.live, 0)
         self.indices = slot_indices(self.engine)
 
     def fresh(self, flags):
-        """A fresh engine and pump with the live set, under ``flags``."""
+        """A fresh engine and pump with the live set, under ``flags``,
+        the queries this pass convicted (their third trip latched their
+        breakers) latched from the start."""
         engine = MultiQueryEngine(dict(self.live), optimize=flags, limits=self.limits)
-        return engine, engine.start_pump(POLICY, cursor=StreamCursor())
+        convicted = [q for q in self.live if self.pump._breakers[q].latched]
+        return engine, engine.start_pump(cursor=StreamCursor(), quarantined=convicted)
 
     @rule(query=st.sampled_from(QUERIES))
     def subscribe(self, query):
@@ -554,6 +698,7 @@ class ServingPass(RuleBasedStateMachine):
         assert status == {q: literal[1].serving.outcome(q).status for q in self.live}
         for query_id in self.fed:
             # a quarantined query rejoins at the next <$> on a new runner
+            # (a convicted one never does)
             tripped = status[query_id] == "quarantined"
             self.fed[query_id] = 0 if tripped else self.fed[query_id] + ELEMENTS[number]
 
@@ -581,7 +726,7 @@ class ServingPass(RuleBasedStateMachine):
     def resume(self, checkpoint):
         """Only the checkpoint file survived: a new process from it."""
         self.engine = MultiQueryEngine.from_checkpoint(checkpoint, limits=self.limits)
-        self.pump = self.engine.resume_pump(checkpoint, POLICY)
+        self.pump = self.engine.resume_pump(checkpoint)
         assert list(self.engine.queries) == list(self.live)
         assert self.engine.optimize == self.flags
 

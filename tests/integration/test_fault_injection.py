@@ -27,11 +27,11 @@ from repro.xmlstream import (
     FaultInjector,
     events_from_tags,
     is_well_formed,
-    recovered_documents,
     recovering,
 )
 
 from ..conftest import make_random_events
+from .doors import split
 
 TRIALS = int(os.environ.get("SOAK_TRIALS", "30"))
 
@@ -108,7 +108,7 @@ class TestSkipPolicy:
             # engine must produce exactly the oracle's answers on them.
             survivors = [
                 list(doc)
-                for doc in recovered_documents(iter(stream), "skip")
+                for doc in split(recovering(iter(stream), "skip"))
             ]
             expected = [
                 p for doc in survivors for p in oracle_positions(expr, doc)
@@ -157,7 +157,7 @@ class TestRepairPolicy:
 
             repaired_docs = [
                 list(doc)
-                for doc in recovered_documents(iter(stream), "repair")
+                for doc in split(recovering(iter(stream), "repair"))
             ]
             # Repair must never emit an invalid document.
             for doc in repaired_docs:
@@ -213,7 +213,7 @@ class TestMultiQuerySoak:
         for trial in range(min(TRIALS, 15)):
             stream, fault, _documents, _victim = corrupted_stream(trial)
             survivors = [
-                list(doc) for doc in recovered_documents(iter(stream), "skip")
+                list(doc) for doc in split(recovering(iter(stream), "skip"))
             ]
             expected = {
                 qid: any(

@@ -1,5 +1,7 @@
 """Recovery policies: strict, skip-document, repair."""
 
+from itertools import islice
+
 import pytest
 
 from repro.errors import StreamError
@@ -9,7 +11,6 @@ from repro.xmlstream import (
     StartDocument,
     as_policy,
     events_from_tags,
-    recovered_documents,
     recovering,
     tags_from_events,
 )
@@ -177,6 +178,16 @@ class TestRepair:
         assert got == ["<$>", "<a>", "</a>", "</$>"]
         assert report.events_repaired == 2
 
+    def test_repair_is_lazy(self):
+        # The repair path must not buffer documents: pulling the first
+        # document of an endless stream terminates.
+        def endless():
+            while True:
+                yield from events_from_tags(GOOD)
+
+        repaired = recovering(endless(), "repair", require_end=False)
+        assert tags_from_events(islice(repaired, len(GOOD))) == GOOD
+
     def test_repaired_output_is_well_formed(self):
         # Every repaired stream must re-validate under STRICT.
         nasty = [
@@ -206,31 +217,6 @@ class TestErrorReport:
         summary = report.summary()
         assert "2 document(s)" in summary
         assert "1 skipped" in summary
-
-
-class TestRecoveredDocuments:
-    def test_splits_surviving_documents(self):
-        stream = GOOD + MISMATCHED + GOOD
-        report = ErrorReport()
-        documents = [
-            tags_from_events(doc)
-            for doc in recovered_documents(
-                events_from_tags(stream), "skip", report
-            )
-        ]
-        assert documents == [GOOD, GOOD]
-        assert report.documents_skipped == 1
-
-    def test_repair_is_lazy(self):
-        # The repair path must not buffer documents: pulling the first
-        # document of an endless stream terminates.
-        def endless():
-            while True:
-                yield from events_from_tags(GOOD)
-
-        documents = recovered_documents(endless(), "repair", require_end=False)
-        first = next(documents)
-        assert tags_from_events(first) == GOOD
 
 
 class TestSourceFailureVisibility:
