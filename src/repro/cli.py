@@ -272,6 +272,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=admission,
     )
     report = ErrorReport()
+    on_error = args.on_error if args.on_error is not None else "skip"
     files = args.file or []
     if not files:
         source: str | Iterable[Event] = parse_stream(
@@ -280,11 +281,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elif len(files) == 1:
         source = files[0]
     else:
-        source = iter_documents(files, limits=parser_limits, report=report)
+        # a file that fails to parse is a record only where a policy recovers
+        recovers = report if on_error != "strict" else None
+        source = iter_documents(files, limits=parser_limits, report=recovers)
     matches = engine.serve(
         source,
         policy=policy,
-        on_error=args.on_error if args.on_error is not None else "skip",
+        on_error=on_error,
         report=report,
         parser_limits=parser_limits,
     )

@@ -55,7 +55,8 @@ from ..xmlstream.recovery import (
     ErrorReport,
     RecoveryPolicy,
     as_policy,
-    recovering,
+    repair,
+    unfinished,
 )
 from .checkpoint import Checkpoint
 from .clock import Clock, as_clock
@@ -1447,98 +1448,100 @@ class ServePump:
         """The one loop on runners compiled once, under a recovery policy:
         each surviving document's pairs as one list after its ``</$>``,
         each document as if alone (``docs/architecture.md``).  ``skip``
-        files what :func:`recovering` files; ``strict`` raises.  With
-        ``verdicts``, a document whose every live query has matched is
-        read on by the cursor alone, unless a limit is armed."""
+        and ``repair`` file what :func:`recovering` files, under this
+        pass's one cursor; ``strict`` raises.  With ``verdicts``, a
+        document whose every live query has matched is read on by the
+        cursor alone, unless a limit is armed."""
         engine, cursor, live = self._engine, self._cursor, self._live
         report = report if report is not None else ErrorReport()
-        strict = policy is RecoveryPolicy.STRICT
-        counting = policy is not RecoveryPolicy.REPAIR  # (recovering counts)
-        if not counting:
-            events = recovering(events, policy, report, require_end)
         source = iter(events)
         fresh = {query_id: runner.snapshot() for query_id, runner in live.items()}
         held: list[tuple[str, Match]] = []
-        ahead: tuple[Event, ...] = ()  # a resynced <$>
+        ahead: list[Event] = []  # read before the source: a resynced <$>, a repair
         garbage_at = resync_at = -1  # documents_seen at a garbage record / a skip
         skim = verdicts and engine.limits is None
         decided: set[str] = set()  # the queries with a verdict in this document
+        # only check the rest of the document: the limit it tripped, or True
+        checking: ResourceLimitError | bool = False  # once every verdict is in
         while True:
             error: StreamError | ResourceLimitError | None = None
+            rest = iter(ahead)
+            pending = chain(rest, source) if ahead else source
             try:
-                out = self._advance(chain(ahead, source) if ahead else source)
+                if not checking:
+                    out = self._advance(pending)
+                else:
+                    out = None
+                    for _event in cursor.attach(pending):
+                        if not cursor.in_document:
+                            out = []
+                            break
             except (StreamError, ResourceLimitError) as exc:
-                if strict:
+                if policy is RecoveryPolicy.STRICT:
                     raise
                 out, error = None, exc
-            ahead = ()
+            ahead = [*rest]
+            refused = error.event if isinstance(error, StreamError) else None
             if out is not None:
                 held += out
                 if cursor.in_document and not self.finished:
-                    if not skim:
-                        continue
-                    decided.update(query_id for query_id, _match in out)
-                    if len(decided) < len(live):
-                        continue
-            limited = isinstance(error, ResourceLimitError)
-            if cursor.in_document and (limited or skim and out is not None):
-                try:  # a limit tripped, or every verdict is in: only check the rest
-                    for _event in cursor.attach(source):
-                        if not cursor.in_document:
-                            break
-                except StreamError as exc:
-                    if strict:
-                        raise
-                    out, error = None, exc
-                if cursor.in_document:  # the input is over inside the document
-                    out = None
+                    if skim:
+                        decided.update(query_id for query_id, _match in out)
+                        checking = len(decided) >= len(live)
+                    continue
+                if isinstance(checking, ResourceLimitError):  # the rest checked out
+                    out, error = None, checking
+            elif isinstance(error, ResourceLimitError):
+                if cursor.in_document:
+                    checking = error
+                    continue
+            elif policy is RecoveryPolicy.REPAIR and (
+                error is not None or cursor.in_document and require_end
+            ):
+                # the repair rule puts its events in front of the source
+                fixes = repair(cursor, refused, error, report)
+                if fixes is not None:
+                    cursor.events_read += not fixes  # a dropped event was read too
+                    ahead = fixes
+                    if refused is None:  # the input is over
+                        source = iter(())
+                    continue
+            if out is None and not cursor.in_document and not isinstance(error, ResourceLimitError):
+                if refused is not None:  # garbage, or a skipped document's rest
+                    cursor.events_read += 1
+                    report.events_dropped += 1
+                    if garbage_at != cursor.documents_seen:
+                        garbage_at = cursor.documents_seen
+                        report.add(-1, f"event {refused} between documents", "dropped")
+                    continue
+                if error is not None and resync_at != cursor.documents_seen:
+                    report.add(-1, f"source failed: {error}", "dropped")
+                return
+            report.documents_seen += 1
             if out is not None:
-                report.documents_seen += counting
                 yield held
                 if self.finished:
                     return
             else:
-                refused = error.event if isinstance(error, StreamError) else None
-                if not cursor.in_document:
-                    if refused is not None:  # garbage, or a skipped document's rest
-                        cursor.events_read += 1
-                        report.events_dropped += 1
-                        if garbage_at != cursor.documents_seen:
-                            garbage_at = cursor.documents_seen
-                            report.add(-1, f"event {refused} between documents", "dropped")
-                        continue
-                    if isinstance(error, StreamError) and resync_at != cursor.documents_seen:
-                        report.add(-1, f"source failed: {error}", "dropped")
-                    if not limited:
-                        return
-                report.documents_seen += counting
                 for query_id, _match in held:  # decided, never delivered
                     self.serving.outcome(query_id).matches -= 1
                 index = cursor.documents_seen - 1
                 if refused is not None:
                     # resync: the rest is garbage, unrecorded, up to a <$>
-                    # (a duplicate <$> is that next one)
                     report.add(index, str(error), "skipped")
                     garbage_at = resync_at = cursor.documents_seen
                     cursor.abandon_document()
-                    if refused.__class__ is StartDocument:
-                        ahead = (refused,)
-                    else:
-                        cursor.events_read += 1
+                    ahead = [refused] if refused.__class__ is StartDocument else []
+                    cursor.events_read += not ahead
                 elif not cursor.in_document:  # the rest checked out
                     report.add(index, str(error), "limit")
                 else:  # the input is over inside the document
-                    if isinstance(error, StreamError):
-                        message = f"source failed mid-document: {error}"
-                        report.add(index, message, "skipped")
-                    elif require_end:  # (a strict caller passes False)
-                        try:
-                            cursor.end()
-                        except StreamError as exc:
-                            report.add(index, str(exc), "skipped")
+                    if error is not None or require_end:  # (a strict caller passes False)
+                        report.add(index, unfinished(cursor, error), "skipped")  # type: ignore[arg-type]
                     return
             held = []
             decided.clear()
+            checking = False
             cursor.elements_seen = 0  # each document as if alone: positions restart
             for query_id, runner in live.items():
                 # a plain network numbers positions and looks across </$>;

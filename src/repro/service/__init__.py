@@ -37,7 +37,7 @@ from .protocol import (
     decode_frame,
     encode_frame,
 )
-from .server import ServiceConfig, ServiceStats, SpexService, run_service
+from .server import ServiceConfig, ServiceStats, SpexService
 
 if TYPE_CHECKING:
     from .client import ProducerClient, ServiceConnection, SubscriberClient
@@ -109,5 +109,4 @@ __all__ = [
     "encode_frame",
     "percentile",
     "run_load",
-    "run_service",
 ]

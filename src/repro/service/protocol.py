@@ -374,10 +374,6 @@ def _strays_dropped(count: int, first: Event | None) -> dict:
     )
 
 
-def ping_frame() -> dict:
-    return {"type": "ping"}
-
-
 def resume_frame(acked: Mapping[str, int]) -> dict:
     """Reattach a durable session's delivery after a reconnect.
 

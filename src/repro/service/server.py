@@ -1369,32 +1369,3 @@ class SpexService:
         self._connections.discard(conn)
         if not conn.writer.is_closing():
             conn.writer.close()
-
-
-async def run_service(
-    config: ServiceConfig,
-    install_signal_handlers: bool = True,
-    ready: "asyncio.Event | None" = None,
-) -> SpexService:
-    """Start a service, serve until drained, return it for inspection.
-
-    With ``install_signal_handlers`` the process's ``SIGTERM``/``SIGINT``
-    trigger :meth:`SpexService.request_drain` — the graceful path the
-    CLI and the chaos harness exercise.  ``ready`` (if given) is set
-    once the listener is bound, for in-process test orchestration.
-    """
-    service = SpexService(config)
-    await service.start()
-    if install_signal_handlers:
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, service.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-    if ready is not None:
-        ready.set()
-    await service.serve_until_done()
-    return service

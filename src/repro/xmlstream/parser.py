@@ -375,11 +375,13 @@ def iter_documents(
     :class:`~repro.xmlstream.recovery.ErrorReport`, action
     ``"parse_error"``) and the stream continues with the next source;
     downstream the poisoned document looks truncated, which the recovery
-    policies quarantine (``skip``) or auto-close (``repair``).
+    policies quarantine (``skip``) or auto-close (``repair``).  Without a
+    ``report`` the failure propagates, as for a single source.
     """
     for index, source in enumerate(sources):
         try:
             yield from iter_events(source, keep_text=keep_text, limits=limits)
         except StreamError as exc:
-            if report is not None:
-                report.add(index, str(exc), "parse_error")
+            if report is None:
+                raise
+            report.add(index, str(exc), "parse_error")

@@ -16,10 +16,13 @@ happens next:
   until its ``</$>`` validates (memory: one document); the engines'
   pass holds its matches, not its events (``ServePump._recover``).
 * :data:`RecoveryPolicy.REPAIR` — fix the stream in flight, without
-  buffering: unclosed tags are auto-closed on truncation (a source that
-  dies mid-document repairs into its readable prefix), a mismatched end
-  tag closes the elements above its open tag, orphan end tags and
-  garbage between documents are dropped.
+  buffering, by one rule (:func:`repair`) that both :func:`recovering`
+  and the engines' pass, which reads the raw stream under its own
+  cursor, call: unclosed tags are auto-closed on truncation (a source
+  that dies mid-document repairs into its readable prefix), a
+  mismatched end tag closes the elements above its open tag, a ``<$>``
+  inside a document closes it, orphan end tags and garbage between
+  documents are dropped.
 
 Every deviation is reported through an :class:`ErrorReport`.
 """
@@ -132,8 +135,10 @@ def recovering(
     :func:`~repro.xmlstream.validate.checked`, except that a sequence of
     ``<$>…</$>`` envelopes is accepted.  ``SKIP_DOCUMENT`` and ``REPAIR``
     run the cursor over their *output*, so its refusal of the next input
-    event is the violation and its ``open_labels``/``in_document`` say
-    what to withhold or synthesize for every yielded document to validate.
+    event is the violation, and its ``open_labels``/``in_document`` say
+    what to withhold, or what :func:`repair` puts in its place.  It is
+    the standalone reference of the engines' pass, which reads the raw
+    stream under its own cursor and calls the same :func:`repair`.
 
     A :class:`~repro.errors.StreamError` raised *by the source iterator
     itself* (e.g. the SAX parser hitting a truncated file) is treated as
@@ -158,107 +163,99 @@ def recovering(
         return
     skip = policy is RecoveryPolicy.SKIP_DOCUMENT
     report = report if report is not None else ErrorReport()
-    source = iter(events)
-    labels = cursor.open_labels
-    advance = cursor.advance
     buffer: list[Event] = []  # SKIP: events of the current document
     garbage_reported = False  # one record per run of inter-document garbage
     resyncing = False  # SKIP: dropping a quarantined document's rest
     died: StreamError | None = None  # the source's own error
 
-    def close_element() -> Event:
-        report.events_repaired += 1
-        closer = EndElement(labels[-1])
-        advance(closer)
-        return closer
-
     try:
-        for event in source:
+        for event in events:
+            fixes: list[Event] | None = [event]
             try:
-                advance(event)
+                cursor.advance(event)
             except StreamError as exc:
-                message = str(exc)
-            else:
+                fixes = None if skip else repair(cursor, event, exc, report)
+                if fixes is None:
+                    if not cursor.in_document:  # garbage between documents
+                        report.events_dropped += 1
+                        if not garbage_reported:
+                            garbage_reported = True
+                            report.add(-1, f"event {event} between documents", "dropped")
+                        continue
+                    # SKIP: quarantine the document; up to the next <$> (a
+                    # duplicate <$> is that next one) the rest is unrecorded garbage
+                    report.add(cursor.documents_seen - 1, str(exc), "skipped")
+                    buffer = []
+                    cursor.abandon_document()
+                    garbage_reported = resyncing = True
+                    fixes = [event] if event.__class__ is StartDocument else []
+                for fix in fixes:
+                    cursor.advance(fix)
+            for event in fixes:
                 if event.__class__ is StartDocument:
                     report.documents_seen += 1
                     garbage_reported = resyncing = False
-                if not skip:
-                    yield event
-                else:
-                    buffer.append(event)
-                    if not cursor.in_document:
-                        yield from buffer
-                        buffer = []
-                continue
-
-            doc = cursor.documents_seen - 1  # index of the current document
-            closes = event.label if isinstance(event, EndElement) else None
-            if not cursor.in_document:
-                # Garbage between documents (or a missing <$>).
-                if not skip and isinstance(event, (StartElement, Text)):
-                    # Missing envelope open: synthesize it, then the
-                    # event goes on inside the new document.
-                    opener = StartDocument()
-                    advance(opener)
-                    report.documents_seen += 1
-                    report.events_repaired += 1
-                    report.add(doc + 1, f"missing <$> before {event}", "repaired")
-                    yield opener
-                    advance(event)
-                    yield event
-                    continue
-                report.events_dropped += 1
-                if not garbage_reported:
-                    garbage_reported = True
-                    report.add(-1, f"event {event} between documents", "dropped")
-            elif skip:
-                # Quarantine the document: up to the next <$> (a duplicate
-                # <$> is that next one) the rest is garbage, unrecorded.
-                report.add(doc, message, "skipped")
-                buffer = []
-                cursor.abandon_document()
-                garbage_reported = resyncing = True
-                if isinstance(event, StartDocument):
-                    advance(event)
-                    report.documents_seen += 1
-                    garbage_reported = resyncing = False
-                    buffer.append(event)
-            elif isinstance(event, EndDocument) or closes in labels:
-                # REPAIR: close the elements above the matching open tag
-                # (all of them at </$>).
-                report.add(doc, message, "repaired")
-                while labels and labels[-1] != closes:
-                    yield close_element()
-                advance(event)
-                yield event
-            else:  # REPAIR: an orphan end tag or a duplicate <$>
-                report.events_dropped += 1
-                report.add(doc, f"{message}; dropped", "repaired")
+                buffer.append(event)
+                if not skip or not cursor.in_document:
+                    yield from buffer
+                    buffer = []
     except StreamError as exc:
         died = exc
 
     if not cursor.in_document:
-        if died is not None and not resyncing:
-            # The source died between documents (e.g. input that is not
-            # XML at all): nothing to recover, but the report must not
-            # read "ok".
+        if died is not None and not resyncing:  # e.g. input that is not XML at all
             report.add(-1, f"source failed: {died}", "dropped")
-        return
-    if died is None and not require_end:
-        # Prefix semantics: an open document on a live source is not an
-        # error — but a SKIP buffer is withheld (it never validated)
-        # while REPAIR has already yielded the prefix.
-        return
-    if died is not None:
-        message = f"source failed mid-document: {died}"
+    elif died is not None or require_end:
+        # (otherwise an open document on a live source is a prefix: SKIP
+        # withholds its buffer, which never validated; REPAIR yielded it)
+        if skip:
+            report.add(cursor.documents_seen - 1, unfinished(cursor, died), "skipped")
+        else:
+            yield from repair(cursor, None, died, report) or ()
+
+
+def unfinished(cursor: StreamCursor, died: StreamError | None) -> str:
+    """Why the document open at the end of the input is unfinished."""
+    try:
+        cursor.end()
+    except StreamError as exc:
+        return str(exc) if died is None else f"source failed mid-document: {died}"
+    raise ValueError("no document is open")
+
+
+def repair(
+    cursor: StreamCursor, event: Event | None, error: StreamError | None, report: ErrorReport
+) -> list[Event] | None:
+    """The repair rule: the events that stand in for ``event``, refused by
+    ``cursor`` with ``error`` (``event`` is ``None`` where the input ended
+    inside a document, ``error`` the source's own if it died), once the
+    record and counters that say so are filed.
+
+    The cursor accepts them in order, ``event`` last where it is kept.
+    An end tag gets the closers above its open tag (an orphan: nothing),
+    ``</$>`` every closer, a ``<$>`` every closer and ``</$>`` (it opens
+    the next document), the end of the input every closer and ``</$>``,
+    and an element or text between documents a ``<$>``.  Other garbage
+    between documents is not repaired (``None``): both policies drop it.
+    """
+    cls, labels = event.__class__, cursor.open_labels
+    closes = event.label if isinstance(event, EndElement) else None
+    index = cursor.documents_seen - 1
+    if not cursor.in_document:
+        if cls is not StartElement and cls is not Text:
+            return None
+        fixes: list[Event] = [StartDocument()]
+        index, message = index + 1, f"missing <$> before {event}"
+    elif closes is not None and closes not in labels:
+        report.events_dropped += 1
+        report.add(index, f"{error}; dropped", "repaired")
+        return []
     else:
-        try:
-            cursor.end()  # inside a document: always raises
-        except StreamError as exc:
-            message = str(exc)
-    report.add(cursor.documents_seen - 1, message, "skipped" if skip else "repaired")
-    if not skip:  # auto-close the truncation
-        while labels:
-            yield close_element()
-        report.events_repaired += 1
-        yield EndDocument()
+        above = len(labels) - labels[::-1].index(closes) if closes is not None else 0
+        fixes = [EndElement(label) for label in reversed(labels[above:])]
+        message = str(error) if event is not None else unfinished(cursor, error)
+        if closes is None and cls is not EndDocument:  # <$>, or the end
+            fixes.append(EndDocument())
+    report.events_repaired += len(fixes)
+    report.add(index, message, "repaired")
+    return fixes if event is None else [*fixes, event]

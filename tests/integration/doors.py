@@ -420,15 +420,11 @@ def door_service(events, flags=None, limits=None, cut=None):
     return rows, None
 
 
-def taken_in(recovering_engine, policy, report):
+def taken_in(recovering_engine, report):
     """How many events of the source a recovering pass has taken in: its
-    pump's cursor counts them under ``skip`` (refused and discarded ones
-    too); under ``repair`` it counts the repaired stream, which lacks
-    the events ``recovering`` dropped and has those it added."""
-    cursor = recovering_engine._pump.cursor
-    if policy == "skip":
-        return cursor.events_read
-    return cursor.events_read + report.events_dropped - report.events_repaired
+    pump's cursor counts them (refused and discarded ones too) and the
+    events the repair rule added."""
+    return recovering_engine._pump.cursor.events_read - report.events_repaired
 
 
 def summary(report):
@@ -455,7 +451,7 @@ def recovering_pass(method):
         items, refused = pulled(
             lambda s: getattr(passing, method)(s, on_error=policy, report=report),
             events,
-            lambda: taken_in(passing, policy, report),
+            lambda: taken_in(passing, report),
         )
         assert refused is None
         delivered = defaultdict(list)
@@ -559,7 +555,7 @@ def recovering_spex(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
         items, refused = pulled(
             lambda s: spex.run(s, on_error=policy, report=report),
             events,
-            lambda: taken_in(spex._engine, policy, report),
+            lambda: taken_in(spex._engine, report),
         )
         assert refused is None
         hits[q] = [(m.position, m.label) for _, m in items]
@@ -579,7 +575,7 @@ def recovering_filter(method):
             verdicts = getattr(filtering, method)(source, on_error=policy, report=report)
             return [verdicts] if isinstance(verdicts, dict) else verdicts
 
-        items, refused = pulled(run, events, lambda: taken_in(filtering, policy, report))
+        items, refused = pulled(run, events, lambda: taken_in(filtering, report))
         assert refused is None
         verdicts = [verdict for _, verdict in items]
         return (verdicts[0] if method == "filter_documents" else verdicts), summary(report)

@@ -329,6 +329,18 @@ class TestServeCommand:
         assert main(["serve", "x=a", "x=b", "--file", doc_file]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["one", "sharded"])
+    def test_strict_serving_fails_on_a_malformed_file_among_several(
+        self, tmp_path, doc_file, capsys, shards
+    ):
+        # the same exit as with that file alone: nothing files the error
+        truncated = tmp_path / "truncated.xml"
+        truncated.write_text("<a><b>")
+        argv = ["serve", "--count", "--on-error", "strict", "q=_*.b", *shards]
+        code = main([*argv, "--file", doc_file, "--file", str(truncated)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed XML")
+
     def test_poisoned_file_among_healthy_ones(self, tmp_path, doc_file, capsys):
         from repro.workloads import billion_laughs
 

@@ -59,7 +59,13 @@ from repro.core.serving import BreakerPolicy, ServingPolicy
 from repro.errors import StreamError
 from repro.rpeq.parser import parse
 from repro.xmlstream import FaultInjector
-from repro.xmlstream.events import EndDocument, EndElement, StartDocument, StartElement
+from repro.xmlstream.events import (
+    EndDocument,
+    EndElement,
+    StartDocument,
+    StartElement,
+    events_from_tags,
+)
 from repro.xmlstream.parser import iter_documents, parse_string
 
 from ..conftest import make_random_events
@@ -373,6 +379,25 @@ def test_a_limit_tripped_at_end_document_spares_the_next_one(limits, policy):
         assert [r[::2] for r in report[0]] == [(0, "limit")] and report[1] == 2
         with ticking():
             observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
+        assert observed == (view(documents), report), door
+
+
+@pytest.mark.parametrize("policy", ["skip", "repair"])
+@pytest.mark.parametrize("limit", [None, 3, 4], ids=["none", "3-events", "4-events"])
+def test_a_start_document_inside_a_document_opens_the_next_one(limit, policy):
+    """A ``<$>`` inside a document: skip drops that document and repair
+    closes it, and the ``<$>`` opens the next — also where the first
+    document tripped a limit and its rest is only checked (3: before the
+    ``<$>``, 4: at repair's first closer; ``serve`` has bulkheads, so
+    it runs without)."""
+    limits = ResourceLimits(max_events_per_document=limit) if limit else None
+    tags = ["<$>", "<a>", "<b>", "</b>", "<$>", "<c>", "</c>", "</$>"]
+    events = list(events_from_tags(tags))
+    for door in [d for d in RECOVERING if limits is None or d != "serve"]:
+        run, require_end, view = RECOVERING[door]
+        documents, report = recovered(events, policy, require_end, limits)
+        assert report[1] == 2, door
+        observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
         assert observed == (view(documents), report), door
 
 

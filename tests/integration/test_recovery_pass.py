@@ -13,7 +13,9 @@ standalone ``recovering``.  Here:
 * it reads an endless stream one document at a time;
 * ``filter_stream`` reads the rest of a document whose verdicts are all
   in by the cursor alone, as its strict pass did before it ran on the
-  one loop, and starts the next document afresh.
+  one loop, and starts the next document afresh;
+* every policy reads the raw stream under the pump's one cursor, and a
+  ``<$>`` that repair meets inside a document closes that document.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from itertools import islice
 import pytest
 
 from repro import StreamCursor
+from repro.core import multiquery
 from repro.core.multiquery import MultiQueryEngine
 from repro.core.optimize import NO_OPTIMIZATIONS, all_knob_combinations
 from repro.workloads import random_tree
-from repro.xmlstream import EndDocument
+from repro.xmlstream import EndDocument, ErrorReport
 from repro.xmlstream.parser import iter_documents, parse_string
 
-from .doors import CORPUS, CROSSING, stream
+from .doors import CORPUS, CROSSING, STRUCTURAL_FAULTS, corrupted, stream
 
 #: snapshot keys that count what a runner did — instrumentation, event
 #: and variable counters — and feed no answer
@@ -156,3 +159,30 @@ def test_a_decided_document_is_read_on_by_the_cursor_alone(policy):
     assert verdicts == [{"a": True, "b": True}, {"a": False, "b": True}]
     # the two networks see the first document up to its <b/>, not its 50 <x/>
     assert len(fed) < 2 * (2 + 2 * 4) + 2 * 8
+
+
+@pytest.mark.parametrize("policy", ["skip", "repair"])
+@pytest.mark.parametrize("kind", STRUCTURAL_FAULTS)
+def test_a_recovering_pass_checks_with_one_cursor(kind, policy, monkeypatch):
+    events = corrupted(kind, 3)[0]
+    engine = MultiQueryEngine(CORPUS, preflight=False)
+    created = []
+    init = StreamCursor.__init__
+
+    def counting(self):
+        created.append(self)
+        init(self)
+
+    monkeypatch.setattr(StreamCursor, "__init__", counting)
+    list(engine.run(events, on_error=policy))
+    assert created == [engine._pump.cursor]
+    assert not hasattr(multiquery, "recovering")
+
+
+def test_repair_does_not_merge_a_cut_file_into_the_next():
+    report = ErrorReport()
+    engine = MultiQueryEngine({"q": "_*.a.b"})
+    source = iter_documents(["<r><a>", "<b/>"], report=report)
+    assert list(engine.run(source, on_error="repair", report=report)) == []
+    assert report.documents_seen == 2
+    assert [r.action for r in report.records] == ["parse_error", "repaired"]

@@ -162,11 +162,19 @@ class TestRepair:
         assert got == ["<$>", "<a>", "</a>", "</$>"]
         assert report.events_repaired == 1
 
-    def test_duplicate_start_document_dropped(self):
+    def test_duplicate_start_document_closes_the_document(self):
+        # the second <$> opens the next document, as under skip; the
+        # first one is closed, not merged into it
         report = ErrorReport()
         got = run(["<$>", "<a>", "<$>", "</a>", "</$>"], "repair", report)
-        assert got == ["<$>", "<a>", "</a>", "</$>"]
-        assert report.events_dropped == 1
+        assert got == ["<$>", "<a>", "</a>", "</$>", "<$>", "</$>"]
+        assert report.events_repaired == 2  # </a> and </$>
+        assert report.events_dropped == 1  # the orphan </a>
+        assert report.documents_seen == 2
+        assert [(r.document, r.action) for r in report.records] == [
+            (0, "repaired"),
+            (1, "repaired"),
+        ]
 
     def test_source_error_treated_as_truncation(self):
         def source():
