@@ -160,6 +160,7 @@ class MultiQueryEngine:
         """
         #: the registered queries, as they run (after the opt-in rewrite)
         self.queries: dict[str, Rpeq] = {}
+        self._texts: dict[str, str] = {}
         self.collect_events = collect_events
         self.limits = limits
         self.optimize = as_flags(optimize)
@@ -325,6 +326,7 @@ class MultiQueryEngine:
         if self.analysis is not None and (decision is None or decision.admitted):
             self.analysis[query_id] = self._preflight_one(query_id, expr)
         self.queries[query_id] = expr
+        self._texts[query_id] = unparse(expr)  # as checkpoints name it
         self.plans[query_id] = plan
         if rewritten is not None:
             self.rewrites[query_id] = rewritten
@@ -337,6 +339,7 @@ class MultiQueryEngine:
         if query_id not in self.queries:
             raise EngineError(f"query {query_id!r} is not registered")
         del self.queries[query_id]
+        del self._texts[query_id]
         self.admissions.pop(query_id, None)
         self.plans.pop(query_id, None)
         self.rewrites.pop(query_id, None)
@@ -660,8 +663,8 @@ class MultiQueryEngine:
             # registration order is the cross-query emission order, so
             # it is data: a list, which a sorted-key file cannot reorder
             "subscriptions": [
-                [query_id, unparse(query), self.lane_executions.get(query_id)]
-                for query_id, query in self.queries.items()
+                [query_id, text, self.lane_executions.get(query_id)]
+                for query_id, text in self._texts.items()
             ],
             "collect_events": self.collect_events,
             "optimize": self.optimize.to_obj(),
@@ -776,7 +779,7 @@ class MultiQueryEngine:
         """
         subscriptions = payload["subscriptions"]
         if [[query_id, text] for query_id, text, _lane in subscriptions] != [
-            [query_id, unparse(query)] for query_id, query in self.queries.items()
+            [query_id, text] for query_id, text in self._texts.items()
         ]:
             raise CheckpointError(
                 "checkpoint subscription set does not match this engine's "

@@ -106,6 +106,11 @@ class Match:
             1 for event in self.events if isinstance(event, StartElement)
         )
 
+    def __reduce__(self) -> tuple:
+        # one call per match through a shard's pipe, not the field-by-field
+        # state a frozen slots dataclass pickles by default
+        return Match, (self.position, self.label, self.events)
+
 
 @dataclass(eq=False, slots=True)
 class _Candidate:

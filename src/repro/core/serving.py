@@ -36,7 +36,7 @@ robustness counters / CLI recovery summary.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -450,7 +450,7 @@ class QueryOutcome:
     def to_obj(self) -> dict:
         """JSON-serializable form (checkpoint / IPC codec): every field
         but the id, which keys the entry."""
-        obj = asdict(self)
+        obj = self.__dict__.copy()  # the fields, without asdict's deep copy
         del obj["query_id"]
         return obj
 

@@ -10,14 +10,15 @@ the same fault-domain discipline one level up:
 * :func:`partition_queries` splits a subscription set across ``N``
   shards by a stable hash of the query id;
 * each shard runs a :class:`~repro.core.multiquery.MultiQueryEngine`
-  in its **own worker process**, fed over a bounded IPC queue with
-  backpressure, one pickled **chunk** per message: the events up to and
-  including the next ``</$>`` (at most :attr:`ShardConfig.batch_events`
-  of them inside a longer document), pickled once in the coordinator and
-  the same bytes sent to every shard.  The worker pulls each chunk through
+  in its **own worker process**, fed over a plain pipe whose OS buffer is
+  the backpressure window, one pickled **chunk** per message: the events
+  up to and including the next ``</$>`` (at most
+  :attr:`ShardConfig.batch_events` of them inside a longer document), cut
+  and pickled once in the coordinator as the workers take them and the
+  same bytes sent to every shard.  The worker pulls each chunk through
   the pump's one loop, as :meth:`~repro.core.multiquery.MultiQueryEngine.serve`
-  does, and sends heartbeats and one commit per document back over a
-  per-shard result queue;
+  does, and sends at most one heartbeat per chunk and one commit per
+  document back over a per-shard result pipe;
 * the :class:`ShardCoordinator` detects worker death (exit) and worker
   stall (missed heartbeats, via :class:`HeartbeatMonitor` on an
   injectable :class:`~repro.core.clock.Clock`), kills and restarts the
@@ -48,11 +49,11 @@ import copy
 import multiprocessing
 import os
 import pickle
+import select
 import zlib
 from dataclasses import asdict, dataclass
 from itertools import chain
-from queue import Empty, Full
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import CheckpointError, EngineError
 from ..limits import ResourceLimits
@@ -67,6 +68,9 @@ from .engine import RobustnessCounters
 from .multiquery import MultiQueryEngine, ServePump
 from .output_tx import Match
 from .serving import AdmissionPolicy, QueryOutcome, ServingPolicy, ServingReport
+
+if TYPE_CHECKING:  # the pipes' module loads with the first pipe
+    from multiprocessing.connection import Connection
 
 #: Per-shard outcome codes carried by the merged report's shard log.
 SHARD_CRASH = "SHARD_CRASH"  #: worker process died (non-zero exit / signal)
@@ -87,7 +91,8 @@ class ShardConfig:
         shards: number of worker processes.
         heartbeat_interval: seconds between worker heartbeats.
         heartbeat_timeout: coordinator-side silence budget before a
-            worker is declared stalled and killed; ``None`` disables
+            worker is declared stalled and killed (a worker beats between
+            chunks, so one chunk must take less); ``None`` disables
             stall detection (death detection still works).
         max_trips: crash-restarts tolerated *from the same checkpoint
             position* before the coordinator stops retrying and runs
@@ -95,8 +100,6 @@ class ShardConfig:
         batch_events: most events per input chunk: a chunk ends at each
             ``</$>``, and a document longer than this is split into
             chunks of this many events.
-        queue_batches: bound of the per-shard input queue, in chunks —
-            the backpressure window between coordinator and worker.
         backoff_initial/backoff_factor/backoff_max/jitter/seed: restart
             backoff schedule, shared with
             :class:`~repro.core.clock.ExponentialBackoff`.
@@ -115,7 +118,6 @@ class ShardConfig:
     heartbeat_timeout: float | None = 5.0
     max_trips: int = 3
     batch_events: int = 256
-    queue_batches: int = 8
     backoff_initial: float = 0.02
     backoff_factor: float = 2.0
     backoff_max: float = 1.0
@@ -140,8 +142,6 @@ class ShardConfig:
             raise ValueError("max_trips must be positive")
         if self.batch_events < 1:
             raise ValueError("batch_events must be positive")
-        if self.queue_batches < 1:
-            raise ValueError("queue_batches must be positive")
 
 
 @dataclass(frozen=True)
@@ -313,37 +313,34 @@ class _WorkerSpec:
 
 
 class _Uplink:
-    """The worker's result queue: rate-limited liveness messages, and the
-    matches decided since the last commit."""
+    """The worker's result pipe: liveness messages at most one per
+    interval, and the matches decided since the last commit."""
 
-    def __init__(
-        self,
-        out_queue: "multiprocessing.queues.Queue[tuple]",
-        clock: Clock,
-        interval: float,
-    ) -> None:
-        self.put = out_queue.put
+    def __init__(self, out: Connection, clock: Clock, interval: float) -> None:
+        self.send = out.send
         self._clock = clock
         self._interval = interval
         self._last = clock.monotonic()
         #: ``(query_id, match)`` pairs not yet covered by a checkpoint
         self.held: list[tuple[str, Match]] = []
 
-    def force(self) -> None:
-        self.put(("hb",))
-        self._last = self._clock.monotonic()
+    def beat(self, idle: bool = False) -> None:
+        """Send a heartbeat when one is due, and whenever the worker idles."""
+        now = self._clock.monotonic()
+        if idle or now - self._last >= self._interval:
+            self.send(("hb",))
+            self._last = now
 
-    def maybe(self) -> None:
-        if self._clock.monotonic() - self._last >= self._interval:
-            self.force()
 
-    def commit(self, checkpoint: Checkpoint) -> None:
-        """Send the held matches with the checkpoint that covers them."""
-        # the object, not to_dict(): the checksum guards bytes at rest, and
-        # these never leave a pipe.  Rebind, never clear: the queue pickles
-        # the sent list later, on its feeder thread.
-        self.put(("commit", checkpoint, self.held))
-        self.held = []
+def _hooked(
+    hook: FaultHook, spec: _WorkerSpec, pump: ServePump, events: Iterable[Event]
+) -> Iterator[Event]:
+    """``events``, with the fault hook run before each is handed over."""
+    index = pump.cursor.events_read
+    for event in events:
+        hook(spec.shard, spec.incarnation, index, frozenset(pump.live_queries))
+        index += 1
+        yield event
 
 
 def _drive(
@@ -353,48 +350,38 @@ def _drive(
     events: Iterable[Event],
     uplink: _Uplink | None = None,
 ) -> None:
-    """Pull ``events`` through ``pump``'s one loop, as a shard worker does.
-
-    The loop takes each event from a generator that runs the fault hook
-    just before handing the event over.  The generator resumes once the
-    loop has processed the event and its matches are held; then, with an
-    ``uplink``, it sends a heartbeat when one is due (proof of real
-    progress) and, after a ``</$>``, the commit: the document-boundary
-    checkpoint with the matches held since the previous one.  A probe
-    has no uplink: it reports by surviving.
-    """
-    hook = spec.hook
-
-    def fed() -> Iterator[Event]:
-        index = pump.cursor.events_read
-        for event in events:
-            if hook is not None:
-                hook(spec.shard, spec.incarnation, index, frozenset(pump.live_queries))
-            index += 1
-            yield event
-            if uplink is not None:
-                uplink.maybe()
-                if event.__class__ is EndDocument:
-                    checkpoint = engine.checkpoint()
-                    if spec.checkpoint_path is not None:
-                        checkpoint.save(spec.checkpoint_path)
-                    uplink.commit(checkpoint)
-
+    """Pull ``events`` (a chunk) through ``pump``'s one loop, as a shard
+    worker does: each call of the loop returns at an event that decided
+    something or ends a document.  With an ``uplink`` the pairs are held
+    and each ``</$>`` sends them with the document-boundary checkpoint in
+    one message; after the chunk a heartbeat goes out when one is due
+    (one clock read).  The fault hook, when set, runs before each event.
+    A probe has no uplink: it reports by surviving."""
+    if spec.hook is not None:
+        events = _hooked(spec.hook, spec, pump, events)
+    events = iter(events)
+    cursor = pump.cursor
     # a stream-deadline expiry ends the pull early: the pass is over
-    for pair in pump._pull(fed()):
+    while not pump.finished and (out := pump._advance(events)) is not None:
         if uplink is not None:
-            uplink.held.append(pair)
+            uplink.held += out
+            if not cursor.in_document and not pump.finished:
+                checkpoint = engine.checkpoint()
+                if spec.checkpoint_path is not None:
+                    checkpoint.save(spec.checkpoint_path)
+                # the object, not to_dict(): the checksum guards bytes at
+                # rest, and these never leave a pipe
+                uplink.send(("commit", checkpoint, uplink.held))
+                uplink.held = []
+    if uplink is not None:
+        uplink.beat()
 
 
-def _worker_main(
-    spec: _WorkerSpec,
-    in_queue: "multiprocessing.queues.Queue[bytes | None]",
-    out_queue: "multiprocessing.queues.Queue[tuple]",
-) -> None:
+def _worker_main(spec: _WorkerSpec, chunks: Connection, results: Connection) -> None:
     """Entry point of one shard worker process: it reads pickled chunks
-    until ``None``, the end of the stream."""
+    until an empty message, the end of the stream."""
     try:
-        uplink = _Uplink(out_queue, SYSTEM_CLOCK, spec.heartbeat_interval)
+        uplink = _Uplink(results, SYSTEM_CLOCK, spec.heartbeat_interval)
         engine = spec.engine()
         if spec.checkpoint is not None:
             # the coordinator feeds from the cut on
@@ -403,21 +390,22 @@ def _worker_main(
             pump = engine.start_pump(
                 spec.policy, cursor=StreamCursor(), quarantined=spec.quarantined
             )
+        waiting = select.poll()
+        waiting.register(chunks.fileno(), select.POLLIN)
         while not pump.finished:
-            try:
-                message = in_queue.get(timeout=spec.heartbeat_interval)
-            except Empty:
-                uplink.force()  # beat while idle
+            if not waiting.poll(spec.heartbeat_interval * 1000):
+                uplink.beat(idle=True)
                 continue
-            if message is None:  # the end of the stream
+            message = chunks.recv_bytes()
+            if not message:  # the end of the stream
                 break
             _drive(spec, engine, pump, pickle.loads(message), uplink)
-        uplink.put(
+        uplink.send(
             ("done", pump.serving.to_obj(), asdict(engine.robustness), uplink.held)
         )
     except BaseException as exc:
         try:
-            out_queue.put(("error", f"{type(exc).__name__}: {exc}"))
+            results.send(("error", f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
         raise
@@ -491,41 +479,53 @@ class ShardedResult:
 
 
 class _Chunks:
-    """The stream as the shards receive it: the events up to and including
-    each ``</$>``, at most ``batch_events`` to a chunk, each chunk pickled
-    once — the same bytes go to every shard, restart and probe."""
+    """The stream as the shards receive it, cut as the workers take it:
+    the events through each ``</$>``, at most ``batch_events`` to a chunk,
+    each pickled once — the same bytes go to every shard, restart and probe."""
 
     def __init__(self, events: Iterable[Event], batch_events: int) -> None:
+        #: the source not yet cut (``None`` once it is exhausted)
+        self._source: Iterator[Event] | None = iter(events)
+        self._batch = batch_events
         self.data: list[bytes] = []
         #: stream position of each chunk's first event -> chunk index
         self._starts: dict[int, int] = {}
         self.events = 0
-        chunk: list[Event] = []
-        for event in events:
-            chunk.append(event)
-            if event.__class__ is EndDocument or len(chunk) == batch_events:
-                self._add(chunk)
-                chunk = []
-        self._add(chunk)
-        # a checkpoint at the stream's end resumes with nothing left to send
-        self._starts.setdefault(self.events, len(self.data))
 
-    def _add(self, chunk: list[Event]) -> None:
-        if chunk:
-            self._starts[self.events] = len(self.data)
-            self.data.append(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
-            self.events += len(chunk)
+    def get(self, index: int) -> bytes | None:
+        """Chunk ``index``, cut from the source if need be; ``None`` past
+        the stream's end."""
+        while index >= len(self.data) and self._source is not None:
+            chunk: list[Event] = []
+            for event in self._source:
+                chunk.append(event)
+                if event.__class__ is EndDocument or len(chunk) == self._batch:
+                    break
+            else:
+                self._source = None
+            if chunk:
+                self._starts[self.events] = len(self.data)
+                self.data.append(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                self.events += len(chunk)
+        return self.data[index] if index < len(self.data) else None
+
+    def everything(self) -> list[bytes]:
+        """Every chunk, the rest of the source cut now."""
+        while self.get(len(self.data)) is not None:
+            pass
+        return self.data
 
     def starting_at(self, position: int) -> int:
         """The chunk a restart from a checkpoint at ``position`` resumes at
-        (``len(data)`` at the stream's end); commits happen only at
+        (the next to cut where the cut ends); commits happen only at
         ``</$>``, which always ends a chunk."""
-        if position not in self._starts:
+        index = len(self.data) if position == self.events else self._starts.get(position)
+        if index is None:
             raise CheckpointError(
                 f"no chunk starts at stream position {position}: a shard "
                 f"checkpoint must be cut at a document boundary"
             )
-        return self._starts[position]
+        return index
 
 
 class _ShardState:
@@ -543,10 +543,12 @@ class _ShardState:
         )
         self.incarnation = -1
         self.process = None
-        self.in_queue = None
-        self.out_queue = None
-        #: the next chunk to send; one past the last is the end, ``None``
-        self.next_chunk = 0
+        #: the coordinator's ends of the worker's input and result pipes
+        self.chunks: Connection | None = None
+        self.results: Connection | None = None
+        #: the next chunk to send (``None`` once the end is sent); unsent bytes
+        self.next_chunk: int | None = 0
+        self.unsent = memoryview(b"")
         self.committed: Checkpoint | None = None
         self.finished = not query_ids
         self.status = "ok"
@@ -635,10 +637,12 @@ class ShardCoordinator:
     def run(self, source: str | Iterable[Event]) -> ShardedResult:
         """Serve the stream across all shards; block until merged.
 
-        The stream is materialized once as pickled chunks (restarts
-        replay suffixes of it), partitioned serving runs to completion
-        with crash/stall supervision, and the per-shard outcomes merge
-        into one :class:`ShardedResult`.  The shard log, the recovery
+        The workers start first; the stream is cut into pickled chunks as
+        they take it and kept (restarts replay suffixes of it),
+        partitioned serving runs to completion with crash/stall
+        supervision, and the per-shard outcomes merge into one
+        :class:`ShardedResult`.  A source that fails raises its error
+        here, once every worker is gone.  The shard log, the recovery
         counters and the restart backoffs belong to this pass alone.
         """
         config = self.config
@@ -664,6 +668,7 @@ class ShardCoordinator:
                         progress |= self._pump(state, stream, matches)
                 if not progress:
                     self.clock.sleep(0.002)
+            stream.everything()  # a lost shard stops reading: count the rest
         finally:
             for state in states:
                 self._retire_worker(state, kill=True)
@@ -673,10 +678,10 @@ class ShardCoordinator:
     # per-shard pump
 
     def _pump(self, state: _ShardState, stream: _Chunks, matches: dict) -> bool:
-        progress = self._drain(state, matches, blocking=False)
+        progress = self._drain(state, matches)
         if state.finished:
             return progress
-        progress |= self._feed(state, stream)
+        self._feed(state, stream)  # the pipe holds more than a sleep's worth
         process = state.process
         if process is not None and not process.is_alive():
             self._handle_failure(state, stream, matches, stalled=False)
@@ -691,39 +696,37 @@ class ShardCoordinator:
             return True
         return progress
 
-    def _feed(self, state: _ShardState, stream: _Chunks) -> bool:
-        progress = False
-        chunks = stream.data
-        while state.next_chunk <= len(chunks):
-            index = state.next_chunk
-            message = chunks[index] if index < len(chunks) else None
+    def _feed(self, state: _ShardState, stream: _Chunks) -> None:
+        """Write the next chunks into the worker's pipe until it is full
+        or the end is sent; never block (the worker may be waiting for
+        the coordinator to read its results)."""
+        while state.chunks is not None:
+            if not state.unsent:
+                if state.next_chunk is None:
+                    break  # the end is sent
+                data = stream.get(state.next_chunk)
+                state.next_chunk = None if data is None else state.next_chunk + 1
+                data = data or b""  # an empty message ends the stream
+                # the framing Connection.recv_bytes reads: length, then bytes
+                state.unsent = memoryview(len(data).to_bytes(4, "big") + data)
             try:
-                state.in_queue.put_nowait(message)
-            except Full:
-                return progress
-            state.next_chunk += 1
-            progress = True
-        return progress
+                written = os.write(state.chunks.fileno(), state.unsent)
+            except (BlockingIOError, BrokenPipeError):  # full, or a dead worker's
+                break
+            state.unsent = state.unsent[written:]
 
-    def _drain(
-        self, state: _ShardState, matches: dict, blocking: bool
-    ) -> bool:
-        """Process queued worker messages; commit each commit's matches.
-
-        ``blocking=True`` is the post-mortem drain: the worker is dead
-        and joined, so its queue feeder has flushed — keep reading with
-        a short timeout until silence.  A SIGKILL mid-``put`` can leave
-        the queue unreadable; any exception ends the drain (the
-        uncommitted tail is replayed from the checkpoint anyway).
-        """
+    def _drain(self, state: _ShardState, matches: dict) -> bool:
+        """Process the worker's sent messages; commit each commit's matches.
+        A dead worker's are all in its pipe, the last one torn if a
+        SIGKILL hit its ``send`` (the uncommitted tail is replayed)."""
         progress = False
+        results = state.results
         while True:
             try:
-                if blocking:
-                    message = state.out_queue.get(timeout=0.1)
-                else:
-                    message = state.out_queue.get_nowait()
-            except Exception:  # Empty, or a queue a SIGKILL tore
+                if results is None or not results.poll():
+                    break
+                message = results.recv()
+            except (EOFError, OSError):  # the end of a dead worker's pipe, or torn
                 break
             progress = True
             self.monitor.beat(state.index)
@@ -739,6 +742,7 @@ class ShardCoordinator:
                 state.robustness_obj = message[2]
                 state.finished = True
                 self._retire_worker(state)
+                break
             elif kind == "error":
                 state.last_error = message[1]
         return progress
@@ -759,7 +763,7 @@ class ShardCoordinator:
             process.join()
         # The worker may have finished cleanly and exited before this
         # liveness poll: the post-mortem drain finds its "done".
-        self._drain(state, matches, blocking=True)
+        self._drain(state, matches)
         self._retire_worker(state)
         if state.finished:
             return
@@ -828,7 +832,7 @@ class ShardCoordinator:
                 quarantined=(),
             )
             probe = self._mp.Process(
-                target=_probe_main, args=(spec, stream.data), daemon=True
+                target=_probe_main, args=(spec, stream.everything()), daemon=True
             )
             probe.start()
             probe.join(self.config.probe_timeout)
@@ -891,8 +895,10 @@ class ShardCoordinator:
 
     def _start_worker(self, state: _ShardState, stream: _Chunks) -> None:
         state.incarnation += 1
-        state.in_queue = self._mp.Queue(maxsize=self.config.queue_batches)
-        state.out_queue = self._mp.Queue()
+        chunks, state.chunks = self._mp.Pipe(duplex=False)
+        state.results, results = self._mp.Pipe(duplex=False)
+        os.set_blocking(state.chunks.fileno(), False)
+        state.unsent = memoryview(b"")
         checkpoint = state.committed
         if checkpoint is not None and state.quarantined:
             checkpoint = quarantine_in_checkpoint(
@@ -915,11 +921,12 @@ class ShardCoordinator:
             ),
         )
         state.process = self._mp.Process(
-            target=_worker_main,
-            args=(spec, state.in_queue, state.out_queue),
-            daemon=True,
+            target=_worker_main, args=(spec, chunks, results), daemon=True
         )
         state.process.start()
+        # the worker's ends live in the worker only: its exit closes them
+        chunks.close()
+        results.close()
         self.monitor.beat(state.index)
         if state.incarnation > 0 and state.committed is not None:
             self.robustness.restores += 1
@@ -930,16 +937,9 @@ class ShardCoordinator:
             if kill:
                 process.kill()  # a no-op once it has exited
             process.join()
-        for queue in (state.in_queue, state.out_queue):
-            if queue is None:
-                continue
-            try:
-                queue.cancel_join_thread()
-                queue.close()
-            except Exception:
-                pass
-        state.in_queue = None
-        state.out_queue = None
+        for pipe in filter(None, (state.chunks, state.results)):
+            pipe.close()
+        state.chunks = state.results = None
         self.monitor.disarm(state.index)
         state.process = None
 

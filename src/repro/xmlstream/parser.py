@@ -375,13 +375,21 @@ def iter_documents(
     :class:`~repro.xmlstream.recovery.ErrorReport`, action
     ``"parse_error"``) and the stream continues with the next source;
     downstream the poisoned document looks truncated, which the recovery
-    policies quarantine (``skip``) or auto-close (``repair``).  Without a
-    ``report`` the failure propagates, as for a single source.
+    policies quarantine (``skip``) or auto-close (``repair``).  The list
+    is finite, so a failure of the last source is also raised once it is
+    filed: the stream ends cut, not open, as a single failing source
+    ends.  Without a ``report`` the failure propagates, as for a single
+    source.
     """
+    failed: StreamError | None = None
     for index, source in enumerate(sources):
+        failed = None
         try:
             yield from iter_events(source, keep_text=keep_text, limits=limits)
         except StreamError as exc:
             if report is None:
                 raise
             report.add(index, str(exc), "parse_error")
+            failed = exc
+    if failed is not None:
+        raise failed

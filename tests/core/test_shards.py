@@ -360,7 +360,6 @@ class TestShardConfig:
             {"heartbeat_interval": 2.0, "heartbeat_timeout": 1.0},
             {"max_trips": 0},
             {"batch_events": 0},
-            {"queue_batches": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -422,7 +421,7 @@ class TestWorkerUplink:
         sent: list[tuple] = []
         calls = []
         # a clock that never moves: no heartbeat is ever due
-        uplink = _Uplink(SimpleNamespace(put=sent.append), FakeClock(), 0.05)
+        uplink = _Uplink(SimpleNamespace(send=sent.append), FakeClock(), 0.05)
 
         def hook(shard, incarnation, index, live):
             committed = sum(len(message[2]) for message in sent)
@@ -460,6 +459,40 @@ class TestWorkerUplink:
         ]
 
 
+class TestBeatAndCommitGranularity:
+    """Per chunk a worker reads the clock at most once; per document it
+    sends one commit, however the documents are cut."""
+
+    def test_one_commit_per_document_and_one_clock_read_per_chunk(self):
+        class CountingClock(FakeClock):
+            reads = 0
+
+            def monotonic(self):
+                self.reads += 1
+                self.advance(0.01)  # a heartbeat is due every 5th chunk
+                return super().monotonic()
+
+        document = list(iter_events("<doc><a><b/><c/></a><a><c/><b/></a></doc>"))
+        documents = 5
+        chunks = _Chunks(iter(document * documents), batch_events=7)
+        sent: list[tuple] = []
+        clock = CountingClock()
+        uplink = _Uplink(SimpleNamespace(send=sent.append), clock, 0.05)
+        spec = _WorkerSpec(
+            0, 0, {"x": "_*.a[b].c", "y": "_*.b"}, False, None, None,
+            ServingPolicy(), 0.05, None, None, (), None,
+        )  # fmt: skip
+        engine = spec.engine()
+        pump = engine.start_pump(spec.policy, cursor=StreamCursor())
+        clock.reads = 0
+        for data in chunks.everything():
+            _drive(spec, engine, pump, pickle.loads(data), uplink)
+        kinds = [message[0] for message in sent]
+        assert kinds.count("commit") == documents
+        assert 0 < kinds.count("hb") < len(chunks.data)
+        assert clock.reads <= len(chunks.data) == 3 * documents
+
+
 class TestChunks:
     """The coordinator's cut of the stream: a chunk ends at every
     ``</$>`` and after ``batch_events`` events inside a document."""
@@ -467,7 +500,8 @@ class TestChunks:
     def test_cut_and_restart_lookup(self):
         document = list(iter_events("<doc><a><b/><c/></a><a><c/><b/></a></doc>"))
         chunks = _Chunks(iter(document * 2), batch_events=7)
-        decoded = [pickle.loads(data) for data in chunks.data]
+        assert chunks.get(1) is not None and len(chunks.data) == 2  # cut as taken
+        decoded = [pickle.loads(data) for data in chunks.everything()]
         assert [len(chunk) for chunk in decoded] == [7, 7, 2, 7, 7, 2]
         assert [event for chunk in decoded for event in chunk] == document * 2
         assert chunks.events == 32

@@ -367,6 +367,31 @@ class TestServeCommand:
         assert "q\t2" in captured.out  # both healthy documents served
         assert "recovered:" in captured.err
 
+    @pytest.mark.parametrize(
+        "policy, counts",
+        [("repair", ["3", "3", "2"]), ("skip", ["1", "1", "0"]), ("strict", None)],
+    )
+    def test_a_cut_file_ends_closed_wherever_it_stands(
+        self, tmp_path, capsys, policy, counts
+    ):
+        # a finite --file list ends closed: the last file cut short is a
+        # truncation, exactly as the same file elsewhere in the list
+        good = tmp_path / "good.xml"
+        good.write_text("<r><a/></r>")
+        cut = tmp_path / "cut.xml"
+        cut.write_text("<r><a/><a/>")
+        orders = [[good, cut], [cut, good], [cut]]
+        outs = []
+        for files in orders:
+            argv = ["serve", "--count", "--on-error", policy, "q=_*.a"]
+            for path in files:
+                argv += ["--file", str(path)]
+            code = main(argv)
+            outs.append(capsys.readouterr().out)
+            assert code == (1 if counts is None else 0)
+        if counts is not None:
+            assert outs == [f"q\t{count}\n" for count in counts]
+
     def test_admission_rejection_sets_exit_code(self, doc_file, capsys):
         code = main(
             [

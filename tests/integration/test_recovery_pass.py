@@ -179,6 +179,21 @@ def test_a_recovering_pass_checks_with_one_cursor(kind, policy, monkeypatch):
     assert not hasattr(multiquery, "recovering")
 
 
+@pytest.mark.parametrize(
+    "policy, counts", [("repair", [3, 3, 2]), ("skip", [1, 1, 0])]
+)
+def test_serve_ends_a_finite_file_list_closed(policy, counts):
+    # the last file cut short is a truncation, as it is anywhere else
+    good, cut = "<r><a/></r>", "<r><a/><a/>"
+    for files, count in zip([[good, cut], [cut, good], [cut]], counts):
+        report = ErrorReport()
+        engine = MultiQueryEngine({"q": "_*.a"})
+        source = iter_documents(files, report=report)
+        assert len(list(engine.serve(source, on_error=policy, report=report))) == count
+        assert report.documents_seen == len(files)
+        assert [r.action for r in report.records][:1] == ["parse_error"]
+
+
 def test_repair_does_not_merge_a_cut_file_into_the_next():
     report = ErrorReport()
     engine = MultiQueryEngine({"q": "_*.a.b"})

@@ -15,6 +15,7 @@ hook that pickles.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -36,8 +37,9 @@ from repro.core.shards import (
     serve_sharded,
 )
 from repro.core.checkpoint import Checkpoint
+from repro.errors import StreamError
 from repro.workloads import mondial, sdi_subscriptions
-from repro.xmlstream import iter_events
+from repro.xmlstream import iter_documents, iter_events
 from repro.xmlstream.events import EndDocument
 
 from ..conftest import make_random_events
@@ -548,22 +550,20 @@ class TestChunkBoundaries:
         flag = str(tmp_path / "died")
 
         class DiesBeforeDone(shards._Uplink):
-            def __init__(self, out_queue, clock, interval):
-                super().__init__(out_queue, clock, interval)
+            def __init__(self, out, clock, interval):
+                super().__init__(out, clock, interval)
 
-                def put(message):
+                def send(message):
                     if message[0] == "done":
                         try:
                             os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
                         except FileExistsError:
                             pass
                         else:
-                            out_queue.close()
-                            out_queue.join_thread()  # the last commit is sent
-                            os._exit(9)
-                    out_queue.put(message)
+                            os._exit(9)  # the last commit is in the pipe
+                    out.send(message)
 
-                self.put = put
+                self.send = send
 
         monkeypatch.setattr(shards, "_Uplink", DiesBeforeDone)
         events = multi_doc_stream(1, 2)
@@ -579,3 +579,55 @@ class TestChunkBoundaries:
         )
         assert result.healthy
         assert result.matches == single_process_matches(self.QUERIES, events)
+
+
+class TestStreamedFeed:
+    """The coordinator forks first and cuts the stream as the workers
+    take it; a source that fails leaves no worker behind."""
+
+    QUERIES = TestChunkBoundaries.QUERIES
+
+    def test_workers_start_before_the_source_is_read(self):
+        events = multi_doc_stream(1, 2, 3)
+        pulled = 0
+        alive = []  # live workers at the first event pulled and at each </$>
+
+        def source():
+            nonlocal pulled
+            for event in events:
+                if pulled == 0 or type(event) is EndDocument:
+                    alive.append(len(multiprocessing.active_children()))
+                pulled += 1
+                yield event
+
+        result = serve_sharded(
+            self.QUERIES, source(), config=ShardConfig(shards=2, **FAST)
+        )
+        assert pulled == len(events) == result.events_total
+        assert alive and min(alive) >= 2
+        assert result.matches == single_process_matches(self.QUERIES, events)
+
+    def test_a_source_that_fails_raises_its_error_and_leaves_no_worker(self):
+        files = ["<r><a/></r>", "<r><a>"]
+        before = set(multiprocessing.active_children())
+        with pytest.raises(StreamError) as strict:
+            list(iter_documents(files))
+        coordinator = ShardCoordinator({"a": "_*.a", "r": "_*.r"}, ShardConfig(**FAST))
+        with pytest.raises(StreamError) as sharded:
+            coordinator.run(iter_documents(files))
+        assert str(sharded.value) == str(strict.value)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_committed_checkpoints_resume_as_pumps(self):
+        events, tail = multi_doc_stream(1, 2), multi_doc_stream(3)
+        result = serve_sharded(
+            self.QUERIES, iter(events), config=ShardConfig(shards=2, **FAST)
+        )
+        resumed = {qid: list(found) for qid, found in result.matches.items()}
+        for shard, ids in enumerate(result.shard_queries):
+            engine = MultiQueryEngine({qid: self.QUERIES[qid] for qid in ids})
+            pump = engine.resume_pump(result.checkpoints[shard])
+            for event in tail:
+                for qid, match in pump.feed(event):
+                    resumed[qid].append(match)
+        assert resumed == single_process_matches(self.QUERIES, events + tail)
