@@ -14,6 +14,11 @@ Prints one JSON object with three figures per policy (``strict``,
   160,002-event document ``random_tree(7, elements=80000)``, streamed,
   with that query pair and with the never-matching ``_*.zz`` and
   ``_*.a[zz].c``;
+* ``first_match_event`` — in the run with the matching pair, how many
+  events of the document had been read when the first match left:
+  strict's is the paper's earliest, skip's the document's end (it
+  withholds a document until its ``</$>``), and repair, which withdraws
+  no document without a limit armed, must deliver where strict does;
 * ``peak_rss_mb`` — the peak resident set (``VmHWM``, which the child
   reads from ``/proc/self/status`` as it exits: a forked child's
   ``ru_maxrss`` starts at its parent's) of
@@ -31,6 +36,9 @@ with ``_*.a`` and ``_*.zz``, one of which never matches
 Run it with ``PYTHONPATH`` pointing at another checkout's ``src`` to
 measure that tree with the same script (the ``spex serve`` child
 inherits it), alternating the two to compare them.
+
+It exits 1, after printing, when repair's first match leaves later than
+strict's.
 """
 
 from __future__ import annotations
@@ -80,16 +88,27 @@ def throughput(events: list, rounds: int) -> dict[str, float]:
     return {policy: statistics.median(rates) for policy, rates in samples.items()}
 
 
-def peak_traced_mb(queries: dict[str, str], policy: str) -> float:
+def traced_pass(queries: dict[str, str], policy: str) -> tuple[float, int | None]:
+    """The traced peak in MB of one streamed pass, and the number of
+    events read when its first match left (``None``: no match)."""
     engine = MultiQueryEngine(queries)
+    read = 0
+    first: int | None = None
+
+    def source():
+        nonlocal read
+        for read, event in enumerate(random_tree(7, elements=80_000), 1):
+            yield event
+
     tracemalloc.start()
     try:
-        for _pair in engine.run(random_tree(7, elements=80_000), on_error=policy):
-            pass
+        for _pair in engine.run(source(), on_error=policy):
+            if first is None:
+                first = read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / 1e6
+    return peak / 1e6, first
 
 
 def filter_stream_s(queries: dict[str, str], events: list, rounds: int) -> float:
@@ -119,12 +138,20 @@ def main() -> None:
     args = parser.parse_args()
     documents = [e for seed in range(300) for e in random_tree(seed, elements=100)]
     rates = throughput(documents, args.rounds)
+    passes = {
+        (name, policy): traced_pass(queries, policy)
+        for name, queries in (("matching", MATCHING), ("never", NEVER))
+        for policy in POLICIES
+    }
     result: dict[str, dict] = {
         "throughput_ev_s": rates,
         "throughput_vs_strict": {p: rate / rates["strict"] for p, rate in rates.items()},
         "peak_traced_mb": {
-            name: {policy: peak_traced_mb(queries, policy) for policy in POLICIES}
-            for name, queries in (("matching", MATCHING), ("never", NEVER))
+            name: {policy: passes[name, policy][0] for policy in POLICIES}
+            for name in ("matching", "never")
+        },
+        "first_match_event": {
+            policy: passes["matching", policy][1] for policy in POLICIES
         },
     }
     large = list(random_tree(7, elements=80_000))
@@ -143,6 +170,12 @@ def main() -> None:
         result["xmark_mb"] = os.path.getsize(path) / 1e6
         result["peak_rss_mb"] = {policy: peak_rss_mb(path, policy) for policy in POLICIES}
     print(json.dumps(result, sort_keys=True))
+    first = result["first_match_event"]
+    if first["repair"] != first["strict"]:
+        raise SystemExit(
+            f"repair's first match left after event {first['repair']}, "
+            f"strict's after event {first['strict']}"
+        )
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ def main() -> None:
     engine = repro.SpexEngine(QUERY)
     cursor = repro.StreamCursor()
     prefix = itertools.islice(iter(EVENTS), CUT)
-    before = fingerprints(engine.run(prefix, cursor=cursor, require_end=False))
+    before = fingerprints(engine.run(prefix, cursor=cursor))
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "checkpoint.json"
         engine.checkpoint().save(path)

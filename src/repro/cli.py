@@ -30,13 +30,12 @@ from .errors import ReproError
 from .limits import ResourceLimits
 from .rpeq.xpath import xpath_to_rpeq
 from .xmlstream.events import Event
-from .xmlstream.parser import parse_file, parse_stream
+from .xmlstream.parser import ParserLimits, iter_documents, parse_file, parse_stream
 from .xmlstream.recovery import ErrorReport
 from .xmlstream.stats import measure
 
 if TYPE_CHECKING:
     from .core.serving import AdmissionPolicy, ServingPolicy
-    from .xmlstream.parser import ParserLimits
 
 #: Process exit codes, uniform across every serving mode (in-process,
 #: ``--shards N``, ``--listen``): 0 = clean, 1 = fatal error, 2 = usage,
@@ -51,6 +50,21 @@ def _events_from(path: str | None) -> Iterator[Event]:
     if path is None:
         return parse_stream(sys.stdin.buffer)
     return parse_file(path)
+
+
+def _serve_source(
+    files: list[str],
+    limits: ParserLimits | None,
+    report: ErrorReport | None = None,
+) -> str | Iterable[Event]:
+    """``spex serve``'s stream: stdin, one file, or the files as one
+    stream of documents, where one that fails to parse is a record in
+    ``report`` (given where a policy recovers) and the list ends cut."""
+    if not files:
+        return parse_stream(sys.stdin.buffer, limits=limits)
+    if len(files) == 1:
+        return files[0]
+    return iter_documents(files, limits=limits, report=report)
 
 
 def _positive_int(text: str) -> int:
@@ -203,7 +217,6 @@ def _report_outcomes(outcomes: dict) -> bool:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.multiquery import MultiQueryEngine
     from .core.serving import AdmissionPolicy, ServingPolicy
-    from .xmlstream.parser import ParserLimits, iter_documents
 
     queries: dict[str, str] = {}
     for index, spec in enumerate(args.queries, 1):
@@ -273,19 +286,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     report = ErrorReport()
     on_error = args.on_error if args.on_error is not None else "skip"
-    files = args.file or []
-    if not files:
-        source: str | Iterable[Event] = parse_stream(
-            sys.stdin.buffer, limits=parser_limits
-        )
-    elif len(files) == 1:
-        source = files[0]
-    else:
-        # a file that fails to parse is a record only where a policy recovers
-        recovers = report if on_error != "strict" else None
-        source = iter_documents(files, limits=parser_limits, report=recovers)
+    recovers = report if on_error != "strict" else None
     matches = engine.serve(
-        source,
+        _serve_source(args.file or [], parser_limits, recovers),
         policy=policy,
         on_error=on_error,
         report=report,
@@ -440,7 +443,6 @@ def _serve_sharded(
 ) -> int:
     """``spex serve --shards N``: crash-isolated multi-process serving."""
     from .core.shards import ShardCoordinator, ShardConfig
-    from .xmlstream.parser import iter_documents
 
     if args.on_error not in (None, "strict"):
         # Only warn when the user *asked* for a non-strict policy; the
@@ -450,15 +452,6 @@ def _serve_sharded(
             f"--on-error {args.on_error} ignored",
             file=sys.stderr,
         )
-    files = args.file or []
-    if not files:
-        source: str | Iterable[Event] = parse_stream(
-            sys.stdin.buffer, limits=parser_limits
-        )
-    elif len(files) == 1:
-        source = files[0]
-    else:
-        source = iter_documents(files, limits=parser_limits)
     try:
         config = ShardConfig(
             shards=args.shards,
@@ -476,7 +469,7 @@ def _serve_sharded(
         admission=admission,
         parser_limits=parser_limits,
     )
-    result = coordinator.run(source)
+    result = coordinator.run(_serve_source(args.file or [], parser_limits))
     total = 0
     for query_id in queries:
         for index, match in enumerate(result.matches[query_id], 1):

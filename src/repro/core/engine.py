@@ -19,7 +19,6 @@ engine with this query as its only subscription.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from typing import cast
@@ -310,7 +309,6 @@ class SpexEngine:
         source: str | Iterable[Event],
         on_error: RecoveryPolicy | str = RecoveryPolicy.STRICT,
         report: ErrorReport | None = None,
-        require_end: bool | None = None,
         cursor: StreamCursor | None = None,
     ) -> Iterator[Match]:
         """Evaluate the query against a stream, yielding matches lazily.
@@ -318,7 +316,10 @@ class SpexEngine:
         Args:
             source: XML text, a file path, or an iterable of events
                 (see :func:`repro.xmlstream.iter_events`), possibly
-                unbounded.
+                unbounded.  Where an iterable ends inside a document,
+                that document is a prefix; a source that is cut says so
+                by raising :class:`~repro.errors.StreamError`, as the
+                XML parser does on a truncated file.
             on_error: recovery policy (see
                 :class:`repro.xmlstream.RecoveryPolicy`).  ``"strict"``
                 (default) checks stream well-formedness on the fly (a
@@ -332,20 +333,15 @@ class SpexEngine:
                 survive malformed documents and resource-limit hits: the
                 poisoned document yields an error record in ``report``
                 instead of killing the run.  Under these policies
-                matches are delivered per document (positions restart at
-                each ``<$>``) and a document's matches are withheld
-                until the whole document is known good — the
-                quarantine guarantee costs within-document
-                progressiveness.
+                positions restart at each ``<$>``; under skip a
+                document's matches are withheld until the whole
+                document is known good — the quarantine guarantee costs
+                within-document progressiveness — and under repair
+                only while a resource limit is armed.
             report: receives per-document
                 :class:`~repro.xmlstream.ErrorRecord` entries and
                 recovery counters; also readable afterwards via
                 :attr:`stats`.
-            require_end: raise when the stream ends mid-document.
-                ``None`` (default) auto-detects: finite sources (XML
-                text, file paths) require a proper end — a truncated
-                file no longer passes silently — while live event
-                iterables keep prefix semantics.
             cursor: a :class:`~repro.xmlstream.StreamCursor` to track the
                 source position, which makes the run *checkpointable*:
                 while the run is in flight, :meth:`checkpoint` captures
@@ -356,30 +352,13 @@ class SpexEngine:
 
         Yields:
             :class:`Match` objects in document order, each as soon as the
-            stream prefix read so far decides it (strict mode) or as
-            soon as its document is known good (skip/repair).
+            stream prefix read so far decides it (under skip: as soon as
+            its document is known good).
         """
-        from .multiquery import _INERT
-
-        policy = recovery_policy(on_error, cursor)
-        if require_end is None:
-            # Finite sources (text/files) end; every truncation there is
-            # an error.  Event iterables may be live/unbounded, where a
-            # finite read is just a prefix.
-            require_end = isinstance(source, (str, os.PathLike))
         self._last_report = report if report is not None else ErrorReport()
-        engine = self._engine
-        pump = engine._open_pump(_INERT, cursor=cursor)
-        # Not MultiQueryEngine.run, which requires the end of every
-        # source under a recovery policy: here a live iterable's
-        # trailing document is a prefix there too.
-        pairs = engine._drive(
-            pump, source, policy, self._last_report, require_end=require_end
-        )
+        pairs = self._engine.run(source, on_error, self._last_report, cursor)
         for _query_id, match in pairs:
             yield match
-        if require_end and policy is RecoveryPolicy.STRICT:
-            pump.cursor.end()
 
     def evaluate(self, source: str | Iterable[Event]) -> list[Match]:
         """Evaluate eagerly and return all matches."""

@@ -461,8 +461,13 @@ class MultiQueryEngine:
         document (or one that trips a resource limit) files a
         per-document record in ``report`` and the pass continues with
         the next document — one poisoned subscriber document no longer
-        kills the shared pipeline.  The pass holds a document's matches,
-        not its events, until its ``</$>`` (:meth:`ServePump._recover`).
+        kills the shared pipeline.  Under skip, and under repair while a
+        limit is armed, a document's matches (not its events) are held
+        until its ``</$>`` shows it good; otherwise each leaves at the
+        event that decides it (:meth:`ServePump._recover`).  Where an
+        event iterable ends inside a document, that document is a
+        prefix under every policy: nothing is recorded, skip withholds
+        it.  A cut source raises :class:`~repro.errors.StreamError`.
 
         Passing a ``cursor`` (strict mode only) makes the pass
         checkpointable via :meth:`checkpoint`.
@@ -473,7 +478,7 @@ class MultiQueryEngine:
         """
         recovery = recovery_policy(on_error, cursor)
         pump = self._open_pump(_INERT, cursor=cursor)
-        yield from self._drive(pump, source, recovery, report, require_end=True)
+        yield from self._drive(pump, source, recovery, report)
 
     def _open_pump(
         self,
@@ -508,7 +513,6 @@ class MultiQueryEngine:
         recovery: RecoveryPolicy,
         report: ErrorReport | None,
         parser_limits: ParserLimits | None = None,
-        require_end: bool = False,
     ) -> Iterator[tuple[str, Match]]:
         """Pull ``source`` through ``pump`` under a recovery policy."""
         events = iter_events(source, limits=parser_limits)
@@ -517,7 +521,7 @@ class MultiQueryEngine:
             # input raises the documented StreamError instead of silently
             # confusing every subscription's transducer stacks at once.
             return pump._pull(events)
-        return chain.from_iterable(pump._recover(events, recovery, report, require_end))
+        return chain.from_iterable(pump._recover(events, recovery, report))
 
     # ------------------------------------------------------------------
     # serving: bulkheads, breakers, deadlines, shedding
@@ -556,8 +560,8 @@ class MultiQueryEngine:
         (:class:`~repro.xmlstream.parser.ParserLimits`).
 
         Under ``on_error="skip"``/``"repair"`` every recovered document
-        is evaluated as if alone and its matches are delivered together
-        at its ``</$>``, in the order a strict pass emits them.
+        is evaluated as if alone, its matches in the order a strict pass
+        emits them, held to its ``</$>`` as :meth:`run` holds them.
         """
         recovery = recovery_policy(on_error, cursor)
         pump = self.start_pump(policy, clock, cursor)
@@ -882,18 +886,28 @@ class MultiQueryEngine:
         is evaluated document by document: malformed or limit-tripping
         documents are recorded in ``report`` and excluded, and each
         query's verdict is ``True`` iff it matched any *surviving*
-        document.
+        document.  Once every verdict is in, the pass reads no further —
+        a recovering one to the end of the document it is in, whose
+        records it files.
         """
         pump = self._open_pump(_INERT, collect_events=False)
-        pairs = self._drive(pump, source, as_policy(on_error), report, require_end=True)
+        policy = as_policy(on_error)
+        strict = policy is RecoveryPolicy.STRICT
+        events = iter_events(source)
+        batches: Iterable[list[tuple[str, Match]]] = (
+            ([pair] for pair in pump._pull(events))
+            if strict
+            else pump._recover(events, policy, report)
+        )
         matched: dict[str, bool] = {query_id: False for query_id in self.queries}
         if pump._live:
-            for query_id, _match in pairs:
-                if not matched[query_id]:  # final: recovery delivers at </$>
-                    matched[query_id] = True
-                    pump.close(query_id)
-                    if not pump._live:
-                        break  # every verdict is in: read no further
+            for pairs in batches:
+                for query_id, _match in pairs:
+                    if not matched[query_id]:  # final: nothing delivered is withdrawn
+                        matched[query_id] = True
+                        pump.close(query_id)
+                if not pump._live and (strict or not pump.cursor.in_document):
+                    break
         return matched
 
     def filter_stream(
@@ -918,12 +932,15 @@ class MultiQueryEngine:
         connection keeps flowing.
         """
         pump = self._open_pump(_INERT, collect_events=False)
-        documents = pump._recover(
-            iter_events(source), as_policy(on_error), report, False, verdicts=True
-        )
-        for pairs in documents:
-            hit = {query_id for query_id, _match in pairs}
-            yield {query_id: query_id in hit for query_id in self.queries}
+        cursor = pump.cursor
+        hit: set[str] = set()
+        for pairs in pump._recover(
+            iter_events(source), as_policy(on_error), report, verdicts=True
+        ):
+            hit.update(query_id for query_id, _match in pairs)
+            if not cursor.in_document:  # at its </$>: the verdicts are in
+                yield {query_id: query_id in hit for query_id in self.queries}
+                hit.clear()
 
 
 #: The policy of every pass that is not a serving one (``SpexEngine``'s
@@ -1445,20 +1462,27 @@ class ServePump:
         events: Iterable[Event],
         policy: RecoveryPolicy,
         report: ErrorReport | None,
-        require_end: bool,
         verdicts: bool = False,
     ) -> Iterator[list[tuple[str, Match]]]:
-        """The one loop on runners compiled once, under a recovery policy:
-        each surviving document's pairs as one list after its ``</$>``,
+        """The one loop on runners compiled once, under a recovery policy,
         each document as if alone (``docs/architecture.md``).  ``skip``
         and ``repair`` file what :func:`recovering` files, under this
-        pass's one cursor; ``strict`` raises.  With ``verdicts``, a
-        document whose every live query has matched is read on by the
-        cursor alone, unless a limit is armed."""
+        pass's one cursor; ``strict`` raises.  Pairs are yielded as
+        :meth:`_advance` returns them (``[]`` at a quiet ``</$>``), but
+        held to the ``</$>`` of a document that can still be withdrawn:
+        under skip, and under repair with a limit armed and bulkheads
+        off.  With ``verdicts``, a document whose every live query has
+        matched is read on by the cursor alone, unless a limit is armed."""
         engine, cursor, live = self._engine, self._cursor, self._live
         report = report if report is not None else ErrorReport()
         source = iter(events)
         fresh = {query_id: runner.snapshot() for query_id, runner in live.items()}
+        skip = policy is RecoveryPolicy.SKIP_DOCUMENT
+        hold = skip or (
+            policy is RecoveryPolicy.REPAIR
+            and not self.policy.quarantine
+            and any(engine._effective_limits(query_id) is not None for query_id in live)
+        )
         held: list[tuple[str, Match]] = []
         ahead: list[Event] = []  # read before the source: a resynced <$>, a repair
         garbage_at = resync_at = -1  # documents_seen at a garbage record / a skip
@@ -1491,6 +1515,9 @@ class ServePump:
                     if skim:
                         decided.update(query_id for query_id, _match in out)
                         checking = len(decided) >= len(live)
+                    if not hold and held:
+                        yield held
+                        held = []
                     continue
                 if isinstance(checking, ResourceLimitError):  # the rest checked out
                     out, error = None, checking
@@ -1498,15 +1525,13 @@ class ServePump:
                 if cursor.in_document:
                     checking = error
                     continue
-            elif policy is RecoveryPolicy.REPAIR and (
-                error is not None or cursor.in_document and require_end
-            ):
+            elif policy is RecoveryPolicy.REPAIR and error is not None:
                 # the repair rule puts its events in front of the source
                 fixes = repair(cursor, refused, error, report)
                 if fixes is not None:
                     cursor.events_read += not fixes  # a dropped event was read too
                     ahead = fixes
-                    if refused is None:  # the input is over
+                    if refused is None:  # the source died
                         source = iter(())
                     continue
             if out is None and not cursor.in_document and not isinstance(error, ResourceLimitError):
@@ -1521,9 +1546,13 @@ class ServePump:
                     report.add(-1, f"source failed: {error}", "dropped")
                 return
             report.documents_seen += 1
-            if out is not None:
+            over = out is None and error is None  # the input ends inside the document
+            if over and not skip and isinstance(checking, ResourceLimitError):
+                error = checking  # a prefix over a limit
+            if out is not None or over and error is None and not skip:
+                # a document that ended good, or a prefix as strict reads it
                 yield held
-                if self.finished:
+                if self.finished or over:
                     return
             else:
                 for query_id, _match in held:  # decided, never delivered
@@ -1536,11 +1565,13 @@ class ServePump:
                     cursor.abandon_document()
                     ahead = [refused] if refused.__class__ is StartDocument else []
                     cursor.events_read += not ahead
-                elif not cursor.in_document:  # the rest checked out
+                elif isinstance(error, ResourceLimitError):  # the rest checked out
                     report.add(index, str(error), "limit")
-                else:  # the input is over inside the document
-                    if error is not None or require_end:  # (a strict caller passes False)
-                        report.add(index, unfinished(cursor, error), "skipped")  # type: ignore[arg-type]
+                    if over:
+                        return
+                else:  # the source died inside the document, or skip's prefix
+                    if error is not None:
+                        report.add(index, unfinished(error), "skipped")  # type: ignore[arg-type]
                     return
             held = []
             decided.clear()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .events import Event
+from .events import EndDocument, Event
 from .offsets import StreamCursor
 
 
@@ -24,14 +24,17 @@ def split_documents(events: Iterable[Event]) -> Iterator[Iterator[Event]]:
     advancing to the next — the split is single-pass.  Consumers that
     need random access can wrap each document in ``list(...)``.
 
+    Where ``events`` ends inside a document, that document is a prefix:
+    its iterator ends there too.
+
     Raises:
         StreamError: whatever a strict
             :class:`~repro.xmlstream.offsets.StreamCursor` refuses —
             events between documents, a missing envelope, mismatched
-            tags, a source that ends inside a document.
+            tags — or the source raises, as a cut one does.
     """
     cursor = StreamCursor()
-    checked = cursor.attach(events, require_end=True)
+    checked = cursor.attach(events)
 
     def one_document(first: Event) -> Iterator[Event]:
         yield first
@@ -64,4 +67,5 @@ def concat_documents(documents: Iterable[Iterable[Event]]) -> Iterator[Event]:
 
 def count_documents(events: Iterable[Event]) -> int:
     """Number of complete documents in a concatenated stream."""
-    return sum(1 for _ in split_documents(events) if True)
+    checked = StreamCursor().attach(events)
+    return sum(event.__class__ is EndDocument for event in checked)

@@ -58,24 +58,20 @@ class StreamCursor:
         self.document_start = 0
         self.documents_seen = 0
 
-    def attach(
-        self, events: Iterable[Event], require_end: bool = False
-    ) -> Iterator[Event]:
+    def attach(self, events: Iterable[Event]) -> Iterator[Event]:
         """Yield ``events`` unchanged, each checked and counted *first*.
 
         The update-then-yield order guarantees that when the consumer is
         processing (or has just finished processing) event ``n``, the
         cursor already reflects position ``n`` — so a checkpoint taken
-        between events never over- or under-counts.  With
-        ``require_end`` a source that ends inside a document is an error
-        (:meth:`end`); without it every finite read is a prefix.
+        between events never over- or under-counts.  Where ``events``
+        ends is a prefix: a source that is cut says so by raising
+        :class:`~repro.errors.StreamError`, which passes through.
         """
         advance = self.advance
         for event in events:
             advance(event)
             yield event
-        if require_end:
-            self.end()
 
     def advance(self, event: Event) -> None:
         """Check one event, then count it.

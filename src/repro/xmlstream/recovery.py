@@ -126,7 +126,6 @@ def recovering(
     events: Iterable[Event],
     policy: RecoveryPolicy | str = RecoveryPolicy.STRICT,
     report: ErrorReport | None = None,
-    require_end: bool = True,
 ) -> Iterator[Event]:
     """Yield a well-formed multi-document stream, per the chosen policy.
 
@@ -140,26 +139,24 @@ def recovering(
     the standalone reference of the engines' pass, which reads the raw
     stream under its own cursor and calls the same :func:`repair`.
 
-    A :class:`~repro.errors.StreamError` raised *by the source iterator
-    itself* (e.g. the SAX parser hitting a truncated file) is treated as
-    truncation: propagated under ``STRICT``, quarantined under
-    ``SKIP_DOCUMENT``, auto-closed under ``REPAIR``.
+    A source that is cut says so by raising
+    :class:`~repro.errors.StreamError` (the parser does, on a truncated
+    file): that is truncation, propagated under ``STRICT``, quarantined
+    under ``SKIP_DOCUMENT``, auto-closed under ``REPAIR``.  Where the
+    input merely ends inside a document, the document is a prefix, as
+    for any finite read of a live source: ``SKIP_DOCUMENT`` withholds it
+    silently, ``REPAIR`` has yielded it as it came.
 
     Args:
         events: the (possibly malformed, possibly multi-document) input.
         policy: a :class:`RecoveryPolicy` or its string name.
         report: receives :class:`ErrorRecord` entries and counters;
             a throwaway report is used when ``None``.
-        require_end: treat end-of-input inside a document as an error.
-            Pass ``False`` for live sources, where every finite read is
-            a prefix; the trailing incomplete document is then silently
-            withheld (``SKIP_DOCUMENT``) or left unclosed (``REPAIR``
-            yields the open prefix unrepaired, mirroring ``checked``).
     """
     policy = as_policy(policy)
     cursor = StreamCursor()
     if policy is RecoveryPolicy.STRICT:
-        yield from cursor.attach(events, require_end=require_end)
+        yield from cursor.attach(events)
         return
     skip = policy is RecoveryPolicy.SKIP_DOCUMENT
     report = report if report is not None else ErrorReport()
@@ -205,36 +202,30 @@ def recovering(
     if not cursor.in_document:
         if died is not None and not resyncing:  # e.g. input that is not XML at all
             report.add(-1, f"source failed: {died}", "dropped")
-    elif died is not None or require_end:
-        # (otherwise an open document on a live source is a prefix: SKIP
-        # withholds its buffer, which never validated; REPAIR yielded it)
+    elif died is not None:  # (otherwise the open document is a prefix)
         if skip:
-            report.add(cursor.documents_seen - 1, unfinished(cursor, died), "skipped")
+            report.add(cursor.documents_seen - 1, unfinished(died), "skipped")
         else:
             yield from repair(cursor, None, died, report) or ()
 
 
-def unfinished(cursor: StreamCursor, died: StreamError | None) -> str:
-    """Why the document open at the end of the input is unfinished."""
-    try:
-        cursor.end()
-    except StreamError as exc:
-        return str(exc) if died is None else f"source failed mid-document: {died}"
-    raise ValueError("no document is open")
+def unfinished(died: StreamError) -> str:
+    """Why the document open where the source ``died`` is unfinished."""
+    return f"source failed mid-document: {died}"
 
 
 def repair(
-    cursor: StreamCursor, event: Event | None, error: StreamError | None, report: ErrorReport
+    cursor: StreamCursor, event: Event | None, error: StreamError, report: ErrorReport
 ) -> list[Event] | None:
     """The repair rule: the events that stand in for ``event``, refused by
-    ``cursor`` with ``error`` (``event`` is ``None`` where the input ended
-    inside a document, ``error`` the source's own if it died), once the
-    record and counters that say so are filed.
+    ``cursor`` with ``error`` (``event`` is ``None`` where the source died
+    inside a document, ``error`` its own), once the record and counters
+    that say so are filed.
 
     The cursor accepts them in order, ``event`` last where it is kept.
     An end tag gets the closers above its open tag (an orphan: nothing),
     ``</$>`` every closer, a ``<$>`` every closer and ``</$>`` (it opens
-    the next document), the end of the input every closer and ``</$>``,
+    the next document), a source's death every closer and ``</$>``,
     and an element or text between documents a ``<$>``.  Other garbage
     between documents is not repaired (``None``): both policies drop it.
     """
@@ -253,8 +244,8 @@ def repair(
     else:
         above = len(labels) - labels[::-1].index(closes) if closes is not None else 0
         fixes = [EndElement(label) for label in reversed(labels[above:])]
-        message = str(error) if event is not None else unfinished(cursor, error)
-        if closes is None and cls is not EndDocument:  # <$>, or the end
+        message = str(error) if event is not None else unfinished(error)
+        if closes is None and cls is not EndDocument:  # <$>, or the death
             fixes.append(EndDocument())
     report.events_repaired += len(fixes)
     report.add(index, message, "repaired")

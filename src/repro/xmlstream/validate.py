@@ -7,7 +7,7 @@ violated, so engine bugs are never silently blamed on bad input.  The
 check itself — the textbook 1-PDA the paper's Theorem IV.1 alludes to, a
 single stack of open labels — is
 :class:`~repro.xmlstream.offsets.StreamCursor`; this module only adds the
-single-document refusal.
+single-document refusals: nothing after ``</$>``, no end before it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .events import Event
 from .offsets import StreamCursor
 
 
-def checked(events: Iterable[Event], require_end: bool = True) -> Iterator[Event]:
+def checked(events: Iterable[Event]) -> Iterator[Event]:
     """Yield the events of *one* document unchanged while validating them.
 
     A :class:`~repro.xmlstream.offsets.StreamCursor` over ``events``
@@ -30,11 +30,6 @@ def checked(events: Iterable[Event], require_end: bool = True) -> Iterator[Event
     * element events occur only inside the envelope;
     * every end tag matches the most recent open start tag;
     * no events follow ``</$>``.
-
-    Args:
-        require_end: raise when the stream ends before ``</$>``.  Pass
-            ``False`` for live/unbounded sources, where every finite
-            read is a prefix.
     """
     cursor = StreamCursor()
     for event in events:
@@ -42,8 +37,7 @@ def checked(events: Iterable[Event], require_end: bool = True) -> Iterator[Event
             raise StreamError(f"event {event} after </$>")
         cursor.advance(event)
         yield event
-    if require_end:
-        cursor.end()
+    cursor.end()
 
 
 def is_well_formed(events: Iterable[Event]) -> bool:

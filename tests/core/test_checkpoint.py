@@ -35,7 +35,7 @@ def run_with_cursor(engine, source, prefix_events):
 
     cursor = StreamCursor()
     prefix = list(itertools.islice(iter_events(source), prefix_events))
-    matches = list(engine.run(iter(prefix), cursor=cursor, require_end=False))
+    matches = list(engine.run(iter(prefix), cursor=cursor))
     return cursor, matches
 
 

@@ -197,9 +197,10 @@ class TestEarlyExitOnInfiniteStreams:
 
 
 class TestTrailingDocument:
-    """A live event source that stops inside its last document: prefix
-    semantics keep that document back, under every policy, unless the
-    caller requires the end."""
+    """A source that stops inside its last document: where an event list
+    ends there, the document is a prefix under every policy — skip
+    withholds it, repair delivers it as strict does — and a source that
+    is cut says so by raising, as the parser does on a truncated file."""
 
     @staticmethod
     def stream():
@@ -209,14 +210,19 @@ class TestTrailingDocument:
         truncated = list(parse_string("<r><a/><a/></r>"))[:-2]  # no </r></$>
         return good + truncated
 
-    def run(self, **kwargs):
+    def run(self, cut=False, **kwargs):
+        from repro.errors import StreamError
         from repro.xmlstream import ErrorReport
+
+        def parsed(events):
+            yield from events
+            raise StreamError("no element found")
 
         engine = SpexEngine("_*.a")
         report = ErrorReport()
+        source = parsed(self.stream()) if cut else self.stream()
         positions = [
-            match.position
-            for match in engine.run(self.stream(), report=report, **kwargs)
+            match.position for match in engine.run(source, report=report, **kwargs)
         ]
         return positions, report, engine.stats
 
@@ -227,21 +233,24 @@ class TestTrailingDocument:
         assert report.ok
 
     def test_required_end_skips_it_with_one_record(self):
-        positions, report, stats = self.run(on_error="skip", require_end=True)
+        positions, report, stats = self.run(cut=True, on_error="skip")
         assert positions == [2]
         assert report.documents_skipped == stats.documents_skipped == 1
         assert len(report.records) == 1
 
-    def test_repair_withholds_it_too(self):
+    def test_repair_delivers_it_as_strict_does(self):
         positions, report, _stats = self.run(on_error="repair")
-        assert positions == [2]
+        assert positions == [2, 2, 3]  # each document alone
         assert report.ok
+        positions, report, _stats = self.run(cut=True, on_error="repair")
+        assert positions == [2, 2, 3]
+        assert [r.action for r in report.records] == ["repaired"]
 
     def test_strict_required_end_raises(self):
         from repro.errors import StreamError
 
-        with pytest.raises(StreamError, match="ended before"):
-            self.run(require_end=True)
+        with pytest.raises(StreamError, match="no element found"):
+            self.run(cut=True)
         assert self.run()[0] == [2, 4, 5]  # strict positions span documents
 
 

@@ -57,7 +57,7 @@ class TestDepthGuard:
 
         engine = SpexEngine("_*.a[b]", limits=ResourceLimits(max_depth=64))
         with pytest.raises(ResourceLimitError):
-            list(engine.run(descent(), require_end=False))
+            list(engine.run(descent()))
 
 
 class TestEventBudget:
@@ -254,7 +254,7 @@ class TestResumedDocumentBudget:
     def test_spex_engine_resume(self):
         engine = SpexEngine("_*.a[b].c", collect_events=False, limits=self.LIMITS)
         head = iter(self.events()[: self.CUT])
-        list(engine.run(head, require_end=False, cursor=StreamCursor()))
+        list(engine.run(head, cursor=StreamCursor()))
         checkpoint = engine.checkpoint()
         clock, drawn = FakeClock(), [-1]
         with mock.patch.object(clock_module, "SYSTEM_CLOCK", clock):

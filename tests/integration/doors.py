@@ -16,10 +16,11 @@ what is here, which is one of each thing a differential suite needs:
   :class:`~repro.core.multiquery.ServePump`'s loop, each with the view
   of the reference it must reproduce;
 * for recovery, a second reference, :func:`recovered` (standalone
-  ``recovering``, split at each ``</$>``, each document run alone by a
-  fresh literal network), and the recovering doors, :data:`RECOVERING`,
-  whose ``run`` and ``serve`` door, :func:`recovering_pass`, also sits in
-  :data:`DOORS` (``run-skip``, ``run-repair``, ``serve-skip``).
+  ``recovering``, each document run alone by a fresh strict literal
+  network as its events come, the event of each delivery noted), and
+  the recovering doors, :data:`RECOVERING`, whose ``run`` and ``serve``
+  door, :func:`recovering_pass`, also sits in :data:`DOORS`
+  (``run-skip``, ``run-repair``, ``serve-skip``).
 
 A door is ``door(events, flags, limits, cut)`` and returns
 ``(output, refusal, *extras)``: ``refusal`` is ``(event index, error
@@ -34,7 +35,6 @@ import asyncio
 import os
 import random
 import tempfile
-from collections import defaultdict
 from functools import cached_property
 
 from repro import Checkpoint, SpexEngine, StreamCursor
@@ -46,7 +46,7 @@ from repro.errors import ResourceLimitError, StreamError
 from repro.rpeq.parser import parse
 from repro.service.client import ProducerClient, SubscriberClient
 from repro.service.server import ServiceConfig, SpexService
-from repro.xmlstream import FaultInjector, checked, recovering
+from repro.xmlstream import FaultInjector, checked, recovering, split_documents
 from repro.xmlstream.events import EndDocument, StartDocument, StartElement
 from repro.xmlstream.recovery import ErrorReport
 
@@ -248,19 +248,22 @@ def served(ref):
     return ref.rows, ref.refused, ok
 
 
-def within_documents(ref):
-    """``on_error="skip"``/``"repair"`` starts every document afresh: per
-    document that selects some, the rows a pass over it alone selects
-    (positions restart at its ``<$>``), delivered together at its
-    ``</$>``; nothing refused, nothing recorded."""
-    delivered = [[] for _ in ref.documents]
-    for index, q, p, label in ref.rows:
-        if (q, p) in ref.within:
-            for number, (first, last, before) in enumerate(ref.documents):
-                if first <= index <= last:
-                    delivered[number].append((q, p - before, label))
-    clean = ([], len(ref.documents), 0, 0, 0, 0)
-    return [rows for rows in delivered if rows], None, clean
+def within_documents(policy):
+    """``on_error="skip"``/``"repair"`` starts every document afresh: the
+    rows a pass over each document alone selects (positions restart at
+    its ``<$>``), under skip all delivered at its ``</$>``, under repair
+    each where the pass over the whole stream delivers it; nothing
+    refused, nothing recorded."""
+
+    def view(ref):
+        rows = []
+        for index, q, p, label in ref.rows:
+            for first, last, before in ref.documents:
+                if first <= index <= last and (q, p) in ref.within:
+                    rows.append((last if policy == "skip" else index, q, p - before, label))
+        return rows, None, ([], len(ref.documents), 0, 0, 0, 0)
+
+    return view
 
 
 def verdict(ref):
@@ -372,9 +375,13 @@ def door_validators(events, flags=None, limits=None, cut=None):
                     return
 
         for first in source:
-            yield from checked(one_document(first), require_end=False)
+            try:
+                yield from checked(one_document(first))
+            except StreamError as exc:
+                if exc.event is not None:  # (else the stream ends in a prefix)
+                    raise
 
-    _, refused = pulled(lambda s: recovering(s, "strict", require_end=False), events)
+    _, refused = pulled(lambda s: recovering(s, "strict"), events)
     _, by_document = pulled(per_document, events)
     return [], refused, by_document and by_document[0]
 
@@ -440,10 +447,10 @@ def summary(report):
 
 
 def recovering_pass(method):
-    """``run``/``serve`` under a policy: the pairs of each event that
-    delivered some (one surviving document's, all at once).  The one
-    door of both tables: :data:`RECOVERING` calls it, and :data:`DOORS`
-    through :func:`under`."""
+    """``run``/``serve`` under a policy: the rows ``(event index, query,
+    position, label)`` it delivers, and its report.  The one door of
+    both tables: :data:`RECOVERING` calls it, and :data:`DOORS` through
+    :func:`under`."""
 
     def door(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
         report = ErrorReport()
@@ -454,17 +461,14 @@ def recovering_pass(method):
             lambda: taken_in(passing, report),
         )
         assert refused is None
-        delivered = defaultdict(list)
-        for index, (q, m) in items:
-            delivered[index].append((q, m.position, m.label))
-        return list(delivered.values()), summary(report)
+        return matches(items), summary(report)
 
     return door
 
 
 def under(policy, door):
-    """A recovering door as a row of :data:`DOORS`: what it delivers at
-    each ``</$>``, no refusal, and its report."""
+    """A recovering door as a row of :data:`DOORS`: what it delivers, no
+    refusal, and its report."""
 
     def row(events, flags=ALL_OPTIMIZATIONS, limits=None, cut=None):
         delivered, report = door(events, policy, flags, limits)
@@ -476,10 +480,10 @@ def under(policy, door):
 #: name -> (door, view of the reference it must reproduce)
 DOORS = {
     "run": (door_run, indexed),
-    "run-skip": (under("skip", recovering_pass("run")), within_documents),
-    "run-repair": (under("repair", recovering_pass("run")), within_documents),
+    "run-skip": (under("skip", recovering_pass("run")), within_documents("skip")),
+    "run-repair": (under("repair", recovering_pass("run")), within_documents("repair")),
     "serve": (door_serve, served),
-    "serve-skip": (under("skip", recovering_pass("serve")), within_documents),
+    "serve-skip": (under("skip", recovering_pass("serve")), within_documents("skip")),
     "pump": (door_pump, served),
     "filter_documents": (door_filter_documents, verdict),
     "filter_stream": (door_filter_stream, verdicts),
@@ -504,31 +508,37 @@ STRICT = (
 # the recovering doors and their reference
 
 
-def split(events):
-    """A stream's documents, each a list, as its ``</$>`` arrives; what
-    the stream ends inside of is left out."""
-    document = []
-    for event in events:
-        document.append(event)
-        if event.__class__ is EndDocument:
-            yield document
-            document = []
-
-
-def recovered(events, policy, require_end, limits=None):
+def recovered(events, policy, limits=None):
     """What a recovering pass must deliver: the documents of standalone
     ``recovering``, each run alone by a fresh strict literal network as
-    soon as it completes.  Returns the rows ``(query, position, label)``
-    of each surviving document and the report's :func:`summary`; a
-    document that trips a limit files a ``"limit"`` record instead."""
-    report = ErrorReport()
-    documents = []
-    for document in split(recovering(iter(events), policy, report, require_end)):
-        alone = engine(NO_OPTIMIZATIONS, limits)
+    its events come, the one the source ends inside as well, as strict
+    runs a prefix.  Per document, ``(rows, end, complete)``: the rows
+    ``(event index, query, position, label)`` it delivers, each at the
+    source event drawn last when strict delivers it — or, where the
+    document could still be withdrawn (under skip, and under repair with
+    ``limits`` armed), all at ``end``, the event drawn last when it is
+    over — and whether it ended with ``</$>``.  A document that trips a
+    limit files a ``"limit"`` record instead, once it is over.  Also
+    returns the report's :func:`summary`."""
+    report, drawn, documents = ErrorReport(), [-1], []
+
+    def source():
+        for drawn[0], event in enumerate(events):
+            yield event
+
+    for document in split_documents(recovering(source(), policy, report)):
+        alone, rows = engine(NO_OPTIMIZATIONS, limits), []
         try:
-            documents.append([(q, m.position, m.label) for q, m in alone.run(document)])
+            for q, m in alone.run(document):
+                rows.append((drawn[0], q, m.position, m.label))
         except ResourceLimitError as exc:
+            for _ in document:
+                pass
             report.add(report.documents_seen - 1, str(exc), "limit")
+            continue
+        if policy == "skip" or limits is not None:
+            rows = [(drawn[0], *row[1:]) for row in rows]
+        documents.append((rows, drawn[0], not alone._pump.cursor.in_document))
     return documents, summary(report)
 
 
@@ -542,6 +552,14 @@ class Dying:
     def __iter__(self):
         yield from self.events[: self.at]
         raise StreamError("connection reset")
+
+
+def as_file(events):
+    """``events`` as the parser reads a file: one that does not end with
+    ``</$>`` is cut, so the source raises there, a :class:`Dying`."""
+    if events and events[-1].__class__ is EndDocument:
+        return iter(events)
+    return Dying(events, len(events))
 
 
 def recovering_spex(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
@@ -558,7 +576,7 @@ def recovering_spex(events, policy, flags=ALL_OPTIMIZATIONS, limits=None):
             lambda: taken_in(spex._engine, report),
         )
         assert refused is None
-        hits[q] = [(m.position, m.label) for _, m in items]
+        hits[q] = [(index, m.position, m.label) for index, m in items]
         reports.append(summary(report))
     assert all(report == reports[0] for report in reports), reports
     return hits, reports[0]
@@ -577,35 +595,41 @@ def recovering_filter(method):
 
         items, refused = pulled(run, events, lambda: taken_in(filtering, report))
         assert refused is None
-        verdicts = [verdict for _, verdict in items]
-        return (verdicts[0] if method == "filter_documents" else verdicts), summary(report)
+        if method == "filter_documents":
+            return items[0][1], summary(report)
+        return items, summary(report)
 
     return door
 
 
-def hit_lists(documents):
-    return [rows for rows in documents if rows]
+def delivered(documents):
+    return [row for rows, _end, _complete in documents for row in rows]
 
 
 def hits_per_query(documents):
-    rows = [row for document in documents for row in document]
-    return {q: [(p, label) for query, p, label in rows if query == q] for q in CORPUS}
+    rows = delivered(documents)
+    return {q: [(i, p, label) for i, query, p, label in rows if query == q] for q in CORPUS}
 
 
 def any_hit(documents):
-    return {q: any(row[0] == q for rows in documents for row in rows) for q in CORPUS}
+    return {q: any(row[1] == q for row in delivered(documents)) for q in CORPUS}
 
 
 def hits_per_document(documents):
-    return [{q: any(row[0] == q for row in rows) for q in CORPUS} for rows in documents]
+    """A verdict per document that ended, at its end."""
+    return [
+        (end, {q: any(row[1] == q for row in rows) for q in CORPUS})
+        for rows, end, complete in documents
+        if complete
+    ]
 
 
-#: name -> (door under a policy, its ``require_end``, view of the
-#: recovered reference it must reproduce)
+#: name -> (door under a policy, view of the recovered reference it must
+#: reproduce)
 RECOVERING = {
-    "run": (recovering_pass("run"), True, hit_lists),
-    "serve": (recovering_pass("serve"), False, hit_lists),
-    "spex": (recovering_spex, False, hits_per_query),
-    "filter_documents": (recovering_filter("filter_documents"), True, any_hit),
-    "filter_stream": (recovering_filter("filter_stream"), False, hits_per_document),
+    "run": (recovering_pass("run"), delivered),
+    "serve": (recovering_pass("serve"), delivered),
+    "spex": (recovering_spex, hits_per_query),
+    "filter_documents": (recovering_filter("filter_documents"), any_hit),
+    "filter_stream": (recovering_filter("filter_stream"), hits_per_document),
 }

@@ -58,7 +58,7 @@ def uninterrupted(query, events):
     """Match fingerprints of a plain strict run (the ground truth)."""
     return [
         (match.position, match.label, match.events)
-        for match in SpexEngine(query).run(iter(events), require_end=False)
+        for match in SpexEngine(query).run(iter(events))
     ]
 
 
@@ -69,7 +69,7 @@ def interrupted(query, events, cut):
     prefix = list(itertools.islice(iter(events), cut))
     collected = [
         (match.position, match.label, match.events)
-        for match in engine.run(iter(prefix), cursor=cursor, require_end=False)
+        for match in engine.run(iter(prefix), cursor=cursor)
     ]
     data = engine.checkpoint().to_dict()
     restored = Checkpoint.from_dict(data)  # full serialization round trip
@@ -135,7 +135,7 @@ def test_repeated_kill_restore_chain():
         prefix = list(itertools.islice(iter(events), cuts[0]))
         collected += [
             (m.position, m.label, m.events)
-            for m in engine.run(iter(prefix), cursor=cursor, require_end=False)
+            for m in engine.run(iter(prefix), cursor=cursor)
         ]
         checkpoint = engine.checkpoint()
         for next_cut in cuts[1:]:

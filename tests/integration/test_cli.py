@@ -375,7 +375,8 @@ class TestServeCommand:
         self, tmp_path, capsys, policy, counts
     ):
         # a finite --file list ends closed: the last file cut short is a
-        # truncation, exactly as the same file elsewhere in the list
+        # truncation, exactly as the same file elsewhere in the list; the
+        # shard workers read the same source, strictly (--on-error ignored)
         good = tmp_path / "good.xml"
         good.write_text("<r><a/></r>")
         cut = tmp_path / "cut.xml"
@@ -389,6 +390,8 @@ class TestServeCommand:
             code = main(argv)
             outs.append(capsys.readouterr().out)
             assert code == (1 if counts is None else 0)
+            assert main([*argv, "--shards", "2"]) == 1
+            assert "no element found" in capsys.readouterr().err
         if counts is not None:
             assert outs == [f"q\t{count}\n" for count in counts]
 

@@ -305,16 +305,16 @@ def faulty(kind, trial):
 @pytest.mark.parametrize("policy", ["skip", "repair"])
 @pytest.mark.parametrize("kind", RECOVERY_FAULTS, ids=str)
 def test_every_recovering_door_delivers_the_recovered_reference(kind, policy):
-    """Matches, verdicts, records and counters, each door with its own
-    ``require_end``, never reading ahead; the knobs rotate by trial (a
-    third of ``TRIALS``, rounded up)."""
+    """Matches, verdicts, records and counters, each at the event the
+    reference delivers it — under repair, where strict delivers it over
+    the repaired stream — never reading ahead; the knobs rotate by trial
+    (a third of ``TRIALS``, rounded up)."""
     combinations = all_knob_combinations()
     for trial in range(-(-TRIALS // 3)):
         events = faulty(kind, trial)
         flags = combinations[trial % len(combinations)]
-        references = {end: recovered(events, policy, end) for end in (False, True)}
-        for door, (run, require_end, view) in RECOVERING.items():
-            documents, report = references[require_end]
+        documents, report = recovered(events, policy)
+        for door, (run, view) in RECOVERING.items():
             observed = run(events, policy, flags)
             assert observed == (view(documents), report), (door, trial, flags)
 
@@ -329,12 +329,9 @@ def test_a_document_over_a_limit_delivers_nothing(limit, policy):
     for trial in range(-(-TRIALS // 4)):
         events = faulty(RECOVERY_FAULTS[trial % len(RECOVERY_FAULTS)], trial)
         limits = RECOVERY_LIMITS[limit]
-        references = {
-            end: recovered(events, policy, end, limits) for end in (False, True)
-        }
+        documents, report = recovered(events, policy, limits)
         for door in ("run", "spex", "filter_documents", "filter_stream"):
-            run, require_end, view = RECOVERING[door]
-            documents, report = references[require_end]
+            run, view = RECOVERING[door]
             observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
             assert observed == (view(documents), report), (door, trial)
         tripped += report[-1]
@@ -372,10 +369,10 @@ def test_a_limit_tripped_at_end_document_spares_the_next_one(limits, policy):
     an even number of events, and their event limit is even.)"""
     events = two_documents()
     for door in ("run", "spex", "filter_documents", "filter_stream"):
-        run, require_end, view = RECOVERING[door]
+        run, view = RECOVERING[door]
         with ticking():
-            documents, report = recovered(events, policy, require_end, limits)
-        assert documents == [[("dfa-closure", 1, "c")]]
+            documents, report = recovered(events, policy, limits)
+        assert documents == [([(9, "dfa-closure", 1, "c")], 9, True)]
         assert [r[::2] for r in report[0]] == [(0, "limit")] and report[1] == 2
         with ticking():
             observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
@@ -394,11 +391,28 @@ def test_a_start_document_inside_a_document_opens_the_next_one(limit, policy):
     tags = ["<$>", "<a>", "<b>", "</b>", "<$>", "<c>", "</c>", "</$>"]
     events = list(events_from_tags(tags))
     for door in [d for d in RECOVERING if limits is None or d != "serve"]:
-        run, require_end, view = RECOVERING[door]
-        documents, report = recovered(events, policy, require_end, limits)
+        run, view = RECOVERING[door]
+        documents, report = recovered(events, policy, limits)
         assert report[1] == 2, door
         observed = run(events, policy, ALL_OPTIMIZATIONS, limits)
         assert observed == (view(documents), report), door
+
+
+def test_repair_delivers_each_match_where_strict_does():
+    """Under repair with no limit armed, a recovering door delivers each
+    match at the event where a strict pass over the repaired stream
+    delivers it, not at its document's ``</$>``.  Here repair drops an
+    orphan end tag, so the repaired stream is the source without it."""
+    tags = ["<$>", "<a>", "<b>", "<c>", "</c>", "</b>", "</x>", "<c>", "</c>", "</a>", "</$>"]
+    events = list(events_from_tags(tags))
+    orphan = tags.index("</x>")
+    strict = Reference(events[:orphan] + events[orphan + 1 :])
+    want = [(i + (i >= orphan), q, p, label) for i, q, p, label in strict.rows]
+    assert want[0][0] < orphan and want[-1][0] > orphan
+    for door in ("run", "serve"):
+        assert RECOVERING[door][0](events, "repair")[0] == want, door
+    hits = {q: [(i, p, label) for i, query, p, label in want if query == q] for q in CORPUS}
+    assert RECOVERING["spex"][0](events, "repair")[0] == hits
 
 
 # ----------------------------------------------------------------------

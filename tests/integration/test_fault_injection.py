@@ -28,10 +28,11 @@ from repro.xmlstream import (
     events_from_tags,
     is_well_formed,
     recovering,
+    split_documents,
 )
 
 from ..conftest import make_random_events
-from .doors import split
+from .doors import as_file
 
 TRIALS = int(os.environ.get("SOAK_TRIALS", "30"))
 
@@ -95,7 +96,7 @@ class TestStrictPolicy:
                 assert got == oracle_positions(expr, corrupted), (trial, fault)
             else:
                 with pytest.raises(StreamError):
-                    list(engine.run(iter(corrupted), require_end=True))
+                    list(engine.run(as_file(corrupted)))
 
 
 class TestSkipPolicy:
@@ -108,7 +109,7 @@ class TestSkipPolicy:
             # engine must produce exactly the oracle's answers on them.
             survivors = [
                 list(doc)
-                for doc in split(recovering(iter(stream), "skip"))
+                for doc in split_documents(recovering(as_file(stream), "skip"))
             ]
             expected = [
                 p for doc in survivors for p in oracle_positions(expr, doc)
@@ -118,9 +119,7 @@ class TestSkipPolicy:
             engine = SpexEngine(expr, collect_events=False)
             got = [
                 m.position
-                for m in engine.run(
-                    iter(stream), on_error="skip", report=report, require_end=True
-                )
+                for m in engine.run(as_file(stream), on_error="skip", report=report)
             ]
             assert got == expected, (trial, fault)
 
@@ -138,9 +137,7 @@ class TestSkipPolicy:
             engine = SpexEngine(expr, collect_events=False)
             got = [
                 m.position
-                for m in engine.run(
-                    iter(stream), on_error="skip", report=report, require_end=True
-                )
+                for m in engine.run(iter(stream), on_error="skip", report=report)
             ]
             expected = [
                 p for doc in documents for p in oracle_positions(expr, doc)
@@ -157,7 +154,7 @@ class TestRepairPolicy:
 
             repaired_docs = [
                 list(doc)
-                for doc in split(recovering(iter(stream), "repair"))
+                for doc in split_documents(recovering(as_file(stream), "repair"))
             ]
             # Repair must never emit an invalid document.
             for doc in repaired_docs:
@@ -172,12 +169,7 @@ class TestRepairPolicy:
             engine = SpexEngine(expr, collect_events=False)
             got = [
                 m.position
-                for m in engine.run(
-                    iter(stream),
-                    on_error="repair",
-                    report=report,
-                    require_end=True,
-                )
+                for m in engine.run(as_file(stream), on_error="repair", report=report)
             ]
             assert got == expected, (trial, fault)
 
@@ -193,7 +185,7 @@ class TestBufferCeiling:
             stream, fault, _documents, _victim = corrupted_stream(trial)
             expr = parse(QUERIES[trial % len(QUERIES)])
             engine = SpexEngine(expr, limits=limits)
-            list(engine.run(iter(stream), on_error="repair", require_end=True))
+            list(engine.run(as_file(stream), on_error="repair"))
             peak = engine.stats.output.peak_buffered_events
             assert peak <= self.LIMIT, (trial, fault, peak)
 
@@ -213,7 +205,8 @@ class TestMultiQuerySoak:
         for trial in range(min(TRIALS, 15)):
             stream, fault, _documents, _victim = corrupted_stream(trial)
             survivors = [
-                list(doc) for doc in split(recovering(iter(stream), "skip"))
+                list(doc)
+                for doc in split_documents(recovering(as_file(stream), "skip"))
             ]
             expected = {
                 qid: any(
@@ -224,6 +217,6 @@ class TestMultiQuerySoak:
             engine = MultiQueryEngine(queries)
             report = ErrorReport()
             verdicts = engine.filter_documents(
-                iter(stream), on_error="skip", report=report
+                as_file(stream), on_error="skip", report=report
             )
             assert verdicts == expected, (trial, fault)

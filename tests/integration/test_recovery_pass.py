@@ -10,6 +10,9 @@ standalone ``recovering``.  Here:
   long document its traced peak stays within twice a strict pass's
   (buffering the document whole peaked at 37× strict's under skip and
   19× under repair, on 160,002 events);
+* repair holds nothing where no limit is armed: its first match leaves
+  at strict's event and its traced peak is strict's, while skip holds
+  every match to the document's ``</$>``;
 * it reads an endless stream one document at a time;
 * ``filter_stream`` reads the rest of a document whose verdicts are all
   in by the cursor alone, as its strict pass did before it ran on the
@@ -119,6 +122,33 @@ def traced_peak(policy):
 @pytest.mark.parametrize("policy", ["skip", "repair"])
 def test_recovery_stays_inside_the_bound(policy):
     assert traced_peak(policy) <= 2 * traced_peak("strict")
+
+
+def first_match(policy):
+    """How many events of the streamed 40,002-event document were read
+    when the first match left, and the traced peak of the pass."""
+    engine = MultiQueryEngine({"a": "_*.a", "abc": "_*.a[b].c"})
+    read, first = [0], None
+
+    def source():
+        for read[0], event in enumerate(random_tree(7, elements=20_000), 1):
+            yield event
+
+    tracemalloc.start()
+    try:
+        for _pair in engine.run(source(), on_error=policy):
+            first = read[0] if first is None else first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return first, peak
+
+
+def test_repair_delivers_where_strict_does_and_skip_at_the_end():
+    strict, repair, skip = (first_match(p) for p in ("strict", "repair", "skip"))
+    assert repair[0] == strict[0] < 100
+    assert repair[1] <= 1.1 * strict[1]
+    assert skip[0] == 40_002  # the document's </$>
 
 
 @pytest.mark.parametrize("policy", ["skip", "repair"])

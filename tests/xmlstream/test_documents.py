@@ -49,11 +49,19 @@ class TestSplitDocuments:
             next(documents)
 
     def test_truncated_document_rejected(self):
-        stream = doc("a") + [StartDocument(), StartElement("b")]
-        documents = split_documents(iter(stream))
+        def cut():  # as the parser hands over a truncated file
+            yield from doc("a") + [StartDocument(), StartElement("b")]
+            raise StreamError("no element found")
+
+        documents = split_documents(cut())
         list(next(documents))
         with pytest.raises(StreamError):
             list(next(documents))
+
+    def test_an_open_last_document_is_a_prefix(self):
+        stream = doc("a") + [StartDocument(), StartElement("b")]
+        documents = [list(d) for d in split_documents(iter(stream))]
+        assert documents == [doc("a"), stream[4:]]
 
     def test_round_trip_with_concat(self):
         stream = doc("a") + doc("b")
@@ -67,6 +75,7 @@ class TestCountDocuments:
     def test_count(self):
         stream = doc("a") + doc("b") + doc("c")
         assert count_documents(iter(stream)) == 3
+        assert count_documents(iter(stream + doc("d")[:2])) == 3  # d is open
 
 
 class TestFilterStream:

@@ -168,7 +168,7 @@ class TestSharedTagsAreSafeToShare:
         assert len(whole) == 2
         engine = SpexEngine("_*.a[b].c")
         cursor = StreamCursor()
-        head = list(engine.run(iter(events[:6]), cursor=cursor, require_end=False))
+        head = list(engine.run(iter(events[:6]), cursor=cursor))
         assert head == []
         saved = json.loads(json.dumps(engine.checkpoint().to_dict()))
         restored = Checkpoint.from_dict(saved)

@@ -94,13 +94,17 @@ class TestAttach:
                 seen.append(event)
         assert seen == events[:2] and cursor.events_read == 2
 
-    def test_require_end_refuses_an_open_document(self):
+    def test_end_refuses_an_open_document(self):
+        # where the events stop is a prefix; end() is the whole-document check
         events = list(events_from_tags(["<$>", "<a>"]))
-        assert list(StreamCursor().attach(events)) == events
+        cursor = StreamCursor()
+        assert list(cursor.attach(events)) == events
         with pytest.raises(StreamError, match=r"ended before </\$> \(1 unclosed"):
-            list(StreamCursor().attach(events, require_end=True))
+            cursor.end()
         closed = events + list(events_from_tags(["</a>", "</$>"]))
-        assert list(StreamCursor().attach(closed, require_end=True)) == closed
+        cursor = StreamCursor()
+        assert list(cursor.attach(closed)) == closed
+        cursor.end()
 
     def test_abandon_document_returns_between_documents(self):
         cursor = cursor_after(["<$>", "<a>", "<b>"])

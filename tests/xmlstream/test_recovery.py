@@ -9,6 +9,7 @@ from repro.xmlstream import (
     ErrorReport,
     RecoveryPolicy,
     StartDocument,
+    StreamCursor,
     as_policy,
     events_from_tags,
     recovering,
@@ -20,10 +21,16 @@ TRUNCATED = ["<$>", "<a>", "<b>", "</b>"]
 MISMATCHED = ["<$>", "<a>", "</b>", "</$>"]
 
 
-def run(tags, policy, report=None, require_end=True):
-    return tags_from_events(
-        recovering(events_from_tags(tags), policy, report, require_end=require_end)
-    )
+def cut(tags):
+    """The events of ``tags``, then the source raises: a truncated file,
+    as the parser hands it over."""
+    yield from events_from_tags(tags)
+    raise StreamError("truncated")
+
+
+def run(tags, policy, report=None, truncated=False):
+    events = cut(tags) if truncated else events_from_tags(tags)
+    return tags_from_events(recovering(events, policy, report))
 
 
 class TestPolicyCoercion:
@@ -51,11 +58,11 @@ class TestStrict:
             run(MISMATCHED, "strict")
 
     def test_truncation_raises(self):
-        with pytest.raises(StreamError, match="ended before"):
-            run(TRUNCATED, "strict")
+        with pytest.raises(StreamError, match="truncated"):
+            run(TRUNCATED, "strict", truncated=True)
 
-    def test_truncation_tolerated_without_require_end(self):
-        assert run(TRUNCATED, "strict", require_end=False) == TRUNCATED
+    def test_an_open_prefix_passes(self):
+        assert run(TRUNCATED, "strict") == TRUNCATED
 
     def test_garbage_between_documents_raises(self):
         with pytest.raises(StreamError, match="expected <\\$>"):
@@ -89,12 +96,12 @@ class TestSkipDocument:
 
     def test_truncated_final_document_withheld(self):
         report = ErrorReport()
-        assert run(GOOD + TRUNCATED, "skip", report) == GOOD
+        assert run(GOOD + TRUNCATED, "skip", report, truncated=True) == GOOD
         assert report.documents_skipped == 1
 
-    def test_truncated_prefix_without_require_end_silently_withheld(self):
+    def test_an_open_prefix_is_withheld_silently(self):
         report = ErrorReport()
-        assert run(GOOD + TRUNCATED, "skip", report, require_end=False) == GOOD
+        assert run(GOOD + TRUNCATED, "skip", report) == GOOD
         assert report.documents_skipped == 0
         assert report.ok
 
@@ -134,9 +141,14 @@ class TestRepair:
 
     def test_truncation_auto_closed(self):
         report = ErrorReport()
-        got = run(TRUNCATED, "repair", report)
+        got = run(TRUNCATED, "repair", report, truncated=True)
         assert got == ["<$>", "<a>", "<b>", "</b>", "</a>", "</$>"]
         assert report.events_repaired == 2  # </a> and </$>
+
+    def test_an_open_prefix_is_yielded_unrepaired(self):
+        report = ErrorReport()
+        assert run(TRUNCATED, "repair", report) == TRUNCATED
+        assert report.ok
 
     def test_orphan_end_tag_dropped(self):
         report = ErrorReport()
@@ -193,7 +205,7 @@ class TestRepair:
             while True:
                 yield from events_from_tags(GOOD)
 
-        repaired = recovering(endless(), "repair", require_end=False)
+        repaired = recovering(endless(), "repair")
         assert tags_from_events(islice(repaired, len(GOOD))) == GOOD
 
     def test_repaired_output_is_well_formed(self):
@@ -206,9 +218,11 @@ class TestRepair:
             GOOD + ["</x>"] + TRUNCATED,
         ]
         for tags in nasty:
-            repaired = list(recovering(events_from_tags(tags), "repair"))
+            repaired = list(recovering(cut(tags), "repair"))
             # must not raise:
-            assert list(recovering(repaired, "strict")) == repaired
+            cursor = StreamCursor()
+            assert list(cursor.attach(repaired)) == repaired
+            cursor.end()
 
 
 class TestErrorReport:
